@@ -59,6 +59,7 @@ from .harness import (
     conjecture_to_csv,
     conjecture_to_json,
     instance_checks,
+    instance_report,
     run_suite,
     sharpness_check,
     standard_suite_config,
@@ -68,9 +69,12 @@ from .harness import (
 )
 from .measure import (
     ChainReport,
+    CopyLedger,
+    GroupedWeights,
     GTable,
     MeasureKind,
     ReversalResult,
+    copy_ledger,
     g_table_exact,
     g_table_monte_carlo,
     product_form_check,

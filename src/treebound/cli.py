@@ -54,18 +54,13 @@ from .harness import (
     SCHEMA_VERSION,
     ConjectureScanConfig,
     conjecture_scan,
+    conjecture_to_csv,
     conjecture_to_json,
     format_log,
     format_rational,
-    instance_checks,
+    instance_report,
 )
-from .measure import (
-    MeasureKind,
-    g_table_exact,
-    g_table_monte_carlo,
-    sample_embedding,
-    verify_chain,
-)
+from .measure import MeasureKind, g_table_exact, g_table_monte_carlo, sample_embedding
 
 WORK_CAP_ENV = "TREEBOUND_WORK_CAP"
 
@@ -227,7 +222,7 @@ def _cmd_sample(args, inputs):
 def _cmd_verify(args, inputs):
     graph = _load_graph(args.graph, inputs)
     tree = _load_tree(args.tree, inputs)
-    checks = instance_checks(graph, tree, work_cap=_work_cap())
+    checks, chain = instance_report(graph, tree, work_cap=_work_cap())
     failed = [c for c in checks if c.passed is False]
     skipped = [c for c in checks if c.passed is None]
     payload = {
@@ -237,9 +232,9 @@ def _cmd_verify(args, inputs):
         "allPassed": not failed,
         "skipped": len(skipped),
     }
-    if graph.min_degree >= tree.t:
+    if chain is not None:
         # informational: links are measured, never asserted
-        payload["chain"] = verify_chain(graph, tree, work_cap=_work_cap()).to_json_dict()
+        payload["chain"] = chain.to_json_dict()
     rows = [
         [c.name, "" if c.passed is None else str(c.passed).lower(), c.detail]
         for c in checks
@@ -262,22 +257,8 @@ def _cmd_conjecture(args, inputs):
         work_cap=_work_cap(),
     )
     rows = conjecture_scan(config)
-    payload = conjecture_to_json(rows)
-    csv_rows = [
-        [
-            r.descriptor,
-            r.n,
-            format_rational(r.average_degree),
-            r.min_degree,
-            r.t,
-            "" if r.copies is None else str(r.copies),
-            "" if r.log_margin is None else f"{r.log_margin:.15g}",
-            r.verdict,
-        ]
-        for r in rows
-    ]
-    header = ["instance", "n", "d", "min_degree", "t", "copies", "log_margin", "verdict"]
-    return payload, header, csv_rows, EXIT_OK
+    header, *records = csv.reader(io.StringIO(conjecture_to_csv(rows)))
+    return conjecture_to_json(rows), header, records, EXIT_OK
 
 
 def _cmd_gen(args, inputs):
@@ -364,9 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--tree", required=True)
     p.add_argument("--measure", choices=["P", "p", "Pprime"], required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None, help="Monte Carlo draws (default: exact)")
     p.add_argument("--seed", type=int, default=0)
 
     p = with_format(sub.add_parser("sample", help="draw embeddings from the process"))
@@ -386,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
-        "--min-degree", type=int, default=None, help="degree floor (default: max(t, 2t))"
+        "--min-degree", type=int, default=None, help="degree floor (default: 2t)"
     )
     p.add_argument("--edge-probability", type=float, default=0.5)
     p.add_argument("--tree", default=None, help="override the default t-edge path")

@@ -21,17 +21,12 @@ import io
 import logging
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from math import prod
 
 from .bounds import BoundReport, compare_count_to_bound, evaluate_bounds
-from .counting import (
-    count_copies,
-    count_homomorphisms,
-    count_walks,
-    iter_copies,
-    iter_hom_maps,
-)
+from .counting import count_copies, count_homomorphisms, count_walks
 from .errors import RetryLimitExceeded, WorkCapExceeded
 from .graphs import (
     Graph,
@@ -44,15 +39,7 @@ from .graphs import (
     path_tree,
     star_tree,
 )
-from .measure import (
-    MeasureKind,
-    _weight_unchecked,
-    g_table_exact,
-    product_form_check,
-    reversal_check,
-    verify_chain,
-    weight,
-)
+from .measure import ChainReport, MeasureKind, copy_ledger, g_table_exact
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -73,6 +60,7 @@ __all__ = [
     "conjecture_to_json",
     "sharpness_check",
     "CheckResult",
+    "instance_report",
     "instance_checks",
     "format_rational",
     "format_log",
@@ -91,6 +79,13 @@ _BOUND_TARGETS = (
     ("homs_local", "homs"),
     ("walks_blakley_roy", "walks"),
 )
+# CSV columns of a suite row's chain links, in ChainReport.links() order.
+_CHAIN_COLUMNS = (
+    "chain_count_ge_entropy",
+    "chain_entropy_ge_product",
+    "chain_product_ge_bound",
+    "chain_count_ge_bound",
+)
 
 
 def format_rational(value: Fraction) -> str:
@@ -100,6 +95,11 @@ def format_rational(value: Fraction) -> str:
 def format_log(value: float) -> float:
     """Round-trip a log value through 15 significant digits."""
     return float(f"{value:.15g}")
+
+
+def _or_none(fmt, value):
+    """fmt(value), or None when the value is missing."""
+    return None if value is None else fmt(value)
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,10 @@ def _build_row(
     )
     tables: dict = {}
     try:
-        copies = count_copies(graph, tree, work_cap=work_cap).value
+        labeling = good_labeling(tree)
+        # with min degree >= t the ledger's copy pass also yields the count
+        ledger = copy_ledger(graph, tree, labeling, work_cap) if graph.min_degree >= t else None
+        copies = ledger.count if ledger else count_copies(graph, tree, labeling, work_cap).value
         homs = count_homomorphisms(graph, tree).value
         walks = count_walks(graph, t).value
         base.update(copies=copies, homs=homs, walks=walks)
@@ -191,19 +194,16 @@ def _build_row(
         base["bounds"] = _row_bounds(
             report, {"copies": copies, "homs": homs, "walks": walks}
         )
-        labeling = good_labeling(tree)
         hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM, work_cap)
         tables["Pprime"] = hom_table
         base["slack_hom"] = hom_table.min_slack(graph)
         base["hom_table_equal"] = hom_table.equals_degree_profile(graph)
-        if graph.min_degree >= t:
-            majorant = g_table_exact(graph, tree, labeling, MeasureKind.MAJORANT, work_cap)
-            iso = g_table_exact(graph, tree, labeling, MeasureKind.ISO, work_cap)
-            tables["p"] = majorant
-            tables["P"] = iso
-            base["slack_majorant"] = majorant.min_slack(graph)
-            base["slack_iso"] = iso.min_slack(graph)
-            base["chain_links"] = verify_chain(graph, tree, labeling, work_cap).links()
+        if ledger:
+            tables["p"] = ledger.majorant.table()
+            tables["P"] = ledger.iso.table()
+            base["slack_majorant"] = tables["p"].min_slack(graph)
+            base["slack_iso"] = tables["P"].min_slack(graph)
+            base["chain_links"] = ledger.chain(report.copies_local.log_value).links()
     except (WorkCapExceeded, ValueError) as exc:
         base["error"] = f"{type(exc).__name__}: {exc}"
     if include_gtables:
@@ -281,10 +281,7 @@ def suite_csv_columns() -> list[str]:
         "slack_iso",
         "slack_hom",
         "hom_table_equal",
-        "chain_count_ge_entropy",
-        "chain_entropy_ge_product",
-        "chain_product_ge_bound",
-        "chain_count_ge_bound",
+        *_CHAIN_COLUMNS,
         "error",
     ]
     return cols
@@ -320,20 +317,12 @@ def _suite_row_record(row: SuiteRow) -> dict:
         "hom_table_equal": row.hom_table_equal,
         "error": row.error,
     }
-    for name, _ in _BOUND_TARGETS:
-        record[f"{name}_log"] = None
-        record[f"{name}_holds"] = None
-        record[f"{name}_margin"] = None
     for bound in row.bounds:
         if bound.applicable:
             record[f"{bound.name}_log"] = format_log(bound.log_value)
             record[f"{bound.name}_holds"] = bound.holds
             record[f"{bound.name}_margin"] = bound.log_margin
-    links = row.chain_links or (None, None, None, None)
-    record["chain_count_ge_entropy"] = links[0]
-    record["chain_entropy_ge_product"] = links[1]
-    record["chain_product_ge_bound"] = links[2]
-    record["chain_count_ge_bound"] = links[3]
+    record.update(zip(_CHAIN_COLUMNS, row.chain_links or ()))
     return record
 
 
@@ -344,7 +333,7 @@ def suite_to_csv(rows: list[SuiteRow]) -> str:
     writer.writerow(columns)
     for row in rows:
         record = _suite_row_record(row)
-        writer.writerow([_csv_cell(record[c]) for c in columns])
+        writer.writerow([_csv_cell(record.get(c)) for c in columns])
     return buffer.getvalue()
 
 
@@ -371,18 +360,16 @@ def suite_to_json(rows: list[SuiteRow], include_gtables: bool = False) -> dict:
             "minDegree": row.min_degree,
             "t": row.t,
             "counts": {
-                "copies": None if row.copies is None else str(row.copies),
-                "homs": None if row.homs is None else str(row.homs),
-                "walks": None if row.walks is None else str(row.walks),
+                "copies": _or_none(str, row.copies),
+                "homs": _or_none(str, row.homs),
+                "walks": _or_none(str, row.walks),
             },
             "bounds": {b.name: _bound_json(b) for b in row.bounds},
-            "slackMajorant": (
-                None if row.slack_majorant is None else format_rational(row.slack_majorant)
-            ),
-            "slackIso": None if row.slack_iso is None else format_rational(row.slack_iso),
-            "slackHom": None if row.slack_hom is None else format_rational(row.slack_hom),
+            "slackMajorant": _or_none(format_rational, row.slack_majorant),
+            "slackIso": _or_none(format_rational, row.slack_iso),
+            "slackHom": _or_none(format_rational, row.slack_hom),
             "homTableEqual": row.hom_table_equal,
-            "chainLinks": None if row.chain_links is None else list(row.chain_links),
+            "chainLinks": _or_none(list, row.chain_links),
             "error": row.error,
         }
         if include_gtables and row.g_tables:
@@ -406,7 +393,7 @@ class ConjectureScanConfig:
     conditioned on the degree floor.  The floor itself is a parameter: how
     large a minimum degree the conjectured bound needs (if any) is exactly
     what the scan explores, so nothing is hard-coded; when omitted it
-    defaults to max(t, 2t).
+    defaults to 2t.
     """
 
     family: str
@@ -422,17 +409,15 @@ class ConjectureScanConfig:
 
     @property
     def degree_floor(self) -> int:
-        if self.min_degree is not None:
-            return self.min_degree
-        return max(self.t, 2 * self.t)
+        return 2 * self.t if self.min_degree is None else self.min_degree
 
 
 @dataclass(frozen=True)
 class ConjectureRow:
     descriptor: str
     n: int
-    average_degree: Fraction
-    min_degree: int
+    average_degree: Fraction | None  # None when the trial's graph was not built
+    min_degree: int | None
     t: int
     copies: int | None
     falling_factorial_log: float | None
@@ -452,11 +437,13 @@ class ConjectureSummary:
 
 
 def _conjecture_instances(config: ConjectureScanConfig):
+    """Yield (descriptor, build) per trial; build() makes the trial's graph.
+    Deferring it turns a failure to build (a retry cap, say) into one error row."""
     floor = config.degree_floor
     if config.family == "cliques":
         q = floor + 1
         for c in range(1, config.trials + 1):
-            yield f"cliques(c={c},q={q})", gen_disjoint_cliques(c, q)
+            yield f"cliques(c={c},q={q})", partial(gen_disjoint_cliques, c, q)
     elif config.family == "random":
         rng = random.Random(config.seed)
         for i in range(config.trials):
@@ -464,7 +451,8 @@ def _conjecture_instances(config: ConjectureScanConfig):
             yield (
                 f"random(n={config.n},p={config.edge_probability},"
                 f"minDeg>={floor},seed={trial_seed})",
-                gen_random_min_degree(
+                partial(
+                    gen_random_min_degree,
                     config.n,
                     config.edge_probability,
                     floor,
@@ -481,43 +469,37 @@ def conjecture_scan(config: ConjectureScanConfig) -> list[ConjectureRow]:
 
     Rows report and never assert: the statement under test is open, so a
     violated verdict is recorded (margin below -1e-9 in log space) and the
-    scan keeps going.
+    scan keeps going.  A trial whose graph cannot be generated yields an
+    inapplicable row carrying the error, with n = config.n and no degrees.
     """
     tree = config.tree if config.tree is not None else path_tree(config.t)
     if tree.t != config.t:
         raise ValueError(f"tree has {tree.t} edges but config.t = {config.t}")
     rows = []
-    for descriptor, graph in _conjecture_instances(config):
-        base = dict(
+    for descriptor, build in _conjecture_instances(config):
+        row = dict(
             descriptor=descriptor,
-            n=graph.n,
-            average_degree=graph.average_degree,
-            min_degree=graph.min_degree,
+            n=config.n,
+            average_degree=None,
+            min_degree=None,
             t=config.t,
             copies=None,
             falling_factorial_log=None,
             log_margin=None,
+            verdict="inapplicable",
         )
         try:
-            copies = count_copies(graph, tree, work_cap=config.work_cap).value
-            base["copies"] = copies
+            graph = build()
+            row.update(n=graph.n, average_degree=graph.average_degree, min_degree=graph.min_degree)
+            row["copies"] = count_copies(graph, tree, work_cap=config.work_cap).value
             bound = evaluate_bounds(graph, config.t).falling_factorial
-            if not bound.applicable:
-                rows.append(ConjectureRow(verdict="inapplicable", **base))
-                continue
-            base["falling_factorial_log"] = bound.log_value
-            cmp = compare_count_to_bound(copies, bound.log_value)
-            base["log_margin"] = cmp.log_margin
-            verdict = "holds" if cmp.holds else "violated"
-            rows.append(ConjectureRow(verdict=verdict, **base))
+            if bound.applicable:
+                row["falling_factorial_log"] = bound.log_value
+                cmp = compare_count_to_bound(row["copies"], bound.log_value)
+                row.update(log_margin=cmp.log_margin, verdict="holds" if cmp.holds else "violated")
         except (WorkCapExceeded, RetryLimitExceeded, ValueError) as exc:
-            rows.append(
-                ConjectureRow(
-                    verdict="inapplicable",
-                    error=f"{type(exc).__name__}: {exc}",
-                    **base,
-                )
-            )
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(ConjectureRow(**row))
     return rows
 
 
@@ -534,27 +516,29 @@ def summarize_conjecture(rows: list[ConjectureRow]) -> ConjectureSummary:
     )
 
 
+def _conjecture_record(row: ConjectureRow) -> dict:
+    """One scan row under its JSON keys; the CSV writes the same values."""
+    return {
+        "instance": row.descriptor,
+        "n": row.n,
+        "d": _or_none(format_rational, row.average_degree),
+        "minDegree": row.min_degree,
+        "t": row.t,
+        "copies": _or_none(str, row.copies),
+        "fallingFactorialLog": _or_none(format_log, row.falling_factorial_log),
+        "logMargin": _or_none(format_log, row.log_margin),
+        "verdict": row.verdict,
+        "error": row.error,
+    }
+
+
 def conjecture_to_csv(rows: list[ConjectureRow]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
         ["instance", "n", "d", "min_degree", "t", "copies", "ff_log", "log_margin", "verdict", "error"]
     )
-    for row in rows:
-        writer.writerow(
-            [
-                row.descriptor,
-                row.n,
-                format_rational(row.average_degree),
-                row.min_degree,
-                row.t,
-                _csv_cell(row.copies),
-                _csv_cell(None if row.falling_factorial_log is None else format_log(row.falling_factorial_log)),
-                _csv_cell(row.log_margin),
-                row.verdict,
-                _csv_cell(row.error),
-            ]
-        )
+    writer.writerows([_csv_cell(v) for v in _conjecture_record(row).values()] for row in rows)
     return buffer.getvalue()
 
 
@@ -562,37 +546,13 @@ def conjecture_to_json(rows: list[ConjectureRow]) -> dict:
     summary = summarize_conjecture(rows)
     return {
         "schemaVersion": SCHEMA_VERSION,
-        "rows": [
-            {
-                "instance": row.descriptor,
-                "n": row.n,
-                "d": format_rational(row.average_degree),
-                "minDegree": row.min_degree,
-                "t": row.t,
-                "copies": None if row.copies is None else str(row.copies),
-                "fallingFactorialLog": (
-                    None
-                    if row.falling_factorial_log is None
-                    else format_log(row.falling_factorial_log)
-                ),
-                "logMargin": (
-                    None if row.log_margin is None else format_log(row.log_margin)
-                ),
-                "verdict": row.verdict,
-                "error": row.error,
-            }
-            for row in rows
-        ],
+        "rows": [_conjecture_record(row) for row in rows],
         "summary": {
             "total": summary.total,
             "holds": summary.holds,
             "violated": summary.violated,
             "inapplicable": summary.inapplicable,
-            "minLogMargin": (
-                None
-                if summary.min_log_margin is None
-                else format_log(summary.min_log_margin)
-            ),
+            "minLogMargin": _or_none(format_log, summary.min_log_margin),
             "violations": list(summary.violations),
         },
     }
@@ -641,98 +601,49 @@ class CheckResult:
     detail: str
 
 
-def instance_checks(
+def instance_report(
     graph: Graph, tree: Tree, work_cap: int | None = None
-) -> list[CheckResult]:
+) -> tuple[list[CheckResult], ChainReport | None]:
     """Run every asserted measure/bound invariant on one (graph, tree) pair.
 
-    Checks needing the min-degree hypothesis are skipped (passed=None) when
-    the graph misses it; homomorphism-side checks always run, subject to the
-    n^{t+1} work cap.
+    Returns the checks and the chain report (None below the min-degree
+    hypothesis), both fed by one copy pass (copy_ledger) and one
+    homomorphism pass (the HOM g-table).  Checks needing the hypothesis are
+    skipped (passed=None) when the graph misses it; homomorphism-side checks
+    always run, subject to the n^{t+1} work cap.
     """
     t = tree.t
     labeling = good_labeling(tree)
-    nd = graph.degree_sum
-    results: list[CheckResult] = []
-    degree_ok = graph.min_degree >= t
-
-    if degree_ok:
-        parent_pos = labeling.parent_positions()
-        count = 0
-        iso_total = Fraction(0)
-        dominated = True
-        reversal_ok = True
-        product_ok = True
-        for verts in iter_copies(graph, labeling, work_cap):
-            count += 1
-            iso = _weight_unchecked(graph, parent_pos, verts, MeasureKind.ISO, nd, t)
-            maj = _weight_unchecked(graph, parent_pos, verts, MeasureKind.MAJORANT, nd, t)
-            iso_total += iso
-            dominated = dominated and iso <= maj
-            reversal_ok = reversal_ok and reversal_check(graph, tree, labeling, verts).equal
-            product_ok = product_ok and product_form_check(graph, tree, labeling, verts)
-        results.append(
-            CheckResult(
-                "iso-total-probability",
-                iso_total == 1,
-                f"sum over {count} copies = {format_rational(iso_total)}",
-            )
-        )
-        results.append(
-            CheckResult("iso-below-majorant", dominated, f"{count} copies compared")
-        )
-        majorant_table = g_table_exact(graph, tree, labeling, MeasureKind.MAJORANT, work_cap)
-        slack = majorant_table.min_slack(graph)
-        results.append(
-            CheckResult(
-                "majorant-floor",
-                slack >= 0,
-                f"min g[i][v] - d(v)/nd = {format_rational(slack)}",
-            )
-        )
-        results.append(
-            CheckResult("reversal-symmetry", reversal_ok, f"{count} copies compared")
-        )
-        results.append(
-            CheckResult("majorant-product-form", product_ok, f"{count} copies compared")
-        )
-        bound = evaluate_bounds(graph, t).copies_local
-        cmp = compare_count_to_bound(count, bound.log_value)
-        results.append(
-            CheckResult(
-                "copies-ge-local-bound",
-                cmp.holds,
-                f"count {count}, bound exp({format_log(bound.log_value)})",
-            )
-        )
+    names = ["iso-total-probability", "iso-below-majorant", "majorant-floor",
+             "reversal-symmetry", "majorant-product-form", "copies-ge-local-bound"]
+    chain = None
+    if graph.min_degree >= t:
+        ledger = copy_ledger(graph, tree, labeling, work_cap)
+        count, iso_total = ledger.count, ledger.iso.table().row_sum(1)
+        compared = f"{count} copies compared"
+        slack = ledger.majorant.table().min_slack(graph)
+        bound_log = evaluate_bounds(graph, t).copies_local.log_value
+        chain = ledger.chain(bound_log)
+        verdicts = [
+            (iso_total == 1, f"sum over {count} copies = {format_rational(iso_total)}"),
+            (ledger.iso_below_majorant, compared),
+            (slack >= 0, f"min g[i][v] - d(v)/nd = {format_rational(slack)}"),
+            (ledger.reversal_equal, compared),
+            (ledger.product_form_equal, compared),
+            (chain.count_ge_bound, f"count {count}, bound exp({format_log(bound_log)})"),
+        ]
     else:
-        detail = f"skipped: min degree {graph.min_degree} < t = {t}"
-        for name in (
-            "iso-total-probability",
-            "iso-below-majorant",
-            "majorant-floor",
-            "reversal-symmetry",
-            "majorant-product-form",
-            "copies-ge-local-bound",
-        ):
-            results.append(CheckResult(name, None, detail))
-
-    hom_total = Fraction(0)
-    for verts in iter_hom_maps(graph, labeling, work_cap):
-        hom_total += weight(graph, tree, labeling, verts, MeasureKind.HOM)
-    results.append(
-        CheckResult(
-            "hom-total-probability",
-            hom_total == 1,
-            f"sum over homomorphic embeddings = {format_rational(hom_total)}",
-        )
-    )
+        verdicts = [(None, f"skipped: min degree {graph.min_degree} < t = {t}")] * len(names)
     hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM, work_cap)
-    results.append(
-        CheckResult(
-            "hom-degree-profile",
-            hom_table.equals_degree_profile(graph),
-            "g[i][v] vs d(v)/nd over the full table",
-        )
-    )
-    return results
+    hom_total = hom_table.row_sum(1)
+    names += ["hom-total-probability", "hom-degree-profile"]
+    verdicts += [
+        (hom_total == 1, f"sum over homomorphic embeddings = {format_rational(hom_total)}"),
+        (hom_table.equals_degree_profile(graph), "g[i][v] vs d(v)/nd over the full table"),
+    ]
+    return [CheckResult(name, *verdict) for name, verdict in zip(names, verdicts)], chain
+
+
+def instance_checks(graph: Graph, tree: Tree, work_cap: int | None = None) -> list[CheckResult]:
+    """The checks of instance_report without the chain report."""
+    return instance_report(graph, tree, work_cap)[0]

@@ -22,6 +22,13 @@ embeddings whose i-th vertex is v, for the full index range i = 1..t+1.
 The load-bearing fact is the floor g[i][v] >= d(v)/nd, which holds with
 equality for HOM (the underlying chain is reversible) and as an inequality
 for MAJORANT; the table makes both checkable instance by instance.
+
+Each instance enumerates its copies once and its homomorphic maps once:
+copy_ledger folds every copy into the count, both copy tables, the per-copy
+checks and the chain's logs, and the HOM table takes one pass of its own.
+Every weight is 1/D for an integer D, so exact sums are grouped by
+denominator: a pass counts embeddings per (cell, D) in ints, and Fractions
+are made once, when a table is read.
 """
 
 from __future__ import annotations
@@ -55,6 +62,9 @@ __all__ = [
     "g_table_monte_carlo",
     "reversal_check",
     "product_form_check",
+    "GroupedWeights",
+    "CopyLedger",
+    "copy_ledger",
     "verify_chain",
 ]
 
@@ -72,12 +82,6 @@ class MeasureKind(Enum):
             if kind.value == token:
                 return kind
         raise ValueError(f"unknown measure {token!r}; expected one of P, p, Pprime")
-
-
-def _vertices(omega) -> tuple[int, ...]:
-    if isinstance(omega, Embedding):
-        return omega.vertices
-    return tuple(omega)
 
 
 def _validate_embedding(
@@ -99,37 +103,6 @@ def _validate_embedding(
             )
 
 
-def _weight_unchecked(
-    graph: Graph,
-    parent_pos: Sequence[int],
-    verts: Sequence[int],
-    kind: MeasureKind,
-    nd: int,
-    t: int,
-) -> Fraction:
-    denominator = nd
-    if kind is MeasureKind.ISO:
-        used = set(verts[:2])
-        for pos in range(2, t + 1):
-            parent_image = verts[parent_pos[pos]]
-            count = sum(1 for u in graph.adjacency[parent_image] if u not in used)
-            denominator *= count
-            used.add(verts[pos])
-    elif kind is MeasureKind.MAJORANT:
-        for pos in range(2, t + 1):
-            base = graph.degree(verts[parent_pos[pos]]) - t + 1
-            if base <= 0:
-                raise ValueError(
-                    "nonpositive candidate floor d(v)-t+1; the majorant needs "
-                    f"min degree >= t = {t}"
-                )
-            denominator *= base
-    else:
-        for pos in range(2, t + 1):
-            denominator *= graph.degree(verts[parent_pos[pos]])
-    return Fraction(1, denominator)
-
-
 def weight(graph: Graph, tree: Tree, labeling: GoodLabeling, omega, kind: MeasureKind) -> Fraction:
     """Exact rational weight of one embedding under the chosen measure.
 
@@ -138,13 +111,29 @@ def weight(graph: Graph, tree: Tree, labeling: GoodLabeling, omega, kind: Measur
     repeated vertices.  With t = 1 every weight is 1/nd (empty product).
     """
     labeling.validate(tree)
-    verts = _vertices(omega)
+    verts = tuple(omega)
     _validate_embedding(graph, labeling, verts, injective=kind is not MeasureKind.HOM)
     if graph.degree_sum == 0:
         raise ValueError("graph has no edges; weights undefined")
-    return _weight_unchecked(
-        graph, labeling.parent_positions(), verts, kind, graph.degree_sum, tree.t
-    )
+    t = tree.t
+    parent_pos = labeling.parent_positions()
+    denominator = graph.degree_sum
+    for pos in range(2, t + 1):
+        parent_image = verts[parent_pos[pos]]
+        if kind is MeasureKind.ISO:
+            used = verts[:pos]
+            denominator *= sum(1 for u in graph.adjacency[parent_image] if u not in used)
+        elif kind is MeasureKind.MAJORANT:
+            base = graph.degree(parent_image) - t + 1
+            if base <= 0:
+                raise ValueError(
+                    "nonpositive candidate floor d(v)-t+1; the majorant needs "
+                    f"min degree >= t = {t}"
+                )
+            denominator *= base
+        else:
+            denominator *= graph.degree(parent_image)
+    return Fraction(1, denominator)
 
 
 def sample_embedding(
@@ -244,31 +233,25 @@ def g_table_exact(
 ) -> GTable:
     """Tabulate g[i][v] by full enumeration, in exact rationals.
 
-    ISO and MAJORANT aggregate over all injective copies and require min
-    degree >= t; HOM aggregates over the homomorphic embedding space, whose
-    n^{t+1} size is charged against the work cap.
+    ISO and MAJORANT are views on copy_ledger and require min degree >= t.
+    HOM takes one pass over the homomorphic embedding space, whose n^{t+1}
+    size is charged against the work cap, counting maps per denominator.
     """
+    if kind is not MeasureKind.HOM:
+        ledger = copy_ledger(graph, tree, labeling, work_cap)
+        return (ledger.iso if kind is MeasureKind.ISO else ledger.majorant).table()
     labeling.validate(tree)
-    nd = graph.degree_sum
-    if nd == 0:
+    if graph.degree_sum == 0:
         raise ValueError("graph has no edges; weights undefined")
-    if kind is MeasureKind.HOM:
-        embeddings = iter_hom_maps(graph, labeling, work_cap)
-    else:
-        if graph.min_degree < tree.t:
-            raise ValueError(
-                f"min degree {graph.min_degree} < t = {tree.t}; "
-                "ISO and MAJORANT tables need the degree hypothesis"
-            )
-        embeddings = iter_copies(graph, labeling, work_cap)
-    parent_pos = labeling.parent_positions()
-    k = tree.t + 1
-    rows = [[Fraction(0)] * graph.n for _ in range(k)]
-    for verts in embeddings:
-        w = _weight_unchecked(graph, parent_pos, verts, kind, nd, tree.t)
-        for i, v in enumerate(verts):
-            rows[i][v] += w
-    return GTable(kind=kind, rows=tuple(tuple(row) for row in rows))
+    degree = graph.degrees()
+    parents = labeling.parent_positions()[2:]
+    weights = GroupedWeights(kind, tree.t + 1, graph.n)
+    for verts in iter_hom_maps(graph, labeling, work_cap):
+        d = graph.degree_sum
+        for parent in parents:
+            d *= degree[verts[parent]]
+        weights.add(d, verts)
+    return weights.table()
 
 
 def g_table_monte_carlo(
@@ -303,6 +286,22 @@ class ReversalResult:
     equal: bool
 
 
+def _reversed_labeling(labeling: GoodLabeling) -> tuple[Tree, GoodLabeling]:
+    """A copy's own tree (vertex j = embedding index j), labeled from t+1 to 1."""
+    k = len(labeling.order)
+    index_tree = Tree.from_edges((labeling.f(j), j) for j in range(2, k + 1))
+    return index_tree, good_labeling_between(index_tree, k, 1)
+
+
+def _product_exponents(tree: Tree, labeling: GoodLabeling) -> tuple[tuple[int, int], ...]:
+    """(0-based slot, treedeg(x_j) - 1) for the slots j = 2..t with a nonzero exponent."""
+    return tuple(
+        (j - 1, exponent)
+        for j in range(2, tree.t + 1)
+        if (exponent := tree.tree_degree(labeling.vertex(j)) - 1)
+    )
+
+
 def reversal_check(graph: Graph, tree: Tree, labeling: GoodLabeling, omega) -> ReversalResult:
     """Relabel a copy to start at omega_{t+1} and end at omega_1; compare majorants.
 
@@ -311,12 +310,9 @@ def reversal_check(graph: Graph, tree: Tree, labeling: GoodLabeling, omega) -> R
     count, which the reversal permutes but does not change; the two weights
     must agree exactly.
     """
-    verts = _vertices(omega)
+    verts = tuple(omega)
     forward = weight(graph, tree, labeling, verts, MeasureKind.MAJORANT)
-    k = len(verts)
-    # The copy's own tree structure, with vertices named by embedding index.
-    index_tree = Tree.from_edges((labeling.f(j), j) for j in range(2, k + 1))
-    reversed_labeling = good_labeling_between(index_tree, k, 1)
+    index_tree, reversed_labeling = _reversed_labeling(labeling)
     z = tuple(verts[idx - 1] for idx in reversed_labeling.order)
     backward = weight(graph, index_tree, reversed_labeling, z, MeasureKind.MAJORANT)
     return ReversalResult(
@@ -334,14 +330,11 @@ def product_form_check(graph: Graph, tree: Tree, labeling: GoodLabeling, omega) 
     labeled vertex, so p(omega) = (1/nd) * prod_{j=2..t}
     (1/(d(omega_j)-t+1))^(treedeg(x_j)-1), as exact rationals.
     """
-    verts = _vertices(omega)
+    verts = tuple(omega)
     lhs = weight(graph, tree, labeling, verts, MeasureKind.MAJORANT)
-    t = tree.t
     rhs = Fraction(1, graph.degree_sum)
-    for j in range(2, t + 1):
-        exponent = tree.tree_degree(labeling.vertex(j)) - 1
-        if exponent:
-            rhs /= (graph.degree(verts[j - 1]) - t + 1) ** exponent
+    for slot, exponent in _product_exponents(tree, labeling):
+        rhs /= (graph.degree(verts[slot]) - tree.t + 1) ** exponent
     return lhs == rhs
 
 
@@ -391,8 +384,133 @@ class ChainReport:
         }
 
 
-def _log_fraction(value: Fraction) -> float:
-    return math.log(value.numerator) - math.log(value.denominator)
+class GroupedWeights:
+    """Embedding weights 1/D summed exactly, as integer counts per denominator D.
+
+    by_denominator[D] holds (w ln w for w = 1/D, rows), where rows[i][v]
+    counts the embeddings of weight 1/D whose (i+1)-th vertex is v.  Adding
+    an embedding makes no Fraction; table() makes one per cell when read.
+    Memory is O(distinct D * (t+1) * n) ints, never a list of embeddings.
+    """
+
+    def __init__(self, kind: MeasureKind, positions: int, n: int):
+        self.kind = kind
+        self.positions = positions
+        self.n = n
+        self.by_denominator: dict[int, tuple[float, list[list[int]]]] = {}
+
+    def add(self, denominator: int, verts: Sequence[int]) -> float:
+        """Count one embedding of weight w = 1/D; return w ln w as (1/D)(0.0 - ln D)."""
+        entry = self.by_denominator.get(denominator)
+        if entry is None:
+            term = (1 / denominator) * (0.0 - math.log(denominator))
+            rows = [[0] * self.n for _ in range(self.positions)]
+            entry = self.by_denominator[denominator] = (term, rows)
+        for row, v in zip(entry[1], verts):
+            row[v] += 1
+        return entry[0]
+
+    def table(self) -> GTable:
+        """g[i][v] in exact rationals, summed over the common denominator."""
+        common = math.lcm(*self.by_denominator)
+        numerators = [[0] * self.n for _ in range(self.positions)]
+        for d, (_, rows) in self.by_denominator.items():
+            for into, row in zip(numerators, rows):
+                for v, c in enumerate(row):
+                    into[v] += c * (common // d)
+        return GTable(self.kind, tuple(tuple(Fraction(x, common) for x in r) for r in numerators))
+
+
+@dataclass(frozen=True)
+class CopyLedger:
+    """What one pass over the injective copies yields: the count, the ISO and
+    MAJORANT weights, whether every copy met P <= p, reversal symmetry and the
+    product form, and sum -w ln w under P and under p in enumeration order."""
+
+    count: int
+    iso: GroupedWeights
+    majorant: GroupedWeights
+    iso_below_majorant: bool
+    reversal_equal: bool
+    product_form_equal: bool
+    entropy_log: float
+    product_log: float
+
+    def chain(self, bound_log: float) -> ChainReport:
+        """The chain's links, ending at the degree-local copy bound exp(bound_log)."""
+        log_count, entropy, product = math.log(self.count), self.entropy_log, self.product_log
+        return ChainReport(
+            omega_count=self.count,
+            entropy_value=math.exp(entropy),
+            majorant_product=math.exp(product),
+            bound_value=math.exp(bound_log),
+            count_ge_entropy=log_count >= entropy - LOG_TOLERANCE,
+            entropy_ge_product=entropy >= product - LOG_TOLERANCE,
+            product_ge_bound=product >= bound_log - LOG_TOLERANCE,
+            count_ge_bound=log_count >= bound_log - LOG_TOLERANCE,
+        )
+
+
+def _weigh_copies(graph: Graph, labeling: GoodLabeling, work_cap: int | None):
+    """Yield (copy, D_iso, D_maj) for every injective copy: P = 1/D_iso, p = 1/D_maj."""
+    t = labeling.t
+    degree = graph.degrees()
+    neighbor_sets = [frozenset(a) for a in graph.adjacency]
+    steps = tuple(enumerate(labeling.parent_positions()))[2:]
+    for verts in iter_copies(graph, labeling, work_cap):
+        d_iso = d_maj = graph.degree_sum
+        for pos, parent in steps:
+            image = verts[parent]
+            # candidates: the parent image's neighbors not embedded yet
+            d_iso *= degree[image] - len(neighbor_sets[image].intersection(verts[:pos]))
+            d_maj *= degree[image] - t + 1
+        yield verts, d_iso, d_maj
+
+
+def copy_ledger(
+    graph: Graph, tree: Tree, labeling: GoodLabeling, work_cap: int | None = None
+) -> CopyLedger:
+    """Enumerate the copies once and fold each into every copy-side accumulator.
+
+    Requires min degree >= t.  Per copy, the reversal check re-weighs the
+    copy read from its far end under the reversed labeling, and the product
+    form rebuilds p from per-vertex exponents; both are compared with the
+    forward weight.  What depends only on the labeling is computed once.
+    """
+    labeling.validate(tree)
+    t = tree.t
+    if graph.min_degree < t:
+        raise ValueError(
+            f"min degree {graph.min_degree} < t = {t}; "
+            "ISO and MAJORANT tables need the degree hypothesis"
+        )
+    nd = graph.degree_sum
+    floor = [d - t + 1 for d in graph.degrees()]
+    _, reversed_labeling = _reversed_labeling(labeling)
+    reversed_slots = [idx - 1 for idx in reversed_labeling.order]
+    reversed_parents = reversed_labeling.parent_positions()[2:]
+    exponents = _product_exponents(tree, labeling)
+    iso = GroupedWeights(MeasureKind.ISO, t + 1, graph.n)
+    majorant = GroupedWeights(MeasureKind.MAJORANT, t + 1, graph.n)
+    count = 0
+    entropy_log = product_log = 0.0
+    dominated = reversal_ok = product_ok = True
+    for verts, d_iso, d_maj in _weigh_copies(graph, labeling, work_cap):
+        count += 1
+        entropy_log -= iso.add(d_iso, verts)
+        product_log -= majorant.add(d_maj, verts)
+        dominated = dominated and d_iso >= d_maj
+        z = [verts[slot] for slot in reversed_slots]
+        d_reversed = d_product = nd
+        for parent in reversed_parents:
+            d_reversed *= floor[z[parent]]
+        reversal_ok = reversal_ok and d_reversed == d_maj
+        for slot, exponent in exponents:
+            d_product *= floor[verts[slot]] ** exponent
+        product_ok = product_ok and d_product == d_maj
+    return CopyLedger(
+        count, iso, majorant, dominated, reversal_ok, product_ok, entropy_log, product_log
+    )
 
 
 def verify_chain(
@@ -401,43 +519,13 @@ def verify_chain(
     labeling: GoodLabeling | None = None,
     work_cap: int | None = None,
 ) -> ChainReport:
-    """Enumerate all copies once and measure every link of the chain.
+    """Measure every link of the chain from one pass over the copies.
 
-    Requires min degree >= t.  All weights are exact rationals; the
-    exponential-entropy and majorant-product aggregates move to floats only
-    in the final exp(sum -w ln w), and links are compared in log space with
-    1e-9 tolerance.
+    Requires min degree >= t.  Weights are exact rationals; the entropy and
+    majorant-product aggregates become floats only in exp(sum -w ln w), and
+    links are compared in log space with 1e-9 tolerance.
     """
     if labeling is None:
         labeling = good_labeling(tree)
-    else:
-        labeling.validate(tree)
-    if graph.min_degree < tree.t:
-        raise ValueError(
-            f"min degree {graph.min_degree} < t = {tree.t}; chain undefined"
-        )
-    nd = graph.degree_sum
-    parent_pos = labeling.parent_positions()
-    count = 0
-    entropy_log = 0.0
-    product_log = 0.0
-    for verts in iter_copies(graph, labeling, work_cap):
-        count += 1
-        iso = _weight_unchecked(graph, parent_pos, verts, MeasureKind.ISO, nd, tree.t)
-        maj = _weight_unchecked(graph, parent_pos, verts, MeasureKind.MAJORANT, nd, tree.t)
-        entropy_log -= float(iso) * _log_fraction(iso)
-        product_log -= float(maj) * _log_fraction(maj)
-    if count == 0:
-        raise ValueError("graph contains no copy of the tree")
-    log_count = math.log(count)
-    bound_log = evaluate_bounds(graph, tree.t).copies_local.log_value
-    return ChainReport(
-        omega_count=count,
-        entropy_value=math.exp(entropy_log),
-        majorant_product=math.exp(product_log),
-        bound_value=math.exp(bound_log),
-        count_ge_entropy=log_count >= entropy_log - LOG_TOLERANCE,
-        entropy_ge_product=entropy_log >= product_log - LOG_TOLERANCE,
-        product_ge_bound=product_log >= bound_log - LOG_TOLERANCE,
-        count_ge_bound=log_count >= bound_log - LOG_TOLERANCE,
-    )
+    ledger = copy_ledger(graph, tree, labeling, work_cap)
+    return ledger.chain(evaluate_bounds(graph, tree.t).copies_local.log_value)

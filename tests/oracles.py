@@ -1,39 +1,78 @@
 """Independent brute-force references the library implementations are checked
 against.  Nothing here shares an algorithm with the package: copies are
 counted by filtering raw permutations, homomorphisms by filtering the full
-map space, walks via adjacency-matrix powers in exact integer arithmetic.
+map space, walks via adjacency-matrix powers in exact integer arithmetic,
+and g-tables by weighing each of those maps from the measure definitions,
+one Fraction per map.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 
-from treebound.graphs import Graph, Tree
+from treebound.graphs import GoodLabeling, Graph, Tree
+
+
+def _edge_maps(graph: Graph, tree: Tree, maps):
+    """The maps phi (phi[x-1] is the image of tree vertex x) that carry
+    every tree edge to a graph edge."""
+    edges = [(a - 1, b - 1) for a, b in tree.edges]
+    for phi in maps:
+        if all(graph.has_edge(phi[a], phi[b]) for a, b in edges):
+            yield phi
 
 
 def copies_by_permutations(graph: Graph, tree: Tree) -> int:
     """Count injective tree copies by testing every ordered vertex tuple."""
-    k = tree.t + 1
-    edges = [(a - 1, b - 1) for a, b in tree.edges]
-    total = 0
-    for phi in permutations(range(graph.n), k):
-        if all(graph.has_edge(phi[a], phi[b]) for a, b in edges):
-            total += 1
-    return total
+    return sum(1 for _ in _edge_maps(graph, tree, permutations(range(graph.n), tree.t + 1)))
 
 
 def homs_by_exhaustion(graph: Graph, tree: Tree) -> int:
     """Count homomorphisms by testing every map, repeats allowed."""
-    k = tree.t + 1
-    edges = [(a - 1, b - 1) for a, b in tree.edges]
-    total = 0
-    for phi in product(range(graph.n), repeat=k):
-        if all(graph.has_edge(phi[a], phi[b]) for a, b in edges):
-            total += 1
-    return total
+    return sum(1 for _ in _edge_maps(graph, tree, product(range(graph.n), repeat=tree.t + 1)))
+
+
+def g_tables_by_enumeration(graph: Graph, tree: Tree, labeling: GoodLabeling) -> dict:
+    """Exact g-tables {"P", "p", "Pprime"} as lists of rows of Fractions.
+
+    Every injective copy is weighed under P (ISO) and p (MAJORANT), every
+    homomorphism under Pprime (HOM), straight from the process definitions:
+    1/nd, then one factor per slot j = 3..t+1 of the labeling.  P and p need
+    min degree >= t; without it only "Pprime" is returned.
+    """
+    nd = 2 * len(graph.edges)
+    t = tree.t
+
+    def weigh(phi, kind: str) -> tuple[list[int], Fraction]:
+        omega = [phi[x - 1] for x in labeling.order]
+        w = Fraction(1, nd)
+        for j in range(3, t + 2):
+            neighbors = set(graph.neighbors(omega[labeling.parents[j - 1] - 1]))
+            if kind == "P":
+                w /= len(neighbors - set(omega[: j - 1]))
+            elif kind == "p":
+                w /= len(neighbors) - t + 1
+            else:
+                w /= len(neighbors)
+        return omega, w
+
+    def table(kinds, maps) -> dict:
+        rows = {kind: [[Fraction(0)] * graph.n for _ in range(t + 1)] for kind in kinds}
+        for phi in maps:
+            for kind in kinds:
+                omega, w = weigh(phi, kind)
+                for i, v in enumerate(omega):
+                    rows[kind][i][v] += w
+        return rows
+
+    tables = table(("Pprime",), _edge_maps(graph, tree, product(range(graph.n), repeat=t + 1)))
+    if graph.min_degree >= t:
+        tables.update(table(("P", "p"), _edge_maps(graph, tree, permutations(range(graph.n), t + 1))))
+    return tables
 
 
 def walks_by_matrix_power(graph: Graph, t: int) -> int:

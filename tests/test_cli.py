@@ -5,6 +5,12 @@ import pytest
 
 from treebound.cli import main
 from treebound.graphs import gen_cycle, gen_disjoint_cliques, serialize_graph
+from treebound.harness import (
+    ConjectureScanConfig,
+    conjecture_scan,
+    conjecture_to_csv,
+    conjecture_to_json,
+)
 
 
 @pytest.fixture()
@@ -185,6 +191,21 @@ class TestConjecture:
         )
         assert code == 0
         assert envelope["result"]["summary"]["total"] == 5
+
+
+    def test_csv_matches_library_writer(self, capsys):
+        argv = ["conjecture", "--family", "random", "--n", "10", "--t", "3",
+                "--trials", "6", "--seed", "5", "--min-degree", "4"]
+        assert main(argv) == 0
+        json_out = capsys.readouterr().out
+        assert main(argv + ["--format", "csv"]) == 0
+        csv_out = capsys.readouterr().out
+        config = ConjectureScanConfig(
+            family="random", n=10, t=3, trials=6, seed=5, min_degree=4
+        )
+        rows = conjecture_scan(config)
+        assert csv_out == conjecture_to_csv(rows)
+        assert json.loads(json_out)["result"] == conjecture_to_json(rows)
 
 
 class TestGen:

@@ -191,6 +191,23 @@ class TestConjectureScan:
         assert row.min_degree == 4
         assert row.verdict == "holds"
 
+    def test_retry_cap_yields_error_rows(self):
+        config = ConjectureScanConfig(
+            family="random", n=6, t=3, trials=3, seed=1, min_degree=5,
+            edge_probability=0.3, max_tries=5,
+        )
+        rows = conjecture_scan(config)
+        assert len(rows) == 3
+        for row in rows:
+            assert row.verdict == "inapplicable"
+            assert row.error.startswith("RetryLimitExceeded: ")
+            assert (row.n, row.average_degree, row.min_degree, row.copies) == (6, None, None, None)
+        assert len({row.descriptor for row in rows}) == 3
+        assert summarize_conjecture(rows).inapplicable == 3
+        records = list(csv.reader(io.StringIO(conjecture_to_csv(rows))))
+        assert records[1][2:4] == ["", ""]
+        assert conjecture_to_json(rows)["rows"][0]["d"] is None
+
     def test_serializers(self):
         config = ConjectureScanConfig(
             family="cliques", n=15, t=3, trials=2, seed=1, min_degree=4

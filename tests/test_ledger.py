@@ -1,0 +1,179 @@
+"""The copy ledger against the enumerating oracle and the public per-copy path.
+
+copy_ledger folds each copy once into every copy-side accumulator, and the
+HOM g-table takes one pass over the homomorphic maps; these tests check that
+the grouped exact sums match tables built one Fraction per map, that the
+chain floats are bit-identical to summing the public weight() copy by copy,
+and that each per-copy check fails when one copy carries a wrong weight.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tests.oracles import copies_by_permutations, g_tables_by_enumeration, random_tree
+from treebound import counting, measure
+from treebound.bounds import evaluate_bounds
+from treebound.counting import iter_copies
+from treebound.graphs import Graph, gen_random_min_degree, good_labeling
+from treebound.harness import SuiteConfig, instance_checks, instance_report, run_suite
+from treebound.measure import (
+    MeasureKind,
+    copy_ledger,
+    g_table_exact,
+    product_form_check,
+    reversal_check,
+    verify_chain,
+    weight,
+)
+
+
+@st.composite
+def degree_instances(draw):
+    """A random tree with t <= 3 edges in a small graph of min degree >= t."""
+    t = draw(st.integers(1, 3))
+    tree = random_tree(draw(st.randoms(use_true_random=False)), t)
+    n = draw(st.integers(t + 1, 7))
+    p = draw(st.sampled_from([0.6, 0.8, 1.0]))
+    graph = gen_random_min_degree(n, p, t, seed=draw(st.integers(0, 10**6)))
+    return graph, tree
+
+
+@st.composite
+def any_instances(draw):
+    """A random tree with t <= 3 edges in any small graph with an edge."""
+    n = draw(st.integers(2, 6))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.integers(1, 2 ** len(possible) - 1))
+    graph = Graph.from_edges(n, [e for i, e in enumerate(possible) if mask >> i & 1])
+    tree = random_tree(draw(st.randoms(use_true_random=False)), draw(st.integers(1, 3)))
+    return graph, tree
+
+
+def _rows(table):
+    return [list(row) for row in table.rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree_instances())
+def test_copy_tables_match_enumerating_oracle(instance):
+    graph, tree = instance
+    labeling = good_labeling(tree)
+    oracle = g_tables_by_enumeration(graph, tree, labeling)
+    ledger = copy_ledger(graph, tree, labeling)
+    assert ledger.count == copies_by_permutations(graph, tree)
+    assert _rows(ledger.iso.table()) == oracle["P"]
+    assert _rows(ledger.majorant.table()) == oracle["p"]
+    for kind, token in ((MeasureKind.ISO, "P"), (MeasureKind.MAJORANT, "p")):
+        assert _rows(g_table_exact(graph, tree, labeling, kind)) == oracle[token]
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_instances())
+def test_hom_table_matches_enumerating_oracle(instance):
+    graph, tree = instance
+    labeling = good_labeling(tree)
+    table = g_table_exact(graph, tree, labeling, MeasureKind.HOM)
+    assert _rows(table) == g_tables_by_enumeration(graph, tree, labeling)["Pprime"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree_instances())
+def test_ledger_matches_public_per_copy_path(instance):
+    graph, tree = instance
+    labeling = good_labeling(tree)
+    count, iso_total, entropy_log, product_log = 0, 0, 0.0, 0.0
+    dominated = reversal_ok = product_ok = True
+    for omega in iter_copies(graph, labeling):
+        iso = weight(graph, tree, labeling, omega, MeasureKind.ISO)
+        maj = weight(graph, tree, labeling, omega, MeasureKind.MAJORANT)
+        count += 1
+        iso_total += iso
+        entropy_log -= float(iso) * (math.log(iso.numerator) - math.log(iso.denominator))
+        product_log -= float(maj) * (math.log(maj.numerator) - math.log(maj.denominator))
+        dominated = dominated and iso <= maj
+        reversal_ok = reversal_ok and reversal_check(graph, tree, labeling, omega).equal
+        product_ok = product_ok and product_form_check(graph, tree, labeling, omega)
+    ledger = copy_ledger(graph, tree, labeling)
+    assert ledger.count == count
+    assert ledger.iso.table().row_sum(1) == iso_total == 1
+    # bit-identical floats: same terms, same order
+    assert ledger.entropy_log == entropy_log
+    assert ledger.product_log == product_log
+    assert (ledger.iso_below_majorant, ledger.reversal_equal, ledger.product_form_equal) == (
+        dominated,
+        reversal_ok,
+        product_ok,
+    )
+    report = verify_chain(graph, tree, labeling)
+    assert report.entropy_value == math.exp(entropy_log)
+    assert report.majorant_product == math.exp(product_log)
+    bound_log = evaluate_bounds(graph, tree.t).copies_local.log_value
+    assert report == ledger.chain(bound_log)
+
+
+def _tamper_first_copy(monkeypatch, change):
+    """Give the first weighed copy the denominators change(D_iso, D_maj)."""
+    original = measure._weigh_copies
+
+    def tampered(graph, labeling, work_cap):
+        weighed = original(graph, labeling, work_cap)
+        omega, d_iso, d_maj = next(weighed)
+        yield (omega, *change(d_iso, d_maj))
+        yield from weighed
+
+    monkeypatch.setattr(measure, "_weigh_copies", tampered)
+
+
+@pytest.mark.parametrize(
+    "change, failing",
+    [
+        (lambda d_iso, d_maj: (2 * d_iso, d_maj), {"iso-total-probability"}),
+        (
+            lambda d_iso, d_maj: (d_maj - 1, d_maj),
+            {"iso-total-probability", "iso-below-majorant"},
+        ),
+        (
+            lambda d_iso, d_maj: (d_iso, d_maj - 1),
+            {"reversal-symmetry", "majorant-product-form"},
+        ),
+    ],
+    ids=["wrong-iso-weight", "iso-above-majorant", "wrong-majorant-weight"],
+)
+def test_wrong_weight_on_one_copy_fails_matching_check(monkeypatch, k4, p3, change, failing):
+    assert all(check.passed for check in instance_checks(k4, p3))
+    _tamper_first_copy(monkeypatch, change)
+    checks = instance_checks(k4, p3)
+    assert {check.name for check in checks if check.passed is False} == failing
+
+
+def _count_passes(monkeypatch):
+    """Count calls of both enumerators in every module that binds them."""
+    calls = {"copies": 0, "homs": 0}
+    for module in (counting, measure):
+        for name, key in (("iter_copies", "copies"), ("iter_hom_maps", "homs")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _key=key, **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verify_enumerates_copies_and_homs_once(monkeypatch, petersen, s3):
+    calls = _count_passes(monkeypatch)
+    checks, chain = instance_report(petersen, s3)
+    assert all(check.passed for check in checks) and chain is not None
+    assert calls == {"copies": 1, "homs": 1}
+
+
+def test_suite_row_enumerates_copies_and_homs_once(monkeypatch, petersen, s3):
+    calls = _count_passes(monkeypatch)
+    config = SuiteConfig(graphs=(("petersen", petersen),), trees=(("S3", s3),))
+    (row,) = run_suite(config)
+    assert row.error is None and row.chain_links is not None
+    assert calls == {"copies": 1, "homs": 1}
