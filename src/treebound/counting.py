@@ -1,17 +1,26 @@
 """Exact counters for labeled tree copies, tree homomorphisms, and walks.
 
 All counts are exact unbounded integers; nothing here touches floating
-point.  The copy counter backtracks along a good labeling, extending each
-new tree vertex to an unused neighbor of its parent's image, and charges
-one unit of work per visited search node against a configurable cap
-(default 10^8 nodes).  Counters are pure functions; results do not depend
-on which good labeling drives the search.
+point.  Copies are found by backtracking along a good labeling, extending
+each new tree vertex to an unused neighbor of its parent's image.
+
+A *search node* is one partial copy that backtracking reaches: an injective
+assignment of the first j slots of the labeling (j = 0..t+1) in which every
+slot is a neighbor of its parent's image.  A search charges one unit of
+work per node against a configurable cap (default 10^8 nodes), so the
+charge, 1 + the number of valid j-slot prefixes summed over j, depends only
+on the graph and the labeling.  ``iter_copies`` visits every node.
+``count_copies`` stops at the trailing leaf block (the final run of slots
+sharing one parent) and counts it in closed form, but still charges every
+node the block would have held, so both raise ``WorkCapExceeded`` at the
+same caps.  Counters are pure functions; results do not depend on which
+good labeling drives the search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -38,25 +47,39 @@ DEFAULT_WORK_CAP = 100_000_000
 
 @dataclass(frozen=True)
 class CountResult:
-    """An exact count plus the method that produced it."""
+    """An exact count, the method that produced it, and the search nodes it
+    charged to the work cap (0 for methods that run no node search).
+
+    ``nodes`` is a statistic, not part of the result: it is left out of
+    equality and of every CLI result payload.
+    """
 
     value: int
     method: str  # enumeration | dp | formula | brute
+    nodes: int = field(default=0, compare=False)
 
 
 class _Budget:
-    """Search-node budget; spend() raises WorkCapExceeded when drained."""
+    """Search-node budget for one named pass; spend() raises
+    WorkCapExceeded once more than ``cap`` nodes are charged."""
 
-    __slots__ = ("cap", "remaining")
+    __slots__ = ("cap", "remaining", "pass_name")
 
-    def __init__(self, cap: int | None):
+    def __init__(self, cap: int | None, pass_name: str):
         self.cap = DEFAULT_WORK_CAP if cap is None else cap
         self.remaining = self.cap
+        self.pass_name = pass_name
 
     def spend(self, units: int = 1) -> None:
         self.remaining -= units
         if self.remaining < 0:
-            raise WorkCapExceeded(f"search exceeded work cap of {self.cap} nodes")
+            raise WorkCapExceeded(
+                f"{self.pass_name} exceeded the work cap of {self.cap} search nodes"
+            )
+
+    @property
+    def spent(self) -> int:
+        return self.cap - self.remaining
 
 
 def _check_map_space(graph: Graph, k: int, work_cap: int | None) -> None:
@@ -74,9 +97,10 @@ def iter_copies(
 
     An embedding is a vertex tuple (omega_1..omega_{t+1}); slot j >= 2 must
     be a graph neighbor of the slot holding its parent f(j), and all slots
-    are distinct.  Yields in lexicographic order of the tuple.
+    are distinct.  Yields in lexicographic order of the tuple.  Charges one
+    unit per search node visited.
     """
-    budget = _Budget(work_cap)
+    budget = _Budget(work_cap, "copy enumeration")
     k = len(labeling.order)
     parent_pos = labeling.parent_positions()
     adjacency = graph.adjacency
@@ -136,13 +160,74 @@ def count_copies(
     Counts injections phi with phi(u)phi(v) an edge of the graph for every
     tree edge uv.  No minimum-degree hypothesis is needed; the count is
     defined (possibly 0) for any graph.
+
+    Backtracks like ``iter_copies`` up to the trailing leaf block: the
+    longest final run of slots s..t that share one parent slot p.  Once
+    slots < s are placed, those r = t+1-s slots take distinct vertices from
+    the ``free`` neighbors of omega_p that are not yet placed, in
+    (free)_r = free(free-1)...(free-r+1) ways.  The search nodes the block
+    would have held, 1 + (free)_1 + ... + (free)_r, are charged as if they
+    were visited, so ``nodes`` and the caps at which WorkCapExceeded is
+    raised are those of a full ``iter_copies`` pass.
     """
     if labeling is None:
         labeling = good_labeling(tree)
     else:
         labeling.validate(tree)
-    total = sum(1 for _ in iter_copies(graph, labeling, work_cap))
-    return CountResult(total, "enumeration")
+    budget = _Budget(work_cap, "copy count")
+    total = _count_by_leaf_block(graph, labeling, budget)
+    return CountResult(total, "enumeration", budget.spent)
+
+
+def _count_by_leaf_block(graph: Graph, labeling: GoodLabeling, budget: _Budget) -> int:
+    k = len(labeling.order)
+    parent_pos = labeling.parent_positions()
+    p = parent_pos[-1]
+    s = k - 1
+    while parent_pos[s - 1] == p:  # stops at s = 1: slot 0 has no parent
+        s -= 1
+    r = k - s
+    adjacency = graph.adjacency
+    neighbor_sets = [frozenset(a) for a in adjacency]
+    # block_copies[free] = (free)_r and block_nodes[free] = sum_{j<=r} (free)_j
+    block_copies: list[int] = []
+    block_nodes: list[int] = []
+    for free in range(graph.max_degree + 1):
+        ways = nodes = 1
+        for i in range(r):
+            ways *= free - i
+            nodes += ways
+        block_copies.append(ways)
+        block_nodes.append(nodes)
+    omega = [0] * s
+    used = bytearray(graph.n)
+    last = s - 1
+
+    def extend(pos: int) -> int:
+        budget.spend()
+        candidates = range(graph.n) if pos == 0 else adjacency[omega[parent_pos[pos]]]
+        total = 0
+        if pos < last:
+            for v in candidates:
+                if not used[v]:
+                    used[v] = 1
+                    omega[pos] = v
+                    total += extend(pos + 1)
+                    used[v] = 0
+            return total
+        # Each choice of the last placed slot roots one leaf-block subtree.
+        nodes = 0
+        for v in candidates:
+            if not used[v]:
+                omega[pos] = v
+                anchor = omega[p]
+                free = len(adjacency[anchor]) - len(neighbor_sets[anchor].intersection(omega))
+                total += block_copies[free]
+                nodes += block_nodes[free]
+        budget.spend(nodes)
+        return total
+
+    return extend(0)
 
 
 def count_star_formula(graph: Graph, t: int) -> CountResult:

@@ -43,6 +43,34 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _valid_edges(edges, lo: int, hi: int, label: str) -> tuple[tuple[int, int], ...]:
+    """Check each edge in iteration order; return them normalized and sorted.
+
+    Raises ValueError at the first edge with an endpoint outside lo..hi, a
+    self-loop, or a repeat of an earlier edge.  The one edge check shared by
+    the constructors and the parsers.
+    """
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (lo <= u <= hi and lo <= v <= hi):
+            raise ValueError(f"{label} out of range {lo}..{hi}: ({u}, {v})")
+        if u == v:
+            raise ValueError(f"self-loop at {label} {u}")
+        e = _norm_edge(u, v)
+        if e in seen:
+            raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
+        seen.add(e)
+    return tuple(sorted(seen))
+
+
+def _adjacency(size: int, ordered) -> tuple[tuple[int, ...], ...]:
+    neigh: list[list[int]] = [[] for _ in range(size)]
+    for u, v in ordered:
+        neigh[u].append(v)
+        neigh[v].append(u)
+    return tuple(tuple(sorted(a)) for a in neigh)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
@@ -60,22 +88,8 @@ class Graph:
         """Build and validate a graph from an edge iterable."""
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex out of range 0..{n - 1}: ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = _norm_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
-            seen.add(e)
-        ordered = tuple(sorted(seen))
-        neigh: list[list[int]] = [[] for _ in range(n)]
-        for u, v in ordered:
-            neigh[u].append(v)
-            neigh[v].append(u)
-        return cls(n, ordered, tuple(tuple(sorted(a)) for a in neigh))
+        ordered = _valid_edges(edges, 0, n - 1, "vertex")
+        return cls(n, ordered, _adjacency(n, ordered))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -130,23 +144,12 @@ class Tree:
         t = len(edge_list)
         if t < 1:
             raise ValueError("a tree needs at least one edge")
-        n = t + 1
-        seen: set[tuple[int, int]] = set()
-        for u, v in edge_list:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"tree vertex out of range 1..{n}: ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at tree vertex {u}")
-            e = _norm_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate tree edge ({e[0]}, {e[1]})")
-            seen.add(e)
-        ordered = tuple(sorted(seen))
-        neigh: list[list[int]] = [[] for _ in range(n + 1)]
-        for u, v in ordered:
-            neigh[u].append(v)
-            neigh[v].append(u)
-        tree = cls(t, ordered, tuple(tuple(sorted(a)) for a in neigh))
+        return cls._from_valid_edges(t, _valid_edges(edge_list, 1, t + 1, "tree vertex"))
+
+    @classmethod
+    def _from_valid_edges(cls, t: int, ordered) -> "Tree":
+        """Build from t checked edges on 1..t+1; reject a disconnected set."""
+        tree = cls(t, ordered, _adjacency(t + 2, ordered))
         if not tree._is_connected():
             raise ValueError("edge list does not form a tree: disconnected")
         return tree
@@ -283,6 +286,33 @@ def _parse_edge_line(lineno: int, line: str) -> tuple[int, int]:
         raise FormatError(f"edge line must be two integers, got {line!r}", lineno) from None
 
 
+def _parse_edges(lines, m: int, lo: int, hi: int, label: str) -> tuple[tuple[int, int], ...]:
+    """Read exactly m edge lines and check them with ``_valid_edges``.
+
+    Lines are parsed as the check consumes them, so the first bad line is
+    the one reported, with its line number.
+    """
+    lineno = 0
+
+    def edges():
+        nonlocal lineno
+        count = 0
+        for lineno, line in lines:
+            if count == m:
+                raise FormatError(f"expected {m} edge lines, found extra data {line!r}", lineno)
+            yield _parse_edge_line(lineno, line)
+            count += 1
+        if count != m:
+            raise FormatError(f"expected {m} edge lines, found {count}")
+
+    try:
+        return _valid_edges(edges(), lo, hi, label)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno) from None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse 0-indexed graph file content; reject loops and duplicate edges."""
     lines = _data_lines(text)
@@ -295,24 +325,8 @@ def parse_graph(text: str) -> Graph:
         raise FormatError(f"vertex count must be >= 1, got {n}", lineno)
     if m < 0:
         raise FormatError(f"edge count must be >= 0, got {m}", lineno)
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in lines:
-        if len(edges) == m:
-            raise FormatError(f"expected {m} edge lines, found extra data {line!r}", lineno)
-        u, v = _parse_edge_line(lineno, line)
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"vertex index out of range 0..{n - 1}: ({u}, {v})", lineno)
-        if u == v:
-            raise FormatError(f"self-loop at vertex {u}", lineno)
-        e = _norm_edge(u, v)
-        if e in seen:
-            raise FormatError(f"duplicate edge ({e[0]}, {e[1]})", lineno)
-        seen.add(e)
-        edges.append(e)
-    if len(edges) != m:
-        raise FormatError(f"expected {m} edge lines, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    ordered = _parse_edges(lines, m, 0, n - 1, "vertex")
+    return Graph(n, ordered, _adjacency(n, ordered))
 
 
 def serialize_graph(graph: Graph) -> str:
@@ -337,25 +351,9 @@ def parse_tree(text: str) -> Tree:
         raise FormatError(
             f"a tree on {n} vertices needs {n - 1} edges, got {m} ({kind})", lineno
         )
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in lines:
-        if len(edges) == m:
-            raise FormatError(f"expected {m} edge lines, found extra data {line!r}", lineno)
-        u, v = _parse_edge_line(lineno, line)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise FormatError(f"vertex index out of range 1..{n}: ({u}, {v})", lineno)
-        if u == v:
-            raise FormatError(f"self-loop at vertex {u}", lineno)
-        e = _norm_edge(u, v)
-        if e in seen:
-            raise FormatError(f"duplicate edge ({e[0]}, {e[1]})", lineno)
-        seen.add(e)
-        edges.append(e)
-    if len(edges) != m:
-        raise FormatError(f"expected {m} edge lines, found {len(edges)}")
+    ordered = _parse_edges(lines, m, 1, n, "tree vertex")
     try:
-        return Tree.from_edges(edges)
+        return Tree._from_valid_edges(m, ordered)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -31,6 +31,21 @@ def copies_by_permutations(graph: Graph, tree: Tree) -> int:
     return sum(1 for _ in _edge_maps(graph, tree, permutations(range(graph.n), tree.t + 1)))
 
 
+def search_nodes_by_permutations(graph: Graph, labeling: GoodLabeling) -> int:
+    """Search nodes of a full backtracking pass along the labeling: the empty
+    prefix plus, for j = 1..t+1, every injective j-slot prefix in which each
+    slot is adjacent to its parent slot, found by testing raw permutations."""
+    parents = labeling.parent_positions()
+    nodes = 1
+    for j in range(1, len(parents) + 1):
+        nodes += sum(
+            1
+            for phi in permutations(range(graph.n), j)
+            if all(graph.has_edge(phi[i], phi[parents[i]]) for i in range(1, j))
+        )
+    return nodes
+
+
 def homs_by_exhaustion(graph: Graph, tree: Tree) -> int:
     """Count homomorphisms by testing every map, repeats allowed."""
     return sum(1 for _ in _edge_maps(graph, tree, product(range(graph.n), repeat=tree.t + 1)))

@@ -37,7 +37,7 @@ class TestCount:
     def test_count_k4_p2(self, capsys, k4_file):
         code, envelope = run_json(capsys, ["count", "--graph", k4_file, "--tree", "path:2"])
         assert code == 0
-        assert envelope["result"]["count"] == "24"
+        assert envelope["result"] == {"count": "24", "method": "enumeration"}
         assert envelope["schemaVersion"] == "1"
         assert envelope["command"][0] == "count"
         assert len(envelope["inputs"]["graph"]["sha256"]) == 64

@@ -1,21 +1,24 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.oracles import (
     copies_by_permutations,
     homs_by_exhaustion,
     random_tree,
+    search_nodes_by_permutations,
     walks_by_matrix_power,
 )
 from treebound.counting import (
+    CountResult,
     count_copies,
     count_homomorphisms,
     count_homomorphisms_bruteforce,
     count_star_formula,
     count_walks,
+    iter_copies,
     max_induced_copy_degree,
     path_walk_ratio,
 )
@@ -24,6 +27,7 @@ from treebound.graphs import (
     Graph,
     Tree,
     gen_complete_bipartite,
+    gen_cycle,
     gen_disjoint_cliques,
     gen_random_min_degree,
     good_labeling,
@@ -60,6 +64,20 @@ class TestCountCopies:
     def test_work_cap(self, petersen, p3):
         with pytest.raises(WorkCapExceeded):
             count_copies(petersen, p3, work_cap=50)
+
+    def test_k4_p3_charges_65_nodes(self, k4, p3):
+        # 1 empty prefix + 4 + 4*3 + 4*3*2 + 4*3*2*1 partial copies
+        assert count_copies(k4, p3, work_cap=65).nodes == 65
+        with pytest.raises(WorkCapExceeded, match="copy count exceeded the work cap of 64"):
+            count_copies(k4, p3, work_cap=64)
+        labeling = good_labeling(p3)
+        assert sum(1 for _ in iter_copies(k4, labeling, work_cap=65)) == 24
+        with pytest.raises(WorkCapExceeded, match="copy enumeration exceeded the work cap of 64"):
+            sum(1 for _ in iter_copies(k4, labeling, work_cap=64))
+
+    def test_nodes_are_a_statistic_not_part_of_the_result(self):
+        assert CountResult(24, "enumeration", 65) == CountResult(24, "enumeration", 1)
+        assert count_star_formula(gen_disjoint_cliques(1, 4), 2).nodes == 0
 
     def test_labeling_choice_does_not_matter(self, petersen, p3):
         for first, last in [(1, 4), (4, 1)]:
@@ -261,3 +279,68 @@ def test_count_invariant_under_tree_renaming(pair, rng):
     rename = dict(zip(tree.vertices, names))
     renamed = Tree.from_edges((rename[a], rename[b]) for a, b in tree.edges)
     assert count_copies(graph, renamed).value == baseline
+
+
+FORK = Tree.from_edges([(1, 2), (2, 3), (3, 4), (3, 5)])
+
+
+@st.composite
+def graph_tree_labeling(draw):
+    """A graph on up to 7 vertices, a path, star, fork or random tree with
+    1..4 edges, and a labeling that starts, or starts and ends, at chosen
+    leaves, so the trailing leaf block holds one slot or several."""
+    n = draw(st.integers(1, 7))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.integers(0, 2 ** len(possible) - 1))
+    graph = Graph.from_edges(n, [e for i, e in enumerate(possible) if mask >> i & 1])
+    t = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["path", "star", "fork", "random"]))
+    if shape == "path":
+        tree = path_tree(t)
+    elif shape == "star":
+        tree = star_tree(t)
+    elif shape == "fork":
+        tree = FORK
+    else:
+        tree = random_tree(draw(st.randoms(use_true_random=False)), t)
+    first = draw(st.sampled_from(tree.leaves))
+    last = draw(st.sampled_from([None] + [x for x in tree.leaves if x != first]))
+    if last is None:
+        labeling = good_labeling(tree, first)
+    else:
+        labeling = good_labeling_between(tree, first, last)
+    return graph, tree, labeling
+
+
+NO_COPY = (Graph.from_edges(4, [(0, 1), (2, 3)]), path_tree(2), good_labeling(path_tree(2)))
+SINGLE_EDGE = (gen_cycle(5), path_tree(1), good_labeling(path_tree(1)))
+LOW_DEGREE_STAR = (gen_cycle(5), star_tree(3), good_labeling_between(star_tree(3), 2, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_tree_labeling())
+@example(NO_COPY)
+@example(SINGLE_EDGE)
+@example(LOW_DEGREE_STAR)
+def test_leaf_block_count_matches_oracles_and_enumeration(case):
+    graph, tree, labeling = case
+    result = count_copies(graph, tree, labeling)
+    assert result.value == copies_by_permutations(graph, tree)
+    assert result.value == sum(1 for _ in iter_copies(graph, labeling))
+    assert result.nodes == search_nodes_by_permutations(graph, labeling)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_tree_labeling())
+@example(NO_COPY)
+@example(SINGLE_EDGE)
+def test_count_and_enumeration_hit_the_work_cap_at_the_same_node(case):
+    graph, tree, labeling = case
+    nodes = search_nodes_by_permutations(graph, labeling)
+    copies = copies_by_permutations(graph, tree)
+    assert count_copies(graph, tree, labeling, work_cap=nodes).value == copies
+    assert sum(1 for _ in iter_copies(graph, labeling, work_cap=nodes)) == copies
+    with pytest.raises(WorkCapExceeded, match="copy count exceeded the work cap"):
+        count_copies(graph, tree, labeling, work_cap=nodes - 1)
+    with pytest.raises(WorkCapExceeded, match="copy enumeration exceeded the work cap"):
+        sum(1 for _ in iter_copies(graph, labeling, work_cap=nodes - 1))

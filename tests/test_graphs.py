@@ -95,6 +95,35 @@ class TestParseTree:
             parse_tree("3 2\n1 2\n2 9")
 
 
+class TestEdgeValidation:
+    """Parsers and constructors share one edge check; parsers add line numbers."""
+
+    @pytest.mark.parametrize(
+        "parse, text, pattern, line",
+        [
+            (parse_graph, "3 2\n0 1\n# note\n1 0", "duplicate edge", 4),
+            (parse_graph, "3 2\n0 1\n1 3", "out of range", 3),
+            (parse_tree, "3 2\n1 2\n2 2", "self-loop", 3),
+            (parse_tree, "3 2\n\n1 2\n2 1", "duplicate edge", 4),
+        ],
+    )
+    def test_edge_errors_report_their_line(self, parse, text, pattern, line):
+        with pytest.raises(FormatError, match=pattern) as exc:
+            parse(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "edges, pattern",
+        [([(0, 3)], "out of range"), ([(1, 1)], "self-loop"), ([(0, 1), (1, 0)], "duplicate edge")],
+    )
+    def test_constructor_rejects_like_the_parser(self, edges, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            Graph.from_edges(3, edges)
+        text = f"3 {len(edges)}\n" + "\n".join(f"{u} {v}" for u, v in edges)
+        with pytest.raises(FormatError, match=pattern):
+            parse_graph(text)
+
+
 class TestGoodLabeling:
     def test_path_from_leaf_one(self):
         L = good_labeling(parse_tree(P3_TEXT), 1)
