@@ -20,11 +20,9 @@ from .counting import (
     CountResult,
     count_copies,
     count_homomorphisms,
-    count_homomorphisms_bruteforce,
     count_star_formula,
     count_walks,
     iter_copies,
-    iter_hom_maps,
     max_induced_copy_degree,
     path_walk_ratio,
 )

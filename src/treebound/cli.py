@@ -28,12 +28,7 @@ from collections import Counter
 from pathlib import Path
 
 from .bounds import evaluate_bounds
-from .counting import (
-    count_copies,
-    count_homomorphisms,
-    count_homomorphisms_bruteforce,
-    count_walks,
-)
+from .counting import count_copies, count_homomorphisms, count_walks
 from .errors import FormatError, RetryLimitExceeded, WorkCapExceeded
 from .graphs import (
     Graph,
@@ -123,10 +118,7 @@ def _cmd_count(args, inputs):
 def _cmd_hom(args, inputs):
     graph = _load_graph(args.graph, inputs)
     tree = _load_tree(args.tree, inputs)
-    if args.method == "brute":
-        result = count_homomorphisms_bruteforce(graph, tree, work_cap=_work_cap())
-    else:
-        result = count_homomorphisms(graph, tree)
+    result = count_homomorphisms(graph, tree)
     payload = {"count": str(result.value), "method": result.method}
     return payload, ["count", "method"], [[str(result.value), result.method]], EXIT_OK
 
@@ -330,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_format(sub.add_parser("hom", help="exact homomorphism count"))
     p.add_argument("--graph", required=True)
     p.add_argument("--tree", required=True)
-    p.add_argument("--method", choices=["dp", "brute"], default="dp")
 
     p = with_format(sub.add_parser("walks", help="exact walk count"))
     p.add_argument("--graph", required=True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Iterator
 
 from .errors import WorkCapExceeded
@@ -32,11 +31,9 @@ __all__ = [
     "DEFAULT_WORK_CAP",
     "CountResult",
     "iter_copies",
-    "iter_hom_maps",
     "count_copies",
     "count_star_formula",
     "count_homomorphisms",
-    "count_homomorphisms_bruteforce",
     "count_walks",
     "path_walk_ratio",
     "max_induced_copy_degree",
@@ -55,7 +52,7 @@ class CountResult:
     """
 
     value: int
-    method: str  # enumeration | dp | formula | brute
+    method: str  # enumeration | dp | formula
     nodes: int = field(default=0, compare=False)
 
 
@@ -80,14 +77,6 @@ class _Budget:
     @property
     def spent(self) -> int:
         return self.cap - self.remaining
-
-
-def _check_map_space(graph: Graph, k: int, work_cap: int | None) -> None:
-    cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
-    if graph.n**k > cap:
-        raise WorkCapExceeded(
-            f"map space n^(t+1) = {graph.n}^{k} exceeds work cap of {cap}"
-        )
 
 
 def iter_copies(
@@ -119,32 +108,6 @@ def iter_copies(
                 omega[pos] = v
                 yield from extend(pos + 1)
                 used[v] = 0
-
-    return extend(0)
-
-
-def iter_hom_maps(
-    graph: Graph, labeling: GoodLabeling, work_cap: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Yield every homomorphic embedding (repeats allowed) of the labeled tree.
-
-    The full map space has n^{t+1} elements; that size is charged against
-    the work cap up front before any enumeration starts.
-    """
-    k = len(labeling.order)
-    _check_map_space(graph, k, work_cap)
-    parent_pos = labeling.parent_positions()
-    adjacency = graph.adjacency
-    omega = [0] * k
-
-    def extend(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == k:
-            yield tuple(omega)
-            return
-        candidates = range(graph.n) if pos == 0 else adjacency[omega[parent_pos[pos]]]
-        for v in candidates:
-            omega[pos] = v
-            yield from extend(pos + 1)
 
     return extend(0)
 
@@ -262,20 +225,6 @@ def count_homomorphisms(graph: Graph, tree: Tree) -> CountResult:
                 vec[v] *= sum(child_vec[u] for u in adjacency[v])
         messages[pos] = vec
     return CountResult(sum(messages[0]), "dp")
-
-
-def count_homomorphisms_bruteforce(
-    graph: Graph, tree: Tree, work_cap: int | None = None
-) -> CountResult:
-    """Oracle twin of count_homomorphisms: test all n^{t+1} maps directly."""
-    k = tree.t + 1
-    _check_map_space(graph, k, work_cap)
-    edges = [(a - 1, b - 1) for a, b in tree.edges]
-    total = 0
-    for phi in product(range(graph.n), repeat=k):
-        if all(graph.has_edge(phi[a], phi[b]) for a, b in edges):
-            total += 1
-    return CountResult(total, "brute")
 
 
 def count_walks(graph: Graph, t: int) -> CountResult:

@@ -194,7 +194,7 @@ def _build_row(
         base["bounds"] = _row_bounds(
             report, {"copies": copies, "homs": homs, "walks": walks}
         )
-        hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM, work_cap)
+        hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM)
         tables["Pprime"] = hom_table
         base["slack_hom"] = hom_table.min_slack(graph)
         base["hom_table_equal"] = hom_table.equals_degree_profile(graph)
@@ -607,10 +607,10 @@ def instance_report(
     """Run every asserted measure/bound invariant on one (graph, tree) pair.
 
     Returns the checks and the chain report (None below the min-degree
-    hypothesis), both fed by one copy pass (copy_ledger) and one
-    homomorphism pass (the HOM g-table).  Checks needing the hypothesis are
-    skipped (passed=None) when the graph misses it; homomorphism-side checks
-    always run, subject to the n^{t+1} work cap.
+    hypothesis), fed by one copy pass (copy_ledger) and the propagated HOM
+    g-table.  Checks needing the hypothesis are skipped (passed=None) when
+    the graph misses it; homomorphism-side checks always run, and only the
+    copy pass is charged against the work cap.
     """
     t = tree.t
     labeling = good_labeling(tree)
@@ -634,7 +634,7 @@ def instance_report(
         ]
     else:
         verdicts = [(None, f"skipped: min degree {graph.min_degree} < t = {t}")] * len(names)
-    hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM, work_cap)
+    hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM)
     hom_total = hom_table.row_sum(1)
     names += ["hom-total-probability", "hom-degree-profile"]
     verdicts += [

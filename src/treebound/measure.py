@@ -23,12 +23,13 @@ The load-bearing fact is the floor g[i][v] >= d(v)/nd, which holds with
 equality for HOM (the underlying chain is reversible) and as an inequality
 for MAJORANT; the table makes both checkable instance by instance.
 
-Each instance enumerates its copies once and its homomorphic maps once:
-copy_ledger folds every copy into the count, both copy tables, the per-copy
-checks and the chain's logs, and the HOM table takes one pass of its own.
+Each instance enumerates its copies once: copy_ledger folds every copy
+into the count, both copy tables, the per-copy checks and the chain's logs.
 Every weight is 1/D for an integer D, so exact sums are grouped by
 denominator: a pass counts embeddings per (cell, D) in ints, and Fractions
-are made once, when a table is read.
+are made once, when a table is read.  The HOM table enumerates nothing: its
+slot 1 is the start law d(v)/nd, and each later slot is one random-walk step
+from its parent slot, so the table is propagated in O(t*m) exact steps.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import LOG_TOLERANCE, evaluate_bounds
-from .counting import iter_copies, iter_hom_maps
+from .counting import iter_copies
 from .graphs import (
     Embedding,
     GoodLabeling,
@@ -231,27 +232,28 @@ def g_table_exact(
     kind: MeasureKind,
     work_cap: int | None = None,
 ) -> GTable:
-    """Tabulate g[i][v] by full enumeration, in exact rationals.
+    """Tabulate g[i][v] exactly, in rationals.
 
-    ISO and MAJORANT are views on copy_ledger and require min degree >= t.
-    HOM takes one pass over the homomorphic embedding space, whose n^{t+1}
-    size is charged against the work cap, counting maps per denominator.
+    ISO and MAJORANT are views on copy_ledger: they require min degree >= t,
+    and their copy pass is charged against the work cap.  HOM is propagated
+    along the labeling, never enumerated, so the cap does not apply: slot 1
+    holds d(v)/nd, and slot i holds g[i][w] = sum over u in N(w) of
+    g[f(i)][u]/d(u), the chance of stepping from the parent's image u to w.
     """
     if kind is not MeasureKind.HOM:
         ledger = copy_ledger(graph, tree, labeling, work_cap)
         return (ledger.iso if kind is MeasureKind.ISO else ledger.majorant).table()
     labeling.validate(tree)
-    if graph.degree_sum == 0:
+    nd = graph.degree_sum
+    if nd == 0:
         raise ValueError("graph has no edges; weights undefined")
     degree = graph.degrees()
-    parents = labeling.parent_positions()[2:]
-    weights = GroupedWeights(kind, tree.t + 1, graph.n)
-    for verts in iter_hom_maps(graph, labeling, work_cap):
-        d = graph.degree_sum
-        for parent in parents:
-            d *= degree[verts[parent]]
-        weights.add(d, verts)
-    return weights.table()
+    rows = [tuple(Fraction(d, nd) for d in degree)]
+    for parent in labeling.parent_positions()[1:]:
+        # an isolated vertex has weight 0 and is nobody's neighbor
+        step = [g / d if d else g for g, d in zip(rows[parent], degree)]
+        rows.append(tuple(sum((step[u] for u in a), Fraction(0)) for a in graph.adjacency))
+    return GTable(kind, tuple(rows))
 
 
 def g_table_monte_carlo(

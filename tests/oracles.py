@@ -51,6 +51,13 @@ def homs_by_exhaustion(graph: Graph, tree: Tree) -> int:
     return sum(1 for _ in _edge_maps(graph, tree, product(range(graph.n), repeat=tree.t + 1)))
 
 
+def hom_embeddings_by_exhaustion(graph: Graph, tree: Tree, labeling: GoodLabeling):
+    """Every homomorphism, found by testing every map, as a vertex tuple in
+    labeling slot order: slot i holds the image of tree vertex order[i]."""
+    for phi in _edge_maps(graph, tree, product(range(graph.n), repeat=tree.t + 1)):
+        yield tuple(phi[x - 1] for x in labeling.order)
+
+
 def g_tables_by_enumeration(graph: Graph, tree: Tree, labeling: GoodLabeling) -> dict:
     """Exact g-tables {"P", "p", "Pprime"} as lists of rows of Fractions.
 

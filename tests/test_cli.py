@@ -70,11 +70,8 @@ class TestHomAndWalks:
         assert envelope["result"] == {"count": "36", "method": "dp"}
 
     def test_hom_brute(self, capsys, k4_file):
-        code, envelope = run_json(
-            capsys, ["hom", "--graph", k4_file, "--tree", "path:2", "--method", "brute"]
-        )
-        assert code == 0
-        assert envelope["result"] == {"count": "36", "method": "brute"}
+        # hom takes no --method: it always runs the DP
+        assert main(["hom", "--graph", k4_file, "--tree", "path:2", "--method", "brute"]) == 2
 
     def test_walks(self, capsys, k4_file):
         code, envelope = run_json(capsys, ["walks", "--graph", k4_file, "--length", "3"])
@@ -253,6 +250,16 @@ class TestExitCodes:
         monkeypatch.setenv("TREEBOUND_WORK_CAP", "10")
         assert main(["count", "--graph", k4_file, "--tree", "path:3"]) == 4
         assert "work cap" in capsys.readouterr().err
+
+    def test_work_cap_spares_only_the_hom_table(self, capsys, monkeypatch, k4_file):
+        monkeypatch.setenv("TREEBOUND_WORK_CAP", "10")
+        code, envelope = run_json(
+            capsys, ["gtable", "--graph", k4_file, "--tree", "path:3", "--measure", "Pprime"]
+        )
+        assert code == 0 and envelope["result"]["equalsDegreeProfile"] is True
+        for measure in ("P", "p"):
+            args = ["gtable", "--graph", k4_file, "--tree", "path:3", "--measure", measure]
+            assert main(args) == 4
 
     def test_invalid_work_cap_env(self, capsys, monkeypatch, k4_file):
         monkeypatch.setenv("TREEBOUND_WORK_CAP", "lots")

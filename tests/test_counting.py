@@ -15,7 +15,6 @@ from treebound.counting import (
     CountResult,
     count_copies,
     count_homomorphisms,
-    count_homomorphisms_bruteforce,
     count_star_formula,
     count_walks,
     iter_copies,
@@ -130,12 +129,8 @@ class TestHomomorphisms:
     def test_bruteforce_examples(self, p2):
         k3 = gen_disjoint_cliques(1, 3)
         k2 = Graph.from_edges(2, [(0, 1)])
-        assert count_homomorphisms_bruteforce(k3, p2).value == 12
-        assert count_homomorphisms_bruteforce(k2, p2).value == 2
-
-    def test_bruteforce_work_cap(self, petersen):
-        with pytest.raises(WorkCapExceeded):
-            count_homomorphisms_bruteforce(petersen, path_tree(4), work_cap=10**4)
+        assert count_homomorphisms(k3, p2).value == homs_by_exhaustion(k3, p2) == 12
+        assert count_homomorphisms(k2, p2).value == homs_by_exhaustion(k2, p2) == 2
 
     def test_dp_agrees_with_bruteforce_on_random_instances(self):
         rng = random.Random(99)
@@ -143,7 +138,7 @@ class TestHomomorphisms:
             n = rng.randint(3, 8)
             g = gen_random_min_degree(n, rng.uniform(0.3, 0.9), 0, seed=rng.randrange(10**6))
             tree = random_tree(rng, rng.randint(1, 4))
-            assert count_homomorphisms(g, tree).value == count_homomorphisms_bruteforce(g, tree).value
+            assert count_homomorphisms(g, tree).value == homs_by_exhaustion(g, tree)
 
     def test_copies_never_exceed_homomorphisms(self):
         rng = random.Random(4)

@@ -1,10 +1,11 @@
 """The copy ledger against the enumerating oracle and the public per-copy path.
 
 copy_ledger folds each copy once into every copy-side accumulator, and the
-HOM g-table takes one pass over the homomorphic maps; these tests check that
-the grouped exact sums match tables built one Fraction per map, that the
+HOM g-table is propagated along the labeling without enumerating maps; these
+tests check that both match tables built one Fraction per map, that the
 chain floats are bit-identical to summing the public weight() copy by copy,
-and that each per-copy check fails when one copy carries a wrong weight.
+that each per-copy check fails when one copy carries a wrong weight, and that
+an instance makes one copy pass.
 """
 
 import math
@@ -17,7 +18,8 @@ from tests.oracles import copies_by_permutations, g_tables_by_enumeration, rando
 from treebound import counting, measure
 from treebound.bounds import evaluate_bounds
 from treebound.counting import iter_copies
-from treebound.graphs import Graph, gen_random_min_degree, good_labeling
+from treebound.errors import WorkCapExceeded
+from treebound.graphs import Graph, gen_random_min_degree, good_labeling, path_tree
 from treebound.harness import SuiteConfig, instance_checks, instance_report, run_suite
 from treebound.measure import (
     MeasureKind,
@@ -43,12 +45,12 @@ def degree_instances(draw):
 
 @st.composite
 def any_instances(draw):
-    """A random tree with t <= 3 edges in any small graph with an edge."""
+    """A random tree with t <= 4 edges in any small graph with an edge."""
     n = draw(st.integers(2, 6))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.integers(1, 2 ** len(possible) - 1))
     graph = Graph.from_edges(n, [e for i, e in enumerate(possible) if mask >> i & 1])
-    tree = random_tree(draw(st.randoms(use_true_random=False)), draw(st.integers(1, 3)))
+    tree = random_tree(draw(st.randoms(use_true_random=False)), draw(st.integers(1, 4)))
     return graph, tree
 
 
@@ -150,30 +152,39 @@ def test_wrong_weight_on_one_copy_fails_matching_check(monkeypatch, k4, p3, chan
 
 
 def _count_passes(monkeypatch):
-    """Count calls of both enumerators in every module that binds them."""
-    calls = {"copies": 0, "homs": 0}
+    """Count calls of iter_copies in every module that binds it."""
+    calls = {"copies": 0}
     for module in (counting, measure):
-        for name, key in (("iter_copies", "copies"), ("iter_hom_maps", "homs")):
-            original = getattr(module, name)
+        original = module.iter_copies
 
-            def counted(*args, _original=original, _key=key, **kwargs):
-                calls[_key] += 1
-                return _original(*args, **kwargs)
+        def counted(*args, _original=original, **kwargs):
+            calls["copies"] += 1
+            return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, "iter_copies", counted)
     return calls
 
 
-def test_verify_enumerates_copies_and_homs_once(monkeypatch, petersen, s3):
+def test_verify_enumerates_copies_once(monkeypatch, petersen, s3):
     calls = _count_passes(monkeypatch)
     checks, chain = instance_report(petersen, s3)
     assert all(check.passed for check in checks) and chain is not None
-    assert calls == {"copies": 1, "homs": 1}
+    assert calls == {"copies": 1}
 
 
-def test_suite_row_enumerates_copies_and_homs_once(monkeypatch, petersen, s3):
+def test_suite_row_enumerates_copies_once(monkeypatch, petersen, s3):
     calls = _count_passes(monkeypatch)
     config = SuiteConfig(graphs=(("petersen", petersen),), trees=(("S3", s3),))
     (row,) = run_suite(config)
     assert row.error is None and row.chain_links is not None
-    assert calls == {"copies": 1, "homs": 1}
+    assert calls == {"copies": 1}
+
+
+def test_hom_table_is_not_charged_to_the_work_cap(petersen, p3):
+    p4 = path_tree(4)
+    table = g_table_exact(petersen, p4, good_labeling(p4), MeasureKind.HOM, work_cap=10)
+    assert table.equals_degree_profile(petersen)
+    # the copy tables still are (P4 would fail the degree hypothesis first)
+    for kind in (MeasureKind.ISO, MeasureKind.MAJORANT):
+        with pytest.raises(WorkCapExceeded):
+            g_table_exact(petersen, p3, good_labeling(p3), kind, work_cap=10)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from tests.oracles import random_tree
-from treebound.counting import iter_copies, iter_hom_maps
+from tests.oracles import hom_embeddings_by_exhaustion, random_tree
+from treebound.counting import iter_copies
 from treebound.graphs import (
     Embedding,
     Graph,
@@ -70,7 +70,7 @@ class TestWeight:
         L = good_labeling(p2)
         total = sum(
             weight(k4_minus_edge, p2, L, omega, MeasureKind.HOM)
-            for omega in iter_hom_maps(k4_minus_edge, L)
+            for omega in hom_embeddings_by_exhaustion(k4_minus_edge, p2, L)
         )
         assert total == 1
 
