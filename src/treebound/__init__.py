@@ -78,6 +78,7 @@ from .measure import (
     product_form_check,
     reversal_check,
     sample_embedding,
+    sample_embeddings,
     verify_chain,
     weight,
 )

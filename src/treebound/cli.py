@@ -55,7 +55,7 @@ from .harness import (
     format_rational,
     instance_report,
 )
-from .measure import MeasureKind, g_table_exact, g_table_monte_carlo, sample_embedding
+from .measure import MeasureKind, g_table_exact, g_table_monte_carlo, sample_embeddings
 
 WORK_CAP_ENV = "TREEBOUND_WORK_CAP"
 
@@ -190,13 +190,10 @@ def _cmd_gtable(args, inputs):
 def _cmd_sample(args, inputs):
     graph = _load_graph(args.graph, inputs)
     tree = _load_tree(args.tree, inputs)
-    if args.samples < 1:
-        raise ValueError(f"need at least 1 sample, got {args.samples}")
-    labeling = good_labeling(tree)
-    rng = random.Random(args.seed)
-    frequencies: Counter[tuple[int, ...]] = Counter()
-    for _ in range(args.samples):
-        frequencies[sample_embedding(graph, tree, labeling, rng).vertices] += 1
+    draws = sample_embeddings(
+        graph, tree, good_labeling(tree), random.Random(args.seed), args.samples
+    )
+    frequencies = Counter(emb.vertices for emb in draws)
     table = {
         " ".join(map(str, verts)): count
         for verts, count in sorted(frequencies.items())

@@ -30,6 +30,13 @@ denominator: a pass counts embeddings per (cell, D) in ints, and Fractions
 are made once, when a table is read.  The HOM table enumerates nothing: its
 slot 1 is the start law d(v)/nd, and each later slot is one random-walk step
 from its parent slot, so the table is propagated in O(t*m) exact steps.
+
+The sampler is prepared once per run: sample_embeddings checks its inputs
+and builds the directed-edge list once, then each draw costs O(t*d).  A
+draw makes one randrange(nd) for the start edge and one randrange per later
+slot over the candidates in sorted order, so a seed fixes the whole stream;
+sample_embedding is the first draw of such a stream, and the Monte Carlo
+table and the CLI each consume one stream.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bounds import LOG_TOLERANCE, evaluate_bounds
 from .counting import iter_copies
@@ -59,6 +66,7 @@ __all__ = [
     "ChainReport",
     "weight",
     "sample_embedding",
+    "sample_embeddings",
     "g_table_exact",
     "g_table_monte_carlo",
     "reversal_check",
@@ -137,38 +145,54 @@ def weight(graph: Graph, tree: Tree, labeling: GoodLabeling, omega, kind: Measur
     return Fraction(1, denominator)
 
 
-def sample_embedding(
-    graph: Graph, tree: Tree, labeling: GoodLabeling, rng: random.Random
-) -> Embedding:
-    """Draw one embedding from the oriented process (the ISO law).
+def sample_embeddings(
+    graph: Graph, tree: Tree, labeling: GoodLabeling, rng: random.Random, samples: int
+) -> Iterator[Embedding]:
+    """Draw `samples` embeddings from the oriented process (the ISO law).
 
-    Starts at a uniform directed edge, then embeds each next tree vertex as
-    a uniform unused neighbor of its parent's image; candidates are taken in
-    sorted vertex order so a seeded generator reproduces runs exactly.  With
-    min degree >= t the candidate set is never empty; an empty set (degree
-    hypothesis violated) aborts the sample.
+    Each draw starts at a uniform directed edge, then embeds each next tree
+    vertex as a uniform unused neighbor of its parent's image; candidates are
+    taken in sorted vertex order so a seeded generator reproduces runs
+    exactly.  The checks run here, before any draw, and the directed-edge
+    list and the (slot, parent slot) steps are built once for the whole run.
+    With min degree >= t the candidate set is never empty; an empty set
+    (degree hypothesis violated) aborts the draw that meets it.
     """
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
     labeling.validate(tree)
     nd = graph.degree_sum
     if nd == 0:
         raise ValueError("graph has no edges; nothing to sample")
-    directed = [(u, w) for u in range(graph.n) for w in graph.adjacency[u]]
-    first, second = directed[rng.randrange(nd)]
-    verts = [first, second]
-    used = {first, second}
-    parent_pos = labeling.parent_positions()
-    for pos in range(2, tree.t + 1):
-        parent_image = verts[parent_pos[pos]]
-        candidates = [u for u in graph.adjacency[parent_image] if u not in used]
-        if not candidates:
-            raise ValueError(
-                f"empty candidate set at index {pos + 1}: min degree "
-                f"{graph.min_degree} is below t = {tree.t}"
-            )
-        chosen = candidates[rng.randrange(len(candidates))]
-        verts.append(chosen)
-        used.add(chosen)
-    return Embedding(tuple(verts))
+    adjacency = graph.adjacency
+    directed = [(u, w) for u in range(graph.n) for w in adjacency[u]]
+    steps = tuple(enumerate(labeling.parent_positions()))[2:]
+
+    def draws() -> Iterator[Embedding]:
+        for _ in range(samples):
+            first, second = directed[rng.randrange(nd)]
+            verts = [first, second]
+            used = {first, second}
+            for pos, parent in steps:
+                candidates = [u for u in adjacency[verts[parent]] if u not in used]
+                if not candidates:
+                    raise ValueError(
+                        f"empty candidate set at index {pos + 1}: min degree "
+                        f"{graph.min_degree} is below t = {tree.t}"
+                    )
+                chosen = candidates[rng.randrange(len(candidates))]
+                verts.append(chosen)
+                used.add(chosen)
+            yield Embedding(tuple(verts))
+
+    return draws()
+
+
+def sample_embedding(
+    graph: Graph, tree: Tree, labeling: GoodLabeling, rng: random.Random
+) -> Embedding:
+    """Draw one embedding: the first draw of sample_embeddings(..., rng, 1)."""
+    return next(sample_embeddings(graph, tree, labeling, rng, 1))
 
 
 @dataclass(frozen=True)
@@ -263,17 +287,12 @@ def g_table_monte_carlo(
     samples: int,
     seed: int,
 ) -> GTable:
-    """Empirical ISO table: frequency of {omega_i = v} over seeded samples."""
-    if samples < 1:
-        raise ValueError(f"need at least 1 sample, got {samples}")
-    labeling.validate(tree)
-    k = tree.t + 1
-    counts = [[0] * graph.n for _ in range(k)]
-    rng = random.Random(seed)
-    for _ in range(samples):
-        emb = sample_embedding(graph, tree, labeling, rng)
-        for i, v in enumerate(emb.vertices):
-            counts[i][v] += 1
+    """Empirical ISO table: frequency of {omega_i = v} over one seeded stream."""
+    draws = sample_embeddings(graph, tree, labeling, random.Random(seed), samples)
+    counts = [[0] * graph.n for _ in range(tree.t + 1)]
+    for emb in draws:
+        for row, v in zip(counts, emb.vertices):
+            row[v] += 1
     rows = tuple(tuple(Fraction(c, samples) for c in row) for row in counts)
     return GTable(kind=MeasureKind.ISO, rows=rows)
 

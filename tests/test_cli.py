@@ -13,6 +13,41 @@ from treebound.harness import (
 )
 
 
+# Seeded sampler payloads on K4/P3, pinned: a changed random call, call
+# order or candidate order in the sampler changes them.
+K4_SAMPLE_SEED4 = {
+    "samples": 500,
+    "seed": 4,
+    "distinctEmbeddings": 24,
+    "frequencies": {
+        "0 1 2 3": 19, "0 1 3 2": 23, "0 2 1 3": 16, "0 2 3 1": 16, "0 3 1 2": 24,
+        "0 3 2 1": 19, "1 0 2 3": 18, "1 0 3 2": 23, "1 2 0 3": 24, "1 2 3 0": 16,
+        "1 3 0 2": 27, "1 3 2 0": 19, "2 0 1 3": 18, "2 0 3 1": 23, "2 1 0 3": 22,
+        "2 1 3 0": 19, "2 3 0 1": 19, "2 3 1 0": 24, "3 0 1 2": 32, "3 0 2 1": 16,
+        "3 1 0 2": 24, "3 1 2 0": 18, "3 2 0 1": 18, "3 2 1 0": 23,
+    },
+}
+K4_MONTE_CARLO_SEED3 = {
+    "measure": "P",
+    "mode": "monte-carlo",
+    "table": {
+        "kind": "P",
+        "positions": 4,
+        "n": 4,
+        "rows": [
+            ["497/2000", "101/400", "249/1000", "1/4"],
+            ["247/1000", "249/1000", "267/1000", "237/1000"],
+            ["471/2000", "21/80", "491/2000", "513/2000"],
+            ["269/1000", "59/250", "477/2000", "513/2000"],
+        ],
+    },
+    "rowSums": ["1/1", "1/1", "1/1", "1/1"],
+    "minSlack": "-29/2000",
+    "samples": 2000,
+    "seed": 3,
+}
+
+
 @pytest.fixture()
 def k4_file(tmp_path):
     path = tmp_path / "k4.txt"
@@ -130,9 +165,7 @@ class TestGTable:
              "--samples", "2000", "--seed", "3"],
         )
         assert code == 0
-        result = envelope["result"]
-        assert result["mode"] == "monte-carlo"
-        assert result["samples"] == 2000
+        assert envelope["result"] == K4_MONTE_CARLO_SEED3
 
     def test_monte_carlo_rejected_for_other_measures(self, capsys, k4_file):
         code = main(
@@ -147,10 +180,15 @@ class TestSample:
         argv = ["sample", "--graph", k4_file, "--tree", "path:3", "--samples", "500", "--seed", "4"]
         _, first = run_json(capsys, argv)
         _, second = run_json(capsys, argv)
-        assert first["result"] == second["result"]
+        assert first["result"] == second["result"] == K4_SAMPLE_SEED4
         assert sum(first["result"]["frequencies"].values()) == 500
         for key in first["result"]["frequencies"]:
             assert len(key.split()) == 4
+
+    def test_zero_samples_is_usage_error(self, capsys, k4_file):
+        argv = ["sample", "--graph", k4_file, "--tree", "path:3", "--samples", "0", "--seed", "1"]
+        assert main(argv) == 2
+        assert "need at least 1 sample" in capsys.readouterr().err
 
 
 class TestVerify:

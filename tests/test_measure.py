@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.oracles import hom_embeddings_by_exhaustion, random_tree
 from treebound.counting import iter_copies
@@ -12,6 +14,7 @@ from treebound.graphs import (
     gen_random_min_degree,
     good_labeling,
     path_tree,
+    star_tree,
 )
 from treebound.measure import (
     MeasureKind,
@@ -20,6 +23,7 @@ from treebound.measure import (
     product_form_check,
     reversal_check,
     sample_embedding,
+    sample_embeddings,
     verify_chain,
     weight,
 )
@@ -113,6 +117,26 @@ class TestSampler:
         b = [sample_embedding(petersen, s3, L, random.Random(11)).vertices for _ in range(5)]
         assert a == b
 
+    def test_seeded_stream_is_pinned(self, k4, p3):
+        # a changed random call, call order or candidate order changes these draws
+        L = good_labeling(p3)
+        pinned = [(1, 0, 3, 2), (3, 2, 1, 0), (0, 3, 1, 2), (0, 1, 3, 2), (0, 1, 2, 3)]
+        rng = random.Random(4)
+        assert [sample_embedding(k4, p3, L, rng).vertices for _ in range(5)] == pinned
+        stream = sample_embeddings(k4, p3, L, random.Random(4), 5)
+        assert [emb.vertices for emb in stream] == pinned
+
+    def test_stream_checks_run_before_any_draw(self, k4, p3):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="need at least 1 sample, got 0"):
+            sample_embeddings(k4, p3, good_labeling(p3), rng, 0)
+        with pytest.raises(ValueError, match="not a leaf"):
+            sample_embeddings(k4, p3, good_labeling(star_tree(3)), rng, 5)
+        with pytest.raises(ValueError, match="no edges"):
+            sample_embeddings(Graph.from_edges(4, []), p3, good_labeling(p3), rng, 5)
+        assert rng.getstate() == state
+
     def test_single_edge_tree_is_uniform_directed_edge(self, c5):
         tree = path_tree(1)
         L = good_labeling(tree)
@@ -192,6 +216,11 @@ class TestGTables:
     def test_monte_carlo_rejects_zero_samples(self, k4, p3):
         with pytest.raises(ValueError, match="at least 1 sample"):
             g_table_monte_carlo(k4, p3, good_labeling(p3), samples=0, seed=1)
+
+    def test_monte_carlo_empty_candidate_set_aborts(self, p3):
+        star_graph = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])  # min degree 1 < 3
+        with pytest.raises(ValueError, match="empty candidate set"):
+            g_table_monte_carlo(star_graph, p3, good_labeling(p3), samples=50, seed=1)
 
     def test_degree_floor_required_for_injective_kinds(self, c5, p3):
         with pytest.raises(ValueError, match="min degree"):
@@ -309,3 +338,37 @@ def test_strict_floor_exists(k4, p3):
     # 1/2 against a floor of 1/4
     table = g_table_exact(k4, p3, good_labeling(p3), MeasureKind.MAJORANT)
     assert all(slack > 0 for _, _, slack in table.slacks(k4))
+
+
+@st.composite
+def sampled_streams(draw):
+    """A random tree with t <= 4 edges in a graph of min degree >= t, and a
+    seeded stream of 1..40 draws."""
+    t = draw(st.integers(1, 4))
+    tree = random_tree(draw(st.randoms(use_true_random=False)), t)
+    n = draw(st.integers(t + 1, 10))
+    p = draw(st.sampled_from([0.7, 0.85, 1.0]))
+    graph = gen_random_min_degree(n, p, t, seed=draw(st.integers(0, 10**6)))
+    return graph, tree, draw(st.integers(1, 40)), draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_streams())
+def test_stream_draws_copies_and_feeds_the_monte_carlo_table(case):
+    graph, tree, samples, seed = case
+    L = good_labeling(tree)
+    stream = sample_embeddings(graph, tree, L, random.Random(seed), samples)
+    draws = [emb.vertices for emb in stream]
+    assert len(draws) == samples
+    for verts in draws:
+        image = dict(zip(L.order, verts))
+        assert len(set(verts)) == tree.t + 1
+        assert all(graph.has_edge(image[a], image[b]) for a, b in tree.edges)
+    rng = random.Random(seed)
+    assert [sample_embedding(graph, tree, L, rng).vertices for _ in range(samples)] == draws
+    table = g_table_monte_carlo(graph, tree, L, samples, seed)
+    expected = tuple(
+        tuple(Fraction(sum(verts[i] == v for verts in draws), samples) for v in range(graph.n))
+        for i in range(tree.t + 1)
+    )
+    assert table.rows == expected
