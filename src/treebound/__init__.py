@@ -71,12 +71,9 @@ from .measure import (
     GroupedWeights,
     GTable,
     MeasureKind,
-    ReversalResult,
     copy_ledger,
     g_table_exact,
     g_table_monte_carlo,
-    product_form_check,
-    reversal_check,
     sample_embedding,
     sample_embeddings,
     verify_chain,

@@ -16,9 +16,7 @@ default search-node cap.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import random
@@ -48,9 +46,10 @@ from .graphs import (
 from .harness import (
     SCHEMA_VERSION,
     ConjectureScanConfig,
+    conjecture_csv_rows,
     conjecture_scan,
-    conjecture_to_csv,
     conjecture_to_json,
+    csv_table,
     format_log,
     format_rational,
     instance_report,
@@ -246,8 +245,7 @@ def _cmd_conjecture(args, inputs):
         work_cap=_work_cap(),
     )
     rows = conjecture_scan(config)
-    header, *records = csv.reader(io.StringIO(conjecture_to_csv(rows)))
-    return conjecture_to_json(rows), header, records, EXIT_OK
+    return (conjecture_to_json(rows), *conjecture_csv_rows(rows), EXIT_OK)
 
 
 def _cmd_gen(args, inputs):
@@ -395,11 +393,7 @@ def _emit(args, argv, inputs, payload, header, rows, elapsed) -> None:
     if args.format == "json":
         print(json.dumps(envelope, indent=2, sort_keys=True))
         return
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
+    sys.stdout.write(csv_table(header, rows))
     meta = {k: v for k, v in envelope.items() if k != "result"}
     print(json.dumps(meta, sort_keys=True), file=sys.stderr)
 

@@ -58,12 +58,15 @@ class CountResult:
 
 class _Budget:
     """Search-node budget for one named pass; spend() raises
-    WorkCapExceeded once more than ``cap`` nodes are charged."""
+    WorkCapExceeded once more than ``cap`` nodes are charged.  A cap below 0
+    is a ValueError."""
 
     __slots__ = ("cap", "remaining", "pass_name")
 
     def __init__(self, cap: int | None, pass_name: str):
         self.cap = DEFAULT_WORK_CAP if cap is None else cap
+        if self.cap < 0:
+            raise ValueError(f"work cap must be >= 0, got {self.cap}")
         self.remaining = self.cap
         self.pass_name = pass_name
 

@@ -49,6 +49,7 @@ __all__ = [
     "run_suite",
     "standard_suite_config",
     "suite_csv_columns",
+    "csv_table",
     "suite_to_csv",
     "suite_to_json",
     "ConjectureScanConfig",
@@ -56,6 +57,7 @@ __all__ = [
     "ConjectureSummary",
     "conjecture_scan",
     "summarize_conjecture",
+    "conjecture_csv_rows",
     "conjecture_to_csv",
     "conjecture_to_json",
     "sharpness_check",
@@ -142,7 +144,6 @@ class SuiteConfig:
 
     graphs: tuple[tuple[str, Graph], ...]
     trees: tuple[tuple[str, Tree], ...]
-    seed: int = 0
     work_cap: int | None = None
     include_gtables: bool = False
 
@@ -225,9 +226,9 @@ def standard_suite_config(
 ) -> SuiteConfig:
     """The default desk-scale battery: 11 graphs (n <= 8) crossed with 6 trees.
 
-    Contains well over 20 rows whose graph meets the min-degree->=-t
-    hypothesis for trees up to t = 4, which is what the floor and chain
-    checks quantify over.
+    The seed draws the two random graphs, rand7 and rand8.  Contains well
+    over 20 rows whose graph meets the min-degree->=-t hypothesis for trees
+    up to t = 4, which is what the floor and chain checks quantify over.
     """
     k4_minus_edge = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     fork4 = Tree.from_edges([(1, 2), (2, 3), (3, 4), (3, 5)])
@@ -255,7 +256,6 @@ def standard_suite_config(
     return SuiteConfig(
         graphs=graphs,
         trees=trees,
-        seed=seed,
         work_cap=work_cap,
         include_gtables=include_gtables,
     )
@@ -326,15 +326,19 @@ def _suite_row_record(row: SuiteRow) -> dict:
     return record
 
 
-def suite_to_csv(rows: list[SuiteRow]) -> str:
+def csv_table(header, rows) -> str:
+    """The one CSV writer of the package: a header line, then the rows."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    columns = suite_csv_columns()
-    writer.writerow(columns)
-    for row in rows:
-        record = _suite_row_record(row)
-        writer.writerow([_csv_cell(record.get(c)) for c in columns])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def suite_to_csv(rows: list[SuiteRow]) -> str:
+    columns = suite_csv_columns()
+    records = map(_suite_row_record, rows)
+    return csv_table(columns, ([_csv_cell(r.get(c)) for c in columns] for r in records))
 
 
 def _bound_json(bound: RowBound) -> dict:
@@ -532,14 +536,15 @@ def _conjecture_record(row: ConjectureRow) -> dict:
     }
 
 
+def conjecture_csv_rows(rows: list[ConjectureRow]) -> tuple[list[str], list[list[str]]]:
+    """The scan's CSV header and cells; the cells hold the JSON record's values."""
+    header = ["instance", "n", "d", "min_degree", "t", "copies", "ff_log", "log_margin",
+              "verdict", "error"]
+    return header, [[_csv_cell(v) for v in _conjecture_record(row).values()] for row in rows]
+
+
 def conjecture_to_csv(rows: list[ConjectureRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["instance", "n", "d", "min_degree", "t", "copies", "ff_log", "log_margin", "verdict", "error"]
-    )
-    writer.writerows([_csv_cell(v) for v in _conjecture_record(row).values()] for row in rows)
-    return buffer.getvalue()
+    return csv_table(*conjecture_csv_rows(rows))
 
 
 def conjecture_to_json(rows: list[ConjectureRow]) -> dict:

@@ -25,11 +25,14 @@ for MAJORANT; the table makes both checkable instance by instance.
 
 Each instance enumerates its copies once: copy_ledger folds every copy
 into the count, both copy tables, the per-copy checks and the chain's logs.
-Every weight is 1/D for an integer D, so exact sums are grouped by
-denominator: a pass counts embeddings per (cell, D) in ints, and Fractions
-are made once, when a table is read.  The HOM table enumerates nothing: its
-slot 1 is the start law d(v)/nd, and each later slot is one random-walk step
-from its parent slot, so the table is propagated in O(t*m) exact steps.
+Those checks (P <= p, reversal symmetry, the majorant's product form) are
+integer comparisons of denominators inside the fold; the library has no
+other per-copy check.  Every weight is 1/D for an integer D, so exact sums
+are grouped by denominator: a pass counts embeddings per (cell, D) in ints,
+and Fractions are made once, when a table is read.  The HOM table enumerates
+nothing: its slot 1 is the start law d(v)/nd, and each later slot is one
+random-walk step from its parent slot, so the table is propagated in O(t*m)
+exact steps.
 
 The sampler is prepared once per run: sample_embeddings checks its inputs
 and builds the directed-edge list once, then each draw costs O(t*d).  A
@@ -62,15 +65,12 @@ from .graphs import (
 __all__ = [
     "MeasureKind",
     "GTable",
-    "ReversalResult",
     "ChainReport",
     "weight",
     "sample_embedding",
     "sample_embeddings",
     "g_table_exact",
     "g_table_monte_carlo",
-    "reversal_check",
-    "product_form_check",
     "GroupedWeights",
     "CopyLedger",
     "copy_ledger",
@@ -297,21 +297,11 @@ def g_table_monte_carlo(
     return GTable(kind=MeasureKind.ISO, rows=rows)
 
 
-@dataclass(frozen=True)
-class ReversalResult:
-    """Outcome of re-weighing one copy from its far end."""
-
-    reversed_embedding: Embedding
-    weight_forward: Fraction
-    weight_reversed: Fraction
-    equal: bool
-
-
-def _reversed_labeling(labeling: GoodLabeling) -> tuple[Tree, GoodLabeling]:
-    """A copy's own tree (vertex j = embedding index j), labeled from t+1 to 1."""
+def _reversed_labeling(labeling: GoodLabeling) -> GoodLabeling:
+    """A labeling of a copy's own tree (vertex j = embedding index j) from t+1 to 1."""
     k = len(labeling.order)
     index_tree = Tree.from_edges((labeling.f(j), j) for j in range(2, k + 1))
-    return index_tree, good_labeling_between(index_tree, k, 1)
+    return good_labeling_between(index_tree, k, 1)
 
 
 def _product_exponents(tree: Tree, labeling: GoodLabeling) -> tuple[tuple[int, int], ...]:
@@ -321,42 +311,6 @@ def _product_exponents(tree: Tree, labeling: GoodLabeling) -> tuple[tuple[int, i
         for j in range(2, tree.t + 1)
         if (exponent := tree.tree_degree(labeling.vertex(j)) - 1)
     )
-
-
-def reversal_check(graph: Graph, tree: Tree, labeling: GoodLabeling, omega) -> ReversalResult:
-    """Relabel a copy to start at omega_{t+1} and end at omega_1; compare majorants.
-
-    The copy keeps its shape, only the traversal changes, and the majorant
-    weight depends on each internal vertex's degree raised to its child
-    count, which the reversal permutes but does not change; the two weights
-    must agree exactly.
-    """
-    verts = tuple(omega)
-    forward = weight(graph, tree, labeling, verts, MeasureKind.MAJORANT)
-    index_tree, reversed_labeling = _reversed_labeling(labeling)
-    z = tuple(verts[idx - 1] for idx in reversed_labeling.order)
-    backward = weight(graph, index_tree, reversed_labeling, z, MeasureKind.MAJORANT)
-    return ReversalResult(
-        reversed_embedding=Embedding(z),
-        weight_forward=forward,
-        weight_reversed=backward,
-        equal=forward == backward,
-    )
-
-
-def product_form_check(graph: Graph, tree: Tree, labeling: GoodLabeling, omega) -> bool:
-    """Verify the per-vertex factorization of the majorant weight.
-
-    Each internal factor 1/(d(image)-t+1) occurs once per child of the
-    labeled vertex, so p(omega) = (1/nd) * prod_{j=2..t}
-    (1/(d(omega_j)-t+1))^(treedeg(x_j)-1), as exact rationals.
-    """
-    verts = tuple(omega)
-    lhs = weight(graph, tree, labeling, verts, MeasureKind.MAJORANT)
-    rhs = Fraction(1, graph.degree_sum)
-    for slot, exponent in _product_exponents(tree, labeling):
-        rhs /= (graph.degree(verts[slot]) - tree.t + 1) ** exponent
-    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -507,7 +461,7 @@ def copy_ledger(
         )
     nd = graph.degree_sum
     floor = [d - t + 1 for d in graph.degrees()]
-    _, reversed_labeling = _reversed_labeling(labeling)
+    reversed_labeling = _reversed_labeling(labeling)
     reversed_slots = [idx - 1 for idx in reversed_labeling.order]
     reversed_parents = reversed_labeling.parent_positions()[2:]
     exponents = _product_exponents(tree, labeling)

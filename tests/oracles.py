@@ -3,12 +3,14 @@ against.  Nothing here shares an algorithm with the package: copies are
 counted by filtering raw permutations, homomorphisms by filtering the full
 map space, walks via adjacency-matrix powers in exact integer arithmetic,
 and g-tables by weighing each of those maps from the measure definitions,
-one Fraction per map.
+one Fraction per map, or, for the majorant, from its labeling-free product
+form.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -95,6 +97,27 @@ def g_tables_by_enumeration(graph: Graph, tree: Tree, labeling: GoodLabeling) ->
     if graph.min_degree >= t:
         tables.update(table(("P", "p"), _edge_maps(graph, tree, permutations(range(graph.n), t + 1))))
     return tables
+
+
+def majorant_table_by_product_form(graph: Graph, tree: Tree, labeling: GoodLabeling) -> list:
+    """The MAJORANT g-table as rows of Fractions, weighed with no labeling.
+
+    Every copy phi, found by testing raw permutations, weighs
+    (1/nd) * prod over tree vertices x of 1/(d(phi(x)) - t + 1)^(deg(x) - 1),
+    which names no parent or slot.  The labeling only places that weight:
+    row i gets it at phi(order[i]).  Needs min degree >= t.
+    """
+    nd = 2 * len(graph.edges)
+    t = tree.t
+    tree_degree = Counter(x for edge in tree.edges for x in edge)
+    rows = [[Fraction(0)] * graph.n for _ in range(t + 1)]
+    for phi in _edge_maps(graph, tree, permutations(range(graph.n), t + 1)):
+        w = Fraction(1, nd)
+        for x, deg in tree_degree.items():
+            w /= (len(graph.neighbors(phi[x - 1])) - t + 1) ** (deg - 1)
+        for row, x in zip(rows, labeling.order):
+            row[phi[x - 1]] += w
+    return rows
 
 
 def walks_by_matrix_power(graph: Graph, t: int) -> int:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,9 +307,46 @@ class TestExitCodes:
         monkeypatch.setenv("TREEBOUND_WORK_CAP", "lots")
         assert main(["count", "--graph", k4_file, "--tree", "path:3"]) == 2
 
+    def test_negative_work_cap_env_is_usage_error(self, capsys, monkeypatch, k4_file):
+        monkeypatch.setenv("TREEBOUND_WORK_CAP", "-5")
+        for command in ("count", "verify"):
+            assert main([command, "--graph", k4_file, "--tree", "path:3"]) == 2
+            assert "work cap must be >= 0, got -5" in capsys.readouterr().err
+        monkeypatch.setenv("TREEBOUND_WORK_CAP", "0")
+        assert main(["count", "--graph", k4_file, "--tree", "path:3"]) == 4
+
     def test_retry_cap_maps_to_work_cap_exit(self, capsys, tmp_path):
         out = tmp_path / "r.txt"
         code = main(
             ["gen", "random", "4", "0.05", "3", "1", "--max-tries", "5", "-o", str(out)]
         )
         assert code == 4
+
+
+class TestEntryPoint:
+    """`python -m treebound` in a child process: exit codes reach the OS."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def run(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+        return subprocess.run(
+            [sys.executable, "-m", "treebound", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_count_result_matches_in_process_main(self, capsys, k4_file):
+        argv = ["count", "--graph", k4_file, "--tree", "path:3"]
+        child = self.run(*argv)
+        assert child.returncode == 0
+        code, envelope = run_json(capsys, argv)
+        assert code == 0
+        assert json.loads(child.stdout)["result"] == envelope["result"]
+
+    def test_usage_and_format_errors_reach_the_os(self, tmp_path):
+        assert self.run("count", "--graph").returncode == 2
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 1\n0 0\n")
+        child = self.run("count", "--graph", str(bad), "--tree", "path:2")
+        assert child.returncode == 3
+        assert "self-loop" in child.stderr

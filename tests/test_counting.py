@@ -74,6 +74,15 @@ class TestCountCopies:
         with pytest.raises(WorkCapExceeded, match="copy enumeration exceeded the work cap of 64"):
             sum(1 for _ in iter_copies(k4, labeling, work_cap=64))
 
+    def test_negative_work_cap_is_rejected(self, k4, p3):
+        with pytest.raises(ValueError, match="work cap must be >= 0, got -5"):
+            count_copies(k4, p3, work_cap=-5)
+        with pytest.raises(ValueError, match="work cap must be >= 0, got -1"):
+            iter_copies(k4, good_labeling(p3), work_cap=-1)
+        # a cap of 0 is valid: the empty prefix already exceeds it
+        with pytest.raises(WorkCapExceeded, match="work cap of 0 search nodes"):
+            count_copies(k4, p3, work_cap=0)
+
     def test_nodes_are_a_statistic_not_part_of_the_result(self):
         assert CountResult(24, "enumeration", 65) == CountResult(24, "enumeration", 1)
         assert count_star_formula(gen_disjoint_cliques(1, 4), 2).nodes == 0

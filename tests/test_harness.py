@@ -84,6 +84,12 @@ class TestRunSuite:
         assert rows[1].error is not None and "work cap" in rows[1].error
         assert rows[1].copies is None
 
+    def test_negative_work_cap_gives_error_rows(self, p3, k4, c5):
+        config = SuiteConfig(graphs=(("K4", k4), ("C5", c5)), trees=(("P3", p3),), work_cap=-1)
+        for row in run_suite(config):
+            assert row.error == "ValueError: work cap must be >= 0, got -1"
+            assert row.copies is None
+
     def test_gtables_attached_on_request(self, p3, k4):
         config = SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),), include_gtables=True)
         rows = run_suite(config)
@@ -207,6 +213,12 @@ class TestConjectureScan:
         records = list(csv.reader(io.StringIO(conjecture_to_csv(rows))))
         assert records[1][2:4] == ["", ""]
         assert conjecture_to_json(rows)["rows"][0]["d"] is None
+
+    def test_negative_work_cap_gives_error_rows(self):
+        config = ConjectureScanConfig(family="cliques", n=5, t=2, trials=2, seed=0, work_cap=-1)
+        rows = conjecture_scan(config)
+        assert [row.verdict for row in rows] == ["inapplicable"] * 2
+        assert {row.error for row in rows} == {"ValueError: work cap must be >= 0, got -1"}
 
     def test_serializers(self):
         config = ConjectureScanConfig(

@@ -1,32 +1,47 @@
-"""The copy ledger against the enumerating oracle and the public per-copy path.
+"""The copy ledger against the enumerating oracles and the public weight().
 
 copy_ledger folds each copy once into every copy-side accumulator, and the
 HOM g-table is propagated along the labeling without enumerating maps; these
 tests check that both match tables built one Fraction per map, that the
-chain floats are bit-identical to summing the public weight() copy by copy,
-that each per-copy check fails when one copy carries a wrong weight, and that
-an instance makes one copy pass.
+majorant table equals the labeling-free product form under several good
+labelings (the identity behind the reversal and product-form checks), that
+the chain floats are bit-identical to summing the public weight() copy by
+copy, that each per-copy check fails when one copy carries a wrong weight,
+and that an instance makes one copy pass.
 """
 
 import math
+import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.oracles import copies_by_permutations, g_tables_by_enumeration, random_tree
+from tests.oracles import (
+    copies_by_permutations,
+    g_tables_by_enumeration,
+    majorant_table_by_product_form,
+    random_tree,
+)
 from treebound import counting, measure
 from treebound.bounds import evaluate_bounds
 from treebound.counting import iter_copies
 from treebound.errors import WorkCapExceeded
-from treebound.graphs import Graph, gen_random_min_degree, good_labeling, path_tree
+from treebound.graphs import (
+    Graph,
+    Tree,
+    gen_random_min_degree,
+    good_labeling,
+    good_labeling_between,
+    path_tree,
+    star_tree,
+)
 from treebound.harness import SuiteConfig, instance_checks, instance_report, run_suite
 from treebound.measure import (
     MeasureKind,
     copy_ledger,
     g_table_exact,
-    product_form_check,
-    reversal_check,
     verify_chain,
     weight,
 )
@@ -87,7 +102,7 @@ def test_ledger_matches_public_per_copy_path(instance):
     graph, tree = instance
     labeling = good_labeling(tree)
     count, iso_total, entropy_log, product_log = 0, 0, 0.0, 0.0
-    dominated = reversal_ok = product_ok = True
+    dominated = True
     for omega in iter_copies(graph, labeling):
         iso = weight(graph, tree, labeling, omega, MeasureKind.ISO)
         maj = weight(graph, tree, labeling, omega, MeasureKind.MAJORANT)
@@ -96,24 +111,75 @@ def test_ledger_matches_public_per_copy_path(instance):
         entropy_log -= float(iso) * (math.log(iso.numerator) - math.log(iso.denominator))
         product_log -= float(maj) * (math.log(maj.numerator) - math.log(maj.denominator))
         dominated = dominated and iso <= maj
-        reversal_ok = reversal_ok and reversal_check(graph, tree, labeling, omega).equal
-        product_ok = product_ok and product_form_check(graph, tree, labeling, omega)
     ledger = copy_ledger(graph, tree, labeling)
     assert ledger.count == count
     assert ledger.iso.table().row_sum(1) == iso_total == 1
     # bit-identical floats: same terms, same order
     assert ledger.entropy_log == entropy_log
     assert ledger.product_log == product_log
-    assert (ledger.iso_below_majorant, ledger.reversal_equal, ledger.product_form_equal) == (
-        dominated,
-        reversal_ok,
-        product_ok,
-    )
+    assert ledger.iso_below_majorant == dominated
+    assert ledger.reversal_equal and ledger.product_form_equal
     report = verify_chain(graph, tree, labeling)
     assert report.entropy_value == math.exp(entropy_log)
     assert report.majorant_product == math.exp(product_log)
     bound_log = evaluate_bounds(graph, tree.t).copies_local.log_value
     assert report == ledger.chain(bound_log)
+
+
+def _labelings(tree):
+    """The default labeling and up to three good_labeling_between ones."""
+    pairs = list(permutations(tree.leaves, 2))[-3:]
+    return [good_labeling(tree)] + [good_labeling_between(tree, a, b) for a, b in pairs]
+
+
+def _check_majorant_against_product_form(graph, tree):
+    for labeling in _labelings(tree):
+        ledger = copy_ledger(graph, tree, labeling)
+        assert ledger.reversal_equal and ledger.product_form_equal
+        table = _rows(ledger.majorant.table())
+        assert table == majorant_table_by_product_form(graph, tree, labeling)
+
+
+@pytest.mark.parametrize(
+    "graph_name, tree",
+    [("k4", path_tree(3)), ("petersen", star_tree(3)), ("c5", path_tree(1))],
+    ids=["K4-P3", "petersen-S3", "C5-P1"],
+)
+def test_majorant_table_matches_product_form(request, graph_name, tree):
+    _check_majorant_against_product_form(request.getfixturevalue(graph_name), tree)
+
+
+def test_majorant_table_matches_product_form_on_random_instances():
+    rng = random.Random(33)
+    for _ in range(10):
+        t = rng.randint(1, 4)
+        n = rng.randint(t + 2, 7)
+        graph = gen_random_min_degree(n, rng.uniform(0.7, 0.95), t, seed=rng.randrange(10**6))
+        _check_majorant_against_product_form(graph, random_tree(rng, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree_instances(), st.randoms(use_true_random=False))
+def test_majorant_table_is_labeling_free(instance, rng):
+    graph, tree = instance
+    first, last = rng.sample(tree.leaves, 2)
+    by_vertex = []
+    for labeling in (good_labeling(tree), good_labeling_between(tree, first, last)):
+        rows = _rows(copy_ledger(graph, tree, labeling).majorant.table())
+        assert rows == majorant_table_by_product_form(graph, tree, labeling)
+        by_vertex.append(dict(zip(labeling.order, rows)))
+    # each copy weighs the same whichever labeling reads it
+    assert by_vertex[0] == by_vertex[1]
+
+
+@pytest.mark.parametrize("tree", [path_tree(3), star_tree(3)], ids=["P3", "S3"])
+def test_reversed_labeling_runs_from_far_end(tree):
+    labeling = good_labeling(tree)
+    k = tree.t + 1
+    reversed_labeling = measure._reversed_labeling(labeling)
+    assert reversed_labeling.vertex(1) == k and reversed_labeling.vertex(k) == 1
+    index_tree = Tree.from_edges((labeling.f(j), j) for j in range(2, k + 1))
+    reversed_labeling.validate(index_tree)
 
 
 def _tamper_first_copy(monkeypatch, change):

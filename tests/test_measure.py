@@ -20,8 +20,6 @@ from treebound.measure import (
     MeasureKind,
     g_table_exact,
     g_table_monte_carlo,
-    product_form_check,
-    reversal_check,
     sample_embedding,
     sample_embeddings,
     verify_chain,
@@ -225,52 +223,6 @@ class TestGTables:
     def test_degree_floor_required_for_injective_kinds(self, c5, p3):
         with pytest.raises(ValueError, match="min degree"):
             g_table_exact(c5, p3, good_labeling(p3), MeasureKind.MAJORANT)
-
-
-class TestReversalAndProductForm:
-    def test_k4_p3_reversal(self, k4, p3):
-        L = good_labeling(p3)
-        result = reversal_check(k4, p3, L, (0, 1, 2, 3))
-        assert result.reversed_embedding.vertices[0] == 3
-        assert result.reversed_embedding.vertices[-1] == 0
-        assert result.weight_forward == Fraction(1, 12)
-        assert result.weight_reversed == Fraction(1, 12)
-        assert result.equal
-
-    def test_petersen_star_reversal(self, petersen, s3):
-        L = good_labeling(s3)
-        for omega in iter_copies(petersen, L):
-            assert reversal_check(petersen, s3, L, omega).equal
-
-    def test_single_edge_tree(self, c5):
-        tree = path_tree(1)
-        L = good_labeling(tree)
-        result = reversal_check(c5, tree, L, (1, 2))
-        assert result.weight_forward == Fraction(1, 10)
-        assert result.equal
-
-    def test_k4_p3_product_form(self, k4, p3):
-        L = good_labeling(p3)
-        assert product_form_check(k4, p3, L, (0, 1, 2, 3))
-
-    def test_petersen_star_product_form(self, petersen, s3):
-        L = good_labeling(s3)
-        # star labeling puts the center at index 2 with two late children
-        assert L.f(3) == 2 and L.f(4) == 2
-        for omega in iter_copies(petersen, L):
-            assert product_form_check(petersen, s3, L, omega)
-
-    def test_reversal_and_product_form_on_random_instances(self):
-        rng = random.Random(33)
-        for _ in range(10):
-            t = rng.randint(1, 4)
-            n = rng.randint(t + 2, 7)
-            g = gen_random_min_degree(n, rng.uniform(0.7, 0.95), t, seed=rng.randrange(10**6))
-            tree = random_tree(rng, t)
-            L = good_labeling(tree)
-            for omega in iter_copies(g, L):
-                assert reversal_check(g, tree, L, omega).equal
-                assert product_form_check(g, tree, L, omega)
 
 
 class TestVerifyChain:
