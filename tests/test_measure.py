@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.oracles import hom_embeddings_by_exhaustion, random_tree
+from treebound import measure
 from treebound.counting import iter_copies
 from treebound.graphs import (
     Embedding,
     Graph,
+    Tree,
     gen_random_min_degree,
     good_labeling,
     path_tree,
@@ -18,6 +20,7 @@ from treebound.graphs import (
 )
 from treebound.measure import (
     MeasureKind,
+    copy_ledger,
     g_table_exact,
     g_table_monte_carlo,
     sample_embedding,
@@ -223,6 +226,35 @@ class TestGTables:
     def test_degree_floor_required_for_injective_kinds(self, c5, p3):
         with pytest.raises(ValueError, match="min degree"):
             g_table_exact(c5, p3, good_labeling(p3), MeasureKind.MAJORANT)
+
+
+class TestReversalAndProductForm:
+    def test_petersen_star_reversal(self, petersen, s3):
+        L = good_labeling(s3)
+        k = s3.t + 1
+        reversed_L = measure._reversed_labeling(L)
+        index_tree = Tree.from_edges((L.f(j), j) for j in range(2, k + 1))
+        for omega in iter_copies(petersen, L):
+            # the copy read from its far end, as an embedding of its own index tree
+            z = tuple(omega[idx - 1] for idx in reversed_L.order)
+            assert z[0] == omega[-1] and z[-1] == omega[0]
+            assert weight(petersen, index_tree, reversed_L, z, MeasureKind.MAJORANT) == weight(
+                petersen, s3, L, omega, MeasureKind.MAJORANT
+            )
+        assert copy_ledger(petersen, s3, L).reversal_equal
+
+    def test_petersen_star_product_form(self, petersen, s3):
+        L = good_labeling(s3)
+        # star labeling puts the center at index 2 with two late children
+        assert L.f(3) == 2 and L.f(4) == 2
+        t = s3.t
+        for omega in iter_copies(petersen, L):
+            expected = Fraction(1, petersen.degree_sum)
+            for j in range(1, t + 2):
+                base = petersen.degree(omega[j - 1]) - t + 1
+                expected /= base ** (s3.tree_degree(L.vertex(j)) - 1)
+            assert weight(petersen, s3, L, omega, MeasureKind.MAJORANT) == expected
+        assert copy_ledger(petersen, s3, L).product_form_equal
 
 
 class TestVerifyChain:
