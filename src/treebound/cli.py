@@ -10,24 +10,24 @@ metadata to stderr.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage, 3 input format,
 4 work cap.  The environment variable TREEBOUND_WORK_CAP overrides the
-default search-node cap.
+default search-node cap; a command that reads it exits 2 when it is not an
+integer >= 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import random
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
-from .bounds import evaluate_bounds
+# Every command needs these; each handler imports the rest of what it runs,
+# so a command loads (and compiles, without a bytecode cache) no more.
 from .counting import count_copies, count_homomorphisms, count_walks
 from .errors import FormatError, RetryLimitExceeded, WorkCapExceeded
+from .formats import SCHEMA_VERSION, csv_table, format_log, format_rational
 from .graphs import (
     Graph,
     Tree,
@@ -43,18 +43,6 @@ from .graphs import (
     serialize_tree,
     star_tree,
 )
-from .harness import (
-    SCHEMA_VERSION,
-    ConjectureScanConfig,
-    conjecture_csv_rows,
-    conjecture_scan,
-    conjecture_to_json,
-    csv_table,
-    format_log,
-    format_rational,
-    instance_report,
-)
-from .measure import MeasureKind, g_table_exact, g_table_monte_carlo, sample_embeddings
 
 WORK_CAP_ENV = "TREEBOUND_WORK_CAP"
 
@@ -70,12 +58,18 @@ def _work_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{WORK_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ValueError(f"work cap must be >= 0, got {cap}")
+    return cap
 
 
 def _digest(text: str) -> str:
+    # hashlib loads OpenSSL; a conjecture scan without --tree has no input to digest
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -130,6 +124,8 @@ def _cmd_walks(args, inputs):
 
 
 def _cmd_bounds(args, inputs):
+    from .bounds import evaluate_bounds
+
     graph = _load_graph(args.graph, inputs)
     report = evaluate_bounds(graph, args.t, args.k)
     bounds_json = {}
@@ -154,6 +150,8 @@ def _cmd_bounds(args, inputs):
 
 
 def _cmd_gtable(args, inputs):
+    from .measure import MeasureKind, g_table_exact, g_table_monte_carlo
+
     graph = _load_graph(args.graph, inputs)
     tree = _load_tree(args.tree, inputs)
     kind = MeasureKind.from_token(args.measure)
@@ -187,6 +185,11 @@ def _cmd_gtable(args, inputs):
 
 
 def _cmd_sample(args, inputs):
+    import random
+    from collections import Counter
+
+    from .measure import sample_embeddings
+
     graph = _load_graph(args.graph, inputs)
     tree = _load_tree(args.tree, inputs)
     draws = sample_embeddings(
@@ -208,6 +211,8 @@ def _cmd_sample(args, inputs):
 
 
 def _cmd_verify(args, inputs):
+    from .harness import instance_report
+
     graph = _load_graph(args.graph, inputs)
     tree = _load_tree(args.tree, inputs)
     checks, chain = instance_report(graph, tree, work_cap=_work_cap())
@@ -232,6 +237,13 @@ def _cmd_verify(args, inputs):
 
 
 def _cmd_conjecture(args, inputs):
+    from .harness import (
+        ConjectureScanConfig,
+        conjecture_csv_rows,
+        conjecture_scan,
+        conjecture_to_json,
+    )
+
     tree = _load_tree(args.tree, inputs) if args.tree else None
     config = ConjectureScanConfig(
         family=args.family,

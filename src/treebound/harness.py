@@ -16,18 +16,17 @@ digits.
 
 from __future__ import annotations
 
-import csv
-import io
-import logging
 import random
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
 from math import prod
+from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, compare_count_to_bound, evaluate_bounds
 from .counting import count_copies, count_homomorphisms, count_walks
 from .errors import RetryLimitExceeded, WorkCapExceeded
+from .formats import SCHEMA_VERSION, csv_table, format_log, format_rational
 from .graphs import (
     Graph,
     Tree,
@@ -39,7 +38,11 @@ from .graphs import (
     path_tree,
     star_tree,
 )
-from .measure import ChainReport, MeasureKind, copy_ledger, g_table_exact
+
+# measure and logging are imported where they are used, so that the
+# conjecture scanner runs without loading them
+if TYPE_CHECKING:
+    from .measure import ChainReport
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -68,10 +71,6 @@ __all__ = [
     "format_log",
 ]
 
-logger = logging.getLogger(__name__)
-
-SCHEMA_VERSION = "1"
-
 # Which count each bound is checked against in a suite row.
 _BOUND_TARGETS = (
     ("copies_local", "copies"),
@@ -88,15 +87,6 @@ _CHAIN_COLUMNS = (
     "chain_product_ge_bound",
     "chain_count_ge_bound",
 )
-
-
-def format_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def format_log(value: float) -> float:
-    """Round-trip a log value through 15 significant digits."""
-    return float(f"{value:.15g}")
 
 
 def _or_none(fmt, value):
@@ -172,6 +162,8 @@ def _build_row(
     work_cap: int | None,
     include_gtables: bool,
 ) -> SuiteRow:
+    from .measure import MeasureKind, copy_ledger, g_table_exact
+
     t = tree.t
     base = dict(
         graph_name=graph_name,
@@ -326,15 +318,6 @@ def _suite_row_record(row: SuiteRow) -> dict:
     return record
 
 
-def csv_table(header, rows) -> str:
-    """The one CSV writer of the package: a header line, then the rows."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
 def suite_to_csv(rows: list[SuiteRow]) -> str:
     columns = suite_csv_columns()
     records = map(_suite_row_record, rows)
@@ -475,10 +458,14 @@ def conjecture_scan(config: ConjectureScanConfig) -> list[ConjectureRow]:
     violated verdict is recorded (margin below -1e-9 in log space) and the
     scan keeps going.  A trial whose graph cannot be generated yields an
     inapplicable row carrying the error, with n = config.n and no degrees.
+    A config with fewer than 1 trial, or a tree without config.t edges, is a
+    ValueError.
     """
     tree = config.tree if config.tree is not None else path_tree(config.t)
     if tree.t != config.t:
         raise ValueError(f"tree has {tree.t} edges but config.t = {config.t}")
+    if config.trials < 1:
+        raise ValueError(f"need at least 1 trial, got {config.trials}")
     rows = []
     for descriptor, build in _conjecture_instances(config):
         row = dict(
@@ -575,6 +562,8 @@ def sharpness_check(
     Checked for the t-edge path and star plus any supplied trees; requires
     q-1 >= t.  Returns False (with a logged diagnostic) on any mismatch.
     """
+    import logging
+
     if q - 1 < t:
         raise ValueError(f"need clique order q with q-1 >= t, got q={q}, t={t}")
     graph = gen_disjoint_cliques(c, q)
@@ -584,7 +573,7 @@ def sharpness_check(
     for name, tree in trees:
         got = count_copies(graph, tree, work_cap=work_cap).value
         if got != expected:
-            logger.warning(
+            logging.getLogger(__name__).warning(
                 "sharpness mismatch on cliques(c=%d,q=%d) with %s tree: "
                 "counted %d, expected %d",
                 c, q, name, got, expected,
@@ -617,6 +606,8 @@ def instance_report(
     the graph misses it; homomorphism-side checks always run, and only the
     copy pass is charged against the work cap.
     """
+    from .measure import MeasureKind, copy_ledger, g_table_exact
+
     t = tree.t
     labeling = good_labeling(tree)
     names = ["iso-total-probability", "iso-below-majorant", "majorant-floor",

@@ -232,6 +232,15 @@ class TestConjecture:
         assert envelope["result"]["summary"]["total"] == 5
 
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_is_usage_error(self, capsys, trials):
+        argv = ["conjecture", "--family", "cliques", "--n", "4", "--t", "3",
+                "--trials", trials, "--seed", "0", "--min-degree", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"need at least 1 trial, got {trials}" in captured.err
+
     def test_csv_matches_library_writer(self, capsys):
         argv = ["conjecture", "--family", "random", "--n", "10", "--t", "3",
                 "--trials", "6", "--seed", "5", "--min-degree", "4"]
@@ -307,11 +316,22 @@ class TestExitCodes:
         monkeypatch.setenv("TREEBOUND_WORK_CAP", "lots")
         assert main(["count", "--graph", k4_file, "--tree", "path:3"]) == 2
 
-    def test_negative_work_cap_env_is_usage_error(self, capsys, monkeypatch, k4_file):
+    def test_negative_work_cap_env_is_usage_error(self, capsys, monkeypatch, k4_file, c5_file):
         monkeypatch.setenv("TREEBOUND_WORK_CAP", "-5")
-        for command in ("count", "verify"):
-            assert main([command, "--graph", k4_file, "--tree", "path:3"]) == 2
-            assert "work cap must be >= 0, got -5" in capsys.readouterr().err
+        # verify below the degree hypothesis, the Pprime table and the scan run
+        # no copy pass that would charge the cap: the CLI rejects it up front
+        for argv in (
+            ["count", "--graph", k4_file, "--tree", "path:3"],
+            ["verify", "--graph", k4_file, "--tree", "path:3"],
+            ["verify", "--graph", c5_file, "--tree", "path:3"],
+            ["gtable", "--graph", k4_file, "--tree", "path:3", "--measure", "Pprime"],
+            ["conjecture", "--family", "cliques", "--n", "4", "--t", "3", "--trials", "2",
+             "--seed", "0", "--min-degree", "3"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "work cap must be >= 0, got -5" in captured.err
         monkeypatch.setenv("TREEBOUND_WORK_CAP", "0")
         assert main(["count", "--graph", k4_file, "--tree", "path:3"]) == 4
 

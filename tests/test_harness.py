@@ -182,6 +182,14 @@ class TestConjectureScan:
         with pytest.raises(ValueError, match="config.t"):
             conjecture_scan(config)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_scan_without_trials_rejected(self, trials):
+        config = ConjectureScanConfig(
+            family="random", n=8, t=2, trials=trials, seed=0, min_degree=3
+        )
+        with pytest.raises(ValueError, match=f"need at least 1 trial, got {trials}"):
+            conjecture_scan(config)
+
     def test_unknown_family_rejected(self):
         config = ConjectureScanConfig(
             family="tori", n=8, t=2, trials=1, seed=0, min_degree=2
