@@ -13,8 +13,10 @@ on the graph and the labeling.  ``iter_copies`` visits every node.
 ``count_copies`` stops at the trailing leaf block (the final run of slots
 sharing one parent) and counts it in closed form, but still charges every
 node the block would have held, so both raise ``WorkCapExceeded`` at the
-same caps.  Counters are pure functions; results do not depend on which
-good labeling drives the search.
+same caps.  The block and its closed forms come from one helper,
+``_leaf_block``, which ``measure.copy_ledger`` shares: the ledger folds the
+same block into its tables and charges it the same way.  Counters are pure
+functions; results do not depend on which good labeling drives the search.
 """
 
 from __future__ import annotations
@@ -145,26 +147,42 @@ def count_copies(
     return CountResult(total, "enumeration", budget.spent)
 
 
-def _count_by_leaf_block(graph: Graph, labeling: GoodLabeling, budget: _Budget) -> int:
-    k = len(labeling.order)
+def _leaf_block(
+    graph: Graph, labeling: GoodLabeling, keep=frozenset()
+) -> tuple[int, list[int], list[int]]:
+    """The trailing leaf block of a labeling and its closed forms.
+
+    The block is the longest final run of slots s..t (0-based) that share
+    one parent slot and hold no slot of ``keep``; with r = t+1-s slots it
+    is empty only when ``keep`` holds slot t.  Returns s and, for
+    free = 0..max degree, copies[free] = (free)_r and
+    nodes[free] = sum_{j<=r} (free)_j: the copies and the search nodes of a
+    block whose parent image has ``free`` unused neighbors.
+    """
     parent_pos = labeling.parent_positions()
     p = parent_pos[-1]
-    s = k - 1
-    while parent_pos[s - 1] == p:  # stops at s = 1: slot 0 has no parent
+    s = len(parent_pos)
+    while parent_pos[s - 1] == p and s - 1 not in keep:  # stops at s = 1: slot 0 has no parent
         s -= 1
-    r = k - s
-    adjacency = graph.adjacency
-    neighbor_sets = [frozenset(a) for a in adjacency]
-    # block_copies[free] = (free)_r and block_nodes[free] = sum_{j<=r} (free)_j
-    block_copies: list[int] = []
-    block_nodes: list[int] = []
+    r = len(parent_pos) - s
+    copies: list[int] = []
+    nodes: list[int] = []
     for free in range(graph.max_degree + 1):
-        ways = nodes = 1
+        ways = total = 1
         for i in range(r):
             ways *= free - i
-            nodes += ways
-        block_copies.append(ways)
-        block_nodes.append(nodes)
+            total += ways
+        copies.append(ways)
+        nodes.append(total)
+    return s, copies, nodes
+
+
+def _count_by_leaf_block(graph: Graph, labeling: GoodLabeling, budget: _Budget) -> int:
+    parent_pos = labeling.parent_positions()
+    p = parent_pos[-1]
+    s, block_copies, block_nodes = _leaf_block(graph, labeling)
+    adjacency = graph.adjacency
+    neighbor_sets = [frozenset(a) for a in adjacency]
     omega = [0] * s
     used = bytearray(graph.n)
     last = s - 1

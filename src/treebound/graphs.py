@@ -442,12 +442,16 @@ def star_tree(t: int) -> Tree:
     return Tree.from_edges((1, j) for j in range(2, t + 2))
 
 
+def _check_clique_order(q: int) -> None:
+    if q < 2:
+        raise ValueError(f"clique order must be >= 2, got {q}")
+
+
 def gen_disjoint_cliques(c: int, q: int) -> Graph:
     """c disjoint complete graphs of order q; every degree is q-1."""
     if c < 1:
         raise ValueError(f"component count must be >= 1, got {c}")
-    if q < 2:
-        raise ValueError(f"clique order must be >= 2, got {q}")
+    _check_clique_order(q)
     edges = []
     for block in range(c):
         base = block * q
@@ -469,6 +473,13 @@ def gen_complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
+def _check_random_min_degree(n: int, p: float, min_degree: int) -> None:
+    if not 0 < p <= 1:
+        raise ValueError(f"edge probability must be in (0, 1], got {p}")
+    if not 0 <= min_degree < n:
+        raise ValueError(f"degree floor must be in 0..{n - 1}, got {min_degree}")
+
+
 def gen_random_min_degree(
     n: int, p: float, min_degree: int, seed: int, max_tries: int = 1000
 ) -> Graph:
@@ -478,10 +489,7 @@ def gen_random_min_degree(
     result is a pure function of (n, p, min_degree, seed).  Raises
     RetryLimitExceeded after max_tries draws (infeasible parameters).
     """
-    if not 0 < p <= 1:
-        raise ValueError(f"edge probability must be in (0, 1], got {p}")
-    if not 0 <= min_degree < n:
-        raise ValueError(f"degree floor must be in 0..{n - 1}, got {min_degree}")
+    _check_random_min_degree(n, p, min_degree)
     rng = random.Random(seed)
     for _ in range(max_tries):
         edges = [

@@ -30,6 +30,8 @@ from .formats import SCHEMA_VERSION, csv_table, format_log, format_rational
 from .graphs import (
     Graph,
     Tree,
+    _check_clique_order,
+    _check_random_min_degree,
     gen_complete_bipartite,
     gen_cycle,
     gen_disjoint_cliques,
@@ -425,13 +427,17 @@ class ConjectureSummary:
 
 def _conjecture_instances(config: ConjectureScanConfig):
     """Yield (descriptor, build) per trial; build() makes the trial's graph.
-    Deferring it turns a failure to build (a retry cap, say) into one error row."""
+    Deferring it turns a failure to build (a retry cap, say) into one error row.
+    The family's parameters are checked with the generator's own checks
+    before the first trial, so a config no trial can build is a ValueError."""
     floor = config.degree_floor
     if config.family == "cliques":
         q = floor + 1
+        _check_clique_order(q)
         for c in range(1, config.trials + 1):
             yield f"cliques(c={c},q={q})", partial(gen_disjoint_cliques, c, q)
     elif config.family == "random":
+        _check_random_min_degree(config.n, config.edge_probability, floor)
         rng = random.Random(config.seed)
         for i in range(config.trials):
             trial_seed = rng.randrange(2**32)
@@ -458,8 +464,10 @@ def conjecture_scan(config: ConjectureScanConfig) -> list[ConjectureRow]:
     violated verdict is recorded (margin below -1e-9 in log space) and the
     scan keeps going.  A trial whose graph cannot be generated yields an
     inapplicable row carrying the error, with n = config.n and no degrees.
-    A config with fewer than 1 trial, or a tree without config.t edges, is a
-    ValueError.
+    A config with fewer than 1 trial, a tree without config.t edges, or family
+    parameters no trial can build (p outside (0, 1], a degree floor outside
+    0..n-1 for random graphs, below 1 for cliques) is a ValueError, raised
+    before the first trial.
     """
     tree = config.tree if config.tree is not None else path_tree(config.t)
     if tree.t != config.t:

@@ -25,14 +25,20 @@ for MAJORANT; the table makes both checkable instance by instance.
 
 Each instance enumerates its copies once: copy_ledger folds every copy
 into the count, both copy tables, the per-copy checks and the chain's logs.
-Those checks (P <= p, reversal symmetry, the majorant's product form) are
-integer comparisons of denominators inside the fold; the library has no
-other per-copy check.  Every weight is 1/D for an integer D, so exact sums
-are grouped by denominator: a pass counts embeddings per (cell, D) in ints,
-and Fractions are made once, when a table is read.  The HOM table enumerates
-nothing: its slot 1 is the start law d(v)/nd, and each later slot is one
-random-walk step from its parent slot, so the table is propagated in O(t*m)
-exact steps.
+It backtracks like count_copies and stops at the trailing leaf block, whose
+copies all carry one weight under each measure, so it folds a whole block
+at a time; only the chain's float logs take one term per copy, in order.
+The checks (P <= p, reversal symmetry, the majorant's product form) are
+integer comparisons of denominators inside the fold, made once per block;
+the library has no other per-copy check.  Every weight is 1/D for an
+integer D, so exact sums are grouped by denominator: a pass counts
+embeddings per (cell, D) in ints, and Fractions are made once, when a table
+is read.  The HOM table enumerates nothing: its slot 1 is the start law
+d(v)/nd, and each later slot is one random-walk step from its parent slot,
+so the table is propagated in O(t*m) exact integer steps.  A table's slack
+against the degree floor, its row sums and the HOM identity are computed
+in integers over the table's common denominator, with one Fraction per
+result.
 
 The sampler is prepared once per run: sample_embeddings checks its inputs
 and builds the directed-edge list once, then each draw costs O(t*d).  A
@@ -46,13 +52,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import sub
+from typing import Iterable, Iterator, Sequence
 
 from .bounds import LOG_TOLERANCE, evaluate_bounds
-from .counting import iter_copies
+from .counting import _Budget, _leaf_block
 from .graphs import (
     Embedding,
     GoodLabeling,
@@ -219,23 +228,41 @@ class GTable:
     def n(self) -> int:
         return len(self.rows[0])
 
+    @cached_property
+    def _over_common(self) -> tuple[int, list[list[int]]]:
+        """(common, numerators): every cell as numerators[i][v] / common."""
+        common = math.lcm(*{value.denominator for row in self.rows for value in row})
+        return common, [
+            [value.numerator * (common // value.denominator) for value in row]
+            for row in self.rows
+        ]
+
+    def _slack_numerators(self, graph: Graph) -> tuple[int, Iterator[list[int]]]:
+        """(nd * common, rows of g[i][v]*nd*common - d(v)*common): the slacks in integers."""
+        nd = graph.degree_sum
+        common, numerators = self._over_common
+        floor = [d * common for d in graph.degrees()]
+        return nd * common, ([x * nd - f for x, f in zip(row, floor)] for row in numerators)
+
     def row_sum(self, i: int) -> Fraction:
-        return sum(self.rows[i - 1], Fraction(0))
+        common, numerators = self._over_common
+        return Fraction(sum(numerators[i - 1]), common)
 
     def slacks(self, graph: Graph):
         """Yield (i, v, g[i][v] - d(v)/nd) over the whole table."""
-        nd = graph.degree_sum
-        for i, row in enumerate(self.rows, 1):
-            for v, value in enumerate(row):
-                yield i, v, value - Fraction(graph.degree(v), nd)
+        denominator, rows = self._slack_numerators(graph)
+        for i, row in enumerate(rows, 1):
+            for v, x in enumerate(row):
+                yield i, v, Fraction(x, denominator)
 
     def min_slack(self, graph: Graph) -> Fraction:
         """Smallest g[i][v] - d(v)/nd; >= 0 certifies the degree floor."""
-        return min(slack for _, _, slack in self.slacks(graph))
+        denominator, rows = self._slack_numerators(graph)
+        return Fraction(min(min(row) for row in rows), denominator)
 
     def equals_degree_profile(self, graph: Graph) -> bool:
         """True when g[i][v] = d(v)/nd exactly everywhere (the HOM identity)."""
-        return all(slack == 0 for _, _, slack in self.slacks(graph))
+        return not any(any(row) for row in self._slack_numerators(graph)[1])
 
     def to_json_dict(self) -> dict:
         return {
@@ -263,6 +290,9 @@ def g_table_exact(
     along the labeling, never enumerated, so the cap does not apply: slot 1
     holds d(v)/nd, and slot i holds g[i][w] = sum over u in N(w) of
     g[f(i)][u]/d(u), the chance of stepping from the parent's image u to w.
+    The propagation runs on integers: a slot at depth h in the labeling's
+    tree is a row of numerators over nd * L^h, with L the lcm of the
+    positive degrees, and the Fractions are made once at the end.
     """
     if kind is not MeasureKind.HOM:
         ledger = copy_ledger(graph, tree, labeling, work_cap)
@@ -272,11 +302,15 @@ def g_table_exact(
     if nd == 0:
         raise ValueError("graph has no edges; weights undefined")
     degree = graph.degrees()
-    rows = [tuple(Fraction(d, nd) for d in degree)]
+    lcm = math.lcm(*filter(None, degree))
+    # an isolated vertex has weight 0 and is nobody's neighbor
+    scale = [lcm // d if d else 0 for d in degree]
+    numerators, denominators = [list(degree)], [nd]
     for parent in labeling.parent_positions()[1:]:
-        # an isolated vertex has weight 0 and is nobody's neighbor
-        step = [g / d if d else g for g, d in zip(rows[parent], degree)]
-        rows.append(tuple(sum((step[u] for u in a), Fraction(0)) for a in graph.adjacency))
+        step = [x * c for x, c in zip(numerators[parent], scale)]
+        numerators.append([sum(map(step.__getitem__, a)) for a in graph.adjacency])
+        denominators.append(denominators[parent] * lcm)
+    rows = (tuple(Fraction(x, d) for x in row) for row, d in zip(numerators, denominators))
     return GTable(kind, tuple(rows))
 
 
@@ -304,13 +338,24 @@ def _reversed_labeling(labeling: GoodLabeling) -> GoodLabeling:
     return good_labeling_between(index_tree, k, 1)
 
 
-def _product_exponents(tree: Tree, labeling: GoodLabeling) -> tuple[tuple[int, int], ...]:
-    """(0-based slot, treedeg(x_j) - 1) for the slots j = 2..t with a nonzero exponent."""
-    return tuple(
-        (j - 1, exponent)
-        for j in range(2, tree.t + 1)
-        if (exponent := tree.tree_degree(labeling.vertex(j)) - 1)
-    )
+def _ledger_slots(tree: Tree, labeling: GoodLabeling) -> tuple[list[int], list[int], set[int]]:
+    """What the ledger's checks read, per 0-based slot.
+
+    Returns the power of floor(omega_slot) = d(omega_slot)-t+1 in the
+    majorant weight read under the reversed labeling, its power
+    treedeg(x_slot) - 1 in the product form, and the slots the
+    leaf-block fold must keep out of its block: slot 1, which carries no
+    weight factor, and every slot either check reads.
+    """
+    k = tree.t + 1
+    reversed_labeling = _reversed_labeling(labeling)
+    reversed_slots = [idx - 1 for idx in reversed_labeling.order]
+    reversal_power = [0] * k
+    for parent in reversed_labeling.parent_positions()[2:]:
+        reversal_power[reversed_slots[parent]] += 1
+    product_power = [tree.tree_degree(x) - 1 for x in labeling.order]
+    keep = {1}.union(j for j in range(k) if reversal_power[j] or product_power[j])
+    return reversal_power, product_power, keep
 
 
 @dataclass(frozen=True)
@@ -364,7 +409,7 @@ class GroupedWeights:
 
     by_denominator[D] holds (w ln w for w = 1/D, rows), where rows[i][v]
     counts the embeddings of weight 1/D whose (i+1)-th vertex is v.  Adding
-    an embedding makes no Fraction; table() makes one per cell when read.
+    embeddings makes no Fraction; table() makes one per cell when read.
     Memory is O(distinct D * (t+1) * n) ints, never a list of embeddings.
     """
 
@@ -374,15 +419,23 @@ class GroupedWeights:
         self.n = n
         self.by_denominator: dict[int, tuple[float, list[list[int]]]] = {}
 
-    def add(self, denominator: int, verts: Sequence[int]) -> float:
-        """Count one embedding of weight w = 1/D; return w ln w as (1/D)(0.0 - ln D)."""
+    def add(
+        self, denominator: int, prefix: Sequence[int], copies: int, free: Iterable[int], each: int
+    ) -> float:
+        """Count `copies` embeddings of weight w = 1/D that share their first
+        len(prefix) vertices and fill each later slot from `free`, every vertex
+        of `free` `each` times per slot; return w ln w as (1/D)(0.0 - ln D)."""
         entry = self.by_denominator.get(denominator)
         if entry is None:
             term = (1 / denominator) * (0.0 - math.log(denominator))
             rows = [[0] * self.n for _ in range(self.positions)]
             entry = self.by_denominator[denominator] = (term, rows)
-        for row, v in zip(entry[1], verts):
-            row[v] += 1
+        rows = entry[1]
+        for row, v in zip(rows, prefix):
+            row[v] += copies
+        for row in rows[len(prefix):]:
+            for u in free:
+                row[u] += each
         return entry[0]
 
     def table(self) -> GTable:
@@ -400,7 +453,12 @@ class GroupedWeights:
 class CopyLedger:
     """What one pass over the injective copies yields: the count, the ISO and
     MAJORANT weights, whether every copy met P <= p, reversal symmetry and the
-    product form, and sum -w ln w under P and under p in enumeration order."""
+    product form, and sum -w ln w under P and under p in enumeration order.
+
+    ``nodes`` is the search nodes charged to the work cap, those of a full
+    ``iter_copies`` pass; like ``CountResult.nodes`` it is a statistic, left
+    out of equality and of every payload.
+    """
 
     count: int
     iso: GroupedWeights
@@ -410,6 +468,7 @@ class CopyLedger:
     product_form_equal: bool
     entropy_log: float
     product_log: float
+    nodes: int = field(default=0, compare=False)
 
     def chain(self, bound_log: float) -> ChainReport:
         """The chain's links, ending at the degree-local copy bound exp(bound_log)."""
@@ -426,31 +485,50 @@ class CopyLedger:
         )
 
 
-def _weigh_copies(graph: Graph, labeling: GoodLabeling, work_cap: int | None):
-    """Yield (copy, D_iso, D_maj) for every injective copy: P = 1/D_iso, p = 1/D_maj."""
-    t = labeling.t
-    degree = graph.degrees()
-    neighbor_sets = [frozenset(a) for a in graph.adjacency]
-    steps = tuple(enumerate(labeling.parent_positions()))[2:]
-    for verts in iter_copies(graph, labeling, work_cap):
-        d_iso = d_maj = graph.degree_sum
-        for pos, parent in steps:
-            image = verts[parent]
-            # candidates: the parent image's neighbors not embedded yet
-            d_iso *= degree[image] - len(neighbor_sets[image].intersection(verts[:pos]))
-            d_maj *= degree[image] - t + 1
-        yield verts, d_iso, d_maj
+class _LedgerSums:
+    """The ledger's accumulators while its copy pass runs."""
+
+    def __init__(self, positions: int, n: int):
+        self.iso = GroupedWeights(MeasureKind.ISO, positions, n)
+        self.majorant = GroupedWeights(MeasureKind.MAJORANT, positions, n)
+        self.count = 0
+        self.entropy_log = self.product_log = 0.0
+        self.dominated = self.reversal_ok = self.product_ok = True
+
+    def fold(self, prefix, free, copies, each, d_iso, d_maj, d_reversed, d_product) -> None:
+        """Fold one leaf block: `copies` copies that share the prefix slots and
+        whose block slots take distinct vertices of `free`, all weighing
+        P = 1/d_iso and p = 1/d_maj.  The reversed weight 1/d_reversed and the
+        product form 1/d_product read no block slot, so one comparison with
+        d_maj serves every copy of the block.  Each log takes its term once
+        per copy, in sequence, as a per-copy pass would."""
+        self.count += copies
+        term = self.iso.add(d_iso, prefix, copies, free, each)
+        self.entropy_log = reduce(sub, repeat(term, copies), self.entropy_log)
+        term = self.majorant.add(d_maj, prefix, copies, free, each)
+        self.product_log = reduce(sub, repeat(term, copies), self.product_log)
+        self.dominated = self.dominated and d_iso >= d_maj
+        self.reversal_ok = self.reversal_ok and d_reversed == d_maj
+        self.product_ok = self.product_ok and d_product == d_maj
 
 
 def copy_ledger(
     graph: Graph, tree: Tree, labeling: GoodLabeling, work_cap: int | None = None
 ) -> CopyLedger:
-    """Enumerate the copies once and fold each into every copy-side accumulator.
+    """Enumerate the copies once and fold them into every copy-side accumulator.
 
-    Requires min degree >= t.  Per copy, the reversal check re-weighs the
-    copy read from its far end under the reversed labeling, and the product
-    form rebuilds p from per-vertex exponents; both are compared with the
-    forward weight.  What depends only on the labeling is computed once.
+    Requires min degree >= t.  The search backtracks along the labeling like
+    count_copies, carrying each prefix's factors of D_iso, D_maj and of the
+    two checks' denominators, and stops at the trailing leaf block (slots
+    s..t sharing the parent slot p).  With `free` unused neighbors of
+    omega_p, the block holds (free)_r copies, r = t+1-s, which all weigh
+    D_iso = D_prefix * (free)_r and D_maj = D_prefix,maj * (d(omega_p)-t+1)^r,
+    and each free neighbor sits in each block slot in (free-1)_(r-1) of
+    them; the block is folded at once.  The reversal check re-weighs a copy
+    read from its far end under the reversed labeling, and the product form
+    rebuilds p from per-vertex exponents; neither reads a block slot, by
+    the choice of block.  The work cap is charged every node a full
+    iter_copies pass visits, so it fires at the same caps.
     """
     labeling.validate(tree)
     t = tree.t
@@ -459,32 +537,82 @@ def copy_ledger(
             f"min degree {graph.min_degree} < t = {t}; "
             "ISO and MAJORANT tables need the degree hypothesis"
         )
+    budget = _Budget(work_cap, "copy enumeration")
+    reversal_power, product_power, keep = _ledger_slots(tree, labeling)
+    s, block_copies, block_nodes = _leaf_block(graph, labeling, keep)
+    r = t + 1 - s
+    # (free-1)_(r-1) = (free)_r / free: the copies that put one free neighbor in one block slot
+    block_each = [c // free if free else 0 for free, c in enumerate(block_copies)]
+    parent_pos = labeling.parent_positions()
+    p = parent_pos[-1]
+    n, adjacency, degree = graph.n, graph.adjacency, graph.degrees()
+    neighbor_sets = [frozenset(a) for a in adjacency]
+    floor = [d - t + 1 for d in degree]
+    sums = _LedgerSums(t + 1, n)
+    omega = [0] * s
+    used = bytearray(n)
+    last = s - 1
+
+    def extend(pos: int, d_iso: int, d_maj: int, d_reversed: int, d_product: int) -> None:
+        budget.spend()
+        if pos == 0:
+            candidates = range(n)
+        else:
+            image = omega[parent_pos[pos]]
+            candidates = adjacency[image]
+            if pos >= 2:
+                # candidates: the parent image's neighbors not embedded yet
+                d_iso *= degree[image] - len(neighbor_sets[image].intersection(omega[:pos]))
+                d_maj *= floor[image]
+        reversal, product = reversal_power[pos], product_power[pos]
+        if pos < last:
+            for v in candidates:
+                if not used[v]:
+                    used[v] = 1
+                    omega[pos] = v
+                    extend(
+                        pos + 1,
+                        d_iso,
+                        d_maj,
+                        d_reversed * floor[v] ** reversal,
+                        d_product * floor[v] ** product,
+                    )
+                    used[v] = 0
+            return
+        # Each choice of the last placed slot roots one leaf block.
+        nodes = 0
+        for v in candidates:
+            if not used[v]:
+                omega[pos] = v
+                anchor = omega[p]
+                free = neighbor_sets[anchor].difference(omega)
+                nodes += block_nodes[len(free)]
+                copies = block_copies[len(free)]
+                if copies:
+                    sums.fold(
+                        omega,
+                        free,
+                        copies,
+                        block_each[len(free)],
+                        d_iso * copies,
+                        d_maj * floor[anchor] ** r,
+                        d_reversed * floor[v] ** reversal,
+                        d_product * floor[v] ** product,
+                    )
+        budget.spend(nodes)
+
     nd = graph.degree_sum
-    floor = [d - t + 1 for d in graph.degrees()]
-    reversed_labeling = _reversed_labeling(labeling)
-    reversed_slots = [idx - 1 for idx in reversed_labeling.order]
-    reversed_parents = reversed_labeling.parent_positions()[2:]
-    exponents = _product_exponents(tree, labeling)
-    iso = GroupedWeights(MeasureKind.ISO, t + 1, graph.n)
-    majorant = GroupedWeights(MeasureKind.MAJORANT, t + 1, graph.n)
-    count = 0
-    entropy_log = product_log = 0.0
-    dominated = reversal_ok = product_ok = True
-    for verts, d_iso, d_maj in _weigh_copies(graph, labeling, work_cap):
-        count += 1
-        entropy_log -= iso.add(d_iso, verts)
-        product_log -= majorant.add(d_maj, verts)
-        dominated = dominated and d_iso >= d_maj
-        z = [verts[slot] for slot in reversed_slots]
-        d_reversed = d_product = nd
-        for parent in reversed_parents:
-            d_reversed *= floor[z[parent]]
-        reversal_ok = reversal_ok and d_reversed == d_maj
-        for slot, exponent in exponents:
-            d_product *= floor[verts[slot]] ** exponent
-        product_ok = product_ok and d_product == d_maj
+    extend(0, nd, nd, nd, nd)
     return CopyLedger(
-        count, iso, majorant, dominated, reversal_ok, product_ok, entropy_log, product_log
+        sums.count,
+        sums.iso,
+        sums.majorant,
+        sums.dominated,
+        sums.reversal_ok,
+        sums.product_ok,
+        sums.entropy_log,
+        sums.product_log,
+        budget.spent,
     )
 
 

@@ -60,13 +60,16 @@ def hom_embeddings_by_exhaustion(graph: Graph, tree: Tree, labeling: GoodLabelin
         yield tuple(phi[x - 1] for x in labeling.order)
 
 
-def g_tables_by_enumeration(graph: Graph, tree: Tree, labeling: GoodLabeling) -> dict:
+def g_tables_by_enumeration(
+    graph: Graph, tree: Tree, labeling: GoodLabeling, homs: bool = True
+) -> dict:
     """Exact g-tables {"P", "p", "Pprime"} as lists of rows of Fractions.
 
     Every injective copy is weighed under P (ISO) and p (MAJORANT), every
     homomorphism under Pprime (HOM), straight from the process definitions:
     1/nd, then one factor per slot j = 3..t+1 of the labeling.  P and p need
-    min degree >= t; without it only "Pprime" is returned.
+    min degree >= t; without it only "Pprime" is returned.  homs=False skips
+    the n^(t+1) map space and returns P and p alone.
     """
     nd = 2 * len(graph.edges)
     t = tree.t
@@ -93,7 +96,9 @@ def g_tables_by_enumeration(graph: Graph, tree: Tree, labeling: GoodLabeling) ->
                     rows[kind][i][v] += w
         return rows
 
-    tables = table(("Pprime",), _edge_maps(graph, tree, product(range(graph.n), repeat=t + 1)))
+    tables = {}
+    if homs:
+        tables = table(("Pprime",), _edge_maps(graph, tree, product(range(graph.n), repeat=t + 1)))
     if graph.min_degree >= t:
         tables.update(table(("P", "p"), _edge_maps(graph, tree, permutations(range(graph.n), t + 1))))
     return tables
@@ -118,6 +123,16 @@ def majorant_table_by_product_form(graph: Graph, tree: Tree, labeling: GoodLabel
         for row, x in zip(rows, labeling.order):
             row[phi[x - 1]] += w
     return rows
+
+
+def slacks_by_cells(graph: Graph, rows) -> list:
+    """g[i][v] - d(v)/nd for every cell of a g-table's rows, one Fraction
+    subtraction per cell."""
+    nd = 2 * len(graph.edges)
+    return [
+        [value - Fraction(len(graph.neighbors(v)), nd) for v, value in enumerate(row)]
+        for row in rows
+    ]
 
 
 def walks_by_matrix_power(graph: Graph, t: int) -> int:

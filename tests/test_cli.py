@@ -241,6 +241,26 @@ class TestConjecture:
         assert captured.out == ""
         assert f"need at least 1 trial, got {trials}" in captured.err
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--family", "random", "--n", "0"], "degree floor must be in 0..-1, got 6"),
+            (["--family", "random", "--n", "8", "--edge-probability", "1.5"],
+             "edge probability must be in (0, 1], got 1.5"),
+            (["--family", "random", "--n", "8", "--min-degree", "-1"],
+             "degree floor must be in 0..7, got -1"),
+            (["--family", "cliques", "--n", "8", "--min-degree", "-1"],
+             "clique order must be >= 2, got 0"),
+        ],
+        ids=["random-n0", "random-p-above-1", "random-floor-below-0", "cliques-floor-below-0"],
+    )
+    def test_unbuildable_family_is_usage_error(self, capsys, options, message):
+        argv = ["conjecture", *options, "--t", "3", "--trials", "4", "--seed", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_csv_matches_library_writer(self, capsys):
         argv = ["conjecture", "--family", "random", "--n", "10", "--t", "3",
                 "--trials", "6", "--seed", "5", "--min-degree", "4"]

@@ -34,6 +34,7 @@ from treebound.graphs import (
     path_tree,
     star_tree,
 )
+from treebound.measure import copy_ledger
 
 
 class TestCountCopies:
@@ -319,6 +320,7 @@ def graph_tree_labeling(draw):
 NO_COPY = (Graph.from_edges(4, [(0, 1), (2, 3)]), path_tree(2), good_labeling(path_tree(2)))
 SINGLE_EDGE = (gen_cycle(5), path_tree(1), good_labeling(path_tree(1)))
 LOW_DEGREE_STAR = (gen_cycle(5), star_tree(3), good_labeling_between(star_tree(3), 2, 4))
+DENSE_STAR = (gen_disjoint_cliques(1, 6), star_tree(4), good_labeling(star_tree(4)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -338,6 +340,7 @@ def test_leaf_block_count_matches_oracles_and_enumeration(case):
 @given(graph_tree_labeling())
 @example(NO_COPY)
 @example(SINGLE_EDGE)
+@example(DENSE_STAR)
 def test_count_and_enumeration_hit_the_work_cap_at_the_same_node(case):
     graph, tree, labeling = case
     nodes = search_nodes_by_permutations(graph, labeling)
@@ -348,3 +351,7 @@ def test_count_and_enumeration_hit_the_work_cap_at_the_same_node(case):
         count_copies(graph, tree, labeling, work_cap=nodes - 1)
     with pytest.raises(WorkCapExceeded, match="copy enumeration exceeded the work cap"):
         sum(1 for _ in iter_copies(graph, labeling, work_cap=nodes - 1))
+    if graph.min_degree >= tree.t:  # the copy ledger's hypothesis
+        assert copy_ledger(graph, tree, labeling, work_cap=nodes).count == copies
+        with pytest.raises(WorkCapExceeded, match="copy enumeration exceeded the work cap"):
+            copy_ledger(graph, tree, labeling, work_cap=nodes - 1)

@@ -190,6 +190,28 @@ class TestConjectureScan:
         with pytest.raises(ValueError, match=f"need at least 1 trial, got {trials}"):
             conjecture_scan(config)
 
+    @pytest.mark.parametrize(
+        "family, n, min_degree, p, message",
+        [
+            ("random", 0, None, 0.5, "degree floor must be in 0..-1, got 4"),
+            ("random", 8, None, 1.5, r"edge probability must be in \(0, 1\], got 1.5"),
+            ("random", 8, None, 0.0, r"edge probability must be in \(0, 1\], got 0.0"),
+            ("random", 8, -1, 0.5, "degree floor must be in 0..7, got -1"),
+            ("random", 8, 8, 0.5, "degree floor must be in 0..7, got 8"),
+            ("cliques", 8, -1, 0.5, "clique order must be >= 2, got 0"),
+            ("cliques", 8, 0, 0.5, "clique order must be >= 2, got 1"),
+        ],
+        ids=["random-n0", "random-p-above-1", "random-p0", "random-floor-below-0",
+             "random-floor-n", "cliques-floor-below-0", "cliques-floor-0"],
+    )
+    def test_family_parameters_checked_before_any_trial(self, family, n, min_degree, p, message):
+        config = ConjectureScanConfig(
+            family=family, n=n, t=2, trials=3, seed=0, min_degree=min_degree,
+            edge_probability=p,
+        )
+        with pytest.raises(ValueError, match=message):
+            conjecture_scan(config)
+
     def test_unknown_family_rejected(self):
         config = ConjectureScanConfig(
             family="tori", n=8, t=2, trials=1, seed=0, min_degree=2

@@ -1,17 +1,22 @@
 """The copy ledger against the enumerating oracles and the public weight().
 
-copy_ledger folds each copy once into every copy-side accumulator, and the
-HOM g-table is propagated along the labeling without enumerating maps; these
-tests check that both match tables built one Fraction per map, that the
-majorant table equals the labeling-free product form under several good
-labelings (the identity behind the reversal and product-form checks), that
-the chain floats are bit-identical to summing the public weight() copy by
-copy, that each per-copy check fails when one copy carries a wrong weight,
-and that an instance makes one copy pass.
+copy_ledger folds each trailing leaf block of copies at once into every
+copy-side accumulator, and the HOM g-table is propagated along the labeling
+without enumerating maps; these tests check that both match tables built one
+Fraction per map, also on stars and brooms whose blocks hold up to t-1 slots,
+that the majorant table equals the labeling-free product form under several
+good labelings (the identity behind the reversal and product-form checks),
+that the chain floats are bit-identical to summing the public weight() copy
+by copy, that each per-copy check fails when one block carries a wrong
+weight, that the ledger charges the work cap the nodes of a full search on
+count_copies' block, and that an instance makes one ledger pass and no
+iter_copies pass.
 """
 
+import dataclasses
 import math
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -23,6 +28,7 @@ from tests.oracles import (
     g_tables_by_enumeration,
     majorant_table_by_product_form,
     random_tree,
+    search_nodes_by_permutations,
 )
 from treebound import counting, measure
 from treebound.bounds import evaluate_bounds
@@ -31,6 +37,7 @@ from treebound.errors import WorkCapExceeded
 from treebound.graphs import (
     Graph,
     Tree,
+    gen_disjoint_cliques,
     gen_random_min_degree,
     good_labeling,
     good_labeling_between,
@@ -182,52 +189,79 @@ def test_reversed_labeling_runs_from_far_end(tree):
     reversed_labeling.validate(index_tree)
 
 
-def _tamper_first_copy(monkeypatch, change):
-    """Give the first weighed copy the denominators change(D_iso, D_maj)."""
-    original = measure._weigh_copies
+def _tamper_first_block(monkeypatch, change):
+    """Give every copy of the first folded leaf block the denominators
+    change(D_iso, D_maj); return the list that records that block's size."""
+    original = measure._LedgerSums.fold
+    sizes = []
 
-    def tampered(graph, labeling, work_cap):
-        weighed = original(graph, labeling, work_cap)
-        omega, d_iso, d_maj = next(weighed)
-        yield (omega, *change(d_iso, d_maj))
-        yield from weighed
+    def tampered(self, prefix, free, copies, each, d_iso, d_maj, *checks):
+        if not sizes:
+            sizes.append(copies)
+            d_iso, d_maj = change(d_iso, d_maj)
+        original(self, prefix, free, copies, each, d_iso, d_maj, *checks)
 
-    monkeypatch.setattr(measure, "_weigh_copies", tampered)
+    monkeypatch.setattr(measure._LedgerSums, "fold", tampered)
+    return sizes
+
+
+WRONG_ISO = (lambda d_iso, d_maj: (2 * d_iso, d_maj), {"iso-total-probability"})
+ISO_ABOVE = (
+    lambda d_iso, d_maj: (d_maj - 1, d_maj),
+    {"iso-total-probability", "iso-below-majorant"},
+)
+WRONG_MAJORANT = (
+    lambda d_iso, d_maj: (d_iso, d_maj - 1),
+    {"reversal-symmetry", "majorant-product-form"},
+)
 
 
 @pytest.mark.parametrize(
-    "change, failing",
+    "graph_name, tree_name, block, change, failing",
     [
-        (lambda d_iso, d_maj: (2 * d_iso, d_maj), {"iso-total-probability"}),
-        (
-            lambda d_iso, d_maj: (d_maj - 1, d_maj),
-            {"iso-total-probability", "iso-below-majorant"},
-        ),
-        (
-            lambda d_iso, d_maj: (d_iso, d_maj - 1),
-            {"reversal-symmetry", "majorant-product-form"},
-        ),
+        ("k4", "p3", 1, *WRONG_ISO),
+        ("k4", "p3", 1, *ISO_ABOVE),
+        ("k4", "p3", 1, *WRONG_MAJORANT),
+        ("petersen", "s3", 2, *WRONG_ISO),
+        ("petersen", "s3", 2, *ISO_ABOVE),
+        ("petersen", "s3", 2, *WRONG_MAJORANT),
     ],
-    ids=["wrong-iso-weight", "iso-above-majorant", "wrong-majorant-weight"],
+    ids=[
+        "wrong-iso-weight",
+        "iso-above-majorant",
+        "wrong-majorant-weight",
+        "petersen-S3-wrong-iso-weight",
+        "petersen-S3-iso-above-majorant",
+        "petersen-S3-wrong-majorant-weight",
+    ],
 )
-def test_wrong_weight_on_one_copy_fails_matching_check(monkeypatch, k4, p3, change, failing):
-    assert all(check.passed for check in instance_checks(k4, p3))
-    _tamper_first_copy(monkeypatch, change)
-    checks = instance_checks(k4, p3)
+def test_wrong_weight_on_one_copy_fails_matching_check(
+    request, monkeypatch, graph_name, tree_name, block, change, failing
+):
+    graph, tree = request.getfixturevalue(graph_name), request.getfixturevalue(tree_name)
+    assert all(check.passed for check in instance_checks(graph, tree))
+    sizes = _tamper_first_block(monkeypatch, change)
+    checks = instance_checks(graph, tree)
+    assert sizes == [block]
     assert {check.name for check in checks if check.passed is False} == failing
 
 
 def _count_passes(monkeypatch):
-    """Count calls of iter_copies in every module that binds it."""
-    calls = {"copies": 0}
-    for module in (counting, measure):
-        original = module.iter_copies
+    """Count copy_ledger passes, and iter_copies calls in every module that binds it."""
+    calls = {"ledger": 0, "iter_copies": 0}
+    bound = [(measure, "copy_ledger", "ledger")] + [
+        (module, "iter_copies", "iter_copies")
+        for name, module in list(sys.modules.items())
+        if name.startswith("treebound") and "iter_copies" in vars(module)
+    ]
+    for module, attribute, key in bound:
+        original = getattr(module, attribute)
 
-        def counted(*args, _original=original, **kwargs):
-            calls["copies"] += 1
+        def counted(*args, _original=original, _key=key, **kwargs):
+            calls[_key] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "iter_copies", counted)
+        monkeypatch.setattr(module, attribute, counted)
     return calls
 
 
@@ -235,7 +269,7 @@ def test_verify_enumerates_copies_once(monkeypatch, petersen, s3):
     calls = _count_passes(monkeypatch)
     checks, chain = instance_report(petersen, s3)
     assert all(check.passed for check in checks) and chain is not None
-    assert calls == {"copies": 1}
+    assert calls == {"ledger": 1, "iter_copies": 0}
 
 
 def test_suite_row_enumerates_copies_once(monkeypatch, petersen, s3):
@@ -243,7 +277,7 @@ def test_suite_row_enumerates_copies_once(monkeypatch, petersen, s3):
     config = SuiteConfig(graphs=(("petersen", petersen),), trees=(("S3", s3),))
     (row,) = run_suite(config)
     assert row.error is None and row.chain_links is not None
-    assert calls == {"copies": 1}
+    assert calls == {"ledger": 1, "iter_copies": 0}
 
 
 def test_hom_table_is_not_charged_to_the_work_cap(petersen, p3):
@@ -254,3 +288,71 @@ def test_hom_table_is_not_charged_to_the_work_cap(petersen, p3):
     for kind in (MeasureKind.ISO, MeasureKind.MAJORANT):
         with pytest.raises(WorkCapExceeded):
             g_table_exact(petersen, p3, good_labeling(p3), kind, work_cap=10)
+
+
+def _broom(handle: int, bristles: int) -> Tree:
+    """A path of `handle` edges whose far end carries `bristles` leaves."""
+    edges = [(j, j + 1) for j in range(1, handle + 1)]
+    edges += [(handle + 1, handle + 1 + b) for b in range(1, bristles + 1)]
+    return Tree.from_edges(edges)
+
+
+@st.composite
+def long_block_instances(draw):
+    """A star or broom with t <= 5 edges, a labeling that starts, or starts and
+    ends, at chosen leaves, and a graph on up to 7 vertices of min degree >= t,
+    so the trailing leaf block holds up to t-1 slots."""
+    t = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        tree = star_tree(t)
+    else:
+        handle = draw(st.integers(1, t - 2)) if t > 2 else 1
+        tree = _broom(handle, t - handle)
+    first = draw(st.sampled_from(tree.leaves))
+    last = draw(st.sampled_from([None] + [x for x in tree.leaves if x != first]))
+    if last is None:
+        labeling = good_labeling(tree, first)
+    else:
+        labeling = good_labeling_between(tree, first, last)
+    n = draw(st.integers(t + 1, 7))
+    graph = gen_random_min_degree(n, 0.9, t, seed=draw(st.integers(0, 10**6)))
+    return graph, tree, labeling
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_block_instances())
+def test_ledger_folds_long_blocks_like_the_oracles(case):
+    graph, tree, labeling = case
+    oracle = g_tables_by_enumeration(graph, tree, labeling, homs=False)
+    ledger = copy_ledger(graph, tree, labeling)
+    assert ledger.count == copies_by_permutations(graph, tree)
+    assert _rows(ledger.iso.table()) == oracle["P"]
+    assert _rows(ledger.majorant.table()) == oracle["p"]
+    assert ledger.iso_below_majorant and ledger.reversal_equal and ledger.product_form_equal
+    nodes = search_nodes_by_permutations(graph, labeling)
+    assert ledger.nodes == nodes
+    assert copy_ledger(graph, tree, labeling, work_cap=nodes).count == ledger.count
+    with pytest.raises(WorkCapExceeded, match="copy enumeration exceeded the work cap"):
+        copy_ledger(graph, tree, labeling, work_cap=nodes - 1)
+
+
+def test_ledger_nodes_are_a_statistic(k4, p3):
+    labeling = good_labeling(p3)
+    ledger = copy_ledger(k4, p3, labeling)
+    assert ledger.nodes == counting.count_copies(k4, p3, labeling).nodes == 65
+    assert ledger == dataclasses.replace(ledger, nodes=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+def test_ledger_block_is_the_count_block(rng, t):
+    tree = random_tree(rng, t)
+    first, last = rng.sample(tree.leaves, 2)
+    for labeling in (good_labeling(tree, first), good_labeling_between(tree, first, last)):
+        keep = measure._ledger_slots(tree, labeling)[2]
+        k5 = gen_disjoint_cliques(1, 5)
+        ledger_start = counting._leaf_block(k5, labeling, keep)[0]
+        if t >= 2:
+            assert ledger_start == counting._leaf_block(k5, labeling)[0]
+        else:  # slot 1 carries no weight factor: the block is empty
+            assert ledger_start == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.oracles import hom_embeddings_by_exhaustion, random_tree
+from tests.oracles import hom_embeddings_by_exhaustion, random_tree, slacks_by_cells
 from treebound import measure
 from treebound.counting import iter_copies
 from treebound.graphs import (
@@ -19,6 +19,7 @@ from treebound.graphs import (
     star_tree,
 )
 from treebound.measure import (
+    GTable,
     MeasureKind,
     copy_ledger,
     g_table_exact,
@@ -356,3 +357,53 @@ def test_stream_draws_copies_and_feeds_the_monte_carlo_table(case):
         for i in range(tree.t + 1)
     )
     assert table.rows == expected
+
+
+def _assert_slacks_match_oracle(graph, table):
+    """min_slack, equals_degree_profile, slacks() and row_sum, all computed in
+    integers over the table's common denominator, against Fraction cells."""
+    cells = slacks_by_cells(graph, table.rows)
+    assert table.min_slack(graph) == min(min(row) for row in cells)
+    assert table.equals_degree_profile(graph) == all(x == 0 for row in cells for x in row)
+    assert [slack for _, _, slack in table.slacks(graph)] == [x for row in cells for x in row]
+    for i, row in enumerate(table.rows, 1):
+        assert table.row_sum(i) == sum(row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sampled_streams())
+def test_integer_slacks_match_fraction_cells(case):
+    graph, tree, samples, seed = case
+    L = good_labeling(tree)
+    for kind in MeasureKind:
+        _assert_slacks_match_oracle(graph, g_table_exact(graph, tree, L, kind))
+    _assert_slacks_match_oracle(graph, g_table_monte_carlo(graph, tree, L, samples, seed))
+
+
+def test_integer_slacks_with_an_isolated_vertex_and_negative_slack(k4, p3):
+    # K4 plus the isolated vertex 4: weight 0 against a floor of 0
+    graph = Graph.from_edges(5, k4.edges)
+    L = good_labeling(p3)
+    hom = g_table_exact(graph, p3, L, MeasureKind.HOM)
+    _assert_slacks_match_oracle(graph, hom)
+    assert hom.equals_degree_profile(graph) and hom.min_slack(graph) == 0
+    estimate = g_table_monte_carlo(graph, p3, L, 7, seed=3)
+    _assert_slacks_match_oracle(graph, estimate)
+    assert estimate.min_slack(graph) < 0
+
+
+@pytest.mark.parametrize("bump", [Fraction(1, 7), Fraction(-1, 7)], ids=["above", "below"])
+def test_one_cell_off_the_degree_profile_is_seen(k4_minus_edge, bump):
+    # every cell of the degree profile in turn moved by a denominator no other
+    # cell shares, so the common denominator must take in every cell
+    graph, positions = k4_minus_edge, 3
+    profile = [Fraction(graph.degree(v), graph.degree_sum) for v in range(graph.n)]
+    for i in range(positions):
+        for v in range(graph.n):
+            rows = [list(profile) for _ in range(positions)]
+            rows[i][v] += bump
+            table = GTable(MeasureKind.HOM, tuple(map(tuple, rows)))
+            _assert_slacks_match_oracle(graph, table)
+            assert not table.equals_degree_profile(graph)
+            assert table.min_slack(graph) == min(bump, 0)
+            assert table.row_sum(i + 1) == 1 + bump
