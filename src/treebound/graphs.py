@@ -6,8 +6,13 @@ usual x_1..x_{t+1} naming.  Both file formats share one shape: optional '#'
 comment lines, a header line "n m", then m whitespace-separated edge lines.
 
 All types are frozen dataclasses, immutable after construction and safe to
-share across threads.  Generators are pure functions of their arguments,
-including the seed.
+share across threads.  Edge tuples are normalized (u < v) and sorted, and
+adjacency lists ascending; builders get that from sorted edges, not from a
+sort per list.  Generators are pure functions of their arguments, including
+the seed.  The random generator's stream contract: per draw, one
+``random.Random(seed).random()`` per vertex pair in lexicographic order;
+the pairs a rejected draw never reaches are skipped with ``getrandbits``,
+which lands on the same state only under CPython's Mersenne Twister.
 """
 
 from __future__ import annotations
@@ -64,11 +69,18 @@ def _valid_edges(edges, lo: int, hi: int, label: str) -> tuple[tuple[int, int], 
 
 
 def _adjacency(size: int, ordered) -> tuple[tuple[int, ...], ...]:
+    """Neighbour lists from edges (u, v), u < v, in lexicographic order.
+
+    Each list comes out ascending with no sort: v's smaller neighbours arrive
+    from edges (u, v) in order of u, and all of them before its larger ones,
+    from edges (v, w) in order of w.  Every caller passes ``_valid_edges``
+    output, which is normalized and sorted.
+    """
     neigh: list[list[int]] = [[] for _ in range(size)]
     for u, v in ordered:
         neigh[u].append(v)
         neigh[v].append(u)
-    return tuple(tuple(sorted(a)) for a in neigh)
+    return tuple(map(tuple, neigh))
 
 
 @dataclass(frozen=True)
@@ -473,11 +485,31 @@ def gen_complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
-def _check_random_min_degree(n: int, p: float, min_degree: int) -> None:
+def _check_random_min_degree(n: int, p: float, min_degree: int, max_tries: int) -> None:
     if not 0 < p <= 1:
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
     if not 0 <= min_degree < n:
         raise ValueError(f"degree floor must be in 0..{n - 1}, got {min_degree}")
+    if max_tries < 1:
+        raise ValueError(f"max tries must be >= 1, got {max_tries}")
+
+
+# Largest skip, in random() calls, made with one getrandbits call: 8192
+# calls are a 64 KiB integer, so skipping keeps memory small for any n.
+_SKIP_CHUNK = 1 << 13
+
+
+def _skip_draws(rng: random.Random, count: int) -> None:
+    """Advance ``rng`` exactly as ``count`` calls of ``rng.random()`` would.
+
+    CPython's Mersenne Twister spends two 32-bit outputs on each random()
+    and on each 64 bits of getrandbits, so getrandbits(64 * k) leaves the
+    state k random() calls would, without making k floats.
+    """
+    while count > 0:
+        k = min(count, _SKIP_CHUNK)
+        rng.getrandbits(64 * k)
+        count -= k
 
 
 def gen_random_min_degree(
@@ -486,18 +518,38 @@ def gen_random_min_degree(
     """Binomial random graph conditioned on minimum degree >= min_degree.
 
     Draws G(n, p) from one seeded stream until the degree floor holds, so the
-    result is a pure function of (n, p, min_degree, seed).  Raises
-    RetryLimitExceeded after max_tries draws (infeasible parameters).
+    result is a pure function of (n, p, min_degree, seed, max_tries).  Raises
+    RetryLimitExceeded after max_tries draws (infeasible parameters), and
+    ValueError for p outside (0, 1], a floor outside 0..n-1 or max_tries < 1.
+
+    The stream: each draw takes one ``random()`` per vertex pair, row by row
+    (u = 0..n-1, then v = u+1..n-1), and keeps the edge when the value is
+    below p.  After row u the degree of u is final, so a draw is rejected at
+    its first vertex below the floor; the pairs it did not reach are skipped
+    with ``getrandbits`` (see ``_skip_draws``), which in CPython leaves the
+    stream where drawing them would.  The graph is the one drawing every
+    pair and then checking the floor gives.  A kept draw is built as it is
+    drawn: its neighbour lists and rows are already ascending.
     """
-    _check_random_min_degree(n, p, min_degree)
+    _check_random_min_degree(n, p, min_degree, max_tries)
     rng = random.Random(seed)
+    draw = rng.random
     for _ in range(max_tries):
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-        ]
-        graph = Graph.from_edges(n, edges)
-        if graph.min_degree >= min_degree:
-            return graph
+        neigh: list[list[int]] = [[] for _ in range(n)]
+        rows = []
+        for u in range(n):
+            row = [v for v in range(u + 1, n) if draw() < p]
+            below = neigh[u]
+            if len(below) + len(row) < min_degree:
+                _skip_draws(rng, (n - 1 - u) * (n - 2 - u) // 2)
+                break
+            for v in row:
+                neigh[v].append(u)
+            below.extend(row)
+            rows.append(row)
+        else:
+            edges = tuple((u, v) for u, row in enumerate(rows) for v in row)
+            return Graph(n, edges, tuple(map(tuple, neigh)))
     raise RetryLimitExceeded(
         f"no graph with min degree >= {min_degree} in {max_tries} draws of G({n}, {p})"
     )

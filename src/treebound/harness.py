@@ -437,7 +437,7 @@ def _conjecture_instances(config: ConjectureScanConfig):
         for c in range(1, config.trials + 1):
             yield f"cliques(c={c},q={q})", partial(gen_disjoint_cliques, c, q)
     elif config.family == "random":
-        _check_random_min_degree(config.n, config.edge_probability, floor)
+        _check_random_min_degree(config.n, config.edge_probability, floor, config.max_tries)
         rng = random.Random(config.seed)
         for i in range(config.trials):
             trial_seed = rng.randrange(2**32)
@@ -466,8 +466,8 @@ def conjecture_scan(config: ConjectureScanConfig) -> list[ConjectureRow]:
     inapplicable row carrying the error, with n = config.n and no degrees.
     A config with fewer than 1 trial, a tree without config.t edges, or family
     parameters no trial can build (p outside (0, 1], a degree floor outside
-    0..n-1 for random graphs, below 1 for cliques) is a ValueError, raised
-    before the first trial.
+    0..n-1 or max_tries below 1 for random graphs, a floor below 1 for
+    cliques) is a ValueError, raised before the first trial.
     """
     tree = config.tree if config.tree is not None else path_tree(config.t)
     if tree.t != config.t:

@@ -4,7 +4,7 @@ counted by filtering raw permutations, homomorphisms by filtering the full
 map space, walks via adjacency-matrix powers in exact integer arithmetic,
 and g-tables by weighing each of those maps from the measure definitions,
 one Fraction per map, or, for the majorant, from its labeling-free product
-form.
+form.  Random graphs with a degree floor are drawn whole and then checked.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from itertools import permutations, product
 
 import numpy as np
 
+from treebound.errors import RetryLimitExceeded
 from treebound.graphs import GoodLabeling, Graph, Tree
 
 
@@ -150,3 +151,24 @@ def walks_by_matrix_power(graph: Graph, t: int) -> int:
 def random_tree(rng: random.Random, t: int) -> Tree:
     """Uniform-ish random recursive tree: vertex j hangs off an earlier one."""
     return Tree.from_edges((rng.randint(1, j - 1), j) for j in range(2, t + 2))
+
+
+def random_min_degree_by_rejection(
+    n: int, p: float, min_degree: int, seed: int, max_tries: int = 1000
+) -> Graph:
+    """G(n, p) conditioned on min degree >= min_degree by plain rejection:
+    every draw takes one random() per pair (u, v), u < v, in lexicographic
+    order, and only then are its degrees checked.  Adjacency lists are
+    sorted here, not taken from the package's graph builders."""
+    rng = random.Random(seed)
+    for _ in range(max_tries):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        neigh = [[] for _ in range(n)]
+        for u, v in edges:
+            neigh[u].append(v)
+            neigh[v].append(u)
+        if min(len(a) for a in neigh) >= min_degree:
+            return Graph(n, tuple(edges), tuple(tuple(sorted(a)) for a in neigh))
+    raise RetryLimitExceeded(
+        f"no graph with min degree >= {min_degree} in {max_tries} draws of G({n}, {p})"
+    )

@@ -362,6 +362,16 @@ class TestExitCodes:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("max_tries", ["0", "-3"])
+    def test_max_tries_below_one_is_usage_error(self, capsys, tmp_path, max_tries):
+        out = tmp_path / "r.txt"
+        argv = ["gen", "random", "10", "0.5", "2", "1", "--max-tries", max_tries, "-o", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"max tries must be >= 1, got {max_tries}" in captured.err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     """`python -m treebound` in a child process: exit codes reach the OS."""

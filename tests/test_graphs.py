@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treebound import graphs
 from treebound.errors import FormatError, RetryLimitExceeded
 from treebound.graphs import (
     Graph,
@@ -19,6 +23,8 @@ from treebound.graphs import (
     serialize_tree,
     star_tree,
 )
+
+from tests.oracles import random_min_degree_by_rejection
 
 K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3"
 C5_TEXT = "5 5\n0 1\n1 2\n2 3\n3 4\n4 0"
@@ -219,6 +225,79 @@ class TestGenerators:
         g = gen_random_min_degree(9, 0.4, 2, seed=13)
         assert parse_graph(serialize_graph(g)) == g
 
+    @pytest.mark.parametrize("max_tries", [0, -3])
+    def test_random_rejects_max_tries_below_one(self, max_tries):
+        with pytest.raises(ValueError, match=f"max tries must be >= 1, got {max_tries}"):
+            gen_random_min_degree(10, 0.5, 2, seed=1, max_tries=max_tries)
+
+
+class TestRandomStream:
+    """The generator draws the same stream as drawing every pair and then
+    checking the floor; the pins below were taken from that plain loop."""
+
+    # (n, p, floor, seed) -> (edge count, sha256 of serialize_graph)
+    PINS = {
+        (200, 0.1, 5, 3): (1976, "db92bab74c52e87e1d784ac6b337283818688f923b9983eb230a91696320bb22"),
+        (32, 0.3, 6, 1): (143, "84b1fa15630dc80ee6b38bb99baf0624fbae64934ddd9c18863e7f8680719f4c"),
+        (18, 0.45, 6, 2): (74, "66836bc7f0304f1c93bdaf9111402764f725620e6f1a21595d923d7312980e88"),
+        # the 197th draw is the first to hold the floor
+        (60, 0.2, 8, 0): (391, "fe0bd7cc8c5486508995a1d72dda179646ebbd4828fa9f8ff285465e168af6e0"),
+        # the 581st draw is the first to hold the floor
+        (100, 0.1, 6, 1): (535, "f725a5dc44340c9b9ab658f98f59a1edb864304d14bef3d5d3228498865fa151"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_pinned_digests(self, case):
+        graph = gen_random_min_degree(*case)
+        text = serialize_graph(graph)
+        assert (graph.edge_count, hashlib.sha256(text.encode()).hexdigest()) == self.PINS[case]
+
+    def test_retry_cap_lands_on_the_same_draw(self):
+        with pytest.raises(RetryLimitExceeded) as exc:
+            gen_random_min_degree(60, 0.2, 8, 0, max_tries=196)
+        assert str(exc.value) == "no graph with min degree >= 8 in 196 draws of G(60, 0.2)"
+        graph = gen_random_min_degree(60, 0.2, 8, 0, max_tries=197)
+        assert graph.edge_count == self.PINS[(60, 0.2, 8, 0)][0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 1000])
+    def test_getrandbits_advances_like_random(self, k):
+        # the skip in gen_random_min_degree rests on this CPython property
+        a, b = random.Random(5), random.Random(5)
+        a.getrandbits(64 * k)
+        for _ in range(k):
+            b.random()
+        assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("count", [0, 1, graphs._SKIP_CHUNK, 2 * graphs._SKIP_CHUNK + 7])
+    def test_skip_draws_spans_chunks(self, count):
+        a, b = random.Random(11), random.Random(11)
+        graphs._skip_draws(a, count)
+        for _ in range(count):
+            b.random()
+        assert a.getstate() == b.getstate()
+        assert a.random() == b.random()
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except RetryLimitExceeded as exc:
+        return f"RetryLimitExceeded: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    st.data(),
+    st.integers(0, 2**32),
+    st.integers(1, 30),
+)
+def test_random_min_degree_matches_rejection_oracle(n, p, data, seed, max_tries):
+    floor = data.draw(st.integers(0, n - 1))
+    args = (n, p, floor, seed, max_tries)
+    assert _outcome(gen_random_min_degree, *args) == _outcome(random_min_degree_by_rejection, *args)
+
 
 # ---------------------------------------------------------------------------
 # Properties
@@ -281,3 +360,39 @@ def test_tree_serialize_parse_round_trip(tree):
 def test_generator_outputs_round_trip(c, q):
     for g in (gen_disjoint_cliques(c, q), gen_cycle(q + 1), gen_complete_bipartite(c, q)):
         assert parse_graph(serialize_graph(g)) == g
+
+
+def _assert_canonical(graph: Graph) -> None:
+    """Adjacency lists come out ascending with no sort, and a rebuild from
+    the edge list gives the same graph."""
+    assert Graph.from_edges(graph.n, graph.edges) == graph
+    for a in graph.adjacency:
+        assert all(x < y for x, y in zip(a, a[1:]))
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3), st.integers(2, 5), st.integers(0, 2**16))
+def test_generators_build_canonical_graphs(c, q, seed):
+    for g in (
+        gen_disjoint_cliques(c, q),
+        gen_cycle(q + 1),
+        gen_complete_bipartite(c, q),
+        gen_random_min_degree(3 * q, 0.5, q - 2, seed),
+    ):
+        _assert_canonical(g)
+
+
+@given(random_graphs(), st.randoms(use_true_random=False))
+def test_parsed_graphs_are_canonical(graph, rng):
+    lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in graph.edges]
+    rng.shuffle(lines)
+    parsed = parse_graph(f"{graph.n} {len(lines)}\n" + "\n".join(lines))
+    assert parsed == graph
+    _assert_canonical(parsed)
+
+
+@given(random_trees(max_edges=8))
+def test_tree_adjacency_is_ascending(tree):
+    for x in tree.vertices:
+        a = tree.neighbors(x)
+        assert all(u < v for u, v in zip(a, a[1:]))

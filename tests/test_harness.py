@@ -212,6 +212,14 @@ class TestConjectureScan:
         with pytest.raises(ValueError, match=message):
             conjecture_scan(config)
 
+    @pytest.mark.parametrize("max_tries", [0, -3])
+    def test_max_tries_checked_before_any_trial(self, max_tries):
+        config = ConjectureScanConfig(
+            family="random", n=8, t=2, trials=3, seed=0, min_degree=2, max_tries=max_tries
+        )
+        with pytest.raises(ValueError, match=f"max tries must be >= 1, got {max_tries}"):
+            conjecture_scan(config)
+
     def test_unknown_family_rejected(self):
         config = ConjectureScanConfig(
             family="tori", n=8, t=2, trials=1, seed=0, min_degree=2
