@@ -22,11 +22,10 @@ Bounds covered, with their hypotheses:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import CountResult
-from .graphs import Graph
+from .graphs import Graph, _value_type
 
 __all__ = [
     "LOG_TOLERANCE",
@@ -41,7 +40,7 @@ __all__ = [
 LOG_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@_value_type
 class BoundValue:
     """One bound: its natural log when applicable, else the violated hypothesis."""
 
@@ -54,13 +53,13 @@ class BoundValue:
         return None if self.log_value is None else math.exp(self.log_value)
 
 
-@dataclass(frozen=True)
+@_value_type
 class BoundComparison:
     holds: bool
     log_margin: float
 
 
-@dataclass(frozen=True)
+@_value_type
 class BoundReport:
     """All bounds for one (graph, t, optional k) evaluation."""
 

@@ -9,7 +9,8 @@ output prints the payload as a flat table on stdout and moves the envelope
 metadata to stderr.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage, 3 input format,
-4 work cap.  The environment variable TREEBOUND_WORK_CAP overrides the
+4 work cap, 141 output pipe closed by its reader (128 + SIGPIPE, as shell
+tools report it).  The environment variable TREEBOUND_WORK_CAP overrides the
 default search-node cap; a command that reads it exits 2 when it is not an
 integer >= 0.
 """
@@ -51,6 +52,7 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_WORK_CAP = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _work_cap() -> int | None:
@@ -433,7 +435,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, argv, inputs, payload, header, rows, time.perf_counter() - start)
+    try:
+        _emit(args, argv, inputs, payload, header, rows, time.perf_counter() - start)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: send what stdout still buffers to devnull, so
+        # the flush at interpreter exit raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return code
 
 

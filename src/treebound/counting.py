@@ -22,12 +22,11 @@ functions; results do not depend on which good labeling drives the search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import WorkCapExceeded
-from .graphs import Graph, GoodLabeling, Tree, good_labeling, path_tree
+from .graphs import Graph, GoodLabeling, Tree, _value_type, good_labeling, path_tree
 
 __all__ = [
     "DEFAULT_WORK_CAP",
@@ -44,7 +43,7 @@ __all__ = [
 DEFAULT_WORK_CAP = 100_000_000
 
 
-@dataclass(frozen=True)
+@_value_type(uncompared=("nodes",))
 class CountResult:
     """An exact count, the method that produced it, and the search nodes it
     charged to the work cap (0 for methods that run no node search).
@@ -55,7 +54,7 @@ class CountResult:
 
     value: int
     method: str  # enumeration | dp | formula
-    nodes: int = field(default=0, compare=False)
+    nodes: int = 0
 
 
 class _Budget:

@@ -22,3 +22,7 @@ class WorkCapExceeded(RuntimeError):
 
 class RetryLimitExceeded(RuntimeError):
     """The random graph generator could not reach the degree floor."""
+
+
+class FrozenInstanceError(AttributeError):
+    """An attempt to assign or delete a field of an immutable value type."""

@@ -5,8 +5,8 @@ with t edges), which keeps tree files and test fixtures aligned with the
 usual x_1..x_{t+1} naming.  Both file formats share one shape: optional '#'
 comment lines, a header line "n m", then m whitespace-separated edge lines.
 
-All types are frozen dataclasses, immutable after construction and safe to
-share across threads.  Edge tuples are normalized (u < v) and sorted, and
+All types are immutable value types (see ``_value_type``), safe to share
+across threads.  Edge tuples are normalized (u < v) and sorted, and
 adjacency lists ascending; builders get that from sorted edges, not from a
 sort per list.  Generators are pure functions of their arguments, including
 the seed.  The random generator's stream contract: per draw, one
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
-from .errors import FormatError, RetryLimitExceeded
+from .errors import FormatError, FrozenInstanceError, RetryLimitExceeded
 
 __all__ = [
     "Graph",
@@ -42,6 +42,60 @@ __all__ = [
     "gen_complete_bipartite",
     "gen_random_min_degree",
 ]
+
+
+def _refuse_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _value_type(cls=None, /, *, uncompared: tuple[str, ...] = ()):
+    """Make ``cls`` an immutable value type over its annotated fields.
+
+    The class gets an ``__init__`` taking the fields in declaration order,
+    positionally or by keyword, with the class-level values as defaults;
+    ``__eq__`` (``NotImplemented`` against any other class) and ``__hash__``
+    over every field not named in ``uncompared``; the repr
+    ``Name(field=value!r, ...)``; ``__match_args__``; and assignment and
+    deletion that raise FrozenInstanceError.  That is the part of
+    ``@dataclass(frozen=True)`` the package uses.  Every CLI command is a
+    fresh process, and ``dataclasses`` costs one there: its import brings in
+    ``inspect``, and it compiles six methods per class.  Here ``__init__``,
+    which sets each field as a frozen dataclass's does, is the one compiled
+    method.  ``dataclasses.replace``, ``fields`` and ``asdict`` do not apply.
+    """
+    if cls is None:
+        return lambda c: _value_type(c, uncompared=uncompared)
+    names = tuple(cls.__annotations__)
+    params = ", ".join(
+        f"{name}=_defaults[{name!r}]" if name in vars(cls) else name for name in names
+    )
+    setters = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+    namespace = {"_set": object.__setattr__, "_defaults": vars(cls)}
+    exec(f"def __init__(self, {params}):{setters}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    key = attrgetter(*(name for name in names if name not in uncompared))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = init, __eq__, __hash__, __repr__
+    cls.__setattr__, cls.__delattr__ = _refuse_setattr, _refuse_delattr
+    cls.__match_args__ = names
+    return cls
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -83,7 +137,7 @@ def _adjacency(size: int, ordered) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, neigh))
 
 
-@dataclass(frozen=True)
+@_value_type
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
@@ -137,7 +191,7 @@ class Graph:
         return tuple(len(a) for a in self.adjacency)
 
 
-@dataclass(frozen=True)
+@_value_type
 class Tree:
     """A tree with t edges on vertices 1..t+1.
 
@@ -197,7 +251,7 @@ class Tree:
         return tuple(x for x in self.vertices if len(self.adjacency[x]) == 1)
 
 
-@dataclass(frozen=True)
+@_value_type
 class GoodLabeling:
     """A leaf-first ordering x_1..x_{t+1} of a tree's vertices.
 
@@ -249,7 +303,7 @@ class GoodLabeling:
             raise ValueError("labeling edges do not match the tree's edges")
 
 
-@dataclass(frozen=True)
+@_value_type
 class Embedding:
     """A vertex sequence omega_1..omega_{t+1} realizing a tree copy in a graph."""
 

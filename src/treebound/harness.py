@@ -17,8 +17,7 @@ digits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from fractions import Fraction
 from math import prod
 from typing import TYPE_CHECKING
@@ -32,6 +31,7 @@ from .graphs import (
     Tree,
     _check_clique_order,
     _check_random_min_degree,
+    _value_type,
     gen_complete_bipartite,
     gen_cycle,
     gen_disjoint_cliques,
@@ -96,7 +96,7 @@ def _or_none(fmt, value):
     return None if value is None else fmt(value)
 
 
-@dataclass(frozen=True)
+@_value_type
 class RowBound:
     """One bound's verdict inside a suite row."""
 
@@ -108,7 +108,7 @@ class RowBound:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
+@_value_type(uncompared=("g_tables",))
 class SuiteRow:
     graph_name: str
     tree_name: str
@@ -126,11 +126,11 @@ class SuiteRow:
     slack_hom: Fraction | None = None
     hom_table_equal: bool | None = None
     chain_links: tuple[bool, bool, bool, bool] | None = None
-    g_tables: dict | None = field(default=None, compare=False)
+    g_tables: dict | None = None
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@_value_type
 class SuiteConfig:
     """Instance battery for run_suite: named graphs crossed with named trees."""
 
@@ -215,15 +215,10 @@ def run_suite(config: SuiteConfig) -> list[SuiteRow]:
     ]
 
 
-def standard_suite_config(
-    seed: int = 0, work_cap: int | None = None, include_gtables: bool = False
-) -> SuiteConfig:
-    """The default desk-scale battery: 11 graphs (n <= 8) crossed with 6 trees.
-
-    The seed draws the two random graphs, rand7 and rand8.  Contains well
-    over 20 rows whose graph meets the min-degree->=-t hypothesis for trees
-    up to t = 4, which is what the floor and chain checks quantify over.
-    """
+@cache
+def _fixed_battery() -> tuple[tuple[tuple[str, Graph], ...], tuple[tuple[str, Tree], ...]]:
+    """The standard battery's nine fixed graphs and six trees, built once per
+    process: they are immutable, so every config shares them."""
     k4_minus_edge = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     fork4 = Tree.from_edges([(1, 2), (2, 3), (3, 4), (3, 5)])
     graphs = (
@@ -236,8 +231,6 @@ def standard_suite_config(
         ("K2,3", gen_complete_bipartite(2, 3)),
         ("K3,3", gen_complete_bipartite(3, 3)),
         ("K4,4", gen_complete_bipartite(4, 4)),
-        ("rand7", gen_random_min_degree(7, 0.6, 2, seed=seed + 101)),
-        ("rand8", gen_random_min_degree(8, 0.7, 3, seed=seed + 202)),
     )
     trees = (
         ("P2", path_tree(2)),
@@ -246,6 +239,24 @@ def standard_suite_config(
         ("P4", path_tree(4)),
         ("S4", star_tree(4)),
         ("fork4", fork4),
+    )
+    return graphs, trees
+
+
+def standard_suite_config(
+    seed: int = 0, work_cap: int | None = None, include_gtables: bool = False
+) -> SuiteConfig:
+    """The default desk-scale battery: 11 graphs (n <= 8) crossed with 6 trees.
+
+    The seed draws the two random graphs, rand7 and rand8; the other nine
+    graphs and the trees are the same objects in every call.  Contains well
+    over 20 rows whose graph meets the min-degree->=-t hypothesis for trees
+    up to t = 4, which is what the floor and chain checks quantify over.
+    """
+    fixed_graphs, trees = _fixed_battery()
+    graphs = fixed_graphs + (
+        ("rand7", gen_random_min_degree(7, 0.6, 2, seed=seed + 101)),
+        ("rand8", gen_random_min_degree(8, 0.7, 3, seed=seed + 202)),
     )
     return SuiteConfig(
         graphs=graphs,
@@ -373,7 +384,7 @@ def suite_to_json(rows: list[SuiteRow], include_gtables: bool = False) -> dict:
 # Conjecture scanner
 
 
-@dataclass(frozen=True)
+@_value_type
 class ConjectureScanConfig:
     """One scan: a family of graphs checked against the falling factorial.
 
@@ -401,7 +412,7 @@ class ConjectureScanConfig:
         return 2 * self.t if self.min_degree is None else self.min_degree
 
 
-@dataclass(frozen=True)
+@_value_type
 class ConjectureRow:
     descriptor: str
     n: int
@@ -415,7 +426,7 @@ class ConjectureRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@_value_type
 class ConjectureSummary:
     total: int
     holds: int
@@ -594,7 +605,7 @@ def sharpness_check(
 # Per-instance invariant checks (the CLI `verify` surface)
 
 
-@dataclass(frozen=True)
+@_value_type
 class CheckResult:
     """One named invariant check; passed is None when skipped."""
 

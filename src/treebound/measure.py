@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -67,6 +66,7 @@ from .graphs import (
     GoodLabeling,
     Graph,
     Tree,
+    _value_type,
     good_labeling,
     good_labeling_between,
 )
@@ -204,7 +204,7 @@ def sample_embedding(
     return next(sample_embeddings(graph, tree, labeling, rng, 1))
 
 
-@dataclass(frozen=True)
+@_value_type
 class GTable:
     """Exact per-index vertex weights g[i][v] for one measure.
 
@@ -358,7 +358,7 @@ def _ledger_slots(tree: Tree, labeling: GoodLabeling) -> tuple[list[int], list[i
     return reversal_power, product_power, keep
 
 
-@dataclass(frozen=True)
+@_value_type
 class ChainReport:
     """Measured values and verdicts for each link of the counting chain.
 
@@ -449,7 +449,7 @@ class GroupedWeights:
         return GTable(self.kind, tuple(tuple(Fraction(x, common) for x in r) for r in numerators))
 
 
-@dataclass(frozen=True)
+@_value_type(uncompared=("nodes",))
 class CopyLedger:
     """What one pass over the injective copies yields: the count, the ISO and
     MAJORANT weights, whether every copy met P <= p, reversal symmetry and the
@@ -468,7 +468,7 @@ class CopyLedger:
     product_form_equal: bool
     entropy_log: float
     product_log: float
-    nodes: int = field(default=0, compare=False)
+    nodes: int = 0
 
     def chain(self, bound_log: float) -> ChainReport:
         """The chain's links, ending at the degree-local copy bound exp(bound_log)."""

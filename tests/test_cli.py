@@ -393,6 +393,20 @@ class TestEntryPoint:
         assert code == 0
         assert json.loads(child.stdout)["result"] == envelope["result"]
 
+    def test_reader_closing_the_pipe_exits_141(self):
+        # the envelope carries the ~0.6 MB graph file, more than a pipe buffers,
+        # so the child is still writing when the reader goes away
+        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+        argv = [sys.executable, "-m", "treebound", "gen", "cliques", "40", "60"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as child:
+            assert child.stdout.read(10) == b'{\n  "comma'
+            child.stdout.close()
+            stderr = child.stderr.read()
+            assert child.wait(timeout=60) == 141
+        assert stderr == b""
+
     def test_usage_and_format_errors_reach_the_os(self, tmp_path):
         assert self.run("count", "--graph").returncode == 2
         bad = tmp_path / "bad.txt"

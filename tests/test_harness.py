@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -59,6 +60,28 @@ class TestRunSuite:
     def test_rows_are_reproducible(self, suite_rows):
         again = run_suite(standard_suite_config(seed=0))
         assert again == suite_rows
+
+    def test_fixed_battery_is_shared_across_seeds(self):
+        a, b = standard_suite_config(seed=0), standard_suite_config(seed=5)
+        assert all(x is y for x, y in zip(a.graphs[:9], b.graphs[:9]))
+        assert a.trees is b.trees
+        assert [name for name, _ in a.graphs[9:]] == ["rand7", "rand8"]
+        assert a.graphs[9:] != b.graphs[9:]
+
+    # sha256 of suite_to_csv + sorted-key suite_to_json with g-tables, taken
+    # when standard_suite_config still built every graph and tree per call
+    PINS = {
+        3: "507fe0b1d5242196bd93a815a18e9386e5c2336bd4c0eaeeb721006f14f2badc",
+        11: "b3241cb6530552ebf31f5daf2c8c63789039b6d5889b358e10d083d28350c2a6",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_reports_with_g_tables_are_pinned(self, seed):
+        rows = run_suite(standard_suite_config(seed, include_gtables=True))
+        text = suite_to_csv(rows) + json.dumps(
+            suite_to_json(rows, include_gtables=True), sort_keys=True
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[seed]
 
     def test_known_rows(self, suite_rows):
         by_key = {(r.graph_name, r.tree_name): r for r in suite_rows}

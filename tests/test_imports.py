@@ -1,7 +1,8 @@
 """The package's lazy exports and each CLI command's import budget.
 
 A CLI run is a fresh process that compiles every module it imports when no
-bytecode cache is written, so each command must load only what it runs.
+bytecode cache is written, so each command must load only what it runs,
+and none loads ``dataclasses`` (with ``inspect`` behind it).
 The budget tests run ``treebound.cli.main`` in a child process and read
 ``sys.modules`` afterwards.
 """
@@ -95,7 +96,8 @@ import contextlib, io, json, sys
 from treebound.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("treebound"))]))
+loaded = sorted(m for m in sys.modules if m.startswith("treebound"))
+print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
 """
     BASE = {
         "treebound", "treebound.cli", "treebound.counting", "treebound.errors",
@@ -129,9 +131,11 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("treebound
     )
     def test_command_loads_only_what_it_runs(self, k4_file, argv, extra):
         argv = [arg.format(g=k4_file) for arg in argv]
-        code, loaded = run_child(self.CLI_CHILD, *argv)
+        code, loaded, dataclasses_loaded = run_child(self.CLI_CHILD, *argv)
         assert code == 0
         assert set(loaded) == self.BASE | {f"treebound.{name}" for name in extra}
+        # the value types define their methods without the dataclasses machinery
+        assert not dataclasses_loaded
 
     def test_package_import_loads_no_submodule_until_used(self):
         code = """

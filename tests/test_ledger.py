@@ -13,7 +13,6 @@ count_copies' block, and that an instance makes one ledger pass and no
 iter_copies pass.
 """
 
-import dataclasses
 import math
 import random
 import sys
@@ -340,7 +339,12 @@ def test_ledger_nodes_are_a_statistic(k4, p3):
     labeling = good_labeling(p3)
     ledger = copy_ledger(k4, p3, labeling)
     assert ledger.nodes == counting.count_copies(k4, p3, labeling).nodes == 65
-    assert ledger == dataclasses.replace(ledger, nodes=0)
+    copy = measure.CopyLedger(
+        ledger.count, ledger.iso, ledger.majorant, ledger.iso_below_majorant,
+        ledger.reversal_equal, ledger.product_form_equal, ledger.entropy_log,
+        ledger.product_log, nodes=0,
+    )
+    assert ledger == copy
 
 
 @settings(max_examples=60, deadline=None)
