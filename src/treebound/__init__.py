@@ -37,11 +37,7 @@ _EXPORTS = {
         "CountResult",
         "count_copies",
         "count_homomorphisms",
-        "count_star_formula",
         "count_walks",
-        "iter_copies",
-        "max_induced_copy_degree",
-        "path_walk_ratio",
     ),
     "errors": ("FormatError", "RetryLimitExceeded", "WorkCapExceeded"),
     "formats": ("SCHEMA_VERSION",),
@@ -73,10 +69,8 @@ _EXPORTS = {
         "conjecture_scan",
         "conjecture_to_csv",
         "conjecture_to_json",
-        "instance_checks",
         "instance_report",
         "run_suite",
-        "sharpness_check",
         "standard_suite_config",
         "suite_to_csv",
         "suite_to_json",
@@ -91,9 +85,7 @@ _EXPORTS = {
         "copy_ledger",
         "g_table_exact",
         "g_table_monte_carlo",
-        "sample_embedding",
         "sample_embeddings",
-        "verify_chain",
         "weight",
     ),
 }

@@ -9,35 +9,29 @@ assignment of the first j slots of the labeling (j = 0..t+1) in which every
 slot is a neighbor of its parent's image.  A search charges one unit of
 work per node against a configurable cap (default 10^8 nodes), so the
 charge, 1 + the number of valid j-slot prefixes summed over j, depends only
-on the graph and the labeling.  ``iter_copies`` visits every node.
-``count_copies`` stops at the trailing leaf block (the final run of slots
-sharing one parent) and counts it in closed form, but still charges every
-node the block would have held, so both raise ``WorkCapExceeded`` at the
-same caps.  The block and its closed forms come from one helper,
-``_leaf_block``, which ``measure.copy_ledger`` shares: the ledger folds the
-same block into its tables and charges it the same way.  Counters are pure
-functions; results do not depend on which good labeling drives the search.
+on the graph and the labeling.  ``count_copies`` stops at the trailing leaf
+block (the final run of slots sharing one parent) and counts it in closed
+form, but still charges every node the block would have held, so it raises
+``WorkCapExceeded`` at the caps a search visiting every node would.  The
+block and its closed forms come from one helper, ``_leaf_block``, which
+``measure.copy_ledger`` shares: the ledger folds the same block into its
+tables and charges it the same way.  Both searches recurse once per slot; a
+tree too deep for the interpreter's recursion limit is a ValueError.
+Counters are pure functions; results do not depend on which good labeling
+drives the search.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Iterator
-
 from .errors import WorkCapExceeded
-from .graphs import Graph, GoodLabeling, Tree, _value_type, good_labeling, path_tree
+from .graphs import Graph, GoodLabeling, Tree, _value_type, good_labeling
 
 __all__ = [
     "DEFAULT_WORK_CAP",
     "CountResult",
-    "iter_copies",
     "count_copies",
-    "count_star_formula",
     "count_homomorphisms",
     "count_walks",
-    "path_walk_ratio",
-    "max_induced_copy_degree",
 ]
 
 DEFAULT_WORK_CAP = 100_000_000
@@ -53,7 +47,7 @@ class CountResult:
     """
 
     value: int
-    method: str  # enumeration | dp | formula
+    method: str  # enumeration | dp
     nodes: int = 0
 
 
@@ -83,39 +77,6 @@ class _Budget:
         return self.cap - self.remaining
 
 
-def iter_copies(
-    graph: Graph, labeling: GoodLabeling, work_cap: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Yield every injective embedding of the labeled tree into the graph.
-
-    An embedding is a vertex tuple (omega_1..omega_{t+1}); slot j >= 2 must
-    be a graph neighbor of the slot holding its parent f(j), and all slots
-    are distinct.  Yields in lexicographic order of the tuple.  Charges one
-    unit per search node visited.
-    """
-    budget = _Budget(work_cap, "copy enumeration")
-    k = len(labeling.order)
-    parent_pos = labeling.parent_positions()
-    adjacency = graph.adjacency
-    omega = [0] * k
-    used = bytearray(graph.n)
-
-    def extend(pos: int) -> Iterator[tuple[int, ...]]:
-        budget.spend()
-        if pos == k:
-            yield tuple(omega)
-            return
-        candidates = range(graph.n) if pos == 0 else adjacency[omega[parent_pos[pos]]]
-        for v in candidates:
-            if not used[v]:
-                used[v] = 1
-                omega[pos] = v
-                yield from extend(pos + 1)
-                used[v] = 0
-
-    return extend(0)
-
-
 def count_copies(
     graph: Graph,
     tree: Tree,
@@ -128,22 +89,34 @@ def count_copies(
     tree edge uv.  No minimum-degree hypothesis is needed; the count is
     defined (possibly 0) for any graph.
 
-    Backtracks like ``iter_copies`` up to the trailing leaf block: the
-    longest final run of slots s..t that share one parent slot p.  Once
-    slots < s are placed, those r = t+1-s slots take distinct vertices from
-    the ``free`` neighbors of omega_p that are not yet placed, in
+    Backtracks slot by slot along the labeling up to the trailing leaf
+    block: the longest final run of slots s..t that share one parent slot p.
+    Once slots < s are placed, those r = t+1-s slots take distinct vertices
+    from the ``free`` neighbors of omega_p that are not yet placed, in
     (free)_r = free(free-1)...(free-r+1) ways.  The search nodes the block
     would have held, 1 + (free)_1 + ... + (free)_r, are charged as if they
     were visited, so ``nodes`` and the caps at which WorkCapExceeded is
-    raised are those of a full ``iter_copies`` pass.
+    raised are those of a search that visits every node.  A tree too deep
+    for the recursion limit is a ValueError.
     """
     if labeling is None:
         labeling = good_labeling(tree)
     else:
         labeling.validate(tree)
     budget = _Budget(work_cap, "copy count")
-    total = _count_by_leaf_block(graph, labeling, budget)
+    try:
+        total = _count_by_leaf_block(graph, labeling, budget)
+    except RecursionError:
+        raise _too_deep(tree) from None
     return CountResult(total, "enumeration", budget.spent)
+
+
+def _too_deep(tree: Tree) -> ValueError:
+    """The error for a search that outgrew the interpreter's recursion
+    limit: each search recurses once per slot of the labeling."""
+    return ValueError(
+        f"tree with {tree.t} edges ({tree.t + 1} vertices) is too deep for the copy search"
+    )
 
 
 def _leaf_block(
@@ -213,15 +186,6 @@ def _count_by_leaf_block(graph: Graph, labeling: GoodLabeling, budget: _Budget) 
     return extend(0)
 
 
-def count_star_formula(graph: Graph, t: int) -> CountResult:
-    """Closed form sum_v t! * C(d(v), t): the copy count of the t-edge star."""
-    if t < 1:
-        raise ValueError(f"star size must be >= 1, got {t}")
-    factorial = math.factorial(t)
-    total = sum(factorial * math.comb(graph.degree(v), t) for v in range(graph.n))
-    return CountResult(total, "formula")
-
-
 def count_homomorphisms(graph: Graph, tree: Tree) -> CountResult:
     """Exact number of maps (injective or not) carrying tree edges to edges.
 
@@ -255,37 +219,3 @@ def count_walks(graph: Graph, t: int) -> CountResult:
     for _ in range(t):
         vec = [sum(vec[u] for u in graph.adjacency[v]) for v in range(graph.n)]
     return CountResult(sum(vec), "dp")
-
-
-def path_walk_ratio(graph: Graph, t: int, work_cap: int | None = None) -> float:
-    """Fraction of t-edge walks that are injective, i.e. genuine paths."""
-    walks = count_walks(graph, t).value
-    if walks == 0:
-        raise ValueError("no walks of this length; ratio undefined")
-    paths = count_copies(graph, path_tree(t), work_cap=work_cap).value
-    return float(Fraction(paths, walks))
-
-
-def max_induced_copy_degree(
-    graph: Graph, tree: Tree, work_cap: int | None = None
-) -> int:
-    """Largest maximum degree of the graph restricted to any copy's image.
-
-    Scans every copy of the tree; for each image set S reports the degree of
-    the subgraph induced on S, and returns the overall maximum.  Raises
-    ValueError when the graph contains no copy at all.
-    """
-    labeling = good_labeling(tree)
-    best = -1
-    seen: dict[frozenset[int], int] = {}
-    for omega in iter_copies(graph, labeling, work_cap):
-        image = frozenset(omega)
-        deg = seen.get(image)
-        if deg is None:
-            deg = max(sum(1 for u in graph.neighbors(v) if u in image) for v in image)
-            seen[image] = deg
-        if deg > best:
-            best = deg
-    if best < 0:
-        raise ValueError("graph contains no copy of the tree")
-    return best

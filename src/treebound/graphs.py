@@ -233,10 +233,6 @@ class Tree:
         return len(seen) == self.t + 1
 
     @property
-    def vertex_count(self) -> int:
-        return self.t + 1
-
-    @property
     def vertices(self) -> range:
         return range(1, self.t + 2)
 
@@ -268,7 +264,9 @@ class GoodLabeling:
         return len(self.order) - 1
 
     def vertex(self, j: int) -> int:
-        """Tree vertex at 1-based index j."""
+        """Tree vertex at 1-based index j, 1 <= j <= t+1."""
+        if not 1 <= j <= len(self.order):
+            raise ValueError(f"vertex(j) is defined for 1 <= j <= {len(self.order)}, got {j}")
         return self.order[j - 1]
 
     def f(self, j: int) -> int:
@@ -435,6 +433,15 @@ def serialize_tree(tree: Tree) -> str:
 # Good labelings
 
 
+def _check_leaf(tree: Tree, x: int, label: str) -> None:
+    """Raise ValueError unless x is a leaf of the tree; a vertex outside
+    1..t+1 is refused before it can index the adjacency lists."""
+    if x not in tree.vertices:
+        raise ValueError(f"{label} {x} is not a vertex of the tree (1..{tree.t + 1})")
+    if tree.tree_degree(x) != 1:
+        raise ValueError(f"{label} {x} is not a leaf")
+
+
 def good_labeling(tree: Tree, start_leaf: int | None = None) -> GoodLabeling:
     """Breadth-first good labeling rooted at a leaf.
 
@@ -444,8 +451,8 @@ def good_labeling(tree: Tree, start_leaf: int | None = None) -> GoodLabeling:
     """
     if start_leaf is None:
         start_leaf = tree.leaves[0]
-    elif tree.tree_degree(start_leaf) != 1:
-        raise ValueError(f"start vertex {start_leaf} is not a leaf")
+    else:
+        _check_leaf(tree, start_leaf, "start vertex")
     order = [start_leaf]
     parents = [0]
     position = {start_leaf: 1}
@@ -483,8 +490,7 @@ def good_labeling_between(tree: Tree, first_leaf: int, last_leaf: int) -> GoodLa
     if first_leaf == last_leaf:
         raise ValueError("first and last leaves must be distinct")
     for leaf in (first_leaf, last_leaf):
-        if tree.tree_degree(leaf) != 1:
-            raise ValueError(f"vertex {leaf} is not a leaf")
+        _check_leaf(tree, leaf, "vertex")
     base = good_labeling(tree, first_leaf)
     order = [v for v in base.order if v != last_leaf] + [last_leaf]
     return _labeling_from_order(tree, order)

@@ -1,4 +1,4 @@
-"""Suite runner, conjecture scanner, sharpness checks, and report writers.
+"""Suite runner, conjecture scanner, per-instance checks, and report writers.
 
 run_suite sweeps (graph, tree) pairs and records, per row: the exact copy,
 homomorphism, and walk counts; every bound with its holds/margin verdict;
@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from functools import cache, partial
 from fractions import Fraction
-from math import prod
 from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, compare_count_to_bound, evaluate_bounds
@@ -41,20 +40,18 @@ from .graphs import (
     star_tree,
 )
 
-# measure and logging are imported where they are used, so that the
-# conjecture scanner runs without loading them
+# measure is imported where it is used, so that the conjecture scanner
+# runs without loading it
 if TYPE_CHECKING:
     from .measure import ChainReport
 
 __all__ = [
-    "SCHEMA_VERSION",
     "SuiteConfig",
     "SuiteRow",
     "RowBound",
     "run_suite",
     "standard_suite_config",
     "suite_csv_columns",
-    "csv_table",
     "suite_to_csv",
     "suite_to_json",
     "ConjectureScanConfig",
@@ -65,12 +62,8 @@ __all__ = [
     "conjecture_csv_rows",
     "conjecture_to_csv",
     "conjecture_to_json",
-    "sharpness_check",
     "CheckResult",
     "instance_report",
-    "instance_checks",
-    "format_rational",
-    "format_log",
 ]
 
 # Which count each bound is checked against in a suite row.
@@ -570,38 +563,6 @@ def conjecture_to_json(rows: list[ConjectureRow]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Sharpness
-
-
-def sharpness_check(
-    q: int, c: int, t: int, extra_trees: tuple[tuple[str, Tree], ...] = (), work_cap: int | None = None
-) -> bool:
-    """Disjoint cliques of order q must have exactly n(q-1)(q-2)...(q-t) copies.
-
-    Checked for the t-edge path and star plus any supplied trees; requires
-    q-1 >= t.  Returns False (with a logged diagnostic) on any mismatch.
-    """
-    import logging
-
-    if q - 1 < t:
-        raise ValueError(f"need clique order q with q-1 >= t, got q={q}, t={t}")
-    graph = gen_disjoint_cliques(c, q)
-    expected = graph.n * prod(q - 1 - j for j in range(t))
-    trees = (("path", path_tree(t)), ("star", star_tree(t))) + tuple(extra_trees)
-    ok = True
-    for name, tree in trees:
-        got = count_copies(graph, tree, work_cap=work_cap).value
-        if got != expected:
-            logging.getLogger(__name__).warning(
-                "sharpness mismatch on cliques(c=%d,q=%d) with %s tree: "
-                "counted %d, expected %d",
-                c, q, name, got, expected,
-            )
-            ok = False
-    return ok
-
-
-# ---------------------------------------------------------------------------
 # Per-instance invariant checks (the CLI `verify` surface)
 
 
@@ -657,8 +618,3 @@ def instance_report(
         (hom_table.equals_degree_profile(graph), "g[i][v] vs d(v)/nd over the full table"),
     ]
     return [CheckResult(name, *verdict) for name, verdict in zip(names, verdicts)], chain
-
-
-def instance_checks(graph: Graph, tree: Tree, work_cap: int | None = None) -> list[CheckResult]:
-    """The checks of instance_report without the chain report."""
-    return instance_report(graph, tree, work_cap)[0]

@@ -15,7 +15,7 @@ the resulting vertex sequences matter:
 
 Everything is computed in exact arbitrary-precision rationals; entropy-like
 aggregates exp(sum -w ln w) go through floats only at the final step, so the
-chain verifier can distinguish, say, 24 from 144 without float doubt.
+chain report can distinguish, say, 24 from 144 without float doubt.
 
 For each measure, g_table_exact tabulates g[i][v]: the total weight of
 embeddings whose i-th vertex is v, for the full index range i = 1..t+1.
@@ -43,9 +43,8 @@ result.
 The sampler is prepared once per run: sample_embeddings checks its inputs
 and builds the directed-edge list once, then each draw costs O(t*d).  A
 draw makes one randrange(nd) for the start edge and one randrange per later
-slot over the candidates in sorted order, so a seed fixes the whole stream;
-sample_embedding is the first draw of such a stream, and the Monte Carlo
-table and the CLI each consume one stream.
+slot over the candidates in sorted order, so a seed fixes the whole stream,
+and the Monte Carlo table and the CLI each consume one stream.
 """
 
 from __future__ import annotations
@@ -59,31 +58,21 @@ from itertools import repeat
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
-from .bounds import LOG_TOLERANCE, evaluate_bounds
-from .counting import _Budget, _leaf_block
-from .graphs import (
-    Embedding,
-    GoodLabeling,
-    Graph,
-    Tree,
-    _value_type,
-    good_labeling,
-    good_labeling_between,
-)
+from .bounds import LOG_TOLERANCE
+from .counting import _Budget, _leaf_block, _too_deep
+from .graphs import Embedding, GoodLabeling, Graph, Tree, _value_type, good_labeling_between
 
 __all__ = [
     "MeasureKind",
     "GTable",
     "ChainReport",
     "weight",
-    "sample_embedding",
     "sample_embeddings",
     "g_table_exact",
     "g_table_monte_carlo",
     "GroupedWeights",
     "CopyLedger",
     "copy_ledger",
-    "verify_chain",
 ]
 
 
@@ -197,13 +186,6 @@ def sample_embeddings(
     return draws()
 
 
-def sample_embedding(
-    graph: Graph, tree: Tree, labeling: GoodLabeling, rng: random.Random
-) -> Embedding:
-    """Draw one embedding: the first draw of sample_embeddings(..., rng, 1)."""
-    return next(sample_embeddings(graph, tree, labeling, rng, 1))
-
-
 @_value_type
 class GTable:
     """Exact per-index vertex weights g[i][v] for one measure.
@@ -217,8 +199,13 @@ class GTable:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def g(self, i: int, v: int) -> Fraction:
-        """Entry for 1-based index i and graph vertex v."""
+        """Entry for 1-based index i, 1 <= i <= positions, and graph vertex v."""
+        self._check_index(i)
         return self.rows[i - 1][v]
+
+    def _check_index(self, i: int) -> None:
+        if not 1 <= i <= len(self.rows):
+            raise ValueError(f"index i is defined for 1 <= i <= {len(self.rows)}, got {i}")
 
     @property
     def positions(self) -> int:
@@ -245,6 +232,8 @@ class GTable:
         return nd * common, ([x * nd - f for x, f in zip(row, floor)] for row in numerators)
 
     def row_sum(self, i: int) -> Fraction:
+        """Sum of row i over the vertices, 1 <= i <= positions."""
+        self._check_index(i)
         common, numerators = self._over_common
         return Fraction(sum(numerators[i - 1]), common)
 
@@ -455,9 +444,10 @@ class CopyLedger:
     MAJORANT weights, whether every copy met P <= p, reversal symmetry and the
     product form, and sum -w ln w under P and under p in enumeration order.
 
-    ``nodes`` is the search nodes charged to the work cap, those of a full
-    ``iter_copies`` pass; like ``CountResult.nodes`` it is a statistic, left
-    out of equality and of every payload.
+    ``nodes`` is the search nodes charged to the work cap, those of a search
+    that visits every node, as ``count_copies`` charges; like
+    ``CountResult.nodes`` it is a statistic, left out of equality and of
+    every payload.
     """
 
     count: int
@@ -527,8 +517,9 @@ def copy_ledger(
     them; the block is folded at once.  The reversal check re-weighs a copy
     read from its far end under the reversed labeling, and the product form
     rebuilds p from per-vertex exponents; neither reads a block slot, by
-    the choice of block.  The work cap is charged every node a full
-    iter_copies pass visits, so it fires at the same caps.
+    the choice of block.  The work cap is charged every node of the search,
+    block nodes included, so it fires at count_copies' caps.  A tree too
+    deep for the recursion limit is a ValueError.
     """
     labeling.validate(tree)
     t = tree.t
@@ -602,7 +593,10 @@ def copy_ledger(
         budget.spend(nodes)
 
     nd = graph.degree_sum
-    extend(0, nd, nd, nd, nd)
+    try:
+        extend(0, nd, nd, nd, nd)
+    except RecursionError:
+        raise _too_deep(tree) from None
     return CopyLedger(
         sums.count,
         sums.iso,
@@ -614,21 +608,3 @@ def copy_ledger(
         sums.product_log,
         budget.spent,
     )
-
-
-def verify_chain(
-    graph: Graph,
-    tree: Tree,
-    labeling: GoodLabeling | None = None,
-    work_cap: int | None = None,
-) -> ChainReport:
-    """Measure every link of the chain from one pass over the copies.
-
-    Requires min degree >= t.  Weights are exact rationals; the entropy and
-    majorant-product aggregates become floats only in exp(sum -w ln w), and
-    links are compared in log space with 1e-9 tolerance.
-    """
-    if labeling is None:
-        labeling = good_labeling(tree)
-    ledger = copy_ledger(graph, tree, labeling, work_cap)
-    return ledger.chain(evaluate_bounds(graph, tree.t).copies_local.log_value)

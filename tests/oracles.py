@@ -1,14 +1,17 @@
 """Independent brute-force references the library implementations are checked
 against.  Nothing here shares an algorithm with the package: copies are
-counted by filtering raw permutations, homomorphisms by filtering the full
-map space, walks via adjacency-matrix powers in exact integer arithmetic,
-and g-tables by weighing each of those maps from the measure definitions,
-one Fraction per map, or, for the majorant, from its labeling-free product
-form.  Random graphs with a degree floor are drawn whole and then checked.
+counted, and listed in a labeling's slot order, by filtering raw
+permutations; star copies come from the closed form sum_v t! * C(d(v), t);
+homomorphisms by filtering the full map space, walks via adjacency-matrix
+powers in exact integer arithmetic, and g-tables by weighing each of those
+maps from the measure definitions, one Fraction per map, or, for the
+majorant, from its labeling-free product form.  Random graphs with a degree
+floor are drawn whole and then checked.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -34,19 +37,35 @@ def copies_by_permutations(graph: Graph, tree: Tree) -> int:
     return sum(1 for _ in _edge_maps(graph, tree, permutations(range(graph.n), tree.t + 1)))
 
 
+def _slot_prefixes(graph: Graph, labeling: GoodLabeling, j: int):
+    """The injective j-slot prefixes in which each slot is adjacent to its
+    parent slot, found by testing raw permutations, in lexicographic order."""
+    parents = labeling.parent_positions()
+    for phi in permutations(range(graph.n), j):
+        if all(graph.has_edge(phi[i], phi[parents[i]]) for i in range(1, j)):
+            yield phi
+
+
+def copies_in_slot_order(graph: Graph, labeling: GoodLabeling):
+    """Every injective copy as a vertex tuple in labeling slot order (slot i
+    holds the image of tree vertex order[i]), in lexicographic order."""
+    return _slot_prefixes(graph, labeling, len(labeling.order))
+
+
 def search_nodes_by_permutations(graph: Graph, labeling: GoodLabeling) -> int:
     """Search nodes of a full backtracking pass along the labeling: the empty
     prefix plus, for j = 1..t+1, every injective j-slot prefix in which each
-    slot is adjacent to its parent slot, found by testing raw permutations."""
-    parents = labeling.parent_positions()
-    nodes = 1
-    for j in range(1, len(parents) + 1):
-        nodes += sum(
-            1
-            for phi in permutations(range(graph.n), j)
-            if all(graph.has_edge(phi[i], phi[parents[i]]) for i in range(1, j))
-        )
-    return nodes
+    slot is adjacent to its parent slot."""
+    return 1 + sum(
+        sum(1 for _ in _slot_prefixes(graph, labeling, j))
+        for j in range(1, len(labeling.order) + 1)
+    )
+
+
+def star_copies_by_formula(graph: Graph, t: int) -> int:
+    """Copies of the t-edge star: a center v and an ordered choice of t of its
+    d(v) neighbors, summed over v as t! * C(d(v), t)."""
+    return sum(math.factorial(t) * math.comb(len(a), t) for a in graph.adjacency)
 
 
 def homs_by_exhaustion(graph: Graph, tree: Tree) -> int:

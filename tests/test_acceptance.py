@@ -12,14 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from tests.oracles import homs_by_exhaustion, random_tree
+from tests.oracles import copies_in_slot_order, homs_by_exhaustion, random_tree
 from treebound.bounds import compare_count_to_bound, evaluate_bounds
-from treebound.counting import (
-    count_copies,
-    count_homomorphisms,
-    count_walks,
-    iter_copies,
-)
+from treebound.counting import count_copies, count_homomorphisms, count_walks
 from treebound.graphs import (
     gen_disjoint_cliques,
     gen_random_min_degree,
@@ -28,16 +23,17 @@ from treebound.graphs import (
 from treebound.harness import (
     ConjectureScanConfig,
     conjecture_scan,
-    instance_checks,
+    instance_report,
     run_suite,
     standard_suite_config,
     summarize_conjecture,
 )
 from treebound.measure import (
     MeasureKind,
+    copy_ledger,
     g_table_exact,
     g_table_monte_carlo,
-    verify_chain,
+    sample_embeddings,
     weight,
 )
 
@@ -169,7 +165,7 @@ def test_criterion_8_measure_identities(suite_pairs):
             if graph.min_degree < tree.t:
                 continue
             instances += 1
-            for check in instance_checks(graph, tree):
+            for check in instance_report(graph, tree)[0]:
                 if check.name in names:
                     assert check.passed, (gname, tname, check.name, check.detail)
         assert instances >= 20
@@ -182,12 +178,8 @@ def test_criterion_9_sampler_law(k4, p3):
         again = g_table_monte_carlo(k4, p3, labeling, samples=24000, seed=7)
         assert first == again
         # per-copy frequencies, not just per-position marginals
-        rng = random.Random(7)
         counts: dict[tuple[int, ...], int] = {}
-        from treebound.measure import sample_embedding
-
-        for _ in range(24000):
-            emb = sample_embedding(k4, p3, labeling, rng)
+        for emb in sample_embeddings(k4, p3, labeling, random.Random(7), 24000):
             counts[emb.vertices] = counts.get(emb.vertices, 0) + 1
         assert len(counts) == 24
         se = math.sqrt((1 / 24) * (23 / 24) / 24000)
@@ -220,18 +212,19 @@ def test_criterion_11_chain_report(suite_rows, k4, p3):
         labeling = good_labeling(p3)
         iso_weights = [
             weight(k4, p3, labeling, omega, MeasureKind.ISO)
-            for omega in iter_copies(k4, labeling)
+            for omega in copies_in_slot_order(k4, labeling)
         ]
         majorant_weights = [
             weight(k4, p3, labeling, omega, MeasureKind.MAJORANT)
-            for omega in iter_copies(k4, labeling)
+            for omega in copies_in_slot_order(k4, labeling)
         ]
         # exact rational confirmation: P is uniform 1/24 so exp H(P) = 24;
         # p is constantly 1/12 with total 2, so prod p^-p = 12^2 = 144
         assert iso_weights == [Fraction(1, 24)] * 24
         assert majorant_weights == [Fraction(1, 12)] * 24
         assert sum(majorant_weights) == 2
-        report = verify_chain(k4, p3)
+        ledger = copy_ledger(k4, p3, labeling)
+        report = ledger.chain(evaluate_bounds(k4, 3).copies_local.log_value)
         assert report.omega_count == 24
         assert report.entropy_value == pytest.approx(24, rel=1e-9)
         assert report.majorant_product == pytest.approx(144, rel=1e-9)

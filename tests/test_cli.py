@@ -355,6 +355,14 @@ class TestExitCodes:
         monkeypatch.setenv("TREEBOUND_WORK_CAP", "0")
         assert main(["count", "--graph", k4_file, "--tree", "path:3"]) == 4
 
+    def test_tree_too_deep_for_the_search_is_usage_error(self, capsys, tmp_path):
+        cycle = tmp_path / "c1200.txt"
+        cycle.write_text(serialize_graph(gen_cycle(1200)))
+        assert main(["count", "--graph", str(cycle), "--tree", "path:1100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tree with 1100 edges (1101 vertices) is too deep" in captured.err
+
     def test_retry_cap_maps_to_work_cap_exit(self, capsys, tmp_path):
         out = tmp_path / "r.txt"
         code = main(

@@ -6,26 +6,23 @@ from hypothesis import strategies as st
 
 from tests.oracles import (
     copies_by_permutations,
+    copies_in_slot_order,
     homs_by_exhaustion,
     random_tree,
     search_nodes_by_permutations,
+    star_copies_by_formula,
     walks_by_matrix_power,
 )
 from treebound.counting import (
     CountResult,
     count_copies,
     count_homomorphisms,
-    count_star_formula,
     count_walks,
-    iter_copies,
-    max_induced_copy_degree,
-    path_walk_ratio,
 )
 from treebound.errors import WorkCapExceeded
 from treebound.graphs import (
     Graph,
     Tree,
-    gen_complete_bipartite,
     gen_cycle,
     gen_disjoint_cliques,
     gen_random_min_degree,
@@ -34,7 +31,7 @@ from treebound.graphs import (
     path_tree,
     star_tree,
 )
-from treebound.measure import copy_ledger
+from treebound.measure import MeasureKind, copy_ledger, weight
 
 
 class TestCountCopies:
@@ -51,7 +48,7 @@ class TestCountCopies:
 
     def test_petersen_star(self, petersen, s3):
         assert count_copies(petersen, s3).value == 60
-        assert count_star_formula(petersen, 3).value == 60
+        assert star_copies_by_formula(petersen, 3) == 60
 
     def test_petersen_path(self, petersen, p3):
         assert count_copies(petersen, p3).value == 120
@@ -71,22 +68,28 @@ class TestCountCopies:
         with pytest.raises(WorkCapExceeded, match="copy count exceeded the work cap of 64"):
             count_copies(k4, p3, work_cap=64)
         labeling = good_labeling(p3)
-        assert sum(1 for _ in iter_copies(k4, labeling, work_cap=65)) == 24
+        assert copy_ledger(k4, p3, labeling, work_cap=65).count == 24
         with pytest.raises(WorkCapExceeded, match="copy enumeration exceeded the work cap of 64"):
-            sum(1 for _ in iter_copies(k4, labeling, work_cap=64))
+            copy_ledger(k4, p3, labeling, work_cap=64)
 
     def test_negative_work_cap_is_rejected(self, k4, p3):
         with pytest.raises(ValueError, match="work cap must be >= 0, got -5"):
             count_copies(k4, p3, work_cap=-5)
         with pytest.raises(ValueError, match="work cap must be >= 0, got -1"):
-            iter_copies(k4, good_labeling(p3), work_cap=-1)
+            copy_ledger(k4, p3, good_labeling(p3), work_cap=-1)
         # a cap of 0 is valid: the empty prefix already exceeds it
         with pytest.raises(WorkCapExceeded, match="work cap of 0 search nodes"):
             count_copies(k4, p3, work_cap=0)
 
     def test_nodes_are_a_statistic_not_part_of_the_result(self):
         assert CountResult(24, "enumeration", 65) == CountResult(24, "enumeration", 1)
-        assert count_star_formula(gen_disjoint_cliques(1, 4), 2).nodes == 0
+        assert count_homomorphisms(gen_disjoint_cliques(1, 4), path_tree(2)).nodes == 0
+
+    def test_tree_too_deep_for_the_search_is_a_value_error(self):
+        # the search recurses once per slot, so 1101 slots outgrow the
+        # interpreter's default recursion limit of 1000
+        with pytest.raises(ValueError, match=r"tree with 1100 edges \(1101 vertices\) is too deep"):
+            count_copies(gen_cycle(1200), path_tree(1100))
 
     def test_labeling_choice_does_not_matter(self, petersen, p3):
         for first, last in [(1, 4), (4, 1)]:
@@ -106,26 +109,28 @@ class TestCountCopies:
 
 
 class TestStarFormula:
+    """count_copies on stars against the closed form sum_v t! * C(d(v), t)."""
+
     def test_k4(self, k4):
-        assert count_star_formula(k4, 2).value == 24
+        assert count_copies(k4, star_tree(2)).value == star_copies_by_formula(k4, 2) == 24
 
     def test_c5(self, c5):
-        assert count_star_formula(c5, 2).value == 10
+        assert count_copies(c5, star_tree(2)).value == star_copies_by_formula(c5, 2) == 10
 
     def test_vanishes_above_max_degree(self, c5):
-        assert count_star_formula(c5, 3).value == 0
+        assert count_copies(c5, star_tree(3)).value == star_copies_by_formula(c5, 3) == 0
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_matches_enumeration(self, t):
         rng = random.Random(52)
         for trial in range(6):
             g = gen_random_min_degree(rng.randint(4, 8), 0.6, 0, seed=trial)
-            assert count_star_formula(g, t).value == count_copies(g, star_tree(t)).value
+            assert star_copies_by_formula(g, t) == count_copies(g, star_tree(t)).value
 
     def test_larger_instance_matches_enumeration(self):
         g = gen_random_min_degree(12, 0.7, 6, seed=5)
         for t in (5, 6):
-            assert count_star_formula(g, t).value == count_copies(g, star_tree(t)).value
+            assert star_copies_by_formula(g, t) == count_copies(g, star_tree(t)).value
 
 
 class TestHomomorphisms:
@@ -179,39 +184,6 @@ class TestWalks:
             g = gen_random_min_degree(rng.randint(2, 10), 0.5, 0, seed=rng.randrange(10**6))
             for t in range(1, 6):
                 assert count_walks(g, t).value == count_homomorphisms(g, path_tree(t)).value
-
-
-class TestPathWalkRatio:
-    def test_k4(self, k4):
-        assert path_walk_ratio(k4, 3) == pytest.approx(24 / 108)
-
-    def test_c5(self, c5):
-        assert path_walk_ratio(c5, 2) == 0.5
-
-    def test_single_edge(self):
-        k2 = Graph.from_edges(2, [(0, 1)])
-        assert path_walk_ratio(k2, 2) == 0.0
-
-    def test_no_walks_is_an_error(self):
-        isolated = Graph.from_edges(3, [])
-        with pytest.raises(ValueError, match="no walks"):
-            path_walk_ratio(isolated, 2)
-
-
-class TestMaxInducedCopyDegree:
-    def test_k4_path(self, k4, p3):
-        assert max_induced_copy_degree(k4, p3) == 3
-
-    def test_c5_path(self, c5, p2):
-        assert max_induced_copy_degree(c5, p2) == 2
-
-    def test_triangle_free_bipartite(self, p2):
-        assert max_induced_copy_degree(gen_complete_bipartite(2, 3), p2) == 2
-
-    def test_no_copy_is_an_error(self, p2):
-        k2 = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(ValueError, match="no copy"):
-            max_induced_copy_degree(k2, p2)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +304,23 @@ def test_leaf_block_count_matches_oracles_and_enumeration(case):
     graph, tree, labeling = case
     result = count_copies(graph, tree, labeling)
     assert result.value == copies_by_permutations(graph, tree)
-    assert result.value == sum(1 for _ in iter_copies(graph, labeling))
+    assert result.value == sum(1 for _ in copies_in_slot_order(graph, labeling))
     assert result.nodes == search_nodes_by_permutations(graph, labeling)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_tree_labeling())
+@example(NO_COPY)
+@example(LOW_DEGREE_STAR)
+def test_slot_order_oracle_lists_every_copy(case):
+    """copies_in_slot_order lists each copy once, in lexicographic order, as
+    a tuple that weight() accepts as an injective copy under the labeling."""
+    graph, tree, labeling = case
+    copies = list(copies_in_slot_order(graph, labeling))
+    assert len(copies) == copies_by_permutations(graph, tree)
+    assert copies == sorted(set(copies))
+    for omega in copies:
+        assert weight(graph, tree, labeling, omega, MeasureKind.ISO) > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,11 +333,8 @@ def test_count_and_enumeration_hit_the_work_cap_at_the_same_node(case):
     nodes = search_nodes_by_permutations(graph, labeling)
     copies = copies_by_permutations(graph, tree)
     assert count_copies(graph, tree, labeling, work_cap=nodes).value == copies
-    assert sum(1 for _ in iter_copies(graph, labeling, work_cap=nodes)) == copies
     with pytest.raises(WorkCapExceeded, match="copy count exceeded the work cap"):
         count_copies(graph, tree, labeling, work_cap=nodes - 1)
-    with pytest.raises(WorkCapExceeded, match="copy enumeration exceeded the work cap"):
-        sum(1 for _ in iter_copies(graph, labeling, work_cap=nodes - 1))
     if graph.min_degree >= tree.t:  # the copy ledger's hypothesis
         assert copy_ledger(graph, tree, labeling, work_cap=nodes).count == copies
         with pytest.raises(WorkCapExceeded, match="copy enumeration exceeded the work cap"):

@@ -174,6 +174,23 @@ class TestGoodLabeling:
         with pytest.raises(ValueError, match="not a leaf"):
             good_labeling_between(star, 1, 2)
 
+    @pytest.mark.parametrize("x", [-1, 0, 5], ids=["minus-one", "zero", "t-plus-two"])
+    def test_vertex_outside_the_tree_rejected(self, x):
+        # -1 would alias vertex 4 and 5 would index past the adjacency lists
+        p3 = path_tree(3)
+        with pytest.raises(ValueError, match=f"start vertex {x} is not a vertex of the tree"):
+            good_labeling(p3, x)
+        for first, last in ((x, 1), (1, x)):
+            with pytest.raises(ValueError, match=f"vertex {x} is not a vertex of the tree"):
+                good_labeling_between(p3, first, last)
+
+    def test_vertex_index_is_checked(self):
+        L = good_labeling(path_tree(3))
+        assert [L.vertex(j) for j in range(1, 5)] == list(L.order)
+        for j in (0, 5, -1):
+            with pytest.raises(ValueError, match=f"1 <= j <= 4, got {j}"):
+                L.vertex(j)
+
 
 class TestGenerators:
     def test_disjoint_cliques(self):

@@ -5,16 +5,16 @@ import json
 
 import pytest
 
-from treebound.graphs import Tree, gen_disjoint_cliques
+from treebound.counting import count_copies
+from treebound.graphs import Tree, gen_cycle, gen_disjoint_cliques, path_tree, star_tree
 from treebound.harness import (
     ConjectureScanConfig,
     SuiteConfig,
     conjecture_scan,
     conjecture_to_csv,
     conjecture_to_json,
-    instance_checks,
+    instance_report,
     run_suite,
-    sharpness_check,
     standard_suite_config,
     suite_csv_columns,
     suite_to_csv,
@@ -106,6 +106,17 @@ class TestRunSuite:
         assert rows[0].error is None and rows[0].copies == 24
         assert rows[1].error is not None and "work cap" in rows[1].error
         assert rows[1].copies is None
+
+    def test_tree_too_deep_for_the_search_gives_an_error_row(self, p3):
+        config = SuiteConfig(
+            graphs=(("C1200", gen_cycle(1200)),), trees=(("P1100", path_tree(1100)), ("P3", p3))
+        )
+        deep, shallow = run_suite(config)
+        assert deep.error == (
+            "ValueError: tree with 1100 edges (1101 vertices) is too deep for the copy search"
+        )
+        assert deep.copies is None
+        assert shallow.error is None and shallow.copies == 1200 * 2
 
     def test_negative_work_cap_gives_error_rows(self, p3, k4, c5):
         config = SuiteConfig(graphs=(("K4", k4), ("C5", c5)), trees=(("P3", p3),), work_cap=-1)
@@ -294,29 +305,50 @@ class TestConjectureScan:
         assert doc["summary"]["violations"] == []
 
 
-class TestSharpness:
-    def test_examples(self):
-        assert sharpness_check(5, 3, 3)
-        assert sharpness_check(4, 1, 3)
+def _clique_copies(c: int, q: int, tree: Tree) -> tuple[int, int]:
+    """The copies of the tree in c disjoint cliques of order q, and the
+    falling factorial n(q-1)(q-2)...(q-t) they must equal."""
+    graph = gen_disjoint_cliques(c, q)
+    expected = graph.n
+    for j in range(1, tree.t + 1):
+        expected *= q - j
+    return count_copies(graph, tree).value, expected
 
-    def test_precondition(self):
-        with pytest.raises(ValueError, match="q-1 >= t"):
-            sharpness_check(3, 2, 3)
+
+class TestSharpness:
+    """Disjoint cliques hold exactly n(q-1)(q-2)...(q-t) copies of every
+    t-edge tree: the path, the star and fork4."""
+
+    def test_examples(self, p3, s3):
+        for c, q in ((3, 5), (1, 4)):
+            for tree in (p3, s3):
+                copies, expected = _clique_copies(c, q, tree)
+                assert copies == expected
+        assert _clique_copies(3, 5, p3) == (360, 360)
+
+    def test_precondition(self, p3, s3):
+        # below q-1 >= t a clique has no room for the tree: both sides are 0
+        for tree in (p3, s3):
+            assert _clique_copies(2, 3, tree) == (0, 0)
 
     def test_sweep(self):
         for q in range(3, 8):
             for c in (1, 2, 3):
                 for t in range(1, min(q - 1, 4) + 1):
-                    assert sharpness_check(q, c, t)
+                    for tree in (path_tree(t), star_tree(t)):
+                        copies, expected = _clique_copies(c, q, tree)
+                        assert copies == expected, (q, c, t, tree)
 
     def test_extra_tree(self):
         fork = Tree.from_edges([(1, 2), (2, 3), (3, 4), (3, 5)])
-        assert sharpness_check(6, 2, 4, extra_trees=(("fork4", fork),))
+        for tree in (path_tree(4), star_tree(4), fork):
+            copies, expected = _clique_copies(2, 6, tree)
+            assert copies == expected
 
 
 class TestInstanceChecks:
     def test_all_pass_on_k4_p3(self, k4, p3):
-        results = instance_checks(k4, p3)
+        results = instance_report(k4, p3)[0]
         assert {r.name for r in results} == {
             "iso-total-probability",
             "iso-below-majorant",
@@ -330,7 +362,7 @@ class TestInstanceChecks:
         assert all(r.passed for r in results)
 
     def test_degree_gated_checks_skipped(self, c5, p3):
-        results = instance_checks(c5, p3)
+        results = instance_report(c5, p3)[0]
         skipped = {r.name for r in results if r.passed is None}
         assert "majorant-floor" in skipped and "copies-ge-local-bound" in skipped
         ran = {r.name: r.passed for r in results if r.passed is not None}

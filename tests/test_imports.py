@@ -16,13 +16,12 @@ from pathlib import Path
 import pytest
 
 import treebound
-from treebound import formats, harness
 from treebound.graphs import gen_disjoint_cliques, serialize_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The names `from treebound import *` bound when the package imported every
-# submodule eagerly: the exports plus the six submodules it loaded.
+# The names `from treebound import *` binds: the exports plus the six library
+# submodules.
 STAR_NAMES = {
     "BoundComparison", "BoundReport", "BoundValue", "ChainReport", "CheckResult",
     "ConjectureRow", "ConjectureScanConfig", "ConjectureSummary", "CopyLedger",
@@ -31,15 +30,13 @@ STAR_NAMES = {
     "RetryLimitExceeded", "SCHEMA_VERSION", "SuiteConfig", "SuiteRow", "Tree",
     "WorkCapExceeded", "bounds", "compare_count_to_bound", "conjecture_scan",
     "conjecture_to_csv", "conjecture_to_json", "copy_ledger", "count_copies",
-    "count_homomorphisms", "count_star_formula", "count_walks", "counting", "errors",
+    "count_homomorphisms", "count_walks", "counting", "errors",
     "evaluate_bounds", "g_table_exact", "g_table_monte_carlo", "gen_complete_bipartite",
     "gen_cycle", "gen_disjoint_cliques", "gen_random_min_degree", "good_labeling",
-    "good_labeling_between", "graphs", "harness", "instance_checks", "instance_report",
-    "iter_copies", "max_induced_copy_degree", "measure", "parse_graph", "parse_tree",
-    "path_tree", "path_walk_ratio", "run_suite", "sample_embedding", "sample_embeddings",
-    "serialize_graph", "serialize_tree", "sharpness_check", "standard_suite_config",
-    "star_tree", "suite_to_csv", "suite_to_json", "summarize_conjecture", "verify_chain",
-    "weight",
+    "good_labeling_between", "graphs", "harness", "instance_report", "measure",
+    "parse_graph", "parse_tree", "path_tree", "run_suite", "sample_embeddings",
+    "serialize_graph", "serialize_tree", "standard_suite_config", "star_tree",
+    "suite_to_csv", "suite_to_json", "summarize_conjecture", "weight",
 }
 SUBMODULES = ("graphs", "counting", "bounds", "measure", "harness", "cli", "errors", "formats")
 
@@ -74,8 +71,8 @@ class TestLazyExports:
         assert set(treebound.__all__) == STAR_NAMES
 
     def test_resolved_names_are_cached(self):
-        value = treebound.__getattr__("count_star_formula")
-        assert vars(treebound)["count_star_formula"] is value
+        value = treebound.__getattr__("count_walks")
+        assert vars(treebound)["count_walks"] is value
 
     def test_dir_lists_unresolved_names(self):
         assert set(dir(treebound)) >= STAR_NAMES | {"cli", "formats", "__version__"}
@@ -83,11 +80,6 @@ class TestLazyExports:
     def test_unknown_name_is_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             treebound.no_such_name  # noqa: B018
-
-    def test_harness_re_exports_the_formatters(self):
-        for name in formats.__all__:
-            assert name in harness.__all__
-            assert getattr(harness, name) is getattr(formats, name)
 
 
 class TestImportBudget:

@@ -9,10 +9,12 @@ good labelings (the identity behind the reversal and product-form checks),
 that the chain floats are bit-identical to summing the public weight() copy
 by copy, that each per-copy check fails when one block carries a wrong
 weight, that the ledger charges the work cap the nodes of a full search on
-count_copies' block, and that an instance makes one ledger pass and no
-iter_copies pass.
+count_copies' block, that a tree too deep for the recursive search is a
+ValueError, and that an instance makes one ledger pass and no count_copies
+pass.
 """
 
+import inspect
 import math
 import random
 import sys
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from tests.oracles import (
     copies_by_permutations,
+    copies_in_slot_order,
     g_tables_by_enumeration,
     majorant_table_by_product_form,
     random_tree,
@@ -31,7 +34,6 @@ from tests.oracles import (
 )
 from treebound import counting, measure
 from treebound.bounds import evaluate_bounds
-from treebound.counting import iter_copies
 from treebound.errors import WorkCapExceeded
 from treebound.graphs import (
     Graph,
@@ -43,14 +45,8 @@ from treebound.graphs import (
     path_tree,
     star_tree,
 )
-from treebound.harness import SuiteConfig, instance_checks, instance_report, run_suite
-from treebound.measure import (
-    MeasureKind,
-    copy_ledger,
-    g_table_exact,
-    verify_chain,
-    weight,
-)
+from treebound.harness import SuiteConfig, instance_report, run_suite
+from treebound.measure import MeasureKind, copy_ledger, g_table_exact, weight
 
 
 @st.composite
@@ -109,7 +105,7 @@ def test_ledger_matches_public_per_copy_path(instance):
     labeling = good_labeling(tree)
     count, iso_total, entropy_log, product_log = 0, 0, 0.0, 0.0
     dominated = True
-    for omega in iter_copies(graph, labeling):
+    for omega in copies_in_slot_order(graph, labeling):
         iso = weight(graph, tree, labeling, omega, MeasureKind.ISO)
         maj = weight(graph, tree, labeling, omega, MeasureKind.MAJORANT)
         count += 1
@@ -125,11 +121,10 @@ def test_ledger_matches_public_per_copy_path(instance):
     assert ledger.product_log == product_log
     assert ledger.iso_below_majorant == dominated
     assert ledger.reversal_equal and ledger.product_form_equal
-    report = verify_chain(graph, tree, labeling)
+    bound_log = evaluate_bounds(graph, tree.t).copies_local.log_value
+    report = ledger.chain(bound_log)
     assert report.entropy_value == math.exp(entropy_log)
     assert report.majorant_product == math.exp(product_log)
-    bound_log = evaluate_bounds(graph, tree.t).copies_local.log_value
-    assert report == ledger.chain(bound_log)
 
 
 def _labelings(tree):
@@ -238,20 +233,20 @@ def test_wrong_weight_on_one_copy_fails_matching_check(
     request, monkeypatch, graph_name, tree_name, block, change, failing
 ):
     graph, tree = request.getfixturevalue(graph_name), request.getfixturevalue(tree_name)
-    assert all(check.passed for check in instance_checks(graph, tree))
+    assert all(check.passed for check in instance_report(graph, tree)[0])
     sizes = _tamper_first_block(monkeypatch, change)
-    checks = instance_checks(graph, tree)
+    checks = instance_report(graph, tree)[0]
     assert sizes == [block]
     assert {check.name for check in checks if check.passed is False} == failing
 
 
 def _count_passes(monkeypatch):
-    """Count copy_ledger passes, and iter_copies calls in every module that binds it."""
-    calls = {"ledger": 0, "iter_copies": 0}
+    """Count copy_ledger passes, and count_copies calls in every module that binds it."""
+    calls = {"ledger": 0, "count_copies": 0}
     bound = [(measure, "copy_ledger", "ledger")] + [
-        (module, "iter_copies", "iter_copies")
+        (module, "count_copies", "count_copies")
         for name, module in list(sys.modules.items())
-        if name.startswith("treebound") and "iter_copies" in vars(module)
+        if name.startswith("treebound") and "count_copies" in vars(module)
     ]
     for module, attribute, key in bound:
         original = getattr(module, attribute)
@@ -268,7 +263,7 @@ def test_verify_enumerates_copies_once(monkeypatch, petersen, s3):
     calls = _count_passes(monkeypatch)
     checks, chain = instance_report(petersen, s3)
     assert all(check.passed for check in checks) and chain is not None
-    assert calls == {"ledger": 1, "iter_copies": 0}
+    assert calls == {"ledger": 1, "count_copies": 0}
 
 
 def test_suite_row_enumerates_copies_once(monkeypatch, petersen, s3):
@@ -276,7 +271,23 @@ def test_suite_row_enumerates_copies_once(monkeypatch, petersen, s3):
     config = SuiteConfig(graphs=(("petersen", petersen),), trees=(("S3", s3),))
     (row,) = run_suite(config)
     assert row.error is None and row.chain_links is not None
-    assert calls == {"ledger": 1, "iter_copies": 0}
+    assert calls == {"ledger": 1, "count_copies": 0}
+
+
+def test_ledger_too_deep_for_the_search_is_a_value_error():
+    # A graph that meets the degree hypothesis for a tree deeper than the
+    # default recursion limit is too large for a test, so the limit is
+    # lowered below the 40 levels the search needs on K41 with P40.
+    tree = path_tree(40)
+    graph = gen_disjoint_cliques(1, 41)
+    labeling = good_labeling(tree)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        with pytest.raises(ValueError, match=r"tree with 40 edges \(41 vertices\) is too deep"):
+            copy_ledger(graph, tree, labeling)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_hom_table_is_not_charged_to_the_work_cap(petersen, p3):

@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.oracles import hom_embeddings_by_exhaustion, random_tree, slacks_by_cells
+from tests.oracles import (
+    copies_in_slot_order,
+    hom_embeddings_by_exhaustion,
+    random_tree,
+    slacks_by_cells,
+)
 from treebound import measure
-from treebound.counting import iter_copies
+from treebound.bounds import evaluate_bounds
 from treebound.graphs import (
     Embedding,
     Graph,
@@ -24,11 +29,15 @@ from treebound.measure import (
     copy_ledger,
     g_table_exact,
     g_table_monte_carlo,
-    sample_embedding,
     sample_embeddings,
-    verify_chain,
     weight,
 )
+
+
+def chain_report(graph, tree):
+    """The chain from one copy pass, ending at the degree-local copy bound."""
+    ledger = copy_ledger(graph, tree, good_labeling(tree))
+    return ledger.chain(evaluate_bounds(graph, tree.t).copies_local.log_value)
 
 
 class TestWeight:
@@ -68,7 +77,7 @@ class TestWeight:
     def test_iso_sums_to_one(self, k4, p3):
         L = good_labeling(p3)
         total = sum(
-            weight(k4, p3, L, omega, MeasureKind.ISO) for omega in iter_copies(k4, L)
+            weight(k4, p3, L, omega, MeasureKind.ISO) for omega in copies_in_slot_order(k4, L)
         )
         assert total == 1
 
@@ -82,7 +91,7 @@ class TestWeight:
 
     def test_iso_dominated_by_majorant(self, petersen, s3):
         L = good_labeling(s3)
-        for omega in iter_copies(petersen, L):
+        for omega in copies_in_slot_order(petersen, L):
             assert weight(petersen, s3, L, omega, MeasureKind.ISO) <= weight(
                 petersen, s3, L, omega, MeasureKind.MAJORANT
             )
@@ -93,7 +102,7 @@ class TestSampler:
         L = good_labeling(p2)
         exact = g_table_exact(c5, p2, L, MeasureKind.ISO)
         # 10 copies, each with one forced third vertex: P is uniform 1/10
-        for omega in iter_copies(c5, L):
+        for omega in copies_in_slot_order(c5, L):
             assert weight(c5, p2, L, omega, MeasureKind.ISO) == Fraction(1, 10)
         empirical = g_table_monte_carlo(c5, p2, L, samples=10000, seed=3)
         for i in range(1, 4):
@@ -102,11 +111,9 @@ class TestSampler:
 
     def test_k4_p3_frequencies_within_five_sigma(self, k4, p3):
         L = good_labeling(p3)
-        rng = random.Random(7)
         counts = {}
         n_samples = 24000
-        for _ in range(n_samples):
-            emb = sample_embedding(k4, p3, L, rng)
+        for emb in sample_embeddings(k4, p3, L, random.Random(7), n_samples):
             counts[emb.vertices] = counts.get(emb.vertices, 0) + 1
         assert len(counts) == 24
         se = math.sqrt((1 / 24) * (23 / 24) / n_samples)
@@ -115,16 +122,14 @@ class TestSampler:
 
     def test_deterministic_given_seed(self, petersen, s3):
         L = good_labeling(s3)
-        a = [sample_embedding(petersen, s3, L, random.Random(11)).vertices for _ in range(5)]
-        b = [sample_embedding(petersen, s3, L, random.Random(11)).vertices for _ in range(5)]
+        a = [emb.vertices for emb in sample_embeddings(petersen, s3, L, random.Random(11), 5)]
+        b = [emb.vertices for emb in sample_embeddings(petersen, s3, L, random.Random(11), 5)]
         assert a == b
 
     def test_seeded_stream_is_pinned(self, k4, p3):
         # a changed random call, call order or candidate order changes these draws
         L = good_labeling(p3)
         pinned = [(1, 0, 3, 2), (3, 2, 1, 0), (0, 3, 1, 2), (0, 1, 3, 2), (0, 1, 2, 3)]
-        rng = random.Random(4)
-        assert [sample_embedding(k4, p3, L, rng).vertices for _ in range(5)] == pinned
         stream = sample_embeddings(k4, p3, L, random.Random(4), 5)
         assert [emb.vertices for emb in stream] == pinned
 
@@ -142,18 +147,16 @@ class TestSampler:
     def test_single_edge_tree_is_uniform_directed_edge(self, c5):
         tree = path_tree(1)
         L = good_labeling(tree)
-        rng = random.Random(0)
-        seen = {sample_embedding(c5, tree, L, rng).vertices for _ in range(2000)}
+        seen = {emb.vertices for emb in sample_embeddings(c5, tree, L, random.Random(0), 2000)}
         directed = {(u, v) for u, v in c5.edges} | {(v, u) for u, v in c5.edges}
         assert seen == directed
 
     def test_empty_candidate_set_aborts(self, p3):
         star_graph = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])  # min degree 1 < 3
         L = good_labeling(p3)
-        rng = random.Random(1)
         with pytest.raises(ValueError, match="empty candidate set"):
-            for _ in range(50):
-                sample_embedding(star_graph, p3, L, rng)
+            for _ in sample_embeddings(star_graph, p3, L, random.Random(1), 50):
+                pass
 
 
 class TestGTables:
@@ -224,6 +227,20 @@ class TestGTables:
         with pytest.raises(ValueError, match="empty candidate set"):
             g_table_monte_carlo(star_graph, p3, good_labeling(p3), samples=50, seed=1)
 
+    def test_entry_index_is_checked(self, k4, p3):
+        # i = 0 would read row t+1 through negative indexing
+        table = g_table_exact(k4, p3, good_labeling(p3), MeasureKind.MAJORANT)
+        for i in (0, 5, -1):
+            with pytest.raises(ValueError, match=f"1 <= i <= 4, got {i}"):
+                table.g(i, 0)
+
+    def test_row_sum_index_is_checked(self, k4, p3):
+        table = g_table_exact(k4, p3, good_labeling(p3), MeasureKind.ISO)
+        assert table.row_sum(4) == 1
+        for i in (0, 5, -1):
+            with pytest.raises(ValueError, match=f"1 <= i <= 4, got {i}"):
+                table.row_sum(i)
+
     def test_degree_floor_required_for_injective_kinds(self, c5, p3):
         with pytest.raises(ValueError, match="min degree"):
             g_table_exact(c5, p3, good_labeling(p3), MeasureKind.MAJORANT)
@@ -235,7 +252,7 @@ class TestReversalAndProductForm:
         k = s3.t + 1
         reversed_L = measure._reversed_labeling(L)
         index_tree = Tree.from_edges((L.f(j), j) for j in range(2, k + 1))
-        for omega in iter_copies(petersen, L):
+        for omega in copies_in_slot_order(petersen, L):
             # the copy read from its far end, as an embedding of its own index tree
             z = tuple(omega[idx - 1] for idx in reversed_L.order)
             assert z[0] == omega[-1] and z[-1] == omega[0]
@@ -249,7 +266,7 @@ class TestReversalAndProductForm:
         # star labeling puts the center at index 2 with two late children
         assert L.f(3) == 2 and L.f(4) == 2
         t = s3.t
-        for omega in iter_copies(petersen, L):
+        for omega in copies_in_slot_order(petersen, L):
             expected = Fraction(1, petersen.degree_sum)
             for j in range(1, t + 2):
                 base = petersen.degree(omega[j - 1]) - t + 1
@@ -260,7 +277,7 @@ class TestReversalAndProductForm:
 
 class TestVerifyChain:
     def test_k4_p3_chain(self, k4, p3):
-        report = verify_chain(k4, p3)
+        report = chain_report(k4, p3)
         assert report.omega_count == 24
         assert report.entropy_value == pytest.approx(24, rel=1e-9)
         assert report.majorant_product == pytest.approx(144, rel=1e-9)
@@ -268,7 +285,7 @@ class TestVerifyChain:
         assert report.links() == (True, False, True, True)
 
     def test_c5_p2_chain_collapses_to_equality(self, c5, p2):
-        report = verify_chain(c5, p2)
+        report = chain_report(c5, p2)
         assert report.omega_count == 10
         assert report.entropy_value == pytest.approx(10, rel=1e-9)
         assert report.majorant_product == pytest.approx(10, rel=1e-9)
@@ -276,7 +293,7 @@ class TestVerifyChain:
         assert report.links() == (True, True, True, True)
 
     def test_k4_p2_final_link_equality(self, k4, p2):
-        report = verify_chain(k4, p2)
+        report = chain_report(k4, p2)
         assert report.omega_count == 24
         assert report.bound_value == pytest.approx(24, rel=1e-9)
         assert report.count_ge_bound
@@ -287,14 +304,14 @@ class TestVerifyChain:
             t = rng.randint(1, 3)
             n = rng.randint(t + 2, 7)
             g = gen_random_min_degree(n, rng.uniform(0.7, 0.95), t, seed=rng.randrange(10**6))
-            report = verify_chain(g, random_tree(rng, t))
+            report = chain_report(g, random_tree(rng, t))
             assert report.count_ge_entropy
             assert report.product_ge_bound
             assert report.count_ge_bound
 
     def test_requires_degree_floor(self, c5, p3):
         with pytest.raises(ValueError, match="min degree"):
-            verify_chain(c5, p3)
+            chain_report(c5, p3)
 
 
 class TestEmbeddingType:
@@ -349,8 +366,10 @@ def test_stream_draws_copies_and_feeds_the_monte_carlo_table(case):
         image = dict(zip(L.order, verts))
         assert len(set(verts)) == tree.t + 1
         assert all(graph.has_edge(image[a], image[b]) for a, b in tree.edges)
+    # one-draw streams on a shared generator continue one another
     rng = random.Random(seed)
-    assert [sample_embedding(graph, tree, L, rng).vertices for _ in range(samples)] == draws
+    one_draw = [next(sample_embeddings(graph, tree, L, rng, 1)).vertices for _ in range(samples)]
+    assert one_draw == draws
     table = g_table_monte_carlo(graph, tree, L, samples, seed)
     expected = tuple(
         tuple(Fraction(sum(verts[i] == v for verts in draws), samples) for v in range(graph.n))

@@ -40,7 +40,7 @@ from treebound.harness import (
     SuiteConfig,
     SuiteRow,
     conjecture_scan,
-    instance_checks,
+    instance_report,
     run_suite,
     standard_suite_config,
     summarize_conjecture,
@@ -52,7 +52,7 @@ from treebound.measure import (
     MeasureKind,
     copy_ledger,
     g_table_exact,
-    sample_embedding,
+    sample_embeddings,
 )
 
 VALUE_TYPES = (
@@ -73,7 +73,7 @@ def _instances() -> dict:
         Graph: k4,
         Tree: p3,
         GoodLabeling: labeling,
-        Embedding: sample_embedding(k4, p3, labeling, random.Random(0)),
+        Embedding: next(sample_embeddings(k4, p3, labeling, random.Random(0), 1)),
         CountResult: count_copies(k4, p3, labeling),
         BoundValue: evaluate_bounds(k4, 3).copies_local,
         BoundComparison: compare_count_to_bound(24, 3.0),
@@ -87,7 +87,7 @@ def _instances() -> dict:
         ConjectureScanConfig: scan_config,
         ConjectureRow: scan[0],
         ConjectureSummary: summarize_conjecture(scan),
-        CheckResult: instance_checks(k4, p3)[0],
+        CheckResult: instance_report(k4, p3)[0][0],
     }
 
 
