@@ -42,7 +42,6 @@ _EXPORTS = {
     "errors": ("FormatError", "RetryLimitExceeded", "WorkCapExceeded"),
     "formats": ("SCHEMA_VERSION",),
     "graphs": (
-        "Embedding",
         "GoodLabeling",
         "Graph",
         "Tree",
@@ -79,7 +78,6 @@ _EXPORTS = {
     "measure": (
         "ChainReport",
         "CopyLedger",
-        "GroupedWeights",
         "GTable",
         "MeasureKind",
         "copy_ledger",

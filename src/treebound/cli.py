@@ -156,7 +156,7 @@ def _cmd_gtable(args, inputs):
 
     graph = _load_graph(args.graph, inputs)
     tree = _load_tree(args.tree, inputs)
-    kind = MeasureKind.from_token(args.measure)
+    kind = MeasureKind(args.measure)
     labeling = good_labeling(tree)
     if args.samples is not None:
         if kind is not MeasureKind.ISO:
@@ -197,7 +197,7 @@ def _cmd_sample(args, inputs):
     draws = sample_embeddings(
         graph, tree, good_labeling(tree), random.Random(args.seed), args.samples
     )
-    frequencies = Counter(emb.vertices for emb in draws)
+    frequencies = Counter(draws)
     table = {
         " ".join(map(str, verts)): count
         for verts, count in sorted(frequencies.items())

@@ -2,8 +2,11 @@
 
 Graph vertices are 0-indexed; tree vertices are 1-indexed (1..t+1 for a tree
 with t edges), which keeps tree files and test fixtures aligned with the
-usual x_1..x_{t+1} naming.  Both file formats share one shape: optional '#'
-comment lines, a header line "n m", then m whitespace-separated edge lines.
+usual x_1..x_{t+1} naming; the per-vertex accessors refuse any other vertex
+with ValueError.  Both file formats share one shape: optional '#' comment
+lines, a header line "n m", then m whitespace-separated edge lines.  Every
+good labeling's parents come from ``_labeling_from_order``, and
+``GoodLabeling.validate`` checks a labeling against it.
 
 All types are immutable value types (see ``_value_type``), safe to share
 across threads.  Edge tuples are normalized (u < v) and sorted, and
@@ -18,7 +21,6 @@ which lands on the same state only under CPython's Mersenne Twister.
 from __future__ import annotations
 
 import random
-from collections import deque
 from fractions import Fraction
 from operator import attrgetter
 
@@ -28,7 +30,6 @@ __all__ = [
     "Graph",
     "Tree",
     "GoodLabeling",
-    "Embedding",
     "parse_graph",
     "serialize_graph",
     "parse_tree",
@@ -122,6 +123,11 @@ def _valid_edges(edges, lo: int, hi: int, label: str) -> tuple[tuple[int, int], 
     return tuple(sorted(seen))
 
 
+def _check_vertex(x: int, lo: int, hi: int) -> None:
+    if not lo <= x <= hi:
+        raise ValueError(f"vertex {x} is outside {lo}..{hi}")
+
+
 def _adjacency(size: int, ordered) -> tuple[tuple[int, ...], ...]:
     """Neighbour lists from edges (u, v), u < v, in lexicographic order.
 
@@ -158,12 +164,16 @@ class Graph:
         return cls(n, ordered, _adjacency(n, ordered))
 
     def degree(self, v: int) -> int:
+        _check_vertex(v, 0, self.n - 1)
         return len(self.adjacency[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        _check_vertex(v, 0, self.n - 1)
         return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_vertex(u, 0, self.n - 1)
+        _check_vertex(v, 0, self.n - 1)
         return v in self.adjacency[u]
 
     @property
@@ -216,30 +226,21 @@ class Tree:
     def _from_valid_edges(cls, t: int, ordered) -> "Tree":
         """Build from t checked edges on 1..t+1; reject a disconnected set."""
         tree = cls(t, ordered, _adjacency(t + 2, ordered))
-        if not tree._is_connected():
+        # t edges on t+1 vertices: connected iff acyclic iff a tree
+        if len(_bfs_order(tree, 1)) != t + 1:
             raise ValueError("edge list does not form a tree: disconnected")
         return tree
-
-    def _is_connected(self) -> bool:
-        # t edges on t+1 vertices: connected iff acyclic iff a tree.
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.t + 1
 
     @property
     def vertices(self) -> range:
         return range(1, self.t + 2)
 
     def tree_degree(self, x: int) -> int:
+        _check_vertex(x, 1, self.t + 1)
         return len(self.adjacency[x])
 
     def neighbors(self, x: int) -> tuple[int, ...]:
+        _check_vertex(x, 1, self.t + 1)
         return self.adjacency[x]
 
     @property
@@ -280,41 +281,15 @@ class GoodLabeling:
         return tuple(p - 1 for p in self.parents)
 
     def validate(self, tree: Tree) -> None:
-        """Check this is a good labeling of ``tree``; raise ValueError if not."""
-        k = tree.t + 1
-        if len(self.order) != k or sorted(self.order) != list(tree.vertices):
+        """Check this is a good labeling of ``tree``, raising ValueError if not:
+        its order is a permutation starting at a leaf, and its parents are
+        the ones ``_labeling_from_order`` derives from that order."""
+        if sorted(self.order) != list(tree.vertices):
             raise ValueError("order is not a permutation of the tree's vertices")
         if tree.tree_degree(self.order[0]) != 1:
             raise ValueError(f"first vertex {self.order[0]} is not a leaf")
-        if len(self.parents) != k or self.parents[0] != 0:
-            raise ValueError("parents must have one entry per index, 0 first")
-        claimed = []
-        for j in range(2, k + 1):
-            fj = self.parents[j - 1]
-            if not 1 <= fj < j:
-                raise ValueError(f"f({j}) = {fj} must satisfy 1 <= f(j) < j")
-            earlier = [i for i in range(1, j) if self.order[i - 1] in tree.neighbors(self.order[j - 1])]
-            if earlier != [fj]:
-                raise ValueError(f"x_{j} must have exactly one earlier neighbor, its parent")
-            claimed.append(_norm_edge(self.order[j - 1], self.order[fj - 1]))
-        if sorted(claimed) != list(tree.edges):
-            raise ValueError("labeling edges do not match the tree's edges")
-
-
-@_value_type
-class Embedding:
-    """A vertex sequence omega_1..omega_{t+1} realizing a tree copy in a graph."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __getitem__(self, i: int) -> int:
-        return self.vertices[i]
-
-    def __iter__(self):
-        return iter(self.vertices)
+        if tuple(self.parents) != _labeling_from_order(tree, list(self.order)).parents:
+            raise ValueError("parents must be each vertex's one earlier neighbor, 0 first")
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +417,19 @@ def _check_leaf(tree: Tree, x: int, label: str) -> None:
         raise ValueError(f"{label} {x} is not a leaf")
 
 
+def _bfs_order(tree: Tree, start: int) -> list[int]:
+    """The vertices reachable from ``start``, breadth first, each vertex's
+    neighbors visited in ascending order."""
+    order = [start]
+    seen = {start}
+    for u in order:
+        for w in tree.adjacency[u]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
 def good_labeling(tree: Tree, start_leaf: int | None = None) -> GoodLabeling:
     """Breadth-first good labeling rooted at a leaf.
 
@@ -453,19 +441,7 @@ def good_labeling(tree: Tree, start_leaf: int | None = None) -> GoodLabeling:
         start_leaf = tree.leaves[0]
     else:
         _check_leaf(tree, start_leaf, "start vertex")
-    order = [start_leaf]
-    parents = [0]
-    position = {start_leaf: 1}
-    queue = deque([start_leaf])
-    while queue:
-        u = queue.popleft()
-        for w in tree.neighbors(u):
-            if w not in position:
-                order.append(w)
-                position[w] = len(order)
-                parents.append(position[u])
-                queue.append(w)
-    return GoodLabeling(tuple(order), tuple(parents))
+    return _labeling_from_order(tree, _bfs_order(tree, start_leaf))
 
 
 def _labeling_from_order(tree: Tree, order: list[int]) -> GoodLabeling:
@@ -473,7 +449,7 @@ def _labeling_from_order(tree: Tree, order: list[int]) -> GoodLabeling:
     position = {v: j for j, v in enumerate(order, 1)}
     parents = [0]
     for j, v in enumerate(order[1:], 2):
-        earlier = [position[w] for w in tree.neighbors(v) if position[w] < j]
+        earlier = [position[w] for w in tree.adjacency[v] if position[w] < j]
         if len(earlier) != 1:
             raise ValueError(f"vertex {v} at index {j} has {len(earlier)} earlier neighbors, need 1")
         parents.append(earlier[0])
@@ -483,16 +459,15 @@ def _labeling_from_order(tree: Tree, order: list[int]) -> GoodLabeling:
 def good_labeling_between(tree: Tree, first_leaf: int, last_leaf: int) -> GoodLabeling:
     """Good labeling with x_1 = first_leaf and x_{t+1} = last_leaf.
 
-    Builds the breadth-first labeling from first_leaf and moves last_leaf to
-    the final slot; a leaf's only constraint is that its parent comes earlier,
+    Takes the breadth-first order from first_leaf and moves last_leaf to the
+    final slot; a leaf's only constraint is that its parent comes earlier,
     so the move preserves goodness.
     """
     if first_leaf == last_leaf:
         raise ValueError("first and last leaves must be distinct")
     for leaf in (first_leaf, last_leaf):
         _check_leaf(tree, leaf, "vertex")
-    base = good_labeling(tree, first_leaf)
-    order = [v for v in base.order if v != last_leaf] + [last_leaf]
+    order = [v for v in _bfs_order(tree, first_leaf) if v != last_leaf] + [last_leaf]
     return _labeling_from_order(tree, order)
 
 

@@ -187,8 +187,8 @@ def _build_row(
         base["slack_hom"] = hom_table.min_slack(graph)
         base["hom_table_equal"] = hom_table.equals_degree_profile(graph)
         if ledger:
-            tables["p"] = ledger.majorant.table()
-            tables["P"] = ledger.iso.table()
+            tables["p"] = ledger.majorant
+            tables["P"] = ledger.iso
             base["slack_majorant"] = tables["p"].min_slack(graph)
             base["slack_iso"] = tables["P"].min_slack(graph)
             base["chain_links"] = ledger.chain(report.copies_local.log_value).links()
@@ -595,9 +595,9 @@ def instance_report(
     chain = None
     if graph.min_degree >= t:
         ledger = copy_ledger(graph, tree, labeling, work_cap)
-        count, iso_total = ledger.count, ledger.iso.table().row_sum(1)
+        count, iso_total = ledger.count, ledger.iso.row_sum(1)
         compared = f"{count} copies compared"
-        slack = ledger.majorant.table().min_slack(graph)
+        slack = ledger.majorant.min_slack(graph)
         bound_log = evaluate_bounds(graph, t).copies_local.log_value
         chain = ledger.chain(bound_log)
         verdicts = [

@@ -32,19 +32,20 @@ The checks (P <= p, reversal symmetry, the majorant's product form) are
 integer comparisons of denominators inside the fold, made once per block;
 the library has no other per-copy check.  Every weight is 1/D for an
 integer D, so exact sums are grouped by denominator: a pass counts
-embeddings per (cell, D) in ints, and Fractions are made once, when a table
-is read.  The HOM table enumerates nothing: its slot 1 is the start law
-d(v)/nd, and each later slot is one random-walk step from its parent slot,
-so the table is propagated in O(t*m) exact integer steps.  A table's slack
-against the degree floor, its row sums and the HOM identity are computed
-in integers over the table's common denominator, with one Fraction per
-result.
+embeddings per (cell, D) in ints, and Fractions are made once, when the
+pass ends and builds the ledger's two GTables.  The HOM table enumerates
+nothing: its slot 1 is the start law d(v)/nd, and each later slot is one
+random-walk step from its parent slot, so the table is propagated in
+O(t*m) exact integer steps.  A table's slack against the degree floor, its
+row sums and the HOM identity are computed in integers over the table's
+common denominator, with one Fraction per result.
 
 The sampler is prepared once per run: sample_embeddings checks its inputs
 and builds the directed-edge list once, then each draw costs O(t*d).  A
 draw makes one randrange(nd) for the start edge and one randrange per later
 slot over the candidates in sorted order, so a seed fixes the whole stream,
-and the Monte Carlo table and the CLI each consume one stream.
+and the Monte Carlo table and the CLI each consume one stream.  A draw is a
+plain tuple of graph vertices in labeling order.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .bounds import LOG_TOLERANCE
 from .counting import _Budget, _leaf_block, _too_deep
-from .graphs import Embedding, GoodLabeling, Graph, Tree, _value_type, good_labeling_between
+from .graphs import GoodLabeling, Graph, Tree, _check_vertex, _value_type, good_labeling_between
 
 __all__ = [
     "MeasureKind",
@@ -70,7 +71,6 @@ __all__ = [
     "sample_embeddings",
     "g_table_exact",
     "g_table_monte_carlo",
-    "GroupedWeights",
     "CopyLedger",
     "copy_ledger",
 ]
@@ -83,13 +83,6 @@ class MeasureKind(Enum):
     MAJORANT = "p"
     HOM = "Pprime"
 
-    @classmethod
-    def from_token(cls, token: str) -> "MeasureKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        raise ValueError(f"unknown measure {token!r}; expected one of P, p, Pprime")
-
 
 def _validate_embedding(
     graph: Graph, labeling: GoodLabeling, verts: Sequence[int], injective: bool
@@ -97,11 +90,10 @@ def _validate_embedding(
     k = len(labeling.order)
     if len(verts) != k:
         raise ValueError(f"embedding has {len(verts)} vertices, labeling needs {k}")
-    if any(not 0 <= v < graph.n for v in verts):
-        raise ValueError("embedding vertex out of range")
     if injective and len(set(verts)) != k:
         raise ValueError("embedding repeats a vertex")
     parent_pos = labeling.parent_positions()
+    # every vertex meets has_edge here, which refuses one outside 0..n-1
     for pos in range(1, k):
         if not graph.has_edge(verts[pos], verts[parent_pos[pos]]):
             raise ValueError(
@@ -145,14 +137,15 @@ def weight(graph: Graph, tree: Tree, labeling: GoodLabeling, omega, kind: Measur
 
 def sample_embeddings(
     graph: Graph, tree: Tree, labeling: GoodLabeling, rng: random.Random, samples: int
-) -> Iterator[Embedding]:
+) -> Iterator[tuple[int, ...]]:
     """Draw `samples` embeddings from the oriented process (the ISO law).
 
-    Each draw starts at a uniform directed edge, then embeds each next tree
-    vertex as a uniform unused neighbor of its parent's image; candidates are
-    taken in sorted vertex order so a seeded generator reproduces runs
-    exactly.  The checks run here, before any draw, and the directed-edge
-    list and the (slot, parent slot) steps are built once for the whole run.
+    A draw is a tuple of graph vertices, omega_1..omega_{t+1}.  Each starts
+    at a uniform directed edge, then embeds each next tree vertex as a
+    uniform unused neighbor of its parent's image; candidates are taken in
+    sorted vertex order so a seeded generator reproduces runs exactly.  The
+    checks run here, before any draw, and the directed-edge list and the
+    (slot, parent slot) steps are built once for the whole run.
     With min degree >= t the candidate set is never empty; an empty set
     (degree hypothesis violated) aborts the draw that meets it.
     """
@@ -166,7 +159,7 @@ def sample_embeddings(
     directed = [(u, w) for u in range(graph.n) for w in adjacency[u]]
     steps = tuple(enumerate(labeling.parent_positions()))[2:]
 
-    def draws() -> Iterator[Embedding]:
+    def draws() -> Iterator[tuple[int, ...]]:
         for _ in range(samples):
             first, second = directed[rng.randrange(nd)]
             verts = [first, second]
@@ -181,7 +174,7 @@ def sample_embeddings(
                 chosen = candidates[rng.randrange(len(candidates))]
                 verts.append(chosen)
                 used.add(chosen)
-            yield Embedding(tuple(verts))
+            yield tuple(verts)
 
     return draws()
 
@@ -201,6 +194,7 @@ class GTable:
     def g(self, i: int, v: int) -> Fraction:
         """Entry for 1-based index i, 1 <= i <= positions, and graph vertex v."""
         self._check_index(i)
+        _check_vertex(v, 0, self.n - 1)
         return self.rows[i - 1][v]
 
     def _check_index(self, i: int) -> None:
@@ -274,8 +268,8 @@ def g_table_exact(
 ) -> GTable:
     """Tabulate g[i][v] exactly, in rationals.
 
-    ISO and MAJORANT are views on copy_ledger: they require min degree >= t,
-    and their copy pass is charged against the work cap.  HOM is propagated
+    ISO and MAJORANT are copy_ledger's ``iso`` and ``majorant``: they require
+    min degree >= t, and their copy pass is charged against the work cap.  HOM is propagated
     along the labeling, never enumerated, so the cap does not apply: slot 1
     holds d(v)/nd, and slot i holds g[i][w] = sum over u in N(w) of
     g[f(i)][u]/d(u), the chance of stepping from the parent's image u to w.
@@ -285,7 +279,7 @@ def g_table_exact(
     """
     if kind is not MeasureKind.HOM:
         ledger = copy_ledger(graph, tree, labeling, work_cap)
-        return (ledger.iso if kind is MeasureKind.ISO else ledger.majorant).table()
+        return ledger.iso if kind is MeasureKind.ISO else ledger.majorant
     labeling.validate(tree)
     nd = graph.degree_sum
     if nd == 0:
@@ -313,8 +307,8 @@ def g_table_monte_carlo(
     """Empirical ISO table: frequency of {omega_i = v} over one seeded stream."""
     draws = sample_embeddings(graph, tree, labeling, random.Random(seed), samples)
     counts = [[0] * graph.n for _ in range(tree.t + 1)]
-    for emb in draws:
-        for row, v in zip(counts, emb.vertices):
+    for draw in draws:
+        for row, v in zip(counts, draw):
             row[v] += 1
     rows = tuple(tuple(Fraction(c, samples) for c in row) for row in counts)
     return GTable(kind=MeasureKind.ISO, rows=rows)
@@ -393,8 +387,8 @@ class ChainReport:
         }
 
 
-class GroupedWeights:
-    """Embedding weights 1/D summed exactly, as integer counts per denominator D.
+class _GroupedWeights:
+    """Weights 1/D of embeddings summed exactly, as integer counts per denominator D.
 
     by_denominator[D] holds (w ln w for w = 1/D, rows), where rows[i][v]
     counts the embeddings of weight 1/D whose (i+1)-th vertex is v.  Adding
@@ -441,8 +435,10 @@ class GroupedWeights:
 @_value_type(uncompared=("nodes",))
 class CopyLedger:
     """What one pass over the injective copies yields: the count, the ISO and
-    MAJORANT weights, whether every copy met P <= p, reversal symmetry and the
+    MAJORANT g-tables, whether every copy met P <= p, reversal symmetry and the
     product form, and sum -w ln w under P and under p in enumeration order.
+    Every field is a finished value, so two passes over one instance compare
+    and hash equal.
 
     ``nodes`` is the search nodes charged to the work cap, those of a search
     that visits every node, as ``count_copies`` charges; like
@@ -451,8 +447,8 @@ class CopyLedger:
     """
 
     count: int
-    iso: GroupedWeights
-    majorant: GroupedWeights
+    iso: GTable
+    majorant: GTable
     iso_below_majorant: bool
     reversal_equal: bool
     product_form_equal: bool
@@ -479,8 +475,8 @@ class _LedgerSums:
     """The ledger's accumulators while its copy pass runs."""
 
     def __init__(self, positions: int, n: int):
-        self.iso = GroupedWeights(MeasureKind.ISO, positions, n)
-        self.majorant = GroupedWeights(MeasureKind.MAJORANT, positions, n)
+        self.iso = _GroupedWeights(MeasureKind.ISO, positions, n)
+        self.majorant = _GroupedWeights(MeasureKind.MAJORANT, positions, n)
         self.count = 0
         self.entropy_log = self.product_log = 0.0
         self.dominated = self.reversal_ok = self.product_ok = True
@@ -519,7 +515,8 @@ def copy_ledger(
     rebuilds p from per-vertex exponents; neither reads a block slot, by
     the choice of block.  The work cap is charged every node of the search,
     block nodes included, so it fires at count_copies' caps.  A tree too
-    deep for the recursion limit is a ValueError.
+    deep for the recursion limit is a ValueError.  Both tables are built,
+    as GTables, once the pass ends.
     """
     labeling.validate(tree)
     t = tree.t
@@ -599,8 +596,8 @@ def copy_ledger(
         raise _too_deep(tree) from None
     return CopyLedger(
         sums.count,
-        sums.iso,
-        sums.majorant,
+        sums.iso.table(),
+        sums.majorant.table(),
         sums.dominated,
         sums.reversal_ok,
         sums.product_ok,

@@ -6,7 +6,8 @@ homomorphisms by filtering the full map space, walks via adjacency-matrix
 powers in exact integer arithmetic, and g-tables by weighing each of those
 maps from the measure definitions, one Fraction per map, or, for the
 majorant, from its labeling-free product form.  Random graphs with a degree
-floor are drawn whole and then checked.
+floor are drawn whole and then checked, and good labelings are judged from
+the definition against the tree's edge list.
 """
 
 from __future__ import annotations
@@ -170,6 +171,26 @@ def walks_by_matrix_power(graph: Graph, t: int) -> int:
 def random_tree(rng: random.Random, t: int) -> Tree:
     """Uniform-ish random recursive tree: vertex j hangs off an earlier one."""
     return Tree.from_edges((rng.randint(1, j - 1), j) for j in range(2, t + 2))
+
+
+def is_good_labeling(tree: Tree, order, parents) -> bool:
+    """The definition of a good labeling, read against the tree's edge list.
+
+    ``order`` lists every tree vertex 1..t+1 once; x_1 = order[0] lies on
+    exactly one edge; and for j = 2..t+1, x_j has exactly one neighbour among
+    x_1..x_{j-1}, at the 1-based index parents[j-1]; parents[0] is 0.
+    """
+    k = tree.t + 1
+    if sorted(order) != list(range(1, k + 1)) or len(parents) != k or parents[0] != 0:
+        return False
+    edges = {frozenset(edge) for edge in tree.edges}
+    if sum(order[0] in edge for edge in edges) != 1:
+        return False
+    for j in range(2, k + 1):
+        earlier = [i for i in range(1, j) if frozenset((order[i - 1], order[j - 1])) in edges]
+        if earlier != [parents[j - 1]]:
+            return False
+    return True
 
 
 def random_min_degree_by_rejection(

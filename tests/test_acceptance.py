@@ -179,8 +179,8 @@ def test_criterion_9_sampler_law(k4, p3):
         assert first == again
         # per-copy frequencies, not just per-position marginals
         counts: dict[tuple[int, ...], int] = {}
-        for emb in sample_embeddings(k4, p3, labeling, random.Random(7), 24000):
-            counts[emb.vertices] = counts.get(emb.vertices, 0) + 1
+        for draw in sample_embeddings(k4, p3, labeling, random.Random(7), 24000):
+            counts[draw] = counts.get(draw, 0) + 1
         assert len(counts) == 24
         se = math.sqrt((1 / 24) * (23 / 24) / 24000)
         for count in counts.values():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from treebound import graphs
 from treebound.errors import FormatError, RetryLimitExceeded
 from treebound.graphs import (
+    GoodLabeling,
     Graph,
     Tree,
     gen_complete_bipartite,
@@ -24,7 +25,7 @@ from treebound.graphs import (
     star_tree,
 )
 
-from tests.oracles import random_min_degree_by_rejection
+from tests.oracles import is_good_labeling, random_min_degree_by_rejection
 
 K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3"
 C5_TEXT = "5 5\n0 1\n1 2\n2 3\n3 4\n4 0"
@@ -190,6 +191,85 @@ class TestGoodLabeling:
         for j in (0, 5, -1):
             with pytest.raises(ValueError, match=f"1 <= j <= 4, got {j}"):
                 L.vertex(j)
+
+
+class TestVertexChecks:
+    # a negative vertex would alias one counted from the end, and one past
+    # the end would raise IndexError; tree slot 0 is unused
+    @pytest.mark.parametrize("v", [-1, 4], ids=["minus-one", "n"])
+    def test_graph_degree(self, v):
+        k4 = gen_disjoint_cliques(1, 4)
+        assert k4.degree(3) == 3
+        with pytest.raises(ValueError, match=f"vertex {v} is outside 0..3"):
+            k4.degree(v)
+
+    @pytest.mark.parametrize("v", [-1, 4], ids=["minus-one", "n"])
+    def test_graph_neighbors(self, v):
+        k4 = gen_disjoint_cliques(1, 4)
+        assert k4.neighbors(3) == (0, 1, 2)
+        with pytest.raises(ValueError, match=f"vertex {v} is outside 0..3"):
+            k4.neighbors(v)
+
+    @pytest.mark.parametrize("v", [-1, 4], ids=["minus-one", "n"])
+    def test_graph_has_edge(self, v):
+        k4 = gen_disjoint_cliques(1, 4)
+        assert k4.has_edge(3, 0) and not k4.has_edge(0, 0)
+        for u, w in ((v, 0), (0, v)):
+            with pytest.raises(ValueError, match=f"vertex {v} is outside 0..3"):
+                k4.has_edge(u, w)
+
+    @pytest.mark.parametrize("x", [-1, 0, 5], ids=["minus-one", "zero", "t-plus-two"])
+    def test_tree_degree(self, x):
+        p3 = path_tree(3)
+        assert p3.tree_degree(4) == 1
+        with pytest.raises(ValueError, match=f"vertex {x} is outside 1..4"):
+            p3.tree_degree(x)
+
+    @pytest.mark.parametrize("x", [-1, 0, 5], ids=["minus-one", "zero", "t-plus-two"])
+    def test_tree_neighbors(self, x):
+        p3 = path_tree(3)
+        assert p3.neighbors(4) == (3,)
+        with pytest.raises(ValueError, match=f"vertex {x} is outside 1..4"):
+            p3.neighbors(x)
+
+
+# P3 is the path 1-2-3-4; its breadth-first labeling is (1, 2, 3, 4) with
+# parents (0, 1, 2, 3).  One case per way a labeling can fail the definition.
+BAD_P3_LABELINGS = {
+    "order-too-short": ((1, 2, 3), (0, 1, 2)),
+    "order-repeats-a-vertex": ((1, 2, 2, 4), (0, 1, 2, 3)),
+    "order-leaves-the-tree": ((1, 2, 3, 5), (0, 1, 2, 3)),
+    "first-vertex-not-a-leaf": ((2, 1, 3, 4), (0, 1, 1, 3)),
+    "parents-too-short": ((1, 2, 3, 4), (0, 1, 2)),
+    "parents-too-long": ((1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    "first-parent-not-zero": ((1, 2, 3, 4), (1, 1, 2, 3)),
+    "parent-zero-after-the-first": ((1, 2, 3, 4), (0, 0, 2, 3)),
+    "parent-negative": ((1, 2, 3, 4), (0, 1, 2, -1)),
+    "parent-not-earlier": ((1, 2, 3, 4), (0, 1, 3, 3)),
+    "parent-not-a-neighbour": ((1, 2, 3, 4), (0, 1, 1, 3)),
+    "vertex-with-no-earlier-neighbour": ((1, 3, 2, 4), (0, 1, 1, 2)),
+    "vertex-with-two-earlier-neighbours": ((1, 2, 4, 3), (0, 1, 2, 3)),
+}
+
+
+class TestValidate:
+    def test_good_labeling_passes(self):
+        p3 = path_tree(3)
+        assert is_good_labeling(p3, (1, 2, 3, 4), (0, 1, 2, 3))
+        GoodLabeling((1, 2, 3, 4), (0, 1, 2, 3)).validate(p3)
+
+    @pytest.mark.parametrize("order, parents", BAD_P3_LABELINGS.values(), ids=BAD_P3_LABELINGS)
+    def test_each_rejection(self, order, parents):
+        p3 = path_tree(3)
+        assert not is_good_labeling(p3, order, parents)
+        if sorted(order) != [1, 2, 3, 4]:
+            pattern = "not a permutation of the tree's vertices"
+        elif order[0] not in p3.leaves:
+            pattern = f"first vertex {order[0]} is not a leaf"
+        else:
+            pattern = None
+        with pytest.raises(ValueError, match=pattern):
+            GoodLabeling(order, parents).validate(p3)
 
 
 class TestGenerators:
@@ -360,6 +440,43 @@ def test_between_pins_both_ends(tree, data):
     assert L.order[-1] == last
     assert tuple(reversed(L.order))[0] == last and tuple(reversed(L.order))[-1] == first
     L.validate(tree)
+
+
+def _first_earlier_neighbours(tree: Tree, order) -> list[int]:
+    """Per slot, the 1-based index of its first earlier neighbour, 0 if none."""
+    edges = {frozenset(edge) for edge in tree.edges}
+    return [
+        next((i for i in range(1, j) if frozenset((order[i - 1], x)) in edges), 0)
+        for j, x in enumerate(order, 1)
+    ]
+
+
+@given(random_trees(), st.data())
+def test_validate_agrees_with_the_definition(tree, data):
+    """validate raises exactly when the definition says no, on breadth-first
+    and good_labeling_between labelings, shuffled orders, and any of those
+    with one parents entry changed."""
+    first = data.draw(st.sampled_from(tree.leaves))
+    source = data.draw(st.sampled_from(["bfs", "between", "shuffled"]))
+    if source == "bfs":
+        base = good_labeling(tree, first)
+    else:
+        last = data.draw(st.sampled_from([x for x in tree.leaves if x != first]))
+        base = good_labeling_between(tree, first, last)
+    order, parents = list(base.order), list(base.parents)
+    if source == "shuffled":
+        order = data.draw(st.permutations(order))
+        if data.draw(st.booleans()):
+            parents = _first_earlier_neighbours(tree, order)
+    if data.draw(st.booleans()):
+        slot = data.draw(st.integers(0, tree.t))
+        parents[slot] = data.draw(st.integers(-1, tree.t + 2))
+    labeling = GoodLabeling(tuple(order), tuple(parents))
+    if is_good_labeling(tree, order, parents):
+        labeling.validate(tree)
+    else:
+        with pytest.raises(ValueError):
+            labeling.validate(tree)
 
 
 @given(random_graphs())

@@ -25,8 +25,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 STAR_NAMES = {
     "BoundComparison", "BoundReport", "BoundValue", "ChainReport", "CheckResult",
     "ConjectureRow", "ConjectureScanConfig", "ConjectureSummary", "CopyLedger",
-    "CountResult", "DEFAULT_WORK_CAP", "Embedding", "FormatError", "GTable",
-    "GoodLabeling", "Graph", "GroupedWeights", "LOG_TOLERANCE", "MeasureKind",
+    "CountResult", "DEFAULT_WORK_CAP", "FormatError", "GTable",
+    "GoodLabeling", "Graph", "LOG_TOLERANCE", "MeasureKind",
     "RetryLimitExceeded", "SCHEMA_VERSION", "SuiteConfig", "SuiteRow", "Tree",
     "WorkCapExceeded", "bounds", "compare_count_to_bound", "conjecture_scan",
     "conjecture_to_csv", "conjecture_to_json", "copy_ledger", "count_copies",
@@ -80,6 +80,18 @@ class TestLazyExports:
     def test_unknown_name_is_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             treebound.no_such_name  # noqa: B018
+
+    @pytest.mark.parametrize(
+        "home, name",
+        [("graphs", "Embedding"), ("measure", "GroupedWeights")],
+        ids=["Embedding", "GroupedWeights"],
+    )
+    def test_retired_names_are_gone(self, home, name):
+        # draws are plain tuples, and the copy ledger's tables are GTables
+        assert name not in dir(treebound)
+        assert not hasattr(getattr(treebound, home), name)
+        with pytest.raises(AttributeError, match=name):
+            getattr(treebound, name)
 
 
 class TestImportBudget:

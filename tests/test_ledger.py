@@ -10,8 +10,9 @@ that the chain floats are bit-identical to summing the public weight() copy
 by copy, that each per-copy check fails when one block carries a wrong
 weight, that the ledger charges the work cap the nodes of a full search on
 count_copies' block, that a tree too deep for the recursive search is a
-ValueError, and that an instance makes one ledger pass and no count_copies
-pass.
+ValueError, that an instance makes one ledger pass and no count_copies
+pass, and that the ledger is a value: two passes compare and hash equal,
+and its tables are the GTables g_table_exact returns.
 """
 
 import inspect
@@ -83,8 +84,8 @@ def test_copy_tables_match_enumerating_oracle(instance):
     oracle = g_tables_by_enumeration(graph, tree, labeling)
     ledger = copy_ledger(graph, tree, labeling)
     assert ledger.count == copies_by_permutations(graph, tree)
-    assert _rows(ledger.iso.table()) == oracle["P"]
-    assert _rows(ledger.majorant.table()) == oracle["p"]
+    assert _rows(ledger.iso) == oracle["P"]
+    assert _rows(ledger.majorant) == oracle["p"]
     for kind, token in ((MeasureKind.ISO, "P"), (MeasureKind.MAJORANT, "p")):
         assert _rows(g_table_exact(graph, tree, labeling, kind)) == oracle[token]
 
@@ -115,7 +116,7 @@ def test_ledger_matches_public_per_copy_path(instance):
         dominated = dominated and iso <= maj
     ledger = copy_ledger(graph, tree, labeling)
     assert ledger.count == count
-    assert ledger.iso.table().row_sum(1) == iso_total == 1
+    assert ledger.iso.row_sum(1) == iso_total == 1
     # bit-identical floats: same terms, same order
     assert ledger.entropy_log == entropy_log
     assert ledger.product_log == product_log
@@ -137,7 +138,7 @@ def _check_majorant_against_product_form(graph, tree):
     for labeling in _labelings(tree):
         ledger = copy_ledger(graph, tree, labeling)
         assert ledger.reversal_equal and ledger.product_form_equal
-        table = _rows(ledger.majorant.table())
+        table = _rows(ledger.majorant)
         assert table == majorant_table_by_product_form(graph, tree, labeling)
 
 
@@ -166,7 +167,7 @@ def test_majorant_table_is_labeling_free(instance, rng):
     first, last = rng.sample(tree.leaves, 2)
     by_vertex = []
     for labeling in (good_labeling(tree), good_labeling_between(tree, first, last)):
-        rows = _rows(copy_ledger(graph, tree, labeling).majorant.table())
+        rows = _rows(copy_ledger(graph, tree, labeling).majorant)
         assert rows == majorant_table_by_product_form(graph, tree, labeling)
         by_vertex.append(dict(zip(labeling.order, rows)))
     # each copy weighs the same whichever labeling reads it
@@ -336,8 +337,8 @@ def test_ledger_folds_long_blocks_like_the_oracles(case):
     oracle = g_tables_by_enumeration(graph, tree, labeling, homs=False)
     ledger = copy_ledger(graph, tree, labeling)
     assert ledger.count == copies_by_permutations(graph, tree)
-    assert _rows(ledger.iso.table()) == oracle["P"]
-    assert _rows(ledger.majorant.table()) == oracle["p"]
+    assert _rows(ledger.iso) == oracle["P"]
+    assert _rows(ledger.majorant) == oracle["p"]
     assert ledger.iso_below_majorant and ledger.reversal_equal and ledger.product_form_equal
     nodes = search_nodes_by_permutations(graph, labeling)
     assert ledger.nodes == nodes
@@ -356,6 +357,26 @@ def test_ledger_nodes_are_a_statistic(k4, p3):
         ledger.product_log, nodes=0,
     )
     assert ledger == copy
+
+
+def _assert_ledger_is_a_value(graph, tree):
+    """Two passes over one instance give equal ledgers, whose tables are
+    the GTables g_table_exact returns."""
+    labeling = good_labeling(tree)
+    ledger, again = copy_ledger(graph, tree, labeling), copy_ledger(graph, tree, labeling)
+    assert ledger == again and hash(ledger) == hash(again)
+    assert ledger.iso == g_table_exact(graph, tree, labeling, MeasureKind.ISO)
+    assert ledger.majorant == g_table_exact(graph, tree, labeling, MeasureKind.MAJORANT)
+
+
+def test_ledger_is_a_value(k4, p3):
+    _assert_ledger_is_a_value(k4, p3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(degree_instances())
+def test_ledger_is_a_value_on_random_instances(instance):
+    _assert_ledger_is_a_value(*instance)
 
 
 @settings(max_examples=60, deadline=None)

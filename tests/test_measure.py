@@ -15,7 +15,6 @@ from tests.oracles import (
 from treebound import measure
 from treebound.bounds import evaluate_bounds
 from treebound.graphs import (
-    Embedding,
     Graph,
     Tree,
     gen_random_min_degree,
@@ -69,6 +68,14 @@ class TestWeight:
         with pytest.raises(ValueError, match="not adjacent"):
             weight(c5, p2, L, (0, 2, 4), MeasureKind.ISO)
 
+    def test_rejects_vertices_outside_the_graph(self, k4, p3):
+        # the edge check refuses them; -1 would alias vertex 3
+        L = good_labeling(p3)
+        for kind in MeasureKind:
+            for omega in ((0, 1, 2, 4), (-1, 0, 1, 2)):
+                with pytest.raises(ValueError, match="is outside 0..3"):
+                    weight(k4, p3, L, omega, kind)
+
     def test_majorant_needs_degree_floor(self, c5, p3):
         L = good_labeling(p3)
         with pytest.raises(ValueError, match="min degree"):
@@ -113,8 +120,8 @@ class TestSampler:
         L = good_labeling(p3)
         counts = {}
         n_samples = 24000
-        for emb in sample_embeddings(k4, p3, L, random.Random(7), n_samples):
-            counts[emb.vertices] = counts.get(emb.vertices, 0) + 1
+        for draw in sample_embeddings(k4, p3, L, random.Random(7), n_samples):
+            counts[draw] = counts.get(draw, 0) + 1
         assert len(counts) == 24
         se = math.sqrt((1 / 24) * (23 / 24) / n_samples)
         for count in counts.values():
@@ -122,8 +129,8 @@ class TestSampler:
 
     def test_deterministic_given_seed(self, petersen, s3):
         L = good_labeling(s3)
-        a = [emb.vertices for emb in sample_embeddings(petersen, s3, L, random.Random(11), 5)]
-        b = [emb.vertices for emb in sample_embeddings(petersen, s3, L, random.Random(11), 5)]
+        a = list(sample_embeddings(petersen, s3, L, random.Random(11), 5))
+        b = list(sample_embeddings(petersen, s3, L, random.Random(11), 5))
         assert a == b
 
     def test_seeded_stream_is_pinned(self, k4, p3):
@@ -131,7 +138,7 @@ class TestSampler:
         L = good_labeling(p3)
         pinned = [(1, 0, 3, 2), (3, 2, 1, 0), (0, 3, 1, 2), (0, 1, 3, 2), (0, 1, 2, 3)]
         stream = sample_embeddings(k4, p3, L, random.Random(4), 5)
-        assert [emb.vertices for emb in stream] == pinned
+        assert list(stream) == pinned
 
     def test_stream_checks_run_before_any_draw(self, k4, p3):
         rng = random.Random(1)
@@ -147,7 +154,7 @@ class TestSampler:
     def test_single_edge_tree_is_uniform_directed_edge(self, c5):
         tree = path_tree(1)
         L = good_labeling(tree)
-        seen = {emb.vertices for emb in sample_embeddings(c5, tree, L, random.Random(0), 2000)}
+        seen = set(sample_embeddings(c5, tree, L, random.Random(0), 2000))
         directed = {(u, v) for u, v in c5.edges} | {(v, u) for u, v in c5.edges}
         assert seen == directed
 
@@ -234,6 +241,14 @@ class TestGTables:
             with pytest.raises(ValueError, match=f"1 <= i <= 4, got {i}"):
                 table.g(i, 0)
 
+    def test_entry_vertex_is_checked(self, k4, p3):
+        # v = -1 would read vertex 3's entry, and v = 4 would raise IndexError
+        table = g_table_exact(k4, p3, good_labeling(p3), MeasureKind.HOM)
+        assert table.g(1, 3) == Fraction(1, 4)
+        for v in (-1, 4):
+            with pytest.raises(ValueError, match=f"vertex {v} is outside 0..3"):
+                table.g(1, v)
+
     def test_row_sum_index_is_checked(self, k4, p3):
         table = g_table_exact(k4, p3, good_labeling(p3), MeasureKind.ISO)
         assert table.row_sum(4) == 1
@@ -314,25 +329,12 @@ class TestVerifyChain:
             chain_report(c5, p3)
 
 
-class TestEmbeddingType:
-    def test_sequence_protocol(self):
-        emb = Embedding((0, 1, 2))
-        assert len(emb) == 3
-        assert emb[1] == 1
-        assert list(emb) == [0, 1, 2]
-
-    def test_weight_accepts_embedding_objects(self, k4, p3):
-        L = good_labeling(p3)
-        emb = Embedding((0, 1, 2, 3))
-        assert weight(k4, p3, L, emb, MeasureKind.ISO) == Fraction(1, 24)
-
-
 def test_measure_kind_tokens():
-    assert MeasureKind.from_token("P") is MeasureKind.ISO
-    assert MeasureKind.from_token("p") is MeasureKind.MAJORANT
-    assert MeasureKind.from_token("Pprime") is MeasureKind.HOM
-    with pytest.raises(ValueError, match="unknown measure"):
-        MeasureKind.from_token("q")
+    assert MeasureKind("P") is MeasureKind.ISO
+    assert MeasureKind("p") is MeasureKind.MAJORANT
+    assert MeasureKind("Pprime") is MeasureKind.HOM
+    with pytest.raises(ValueError, match="'q' is not a valid MeasureKind"):
+        MeasureKind("q")
 
 
 def test_strict_floor_exists(k4, p3):
@@ -360,7 +362,7 @@ def test_stream_draws_copies_and_feeds_the_monte_carlo_table(case):
     graph, tree, samples, seed = case
     L = good_labeling(tree)
     stream = sample_embeddings(graph, tree, L, random.Random(seed), samples)
-    draws = [emb.vertices for emb in stream]
+    draws = list(stream)
     assert len(draws) == samples
     for verts in draws:
         image = dict(zip(L.order, verts))
@@ -368,7 +370,7 @@ def test_stream_draws_copies_and_feeds_the_monte_carlo_table(case):
         assert all(graph.has_edge(image[a], image[b]) for a, b in tree.edges)
     # one-draw streams on a shared generator continue one another
     rng = random.Random(seed)
-    one_draw = [next(sample_embeddings(graph, tree, L, rng, 1)).vertices for _ in range(samples)]
+    one_draw = [next(sample_embeddings(graph, tree, L, rng, 1)) for _ in range(samples)]
     assert one_draw == draws
     table = g_table_monte_carlo(graph, tree, L, samples, seed)
     expected = tuple(

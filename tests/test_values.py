@@ -1,4 +1,4 @@
-"""The value-type contract shared by the 18 immutable result and config types.
+"""The value-type contract shared by the 17 immutable result and config types.
 
 Each type is built positionally, by keyword and from defaults; compares and
 hashes equal on its compared fields only (``nodes`` and ``g_tables`` are
@@ -9,7 +9,6 @@ AttributeError.  ``GTable._over_common`` is a cached_property on a frozen
 instance.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,6 @@ from treebound.bounds import (
 )
 from treebound.counting import CountResult, count_copies
 from treebound.graphs import (
-    Embedding,
     GoodLabeling,
     Graph,
     Tree,
@@ -52,11 +50,10 @@ from treebound.measure import (
     MeasureKind,
     copy_ledger,
     g_table_exact,
-    sample_embeddings,
 )
 
 VALUE_TYPES = (
-    Graph, Tree, GoodLabeling, Embedding, CountResult, BoundValue, BoundComparison,
+    Graph, Tree, GoodLabeling, CountResult, BoundValue, BoundComparison,
     BoundReport, GTable, ChainReport, CopyLedger, RowBound, SuiteRow, SuiteConfig,
     ConjectureScanConfig, ConjectureRow, ConjectureSummary, CheckResult,
 )
@@ -73,7 +70,6 @@ def _instances() -> dict:
         Graph: k4,
         Tree: p3,
         GoodLabeling: labeling,
-        Embedding: next(sample_embeddings(k4, p3, labeling, random.Random(0), 1)),
         CountResult: count_copies(k4, p3, labeling),
         BoundValue: evaluate_bounds(k4, 3).copies_local,
         BoundComparison: compare_count_to_bound(24, 3.0),
