@@ -178,11 +178,9 @@ def _cmd_gtable(args, inputs):
         payload["seed"] = args.seed
     if kind is MeasureKind.HOM:
         payload["equalsDegreeProfile"] = table.equals_degree_profile(graph)
-    rows = [
-        [i, v, format_rational(table.g(i, v))]
-        for i in range(1, table.positions + 1)
-        for v in range(table.n)
-    ]
+    # read only by the CSV writer: the cells of the JSON table, one per row
+    cells = payload["table"]["rows"]
+    rows = ([i, v, cell] for i, row in enumerate(cells, 1) for v, cell in enumerate(row))
     return payload, ["i", "v", "weight"], rows, EXIT_OK
 
 

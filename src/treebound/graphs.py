@@ -66,19 +66,21 @@ def _value_type(cls=None, /, *, uncompared: tuple[str, ...] = ()):
     fresh process, and ``dataclasses`` costs one there: its import brings in
     ``inspect``, and it compiles six methods per class.  Here ``__init__``,
     which sets each field as a frozen dataclass's does, is the one compiled
-    method.  ``dataclasses.replace``, ``fields`` and ``asdict`` do not apply.
+    method, unless the class defines its own.  ``dataclasses.replace``,
+    ``fields`` and ``asdict`` do not apply.
     """
     if cls is None:
         return lambda c: _value_type(c, uncompared=uncompared)
     names = tuple(cls.__annotations__)
-    params = ", ".join(
-        f"{name}=_defaults[{name!r}]" if name in vars(cls) else name for name in names
-    )
-    setters = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
-    namespace = {"_set": object.__setattr__, "_defaults": vars(cls)}
-    exec(f"def __init__(self, {params}):{setters}", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    if "__init__" not in vars(cls):
+        params = ", ".join(
+            f"{name}=_defaults[{name!r}]" if name in vars(cls) else name for name in names
+        )
+        setters = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+        namespace = {"_set": object.__setattr__, "_defaults": vars(cls)}
+        exec(f"def __init__(self, {params}):{setters}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     key = attrgetter(*(name for name in names if name not in uncompared))
 
     def __eq__(self, other):
@@ -93,7 +95,7 @@ def _value_type(cls=None, /, *, uncompared: tuple[str, ...] = ()):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({fields})"
 
-    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = init, __eq__, __hash__, __repr__
+    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
     cls.__setattr__, cls.__delattr__ = _refuse_setattr, _refuse_delattr
     cls.__match_args__ = names
     return cls

@@ -156,9 +156,12 @@ def _build_row(
     tree: Tree,
     work_cap: int | None,
     include_gtables: bool,
+    shared: tuple | None = None,
 ) -> SuiteRow:
     from .measure import MeasureKind, copy_ledger, g_table_exact
 
+    # run_suite's caches; a cache keeps no exception, and each is called in the try
+    labeling_of, walks_of, bounds_of = shared or (good_labeling, count_walks, evaluate_bounds)
     t = tree.t
     base = dict(
         graph_name=graph_name,
@@ -171,14 +174,14 @@ def _build_row(
     )
     tables: dict = {}
     try:
-        labeling = good_labeling(tree)
+        labeling = labeling_of(tree)
         # with min degree >= t the ledger's copy pass also yields the count
         ledger = copy_ledger(graph, tree, labeling, work_cap) if graph.min_degree >= t else None
         copies = ledger.count if ledger else count_copies(graph, tree, labeling, work_cap).value
         homs = count_homomorphisms(graph, tree).value
-        walks = count_walks(graph, t).value
+        walks = walks_of(graph, t).value
         base.update(copies=copies, homs=homs, walks=walks)
-        report = evaluate_bounds(graph, t)
+        report = bounds_of(graph, t)
         base["bounds"] = _row_bounds(
             report, {"copies": copies, "homs": homs, "walks": walks}
         )
@@ -200,9 +203,11 @@ def _build_row(
 
 
 def run_suite(config: SuiteConfig) -> list[SuiteRow]:
-    """Evaluate every (graph, tree) pair; per-row failures never abort the run."""
+    """Evaluate every (graph, tree) pair; per-row failures never abort the run.
+    Each tree is labeled once, and each graph's walks and bounds made once per t."""
+    shared = tuple(map(cache, (good_labeling, count_walks, evaluate_bounds)))
     return [
-        _build_row(gname, graph, tname, tree, config.work_cap, config.include_gtables)
+        _build_row(gname, graph, tname, tree, config.work_cap, config.include_gtables, shared)
         for gname, graph in config.graphs
         for tname, tree in config.trees
     ]

@@ -32,13 +32,13 @@ The checks (P <= p, reversal symmetry, the majorant's product form) are
 integer comparisons of denominators inside the fold, made once per block;
 the library has no other per-copy check.  Every weight is 1/D for an
 integer D, so exact sums are grouped by denominator: a pass counts
-embeddings per (cell, D) in ints, and Fractions are made once, when the
-pass ends and builds the ledger's two GTables.  The HOM table enumerates
+embeddings per (cell, D) in ints, and the ledger's two GTables take those
+sums as integer numerators over the lcm of the D.  The HOM table enumerates
 nothing: its slot 1 is the start law d(v)/nd, and each later slot is one
 random-walk step from its parent slot, so the table is propagated in
-O(t*m) exact integer steps.  A table's slack against the degree floor, its
-row sums and the HOM identity are computed in integers over the table's
-common denominator, with one Fraction per result.
+O(t*m) exact integer steps.  A GTable is one denominator and integer
+numerators: its slacks, row sums and the HOM identity are integer sums,
+with one Fraction per result, and its JSON reduces each cell with a gcd.
 
 The sampler is prepared once per run: sample_embeddings checks its inputs
 and builds the directed-edge list once, then each draw costs O(t*d).  A
@@ -52,10 +52,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import repeat
+from functools import reduce
+from itertools import chain, repeat
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
@@ -183,60 +184,65 @@ def sample_embeddings(
 class GTable:
     """Exact per-index vertex weights g[i][v] for one measure.
 
-    rows[i-1][v] is the total weight of embeddings whose i-th vertex is v,
-    for the full range i = 1..t+1.  For the two probability measures each
-    row sums to 1; for the majorant each row sums to >= 1.
+    g[i][v] = numerators[i-1][v] / denominator, the total weight of embeddings
+    whose i-th vertex is v, for i = 1..t+1; a probability's rows sum to 1,
+    the majorant's to >= 1.  Built over any denominator, a table divides out
+    the gcd of all its integers, so equal tables compare and hash equal
+    whatever built them.  Only g(), slacks() and rows make Fractions.
     """
 
     kind: MeasureKind
-    rows: tuple[tuple[Fraction, ...], ...]
+    denominator: int
+    numerators: tuple[tuple[int, ...], ...]
+
+    def __init__(self, kind: MeasureKind, denominator: int, numerators: Sequence[Sequence[int]]):
+        common = math.gcd(denominator, *chain.from_iterable(numerators))
+        _set = object.__setattr__
+        _set(self, "kind", kind)
+        _set(self, "denominator", denominator // common)
+        _set(self, "numerators", tuple(tuple([x // common for x in row]) for row in numerators))
 
     def g(self, i: int, v: int) -> Fraction:
         """Entry for 1-based index i, 1 <= i <= positions, and graph vertex v."""
         self._check_index(i)
         _check_vertex(v, 0, self.n - 1)
-        return self.rows[i - 1][v]
+        return Fraction(self.numerators[i - 1][v], self.denominator)
 
     def _check_index(self, i: int) -> None:
-        if not 1 <= i <= len(self.rows):
-            raise ValueError(f"index i is defined for 1 <= i <= {len(self.rows)}, got {i}")
+        if not 1 <= i <= self.positions:
+            raise ValueError(f"index i is defined for 1 <= i <= {self.positions}, got {i}")
 
     @property
     def positions(self) -> int:
-        return len(self.rows)
+        return len(self.numerators)
 
     @property
     def n(self) -> int:
-        return len(self.rows[0])
+        return len(self.numerators[0])
 
-    @cached_property
-    def _over_common(self) -> tuple[int, list[list[int]]]:
-        """(common, numerators): every cell as numerators[i][v] / common."""
-        common = math.lcm(*{value.denominator for row in self.rows for value in row})
-        return common, [
-            [value.numerator * (common // value.denominator) for value in row]
-            for row in self.rows
-        ]
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """rows[i-1][v] = g[i][v], one Fraction per cell."""
+        return tuple(tuple(Fraction(x, self.denominator) for x in row) for row in self.numerators)
 
     def _slack_numerators(self, graph: Graph) -> tuple[int, Iterator[list[int]]]:
-        """(nd * common, rows of g[i][v]*nd*common - d(v)*common): the slacks in integers."""
-        nd = graph.degree_sum
-        common, numerators = self._over_common
+        """(nd * denominator, rows of (g[i][v] - d(v)/nd) * nd * denominator)."""
+        if graph.n != self.n:
+            raise ValueError(f"table has {self.n} vertices, graph has {graph.n}")
+        nd, common = graph.degree_sum, self.denominator
         floor = [d * common for d in graph.degrees()]
-        return nd * common, ([x * nd - f for x, f in zip(row, floor)] for row in numerators)
+        return nd * common, ([x * nd - f for x, f in zip(row, floor)] for row in self.numerators)
 
     def row_sum(self, i: int) -> Fraction:
         """Sum of row i over the vertices, 1 <= i <= positions."""
         self._check_index(i)
-        common, numerators = self._over_common
-        return Fraction(sum(numerators[i - 1]), common)
+        return Fraction(sum(self.numerators[i - 1]), self.denominator)
 
-    def slacks(self, graph: Graph):
-        """Yield (i, v, g[i][v] - d(v)/nd) over the whole table."""
+    def slacks(self, graph: Graph) -> Iterator[tuple[int, int, Fraction]]:
+        """(i, v, g[i][v] - d(v)/nd) over the whole table."""
         denominator, rows = self._slack_numerators(graph)
-        for i, row in enumerate(rows, 1):
-            for v, x in enumerate(row):
-                yield i, v, Fraction(x, denominator)
+        return ((i, v, Fraction(x, denominator))
+                for i, row in enumerate(rows, 1) for v, x in enumerate(row))
 
     def min_slack(self, graph: Graph) -> Fraction:
         """Smallest g[i][v] - d(v)/nd; >= 0 certifies the degree floor."""
@@ -248,13 +254,13 @@ class GTable:
         return not any(any(row) for row in self._slack_numerators(graph)[1])
 
     def to_json_dict(self) -> dict:
+        d = self.denominator  # each cell reduced, a zero as 0/1
         return {
             "kind": self.kind.value,
             "positions": self.positions,
             "n": self.n,
             "rows": [
-                [f"{value.numerator}/{value.denominator}" for value in row]
-                for row in self.rows
+                [f"{x // (c := math.gcd(x, d))}/{d // c}" for x in row] for row in self.numerators
             ],
         }
 
@@ -273,9 +279,9 @@ def g_table_exact(
     along the labeling, never enumerated, so the cap does not apply: slot 1
     holds d(v)/nd, and slot i holds g[i][w] = sum over u in N(w) of
     g[f(i)][u]/d(u), the chance of stepping from the parent's image u to w.
-    The propagation runs on integers: a slot at depth h in the labeling's
-    tree is a row of numerators over nd * L^h, with L the lcm of the
-    positive degrees, and the Fractions are made once at the end.
+    The propagation runs on integers, every slot over nd * L^t, with L the
+    lcm of the positive degrees: a slot at depth h <= t needs only nd * L^h,
+    so each step's division by L is exact.
     """
     if kind is not MeasureKind.HOM:
         ledger = copy_ledger(graph, tree, labeling, work_cap)
@@ -288,13 +294,11 @@ def g_table_exact(
     lcm = math.lcm(*filter(None, degree))
     # an isolated vertex has weight 0 and is nobody's neighbor
     scale = [lcm // d if d else 0 for d in degree]
-    numerators, denominators = [list(degree)], [nd]
+    rows = [[d * lcm**tree.t for d in degree]]
     for parent in labeling.parent_positions()[1:]:
-        step = [x * c for x, c in zip(numerators[parent], scale)]
-        numerators.append([sum(map(step.__getitem__, a)) for a in graph.adjacency])
-        denominators.append(denominators[parent] * lcm)
-    rows = (tuple(Fraction(x, d) for x in row) for row, d in zip(numerators, denominators))
-    return GTable(kind, tuple(rows))
+        step = [x * c for x, c in zip(rows[parent], scale)]
+        rows.append([sum(map(step.__getitem__, a)) // lcm for a in graph.adjacency])
+    return GTable(kind, nd * lcm**tree.t, rows)
 
 
 def g_table_monte_carlo(
@@ -307,11 +311,10 @@ def g_table_monte_carlo(
     """Empirical ISO table: frequency of {omega_i = v} over one seeded stream."""
     draws = sample_embeddings(graph, tree, labeling, random.Random(seed), samples)
     counts = [[0] * graph.n for _ in range(tree.t + 1)]
-    for draw in draws:
+    for draw, repeats in Counter(draws).items():
         for row, v in zip(counts, draw):
-            row[v] += 1
-    rows = tuple(tuple(Fraction(c, samples) for c in row) for row in counts)
-    return GTable(kind=MeasureKind.ISO, rows=rows)
+            row[v] += repeats
+    return GTable(MeasureKind.ISO, samples, counts)
 
 
 def _reversed_labeling(labeling: GoodLabeling) -> GoodLabeling:
@@ -391,8 +394,8 @@ class _GroupedWeights:
     """Weights 1/D of embeddings summed exactly, as integer counts per denominator D.
 
     by_denominator[D] holds (w ln w for w = 1/D, rows), where rows[i][v]
-    counts the embeddings of weight 1/D whose (i+1)-th vertex is v.  Adding
-    embeddings makes no Fraction; table() makes one per cell when read.
+    counts the embeddings of weight 1/D whose (i+1)-th vertex is v.  No
+    Fraction is made: table() sums the counts over the lcm of the D.
     Memory is O(distinct D * (t+1) * n) ints, never a list of embeddings.
     """
 
@@ -422,14 +425,15 @@ class _GroupedWeights:
         return entry[0]
 
     def table(self) -> GTable:
-        """g[i][v] in exact rationals, summed over the common denominator."""
+        """g[i][v] as integer sums over the lcm of the denominators."""
         common = math.lcm(*self.by_denominator)
         numerators = [[0] * self.n for _ in range(self.positions)]
         for d, (_, rows) in self.by_denominator.items():
+            scale = common // d
             for into, row in zip(numerators, rows):
                 for v, c in enumerate(row):
-                    into[v] += c * (common // d)
-        return GTable(self.kind, tuple(tuple(Fraction(x, common) for x in r) for r in numerators))
+                    into[v] += c * scale
+        return GTable(self.kind, common, numerators)
 
 
 @_value_type(uncompared=("nodes",))
@@ -516,7 +520,7 @@ def copy_ledger(
     the choice of block.  The work cap is charged every node of the search,
     block nodes included, so it fires at count_copies' caps.  A tree too
     deep for the recursion limit is a ValueError.  Both tables are built,
-    as GTables, once the pass ends.
+    as GTables over integer numerators, once the pass ends.
     """
     labeling.validate(tree)
     t = tree.t

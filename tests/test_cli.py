@@ -171,6 +171,20 @@ class TestGTable:
         assert code == 0
         assert envelope["result"] == K4_MONTE_CARLO_SEED3
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--samples", "2000", "--seed", "3"]], ids=["exact", "monte-carlo"]
+    )
+    def test_csv_lists_every_cell(self, capsys, k4_file, extra):
+        argv = ["gtable", "--graph", k4_file, "--tree", "path:3", "--measure", "P", *extra]
+        assert main([*argv, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if extra:
+            cells = K4_MONTE_CARLO_SEED3["table"]["rows"]
+        else:
+            cells = [["1/4"] * 4] * 4  # K4/P3: by symmetry every ISO cell is 1/4
+        expected = [f"{i},{v},{c}" for i, row in enumerate(cells, 1) for v, c in enumerate(row)]
+        assert lines == ["i,v,weight", *expected]
+
     def test_monte_carlo_rejected_for_other_measures(self, capsys, k4_file):
         code = main(
             ["gtable", "--graph", k4_file, "--tree", "path:3", "--measure", "p",

@@ -2,9 +2,11 @@ import csv
 import hashlib
 import io
 import json
+from collections import Counter
 
 import pytest
 
+from treebound import harness
 from treebound.counting import count_copies
 from treebound.graphs import Tree, gen_cycle, gen_disjoint_cliques, path_tree, star_tree
 from treebound.harness import (
@@ -128,6 +130,46 @@ class TestRunSuite:
         config = SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),), include_gtables=True)
         rows = run_suite(config)
         assert set(rows[0].g_tables) == {"Pprime", "p", "P"}
+
+    def test_rows_equal_rows_built_one_pair_at_a_time(self):
+        config = standard_suite_config(seed=0, include_gtables=True)
+        rows = run_suite(config)
+        alone = [
+            harness._build_row(gname, graph, tname, tree, config.work_cap, True)
+            for gname, graph in config.graphs
+            for tname, tree in config.trees
+        ]
+        assert rows == alone
+        assert [r.g_tables for r in rows] == [r.g_tables for r in alone]
+
+    def test_shared_work_runs_once_per_tree_and_per_graph_and_size(self, monkeypatch):
+        config = standard_suite_config(seed=0)
+        calls = Counter()
+        for name in ("good_labeling", "count_walks", "evaluate_bounds"):
+            def counted(*args, _name=name, _original=getattr(harness, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        rows = run_suite(config)
+        sizes = {tree.t for _, tree in config.trees}
+        assert calls["good_labeling"] == len(config.trees) == 6
+        assert calls["count_walks"] == len(config.graphs) * len(sizes) == 33
+        assert calls["evaluate_bounds"] == len(config.graphs) * len(sizes) == 33
+        assert [r.error for r in rows if r.error] == []
+
+    def test_a_failing_shared_step_fails_only_its_rows(self, monkeypatch, p2, p3, k4, c5):
+        original = harness.evaluate_bounds
+
+        def refuse_k4(graph, t):
+            if graph == k4:
+                raise ValueError("refused")
+            return original(graph, t)
+
+        monkeypatch.setattr(harness, "evaluate_bounds", refuse_k4)
+        config = SuiteConfig(graphs=(("K4", k4), ("C5", c5)), trees=(("P2", p2), ("P3", p3)))
+        rows = run_suite(config)
+        assert [r.error for r in rows] == ["ValueError: refused"] * 2 + [None] * 2
 
 
 class TestSuiteSerialization:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tests.oracles import (
     copies_in_slot_order,
+    g_tables_by_enumeration,
     hom_embeddings_by_exhaustion,
     random_tree,
     slacks_by_cells,
@@ -17,6 +18,8 @@ from treebound.bounds import evaluate_bounds
 from treebound.graphs import (
     Graph,
     Tree,
+    gen_cycle,
+    gen_disjoint_cliques,
     gen_random_min_degree,
     good_labeling,
     path_tree,
@@ -413,6 +416,12 @@ def test_integer_slacks_with_an_isolated_vertex_and_negative_slack(k4, p3):
     assert estimate.min_slack(graph) < 0
 
 
+def table_from_fractions(kind, rows, scale=1):
+    """A GTable from rows of Fractions, over `scale` times their common denominator."""
+    common = scale * math.lcm(*(x.denominator for row in rows for x in row))
+    return GTable(kind, common, [[int(x * common) for x in row] for row in rows])
+
+
 @pytest.mark.parametrize("bump", [Fraction(1, 7), Fraction(-1, 7)], ids=["above", "below"])
 def test_one_cell_off_the_degree_profile_is_seen(k4_minus_edge, bump):
     # every cell of the degree profile in turn moved by a denominator no other
@@ -423,8 +432,36 @@ def test_one_cell_off_the_degree_profile_is_seen(k4_minus_edge, bump):
         for v in range(graph.n):
             rows = [list(profile) for _ in range(positions)]
             rows[i][v] += bump
-            table = GTable(MeasureKind.HOM, tuple(map(tuple, rows)))
+            table = table_from_fractions(MeasureKind.HOM, rows, scale=3)
+            assert table.denominator == 70 and table.rows == tuple(map(tuple, rows))
             _assert_slacks_match_oracle(graph, table)
             assert not table.equals_degree_profile(graph)
             assert table.min_slack(graph) == min(bump, 0)
             assert table.row_sum(i + 1) == 1 + bump
+
+
+@pytest.mark.parametrize("scale", [1, 6])
+def test_tables_from_fraction_rows_equal_the_library_tables(scale):
+    # K5 with P3: min degree 4 >= t, and cells over several denominators
+    graph, tree = gen_disjoint_cliques(1, 5), path_tree(3)
+    L = good_labeling(tree)
+    ledger = copy_ledger(graph, tree, L)
+    expected = {"P": ledger.iso, "p": ledger.majorant,
+                "Pprime": g_table_exact(graph, tree, L, MeasureKind.HOM)}
+    for token, rows in g_tables_by_enumeration(graph, tree, L).items():
+        kind = MeasureKind(token)
+        built = table_from_fractions(kind, rows, scale)
+        assert built == expected[token] == g_table_exact(graph, tree, L, kind)
+        assert hash(built) == hash(expected[token])
+
+
+def test_a_graph_of_another_size_is_refused(k4, p3):
+    table = g_table_exact(k4, p3, good_labeling(p3), MeasureKind.ISO)
+    k5, c3 = gen_disjoint_cliques(1, 5), gen_cycle(3)
+    for graph in (k5, c3):
+        with pytest.raises(ValueError, match="table has 4 vertices, graph has"):
+            table.min_slack(graph)
+        with pytest.raises(ValueError, match="table has 4 vertices, graph has"):
+            table.slacks(graph)
+        with pytest.raises(ValueError, match="table has 4 vertices, graph has"):
+            table.equals_degree_profile(graph)

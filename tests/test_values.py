@@ -5,8 +5,8 @@ hashes equal on its compared fields only (``nodes`` and ``g_tables`` are
 statistics, left out); compares unequal to any other class; prints as
 ``Name(field=value!r, ...)``; matches positional class patterns through
 ``__match_args__``; and refuses assignment and deletion with an
-AttributeError.  ``GTable._over_common`` is a cached_property on a frozen
-instance.
+AttributeError.  A GTable reduces its numerators and denominator when it is
+built, so tables over different denominators compare equal.
 """
 
 from fractions import Fraction
@@ -210,11 +210,12 @@ class TestPinnedRepr:
         )
 
 
-def test_gtable_over_common_is_cached(instances):
-    table = GTable(instances[GTable].kind, instances[GTable].rows)
-    assert "_over_common" not in vars(table)
-    common, numerators = table._over_common
-    assert table._over_common is table._over_common
-    assert vars(table)["_over_common"] == (common, numerators)
-    assert common == 4  # K4/P3: by symmetry every ISO cell is 1/4
+def test_gtable_keeps_one_reduced_denominator(instances):
+    table = instances[GTable]
+    # K4/P3: by symmetry every ISO cell is 1/4
+    assert (table.denominator, table.numerators) == (4, ((1, 1, 1, 1),) * 4)
+    scaled = GTable(table.kind, 6 * 4, [[6] * 4 for _ in range(4)])
+    assert scaled == table and hash(scaled) == hash(table)
+    assert type(scaled.numerators[0]) is tuple
     assert table.row_sum(1) == 1
+    assert GTable(table.kind, 7, [[0, 0]]).to_json_dict()["rows"] == [["0/1", "0/1"]]
