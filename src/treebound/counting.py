@@ -10,10 +10,11 @@ slot is a neighbor of its parent's image.  A search charges one unit of
 work per node against a configurable cap (default 10^8 nodes), so the
 charge, 1 + the number of valid j-slot prefixes summed over j, depends only
 on the graph and the labeling.  ``count_copies`` stops at the trailing leaf
-block (the final run of slots sharing one parent) and counts it in closed
-form, but still charges every node the block would have held, so it raises
-``WorkCapExceeded`` at the caps a search visiting every node would.  The
-block and its closed forms come from one helper, ``_leaf_block``, which
+block (the final run of slots sharing one parent, never slot 1, so with
+t = 1 the block is empty) and counts it in closed form, but still charges
+every node the block would have held, so it raises ``WorkCapExceeded`` at
+the caps a search visiting every node would.  The block and its closed
+forms come from one helper, ``_leaf_block(graph, labeling)``, which
 ``measure.copy_ledger`` shares: the ledger folds the same block into its
 tables and charges it the same way.  Both searches recurse once per slot; a
 tree too deep for the interpreter's recursion limit is a ValueError.
@@ -24,7 +25,7 @@ drives the search.
 from __future__ import annotations
 
 from .errors import WorkCapExceeded
-from .graphs import Graph, GoodLabeling, Tree, _value_type, good_labeling
+from .graphs import Graph, GoodLabeling, Tree, _bfs_order, _value_type, good_labeling
 
 __all__ = [
     "DEFAULT_WORK_CAP",
@@ -90,7 +91,8 @@ def count_copies(
     defined (possibly 0) for any graph.
 
     Backtracks slot by slot along the labeling up to the trailing leaf
-    block: the longest final run of slots s..t that share one parent slot p.
+    block: the longest final run of slots s..t, s >= 2, that share one
+    parent slot p.
     Once slots < s are placed, those r = t+1-s slots take distinct vertices
     from the ``free`` neighbors of omega_p that are not yet placed, in
     (free)_r = free(free-1)...(free-r+1) ways.  The search nodes the block
@@ -119,22 +121,21 @@ def _too_deep(tree: Tree) -> ValueError:
     )
 
 
-def _leaf_block(
-    graph: Graph, labeling: GoodLabeling, keep=frozenset()
-) -> tuple[int, list[int], list[int]]:
+def _leaf_block(graph: Graph, labeling: GoodLabeling) -> tuple[int, list[int], list[int]]:
     """The trailing leaf block of a labeling and its closed forms.
 
     The block is the longest final run of slots s..t (0-based) that share
-    one parent slot and hold no slot of ``keep``; with r = t+1-s slots it
-    is empty only when ``keep`` holds slot t.  Returns s and, for
-    free = 0..max degree, copies[free] = (free)_r and
+    one parent slot, with s >= 2: it never holds slot 1, the start edge's
+    second end, which carries no weight factor.  So with r = t+1-s slots it
+    is empty only when t = 1, and the search then places both slots itself.
+    Returns s and, for free = 0..max degree, copies[free] = (free)_r and
     nodes[free] = sum_{j<=r} (free)_j: the copies and the search nodes of a
     block whose parent image has ``free`` unused neighbors.
     """
     parent_pos = labeling.parent_positions()
     p = parent_pos[-1]
     s = len(parent_pos)
-    while parent_pos[s - 1] == p and s - 1 not in keep:  # stops at s = 1: slot 0 has no parent
+    while s > 2 and parent_pos[s - 1] == p:
         s -= 1
     r = len(parent_pos) - s
     copies: list[int] = []
@@ -189,26 +190,22 @@ def _count_by_leaf_block(graph: Graph, labeling: GoodLabeling, budget: _Budget) 
 def count_homomorphisms(graph: Graph, tree: Tree) -> CountResult:
     """Exact number of maps (injective or not) carrying tree edges to edges.
 
-    Dynamic programming over the default good labeling: each vertex passes
-    its parent the per-image product of neighbor-summed child messages,
-    h_x(v) = prod_c sum_{u in N(v)} h_c(u); the answer is sum_v h_root(v).
+    Dynamic programming over the tree rooted at vertex 1, children before
+    their parent: each vertex passes its parent the per-image product of
+    neighbor-summed child messages, h_x(v) = prod_c sum_{u in N(v)} h_c(u);
+    the answer is sum_v h_root(v).
     """
-    labeling = good_labeling(tree)
-    k = len(labeling.order)
-    children: list[list[int]] = [[] for _ in range(k)]
-    for pos in range(1, k):
-        children[labeling.parents[pos] - 1].append(pos)
     adjacency = graph.adjacency
-    messages: list[list[int] | None] = [None] * k
-    for pos in range(k - 1, -1, -1):
+    messages: dict[int, list[int]] = {}
+    for x in reversed(_bfs_order(tree, 1)):
         vec = [1] * graph.n
-        for child in children[pos]:
-            child_vec = messages[child]
-            messages[child] = None
-            for v in range(graph.n):
-                vec[v] *= sum(child_vec[u] for u in adjacency[v])
-        messages[pos] = vec
-    return CountResult(sum(messages[0]), "dp")
+        for child in tree.adjacency[x]:
+            if child in messages:  # a child: x's parent comes later in this loop
+                child_vec = messages.pop(child)
+                for v in range(graph.n):
+                    vec[v] *= sum(child_vec[u] for u in adjacency[v])
+        messages[x] = vec
+    return CountResult(sum(messages[1]), "dp")
 
 
 def count_walks(graph: Graph, t: int) -> CountResult:

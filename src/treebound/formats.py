@@ -1,7 +1,7 @@
 """Payload formatting shared by the CLI envelope and the report writers.
 
 A leaf module: the CLI formats every command's payload with these, so it
-stays free of the library's heavier modules.  harness re-exports them.
+stays free of the library's heavier modules.
 """
 
 from __future__ import annotations

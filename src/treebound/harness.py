@@ -302,39 +302,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _suite_row_record(row: SuiteRow) -> dict:
-    record = {
-        "graph": row.graph_name,
-        "tree": row.tree_name,
-        "n": row.n,
-        "m": row.edge_count,
-        "d": row.average_degree,
-        "min_degree": row.min_degree,
-        "t": row.t,
-        "copies": row.copies,
-        "homs": row.homs,
-        "walks": row.walks,
-        "slack_majorant": row.slack_majorant,
-        "slack_iso": row.slack_iso,
-        "slack_hom": row.slack_hom,
-        "hom_table_equal": row.hom_table_equal,
-        "error": row.error,
-    }
-    for bound in row.bounds:
-        if bound.applicable:
-            record[f"{bound.name}_log"] = format_log(bound.log_value)
-            record[f"{bound.name}_holds"] = bound.holds
-            record[f"{bound.name}_margin"] = bound.log_margin
-    record.update(zip(_CHAIN_COLUMNS, row.chain_links or ()))
-    return record
-
-
-def suite_to_csv(rows: list[SuiteRow]) -> str:
-    columns = suite_csv_columns()
-    records = map(_suite_row_record, rows)
-    return csv_table(columns, ([_csv_cell(r.get(c)) for c in columns] for r in records))
-
-
 def _bound_json(bound: RowBound) -> dict:
     out: dict = {"applicable": bound.applicable}
     if bound.applicable:
@@ -346,30 +313,59 @@ def _bound_json(bound: RowBound) -> dict:
     return out
 
 
+def _suite_record(row: SuiteRow) -> dict:
+    """One suite row under its JSON keys; the CSV writes the same values."""
+    return {
+        "graph": row.graph_name,
+        "tree": row.tree_name,
+        "n": row.n,
+        "m": row.edge_count,
+        "d": format_rational(row.average_degree),
+        "minDegree": row.min_degree,
+        "t": row.t,
+        "counts": {
+            "copies": _or_none(str, row.copies),
+            "homs": _or_none(str, row.homs),
+            "walks": _or_none(str, row.walks),
+        },
+        "bounds": {b.name: _bound_json(b) for b in row.bounds},
+        "slackMajorant": _or_none(format_rational, row.slack_majorant),
+        "slackIso": _or_none(format_rational, row.slack_iso),
+        "slackHom": _or_none(format_rational, row.slack_hom),
+        "homTableEqual": row.hom_table_equal,
+        "chainLinks": _or_none(list, row.chain_links),
+        "error": row.error,
+    }
+
+
+def _suite_csv_cells(record: dict, columns: list[str]) -> list[str]:
+    """A suite record's values as CSV cells, in column order."""
+    values = dict(
+        record,
+        **record["counts"],
+        min_degree=record["minDegree"],
+        slack_majorant=record["slackMajorant"],
+        slack_iso=record["slackIso"],
+        slack_hom=record["slackHom"],
+        hom_table_equal=record["homTableEqual"],
+    )
+    for name, bound in record["bounds"].items():
+        values[f"{name}_log"] = bound.get("log")
+        values[f"{name}_holds"] = bound.get("holds")
+        values[f"{name}_margin"] = bound.get("logMargin")
+    values.update(zip(_CHAIN_COLUMNS, record["chainLinks"] or ()))
+    return [_csv_cell(values.get(c)) for c in columns]
+
+
+def suite_to_csv(rows: list[SuiteRow]) -> str:
+    columns = suite_csv_columns()
+    return csv_table(columns, (_suite_csv_cells(_suite_record(row), columns) for row in rows))
+
+
 def suite_to_json(rows: list[SuiteRow], include_gtables: bool = False) -> dict:
     json_rows = []
     for row in rows:
-        entry: dict = {
-            "graph": row.graph_name,
-            "tree": row.tree_name,
-            "n": row.n,
-            "m": row.edge_count,
-            "d": format_rational(row.average_degree),
-            "minDegree": row.min_degree,
-            "t": row.t,
-            "counts": {
-                "copies": _or_none(str, row.copies),
-                "homs": _or_none(str, row.homs),
-                "walks": _or_none(str, row.walks),
-            },
-            "bounds": {b.name: _bound_json(b) for b in row.bounds},
-            "slackMajorant": _or_none(format_rational, row.slack_majorant),
-            "slackIso": _or_none(format_rational, row.slack_iso),
-            "slackHom": _or_none(format_rational, row.slack_hom),
-            "homTableEqual": row.hom_table_equal,
-            "chainLinks": _or_none(list, row.chain_links),
-            "error": row.error,
-        }
+        entry = _suite_record(row)
         if include_gtables and row.g_tables:
             entry["gTables"] = {
                 key: table.to_json_dict() for key, table in row.g_tables.items()

@@ -28,9 +28,12 @@ into the count, both copy tables, the per-copy checks and the chain's logs.
 It backtracks like count_copies and stops at the trailing leaf block, whose
 copies all carry one weight under each measure, so it folds a whole block
 at a time; only the chain's float logs take one term per copy, in order.
-The checks (P <= p, reversal symmetry, the majorant's product form) are
-integer comparisons of denominators inside the fold, made once per block;
-the library has no other per-copy check.  Every weight is 1/D for an
+P <= p and the majorant's product form are integer comparisons of
+denominators inside the fold, made once per block; the library has no
+other per-copy check.  Reversal symmetry reads the majorant from a copy's
+far end: the powers of d(omega_x)-t+1 it gives each slot are compared with
+the product form's once per ledger, and where they agree every copy's
+reversed weight is its product-form weight.  Every weight is 1/D for an
 integer D, so exact sums are grouped by denominator: a pass counts
 embeddings per (cell, D) in ints, and the ledger's two GTables take those
 sums as integer numerators over the lcm of the D.  The HOM table enumerates
@@ -62,6 +65,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .bounds import LOG_TOLERANCE
 from .counting import _Budget, _leaf_block, _too_deep
+from .formats import format_log
 from .graphs import GoodLabeling, Graph, Tree, _check_vertex, _value_type, good_labeling_between
 
 __all__ = [
@@ -324,24 +328,17 @@ def _reversed_labeling(labeling: GoodLabeling) -> GoodLabeling:
     return good_labeling_between(index_tree, k, 1)
 
 
-def _ledger_slots(tree: Tree, labeling: GoodLabeling) -> tuple[list[int], list[int], set[int]]:
-    """What the ledger's checks read, per 0-based slot.
-
-    Returns the power of floor(omega_slot) = d(omega_slot)-t+1 in the
-    majorant weight read under the reversed labeling, its power
-    treedeg(x_slot) - 1 in the product form, and the slots the
-    leaf-block fold must keep out of its block: slot 1, which carries no
-    weight factor, and every slot either check reads.
-    """
-    k = tree.t + 1
+def _check_exponents(tree: Tree, labeling: GoodLabeling) -> tuple[list[int], bool]:
+    """The power treedeg(x_slot) - 1 of floor(omega_slot) = d(omega_slot)-t+1
+    in the majorant's product form, per 0-based slot, and whether the
+    majorant read under the reversed labeling gives every slot that power."""
     reversed_labeling = _reversed_labeling(labeling)
     reversed_slots = [idx - 1 for idx in reversed_labeling.order]
-    reversal_power = [0] * k
+    reversal_power = [0] * len(reversed_slots)
     for parent in reversed_labeling.parent_positions()[2:]:
         reversal_power[reversed_slots[parent]] += 1
     product_power = [tree.tree_degree(x) - 1 for x in labeling.order]
-    keep = {1}.union(j for j in range(k) if reversal_power[j] or product_power[j])
-    return reversal_power, product_power, keep
+    return product_power, reversal_power == product_power
 
 
 @_value_type
@@ -373,14 +370,11 @@ class ChainReport:
         )
 
     def to_json_dict(self) -> dict:
-        def fmt(x: float) -> float:
-            return float(f"{x:.15g}")
-
         return {
             "omegaCount": str(self.omega_count),
-            "expEntropy": fmt(self.entropy_value),
-            "majorantProduct": fmt(self.majorant_product),
-            "localBound": fmt(self.bound_value),
+            "expEntropy": format_log(self.entropy_value),
+            "majorantProduct": format_log(self.majorant_product),
+            "localBound": format_log(self.bound_value),
             "links": {
                 "countGeEntropy": self.count_ge_entropy,
                 "entropyGeProduct": self.entropy_ge_product,
@@ -483,22 +477,21 @@ class _LedgerSums:
         self.majorant = _GroupedWeights(MeasureKind.MAJORANT, positions, n)
         self.count = 0
         self.entropy_log = self.product_log = 0.0
-        self.dominated = self.reversal_ok = self.product_ok = True
+        self.dominated = self.product_ok = True
 
-    def fold(self, prefix, free, copies, each, d_iso, d_maj, d_reversed, d_product) -> None:
+    def fold(self, prefix, free, copies, each, d_iso, d_maj, d_product) -> None:
         """Fold one leaf block: `copies` copies that share the prefix slots and
         whose block slots take distinct vertices of `free`, all weighing
-        P = 1/d_iso and p = 1/d_maj.  The reversed weight 1/d_reversed and the
-        product form 1/d_product read no block slot, so one comparison with
-        d_maj serves every copy of the block.  Each log takes its term once
-        per copy, in sequence, as a per-copy pass would."""
+        P = 1/d_iso and p = 1/d_maj.  The product form 1/d_product reads no
+        block slot, so one comparison with d_maj serves every copy of the
+        block.  Each log takes its term once per copy, in sequence, as a
+        per-copy pass would."""
         self.count += copies
         term = self.iso.add(d_iso, prefix, copies, free, each)
         self.entropy_log = reduce(sub, repeat(term, copies), self.entropy_log)
         term = self.majorant.add(d_maj, prefix, copies, free, each)
         self.product_log = reduce(sub, repeat(term, copies), self.product_log)
         self.dominated = self.dominated and d_iso >= d_maj
-        self.reversal_ok = self.reversal_ok and d_reversed == d_maj
         self.product_ok = self.product_ok and d_product == d_maj
 
 
@@ -509,18 +502,21 @@ def copy_ledger(
 
     Requires min degree >= t.  The search backtracks along the labeling like
     count_copies, carrying each prefix's factors of D_iso, D_maj and of the
-    two checks' denominators, and stops at the trailing leaf block (slots
-    s..t sharing the parent slot p).  With `free` unused neighbors of
+    product form's denominator, and stops at the trailing leaf block (slots
+    s..t sharing the parent slot p, s >= 2).  With `free` unused neighbors of
     omega_p, the block holds (free)_r copies, r = t+1-s, which all weigh
     D_iso = D_prefix * (free)_r and D_maj = D_prefix,maj * (d(omega_p)-t+1)^r,
     and each free neighbor sits in each block slot in (free-1)_(r-1) of
-    them; the block is folded at once.  The reversal check re-weighs a copy
-    read from its far end under the reversed labeling, and the product form
-    rebuilds p from per-vertex exponents; neither reads a block slot, by
-    the choice of block.  The work cap is charged every node of the search,
-    block nodes included, so it fires at count_copies' caps.  A tree too
-    deep for the recursion limit is a ValueError.  Both tables are built,
-    as GTables over integer numerators, once the pass ends.
+    them; the block is folded at once.  The product form rebuilds p from the
+    exponents treedeg(x)-1, which are 0 on the block's leaf slots, so it
+    reads no block slot.  The reversal check passes when the exponents of p
+    read under the reversed labeling are those same exponents, as they are
+    for every good labeling, and the product form holds: then each copy's
+    reversed weight is its product-form weight.  The work cap is charged
+    every node of the search, block nodes included, so it fires at
+    count_copies' caps.  A tree too deep for the recursion limit is a
+    ValueError.  Both tables are built, as GTables over integer numerators,
+    once the pass ends.
     """
     labeling.validate(tree)
     t = tree.t
@@ -530,8 +526,8 @@ def copy_ledger(
             "ISO and MAJORANT tables need the degree hypothesis"
         )
     budget = _Budget(work_cap, "copy enumeration")
-    reversal_power, product_power, keep = _ledger_slots(tree, labeling)
-    s, block_copies, block_nodes = _leaf_block(graph, labeling, keep)
+    product_power, exponents_agree = _check_exponents(tree, labeling)
+    s, block_copies, block_nodes = _leaf_block(graph, labeling)
     r = t + 1 - s
     # (free-1)_(r-1) = (free)_r / free: the copies that put one free neighbor in one block slot
     block_each = [c // free if free else 0 for free, c in enumerate(block_copies)]
@@ -545,7 +541,7 @@ def copy_ledger(
     used = bytearray(n)
     last = s - 1
 
-    def extend(pos: int, d_iso: int, d_maj: int, d_reversed: int, d_product: int) -> None:
+    def extend(pos: int, d_iso: int, d_maj: int, d_product: int) -> None:
         budget.spend()
         if pos == 0:
             candidates = range(n)
@@ -556,19 +552,13 @@ def copy_ledger(
                 # candidates: the parent image's neighbors not embedded yet
                 d_iso *= degree[image] - len(neighbor_sets[image].intersection(omega[:pos]))
                 d_maj *= floor[image]
-        reversal, product = reversal_power[pos], product_power[pos]
+        power = product_power[pos]
         if pos < last:
             for v in candidates:
                 if not used[v]:
                     used[v] = 1
                     omega[pos] = v
-                    extend(
-                        pos + 1,
-                        d_iso,
-                        d_maj,
-                        d_reversed * floor[v] ** reversal,
-                        d_product * floor[v] ** product,
-                    )
+                    extend(pos + 1, d_iso, d_maj, d_product * floor[v] ** power)
                     used[v] = 0
             return
         # Each choice of the last placed slot roots one leaf block.
@@ -588,14 +578,13 @@ def copy_ledger(
                         block_each[len(free)],
                         d_iso * copies,
                         d_maj * floor[anchor] ** r,
-                        d_reversed * floor[v] ** reversal,
-                        d_product * floor[v] ** product,
+                        d_product * floor[v] ** power,
                     )
         budget.spend(nodes)
 
     nd = graph.degree_sum
     try:
-        extend(0, nd, nd, nd, nd)
+        extend(0, nd, nd, nd)
     except RecursionError:
         raise _too_deep(tree) from None
     return CopyLedger(
@@ -603,7 +592,7 @@ def copy_ledger(
         sums.iso.table(),
         sums.majorant.table(),
         sums.dominated,
-        sums.reversal_ok,
+        exponents_agree and sums.product_ok,
         sums.product_ok,
         sums.entropy_log,
         sums.product_log,

@@ -6,10 +6,12 @@ without enumerating maps; these tests check that both match tables built one
 Fraction per map, also on stars and brooms whose blocks hold up to t-1 slots,
 that the majorant table equals the labeling-free product form under several
 good labelings (the identity behind the reversal and product-form checks),
-that the chain floats are bit-identical to summing the public weight() copy
-by copy, that each per-copy check fails when one block carries a wrong
-weight, that the ledger charges the work cap the nodes of a full search on
-count_copies' block, that a tree too deep for the recursive search is a
+that the majorant read from a copy's far end gives each slot the product
+form's exponent treedeg(x) - 1, that the chain floats are bit-identical to
+summing the public weight() copy by copy, that each per-copy check fails
+when one block carries a wrong weight, that the ledger charges the work
+cap the nodes of a full search on count_copies' leaf block, which never
+holds slot 1, that a tree too deep for the recursive search is a
 ValueError, that an instance makes one ledger pass and no count_copies
 pass, and that the ledger is a value: two passes compare and hash equal,
 and its tables are the GTables g_table_exact returns.
@@ -384,11 +386,37 @@ def test_ledger_is_a_value_on_random_instances(instance):
 def test_ledger_block_is_the_count_block(rng, t):
     tree = random_tree(rng, t)
     first, last = rng.sample(tree.leaves, 2)
+    graph = gen_disjoint_cliques(1, t + 1)
+    assert measure._leaf_block is counting._leaf_block
+    original = counting._leaf_block
     for labeling in (good_labeling(tree, first), good_labeling_between(tree, first, last)):
-        keep = measure._ledger_slots(tree, labeling)[2]
-        k5 = gen_disjoint_cliques(1, 5)
-        ledger_start = counting._leaf_block(k5, labeling, keep)[0]
-        if t >= 2:
-            assert ledger_start == counting._leaf_block(k5, labeling)[0]
-        else:  # slot 1 carries no weight factor: the block is empty
-            assert ledger_start == 2
+        starts = []
+
+        def recorded(*args):
+            block = original(*args)
+            starts.append(block[0])
+            return block
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counting, "_leaf_block", recorded)
+            patch.setattr(measure, "_leaf_block", recorded)
+            counted = counting.count_copies(graph, tree, labeling)
+            ledger = copy_ledger(graph, tree, labeling)
+        # one block, past slot 1, so both searches charge the same nodes
+        assert len(starts) == 2 and starts[0] == starts[1] >= 2
+        assert ledger.nodes == counted.nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 9))
+def test_reversal_exponents_are_tree_degrees_less_one(rng, t):
+    """Read from its far end, the majorant gives each slot the power
+    treedeg(x) - 1 of the product form, under every good labeling tried."""
+    tree = random_tree(rng, t)
+    labelings = [good_labeling(tree, leaf) for leaf in tree.leaves] + [
+        good_labeling_between(tree, first, last)
+        for first, last in permutations(tree.leaves, 2)
+    ]
+    for labeling in labelings:
+        powers = [tree.tree_degree(x) - 1 for x in labeling.order]
+        assert measure._check_exponents(tree, labeling) == (powers, True)
