@@ -13,11 +13,14 @@ on the graph and the labeling.  ``count_copies`` stops at the trailing leaf
 block (the final run of slots sharing one parent, never slot 1, so with
 t = 1 the block is empty) and counts it in closed form, but still charges
 every node the block would have held, so it raises ``WorkCapExceeded`` at
-the caps a search visiting every node would.  The block and its closed
-forms come from one helper, ``_leaf_block(graph, labeling)``, which
-``measure.copy_ledger`` shares: the ledger folds the same block into its
-tables and charges it the same way.  Both searches recurse once per slot; a
-tree too deep for the interpreter's recursion limit is a ValueError.
+the caps a search visiting every node would.  It reads the block's
+``free`` count from a tally of placed neighbours per graph vertex, with no
+set work per candidate, and the tally charges no nodes of its own.  The
+block and its closed forms come from one helper, ``_leaf_block(graph,
+labeling)``, which ``measure.copy_ledger`` shares: the ledger folds the
+same block into its tables and charges it the same way, but builds the
+free set that its rows need.  Both searches recurse once per slot; a tree
+too deep for the interpreter's recursion limit is a ValueError.
 Counters are pure functions; results do not depend on which good labeling
 drives the search.
 """
@@ -98,8 +101,14 @@ def count_copies(
     (free)_r = free(free-1)...(free-r+1) ways.  The search nodes the block
     would have held, 1 + (free)_1 + ... + (free)_r, are charged as if they
     were visited, so ``nodes`` and the caps at which WorkCapExceeded is
-    raised are those of a search that visits every node.  A tree too deep
-    for the recursion limit is a ValueError.
+    raised are those of a search that visits every node.
+
+    ``free`` is read in O(1) per choice v of the last placed slot s-1 from
+    hits[w], the number of vertices placed at slots < s-1 that are adjacent
+    to w: free = d(v) - hits[v] when p = s-1 (every path, star and fork),
+    and free = d(omega_p) - hits[omega_p] - [v ~ omega_p] otherwise.  The
+    tally adds no node charge.  A tree too deep for the recursion limit is
+    a ValueError.
     """
     if labeling is None:
         labeling = good_labeling(tree)
@@ -130,7 +139,10 @@ def _leaf_block(graph: Graph, labeling: GoodLabeling) -> tuple[int, list[int], l
     is empty only when t = 1, and the search then places both slots itself.
     Returns s and, for free = 0..max degree, copies[free] = (free)_r and
     nodes[free] = sum_{j<=r} (free)_j: the copies and the search nodes of a
-    block whose parent image has ``free`` unused neighbors.
+    block whose parent image has ``free`` unused neighbors.  The callers
+    find ``free`` their own way: ``count_copies`` reads it from its tally of
+    placed neighbours, ``copy_ledger`` builds the free set it folds; both
+    charge nodes[free] alike, so nodes and caps do not depend on which.
     """
     parent_pos = labeling.parent_positions()
     p = parent_pos[-1]
@@ -155,7 +167,8 @@ def _count_by_leaf_block(graph: Graph, labeling: GoodLabeling, budget: _Budget) 
     p = parent_pos[-1]
     s, block_copies, block_nodes = _leaf_block(graph, labeling)
     adjacency = graph.adjacency
-    neighbor_sets = [frozenset(a) for a in adjacency]
+    degree = graph.degrees()
+    hits = [0] * graph.n  # hits[w]: vertices at slots < last that are adjacent to w
     omega = [0] * s
     used = bytearray(graph.n)
     last = s - 1
@@ -169,18 +182,32 @@ def _count_by_leaf_block(graph: Graph, labeling: GoodLabeling, budget: _Budget) 
                 if not used[v]:
                     used[v] = 1
                     omega[pos] = v
+                    neighbors = adjacency[v]
+                    for w in neighbors:
+                        hits[w] += 1
                     total += extend(pos + 1)
+                    for w in neighbors:
+                        hits[w] -= 1
                     used[v] = 0
             return total
-        # Each choice of the last placed slot roots one leaf-block subtree.
+        # Each choice v of the last placed slot roots one leaf-block subtree,
+        # whose free count is the degree of omega_p less its placed neighbours.
         nodes = 0
-        for v in candidates:
-            if not used[v]:
-                omega[pos] = v
-                anchor = omega[p]
-                free = len(adjacency[anchor]) - len(neighbor_sets[anchor].intersection(omega))
-                total += block_copies[free]
-                nodes += block_nodes[free]
+        if p == last:
+            for v in candidates:
+                if not used[v]:
+                    free = degree[v] - hits[v]
+                    total += block_copies[free]
+                    nodes += block_nodes[free]
+        else:
+            anchor = omega[p]
+            unplaced = degree[anchor] - hits[anchor]
+            near = set(adjacency[anchor])
+            for v in candidates:
+                if not used[v]:
+                    free = unplaced - (v in near)
+                    total += block_copies[free]
+                    nodes += block_nodes[free]
         budget.spend(nodes)
         return total
 

@@ -293,6 +293,10 @@ NO_COPY = (Graph.from_edges(4, [(0, 1), (2, 3)]), path_tree(2), good_labeling(pa
 SINGLE_EDGE = (gen_cycle(5), path_tree(1), good_labeling(path_tree(1)))
 LOW_DEGREE_STAR = (gen_cycle(5), star_tree(3), good_labeling_between(star_tree(3), 2, 4))
 DENSE_STAR = (gen_disjoint_cliques(1, 6), star_tree(4), good_labeling(star_tree(4)))
+# Order (2, 1, 3, 4, 5), parent positions (-1, 0, 1, 1, 2): the block is slot 4
+# under slot 2, while the last placed slot is 3.
+SPIDER = Tree.from_edges([(1, 2), (1, 3), (1, 4), (3, 5)])
+SPIDER_BLOCK_UNDER_EARLIER_SLOT = (gen_disjoint_cliques(1, 6), SPIDER, good_labeling(SPIDER, 2))
 
 
 @settings(max_examples=80, deadline=None)
@@ -300,6 +304,7 @@ DENSE_STAR = (gen_disjoint_cliques(1, 6), star_tree(4), good_labeling(star_tree(
 @example(NO_COPY)
 @example(SINGLE_EDGE)
 @example(LOW_DEGREE_STAR)
+@example(SPIDER_BLOCK_UNDER_EARLIER_SLOT)
 def test_leaf_block_count_matches_oracles_and_enumeration(case):
     graph, tree, labeling = case
     result = count_copies(graph, tree, labeling)
@@ -328,6 +333,7 @@ def test_slot_order_oracle_lists_every_copy(case):
 @example(NO_COPY)
 @example(SINGLE_EDGE)
 @example(DENSE_STAR)
+@example(SPIDER_BLOCK_UNDER_EARLIER_SLOT)
 def test_count_and_enumeration_hit_the_work_cap_at_the_same_node(case):
     graph, tree, labeling = case
     nodes = search_nodes_by_permutations(graph, labeling)
@@ -339,3 +345,30 @@ def test_count_and_enumeration_hit_the_work_cap_at_the_same_node(case):
         assert copy_ledger(graph, tree, labeling, work_cap=nodes).count == copies
         with pytest.raises(WorkCapExceeded, match="copy enumeration exceeded the work cap"):
             copy_ledger(graph, tree, labeling, work_cap=nodes - 1)
+
+
+def test_spider_block_sits_under_an_earlier_slot():
+    labeling = SPIDER_BLOCK_UNDER_EARLIER_SLOT[2]
+    assert labeling.order == (2, 1, 3, 4, 5)
+    assert labeling.parent_positions() == (-1, 0, 1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "tree, labeling, copies, nodes",
+    [
+        (path_tree(4), None, 638_298, 703_439),
+        (star_tree(4), None, 696_792, 763_441),
+        (FORK, None, 657_532, 722_673),
+        (SPIDER, good_labeling(SPIDER, 2), 657_532, 724_181),
+    ],
+    ids=["path", "star", "fork", "spider"],
+)
+def test_counts_and_nodes_on_a_40_vertex_graph(tree, labeling, copies, nodes):
+    """Long backtracking on a larger graph than the property tests draw, so
+    a neighbour tally left stale by one branch would change these values."""
+    graph = gen_random_min_degree(40, 0.3, 6, 1)
+    result = count_copies(graph, tree, labeling)
+    assert (result.value, result.nodes) == (copies, nodes)
+    if tree is SPIDER:
+        with pytest.raises(WorkCapExceeded, match=f"work cap of {nodes - 1} search nodes"):
+            count_copies(graph, tree, labeling, work_cap=nodes - 1)
