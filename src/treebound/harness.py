@@ -584,8 +584,9 @@ def instance_report(
     Returns the checks and the chain report (None below the min-degree
     hypothesis), fed by one copy pass (copy_ledger) and the propagated HOM
     g-table.  Checks needing the hypothesis are skipped (passed=None) when
-    the graph misses it; homomorphism-side checks always run, and only the
-    copy pass is charged against the work cap.
+    the graph misses it; homomorphism-side checks run on every graph with an
+    edge and are skipped on an edgeless one, where no weight is defined.
+    Only the copy pass is charged against the work cap.
     """
     from .measure import MeasureKind, copy_ledger, g_table_exact
 
@@ -611,11 +612,14 @@ def instance_report(
         ]
     else:
         verdicts = [(None, f"skipped: min degree {graph.min_degree} < t = {t}")] * len(names)
-    hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM)
-    hom_total = hom_table.row_sum(1)
     names += ["hom-total-probability", "hom-degree-profile"]
-    verdicts += [
-        (hom_total == 1, f"sum over homomorphic embeddings = {format_rational(hom_total)}"),
-        (hom_table.equals_degree_profile(graph), "g[i][v] vs d(v)/nd over the full table"),
-    ]
+    if graph.degree_sum == 0:
+        verdicts += [(None, "skipped: graph has no edges")] * 2
+    else:
+        hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM)
+        hom_total = hom_table.row_sum(1)
+        verdicts += [
+            (hom_total == 1, f"sum over homomorphic embeddings = {format_rational(hom_total)}"),
+            (hom_table.equals_degree_profile(graph), "g[i][v] vs d(v)/nd over the full table"),
+        ]
     return [CheckResult(name, *verdict) for name, verdict in zip(names, verdicts)], chain

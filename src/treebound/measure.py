@@ -33,15 +33,16 @@ denominators inside the fold, made once per block; the library has no
 other per-copy check.  Reversal symmetry reads the majorant from a copy's
 far end: the powers of d(omega_x)-t+1 it gives each slot are compared with
 the product form's once per ledger, and where they agree every copy's
-reversed weight is its product-form weight.  Every weight is 1/D for an
-integer D, so exact sums are grouped by denominator: a pass counts
-embeddings per (cell, D) in ints, and the ledger's two GTables take those
-sums as integer numerators over the lcm of the D.  The HOM table enumerates
-nothing: its slot 1 is the start law d(v)/nd, and each later slot is one
-random-walk step from its parent slot, so the table is propagated in
-O(t*m) exact integer steps.  A GTable is one denominator and integer
-numerators: its slacks, row sums and the HOM identity are integer sums,
-with one Fraction per result, and its JSON reduces each cell with a gcd.
+reversed weight is its product-form weight.  Every weight is 1/D, with D
+nd times t-1 integer factors in 1..Delta (the max degree), so the ledger
+sums both tables as integer rows over nd * lcm(1..Delta)^(t-1), one
+denominator fixed before the pass that every D divides.  The HOM table
+enumerates nothing: its slot 1 is the start law d(v)/nd, and each later
+slot is one random-walk step from its parent slot, so the table is
+propagated in O(t*m) exact integer steps.  A GTable is one denominator
+and integer numerators: its slacks, row sums and the HOM identity are
+integer sums, with one Fraction per result, and its JSON reduces each cell
+with a gcd.
 
 The sampler is prepared once per run: sample_embeddings checks its inputs
 and builds the directed-edge list once, then each draw costs O(t*d).  A
@@ -61,7 +62,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat
 from operator import sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .bounds import LOG_TOLERANCE
 from .counting import _Budget, _leaf_block, _too_deep
@@ -384,52 +385,6 @@ class ChainReport:
         }
 
 
-class _GroupedWeights:
-    """Weights 1/D of embeddings summed exactly, as integer counts per denominator D.
-
-    by_denominator[D] holds (w ln w for w = 1/D, rows), where rows[i][v]
-    counts the embeddings of weight 1/D whose (i+1)-th vertex is v.  No
-    Fraction is made: table() sums the counts over the lcm of the D.
-    Memory is O(distinct D * (t+1) * n) ints, never a list of embeddings.
-    """
-
-    def __init__(self, kind: MeasureKind, positions: int, n: int):
-        self.kind = kind
-        self.positions = positions
-        self.n = n
-        self.by_denominator: dict[int, tuple[float, list[list[int]]]] = {}
-
-    def add(
-        self, denominator: int, prefix: Sequence[int], copies: int, free: Iterable[int], each: int
-    ) -> float:
-        """Count `copies` embeddings of weight w = 1/D that share their first
-        len(prefix) vertices and fill each later slot from `free`, every vertex
-        of `free` `each` times per slot; return w ln w as (1/D)(0.0 - ln D)."""
-        entry = self.by_denominator.get(denominator)
-        if entry is None:
-            term = (1 / denominator) * (0.0 - math.log(denominator))
-            rows = [[0] * self.n for _ in range(self.positions)]
-            entry = self.by_denominator[denominator] = (term, rows)
-        rows = entry[1]
-        for row, v in zip(rows, prefix):
-            row[v] += copies
-        for row in rows[len(prefix):]:
-            for u in free:
-                row[u] += each
-        return entry[0]
-
-    def table(self) -> GTable:
-        """g[i][v] as integer sums over the lcm of the denominators."""
-        common = math.lcm(*self.by_denominator)
-        numerators = [[0] * self.n for _ in range(self.positions)]
-        for d, (_, rows) in self.by_denominator.items():
-            scale = common // d
-            for into, row in zip(numerators, rows):
-                for v, c in enumerate(row):
-                    into[v] += c * scale
-        return GTable(self.kind, common, numerators)
-
-
 @_value_type(uncompared=("nodes",))
 class CopyLedger:
     """What one pass over the injective copies yields: the count, the ISO and
@@ -470,14 +425,38 @@ class CopyLedger:
 
 
 class _LedgerSums:
-    """The ledger's accumulators while its copy pass runs."""
+    """The ledger's accumulators while its copy pass runs.
 
-    def __init__(self, positions: int, n: int):
-        self.iso = _GroupedWeights(MeasureKind.ISO, positions, n)
-        self.majorant = _GroupedWeights(MeasureKind.MAJORANT, positions, n)
+    Both tables are integer rows over one denominator `common`, fixed before
+    the pass and a multiple of every weight's D.  by_denominator[D] holds
+    (common // D, w ln w for w = 1/D), so no Fraction is made and each D's
+    log term is computed once."""
+
+    def __init__(self, positions: int, n: int, common: int):
+        self.common = common
+        self.iso = [[0] * n for _ in range(positions)]
+        self.majorant = [[0] * n for _ in range(positions)]
+        self.by_denominator: dict[int, tuple[int, float]] = {}
         self.count = 0
         self.entropy_log = self.product_log = 0.0
         self.dominated = self.product_ok = True
+
+    def _add(self, rows, denominator, prefix, copies, free, each) -> float:
+        """Add `copies` embeddings of weight w = 1/D that share their first
+        len(prefix) vertices and fill each later slot from `free`, every vertex
+        of `free` `each` times per slot; return w ln w as (1/D)(0.0 - ln D)."""
+        entry = self.by_denominator.get(denominator)
+        if entry is None:
+            term = (1 / denominator) * (0.0 - math.log(denominator))
+            entry = self.by_denominator[denominator] = (self.common // denominator, term)
+        scale, term = entry
+        for row, v in zip(rows, prefix):
+            row[v] += copies * scale
+        each *= scale
+        for row in rows[len(prefix):]:
+            for u in free:
+                row[u] += each
+        return term
 
     def fold(self, prefix, free, copies, each, d_iso, d_maj, d_product) -> None:
         """Fold one leaf block: `copies` copies that share the prefix slots and
@@ -487,9 +466,9 @@ class _LedgerSums:
         block.  Each log takes its term once per copy, in sequence, as a
         per-copy pass would."""
         self.count += copies
-        term = self.iso.add(d_iso, prefix, copies, free, each)
+        term = self._add(self.iso, d_iso, prefix, copies, free, each)
         self.entropy_log = reduce(sub, repeat(term, copies), self.entropy_log)
-        term = self.majorant.add(d_maj, prefix, copies, free, each)
+        term = self._add(self.majorant, d_maj, prefix, copies, free, each)
         self.product_log = reduce(sub, repeat(term, copies), self.product_log)
         self.dominated = self.dominated and d_iso >= d_maj
         self.product_ok = self.product_ok and d_product == d_maj
@@ -515,8 +494,9 @@ def copy_ledger(
     reversed weight is its product-form weight.  The work cap is charged
     every node of the search, block nodes included, so it fires at
     count_copies' caps.  A tree too deep for the recursion limit is a
-    ValueError.  Both tables are built, as GTables over integer numerators,
-    once the pass ends.
+    ValueError.  Each D is nd times t-1 factors in 1..Delta (candidate-set
+    sizes, or floors d(v)-t+1), so both tables sum over the one denominator
+    nd * lcm(1..Delta)^(t-1), fixed before the pass.
     """
     labeling.validate(tree)
     t = tree.t
@@ -536,7 +516,8 @@ def copy_ledger(
     n, adjacency, degree = graph.n, graph.adjacency, graph.degrees()
     neighbor_sets = [frozenset(a) for a in adjacency]
     floor = [d - t + 1 for d in degree]
-    sums = _LedgerSums(t + 1, n)
+    nd = graph.degree_sum
+    sums = _LedgerSums(t + 1, n, nd * math.lcm(*range(1, graph.max_degree + 1)) ** (t - 1))
     omega = [0] * s
     used = bytearray(n)
     last = s - 1
@@ -582,15 +563,14 @@ def copy_ledger(
                     )
         budget.spend(nodes)
 
-    nd = graph.degree_sum
     try:
         extend(0, nd, nd, nd)
     except RecursionError:
         raise _too_deep(tree) from None
     return CopyLedger(
         sums.count,
-        sums.iso.table(),
-        sums.majorant.table(),
+        GTable(MeasureKind.ISO, sums.common, sums.iso),
+        GTable(MeasureKind.MAJORANT, sums.common, sums.majorant),
         sums.dominated,
         exponents_agree and sums.product_ok,
         sums.product_ok,

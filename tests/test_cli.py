@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 from treebound.cli import main
-from treebound.graphs import gen_cycle, gen_disjoint_cliques, serialize_graph
+from treebound.graphs import Graph, gen_cycle, gen_disjoint_cliques, path_tree, serialize_graph
 from treebound.harness import (
     ConjectureScanConfig,
     conjecture_scan,
     conjecture_to_csv,
     conjecture_to_json,
+    instance_report,
 )
 
 
@@ -222,6 +223,25 @@ class TestVerify:
         assert code == 0
         assert envelope["result"]["skipped"] == 6
         assert envelope["result"]["allPassed"] is True
+
+    def test_edgeless_graph_skips_every_check(self, capsys, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("3 0\n")
+        code, envelope = run_json(capsys, ["verify", "--graph", str(path), "--tree", "path:2"])
+        assert code == 0
+        result = envelope["result"]
+        assert result["allPassed"] is True and result["skipped"] == 8
+        assert "chain" not in result
+        assert result["checks"][-2:] == [
+            {"name": name, "passed": None, "detail": "skipped: graph has no edges"}
+            for name in ("hom-total-probability", "hom-degree-profile")
+        ]
+
+    def test_edgeless_instance_report_skips_hom_checks(self):
+        checks, chain = instance_report(Graph.from_edges(3, []), path_tree(2))
+        assert chain is None
+        assert [c.passed for c in checks] == [None] * 8
+        assert [c.detail for c in checks[-2:]] == ["skipped: graph has no edges"] * 2
 
 
 class TestConjecture:

@@ -11,13 +11,17 @@ form's exponent treedeg(x) - 1, that the chain floats are bit-identical to
 summing the public weight() copy by copy, that each per-copy check fails
 when one block carries a wrong weight, that the ledger charges the work
 cap the nodes of a full search on count_copies' leaf block, which never
-holds slot 1, that a tree too deep for the recursive search is a
-ValueError, that an instance makes one ledger pass and no count_copies
-pass, and that the ledger is a value: two passes compare and hash equal,
-and its tables are the GTables g_table_exact returns.
+holds slot 1, that ledgers on graphs of max degree 10 and 14, whose common
+denominator is a 41- or 63-bit integer, keep their pinned values, that a
+tree too deep for the recursive search is a ValueError, that an instance
+makes one ledger pass and no count_copies pass, and that the ledger is a
+value: two passes compare and hash equal, and its tables are the GTables
+g_table_exact returns.
 """
 
+import hashlib
 import inspect
+import json
 import math
 import random
 import sys
@@ -420,3 +424,35 @@ def test_reversal_exponents_are_tree_degrees_less_one(rng, t):
     for labeling in labelings:
         powers = [tree.tree_degree(x) - 1 for x in labeling.order]
         assert measure._check_exponents(tree, labeling) == (powers, True)
+
+
+_FORK = Tree.from_edges([(1, 2), (2, 3), (3, 4), (3, 5)])
+
+
+@pytest.mark.parametrize(
+    "graph_args, tree, max_degree, count, nodes, entropy_hex, product_hex, digest",
+    [
+        ((12, 0.5, 4, 2), path_tree(4), 10, 11_124, 14_117,
+         "0x1.26a1b0c3d5030p+3", "0x1.a7598c7197a58p+4", "00a21e20277679f6"),
+        ((16, 0.8, 4, 1), _FORK, 14, 217_808, 242_967,
+         "0x1.88507930f958dp+3", "0x1.0e2a0225aa075p+4", "7ce2992372147e8a"),
+        ((16, 0.8, 4, 1), star_tree(4), 14, 215_208, 240_239,
+         "0x1.86f652a11fdb1p+3", "0x1.01f8dcec4fd6cp+4", "9a6706d79ef29304"),
+    ],
+    ids=["G12-P4", "G16-fork", "G16-S4"],
+)
+def test_ledger_with_big_common_denominator_keeps_pinned_values(
+    graph_args, tree, max_degree, count, nodes, entropy_hex, product_hex, digest
+):
+    """With max degree 10 or 14 and t = 4, the tables' common denominator
+    nd * lcm(1..Delta)^3 has 41 or 63 bits, where the hypothesis draws (max
+    degree <= 6) stay under 2^30; the values are pinned bit for bit."""
+    graph = gen_random_min_degree(*graph_args)
+    assert graph.max_degree == max_degree
+    ledger = copy_ledger(graph, tree, good_labeling(tree))
+    assert (ledger.count, ledger.nodes) == (count, nodes)
+    assert ledger.entropy_log.hex() == entropy_hex
+    assert ledger.product_log.hex() == product_hex
+    tables = json.dumps([ledger.iso.to_json_dict(), ledger.majorant.to_json_dict()], sort_keys=True)
+    assert hashlib.sha256(tables.encode()).hexdigest().startswith(digest)
+    assert ledger.iso_below_majorant and ledger.reversal_equal and ledger.product_form_equal
