@@ -522,13 +522,11 @@ def gen_complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
-def _check_random_min_degree(n: int, p: float, min_degree: int, max_tries: int) -> None:
+def _check_random_min_degree(n: int, p: float, min_degree: int) -> None:
     if not 0 < p <= 1:
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
     if not 0 <= min_degree < n:
         raise ValueError(f"degree floor must be in 0..{n - 1}, got {min_degree}")
-    if max_tries < 1:
-        raise ValueError(f"max tries must be >= 1, got {max_tries}")
 
 
 # Largest skip, in random() calls, made with one getrandbits call: 8192
@@ -568,7 +566,9 @@ def gen_random_min_degree(
     pair and then checking the floor gives.  A kept draw is built as it is
     drawn: its neighbour lists and rows are already ascending.
     """
-    _check_random_min_degree(n, p, min_degree, max_tries)
+    _check_random_min_degree(n, p, min_degree)
+    if max_tries < 1:
+        raise ValueError(f"max tries must be >= 1, got {max_tries}")
     rng = random.Random(seed)
     draw = rng.random
     for _ in range(max_tries):

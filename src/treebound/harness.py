@@ -185,10 +185,12 @@ def _build_row(
         base["bounds"] = _row_bounds(
             report, {"copies": copies, "homs": homs, "walks": walks}
         )
-        hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM)
-        tables["Pprime"] = hom_table
-        base["slack_hom"] = hom_table.min_slack(graph)
-        base["hom_table_equal"] = hom_table.equals_degree_profile(graph)
+        # an edgeless graph defines no weight, so it has no HOM table
+        if graph.degree_sum:
+            hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM)
+            tables["Pprime"] = hom_table
+            base["slack_hom"] = hom_table.min_slack(graph)
+            base["hom_table_equal"] = hom_table.equals_degree_profile(graph)
         if ledger:
             tables["p"] = ledger.majorant
             tables["P"] = ledger.iso
@@ -399,7 +401,6 @@ class ConjectureScanConfig:
     edge_probability: float = 0.5
     tree: Tree | None = None
     work_cap: int | None = None
-    max_tries: int = 1000
 
     @property
     def degree_floor(self) -> int:
@@ -442,7 +443,7 @@ def _conjecture_instances(config: ConjectureScanConfig):
         for c in range(1, config.trials + 1):
             yield f"cliques(c={c},q={q})", partial(gen_disjoint_cliques, c, q)
     elif config.family == "random":
-        _check_random_min_degree(config.n, config.edge_probability, floor, config.max_tries)
+        _check_random_min_degree(config.n, config.edge_probability, floor)
         rng = random.Random(config.seed)
         for i in range(config.trials):
             trial_seed = rng.randrange(2**32)
@@ -455,7 +456,6 @@ def _conjecture_instances(config: ConjectureScanConfig):
                     config.edge_probability,
                     floor,
                     seed=trial_seed,
-                    max_tries=config.max_tries,
                 ),
             )
     else:
@@ -470,9 +470,10 @@ def conjecture_scan(config: ConjectureScanConfig) -> list[ConjectureRow]:
     scan keeps going.  A trial whose graph cannot be generated yields an
     inapplicable row carrying the error, with n = config.n and no degrees.
     A config with fewer than 1 trial, a tree without config.t edges, or family
-    parameters no trial can build (p outside (0, 1], a degree floor outside
-    0..n-1 or max_tries below 1 for random graphs, a floor below 1 for
-    cliques) is a ValueError, raised before the first trial.
+    parameters no trial can build (p outside (0, 1] or a degree floor outside
+    0..n-1 for random graphs, a floor below 1 for cliques) is a ValueError,
+    raised before the first trial.  A random trial gets gen_random_min_degree's
+    default number of draws.
     """
     tree = config.tree if config.tree is not None else path_tree(config.t)
     if tree.t != config.t:

@@ -27,7 +27,9 @@ Each instance enumerates its copies once: copy_ledger folds every copy
 into the count, both copy tables, the per-copy checks and the chain's logs.
 It backtracks like count_copies and stops at the trailing leaf block, whose
 copies all carry one weight under each measure, so it folds a whole block
-at a time; only the chain's float logs take one term per copy, in order.
+at a time into one table row that the block's slots share; each search node
+writes the weight below it to its own cell, once.  Only the chain's float
+logs take one term per copy, in order.
 P <= p and the majorant's product form are integer comparisons of
 denominators inside the fold, made once per block; the library has no
 other per-copy check.  Reversal symmetry reads the majorant from a copy's
@@ -59,7 +61,7 @@ import random
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, repeat
 from operator import sub
 from typing import Iterator, Sequence
@@ -428,50 +430,38 @@ class _LedgerSums:
     """The ledger's accumulators while its copy pass runs.
 
     Both tables are integer rows over one denominator `common`, fixed before
-    the pass and a multiple of every weight's D.  by_denominator[D] holds
-    (common // D, w ln w for w = 1/D), so no Fraction is made and each D's
-    log term is computed once."""
+    the pass and a multiple of every weight's D: a row per placed slot and
+    one row that the leaf block's slots share.  weigh(D) is (common // D,
+    w ln w for w = 1/D), cached, so no Fraction is made and each D's log
+    term is computed once."""
 
-    def __init__(self, positions: int, n: int, common: int):
-        self.common = common
-        self.iso = [[0] * n for _ in range(positions)]
-        self.majorant = [[0] * n for _ in range(positions)]
-        self.by_denominator: dict[int, tuple[int, float]] = {}
+    def __init__(self, rows: int, n: int, common: int):
+        self.iso = [[0] * n for _ in range(rows)]
+        self.majorant = [[0] * n for _ in range(rows)]
+        self.weigh = cache(lambda d: (common // d, (1 / d) * (0.0 - math.log(d))))
         self.count = 0
         self.entropy_log = self.product_log = 0.0
         self.dominated = self.product_ok = True
 
-    def _add(self, rows, denominator, prefix, copies, free, each) -> float:
-        """Add `copies` embeddings of weight w = 1/D that share their first
-        len(prefix) vertices and fill each later slot from `free`, every vertex
-        of `free` `each` times per slot; return w ln w as (1/D)(0.0 - ln D)."""
-        entry = self.by_denominator.get(denominator)
-        if entry is None:
-            term = (1 / denominator) * (0.0 - math.log(denominator))
-            entry = self.by_denominator[denominator] = (self.common // denominator, term)
-        scale, term = entry
-        for row, v in zip(rows, prefix):
-            row[v] += copies * scale
-        each *= scale
-        for row in rows[len(prefix):]:
-            for u in free:
-                row[u] += each
-        return term
-
-    def fold(self, prefix, free, copies, each, d_iso, d_maj, d_product) -> None:
-        """Fold one leaf block: `copies` copies that share the prefix slots and
-        whose block slots take distinct vertices of `free`, all weighing
-        P = 1/d_iso and p = 1/d_maj.  The product form 1/d_product reads no
-        block slot, so one comparison with d_maj serves every copy of the
-        block.  Each log takes its term once per copy, in sequence, as a
-        per-copy pass would."""
+    def fold(self, free, copies, each, d_iso, d_maj, d_product) -> tuple[int, int]:
+        """Fold one leaf block: `copies` copies whose block slots take distinct
+        vertices of `free`, each vertex `each` times per slot, all weighing
+        P = 1/d_iso and p = 1/d_maj; return the block's P and p mass over
+        `common`.  The product form 1/d_product reads no block slot, so one
+        comparison with d_maj serves every copy of the block.  Each log takes
+        its term once per copy, in sequence, as a per-copy pass would."""
         self.count += copies
-        term = self._add(self.iso, d_iso, prefix, copies, free, each)
+        iso, term = self.weigh(d_iso)
         self.entropy_log = reduce(sub, repeat(term, copies), self.entropy_log)
-        term = self._add(self.majorant, d_maj, prefix, copies, free, each)
+        maj, term = self.weigh(d_maj)
         self.product_log = reduce(sub, repeat(term, copies), self.product_log)
         self.dominated = self.dominated and d_iso >= d_maj
         self.product_ok = self.product_ok and d_product == d_maj
+        iso_row, maj_row = self.iso[-1], self.majorant[-1]
+        for u in free:
+            iso_row[u] += each * iso
+            maj_row[u] += each * maj
+        return copies * iso, copies * maj
 
 
 def copy_ledger(
@@ -486,14 +476,17 @@ def copy_ledger(
     omega_p, the block holds (free)_r copies, r = t+1-s, which all weigh
     D_iso = D_prefix * (free)_r and D_maj = D_prefix,maj * (d(omega_p)-t+1)^r,
     and each free neighbor sits in each block slot in (free-1)_(r-1) of
-    them; the block is folded at once.  The product form rebuilds p from the
-    exponents treedeg(x)-1, which are 0 on the block's leaf slots, so it
-    reads no block slot.  The reversal check passes when the exponents of p
-    read under the reversed labeling are those same exponents, as they are
-    for every good labeling, and the product form holds: then each copy's
-    reversed weight is its product-form weight.  The work cap is charged
-    every node of the search, block nodes included, so it fires at
-    count_copies' caps.  A tree too deep for the recursion limit is a
+    them; the block is folded at once, into one row that its r slots share
+    and each table repeats r times.  Each search node returns the P and p
+    mass below it, integers over the common denominator, and adds each
+    child's mass to that child's own cell, once per node.  The product form
+    rebuilds p from the exponents treedeg(x)-1, which are 0 on the block's
+    leaf slots, so it reads no block slot.  The reversal check passes when
+    the exponents of p read under the reversed labeling are those same
+    exponents, as they are for every good labeling, and the product form
+    holds: then each copy's reversed weight is its product-form weight.  The
+    work cap is charged every node of the search, block nodes included, so
+    it fires at count_copies' caps.  A tree too deep for the recursion limit is a
     ValueError.  Each D is nd times t-1 factors in 1..Delta (candidate-set
     sizes, or floors d(v)-t+1), so both tables sum over the one denominator
     nd * lcm(1..Delta)^(t-1), fixed before the pass.
@@ -517,12 +510,13 @@ def copy_ledger(
     neighbor_sets = [frozenset(a) for a in adjacency]
     floor = [d - t + 1 for d in degree]
     nd = graph.degree_sum
-    sums = _LedgerSums(t + 1, n, nd * math.lcm(*range(1, graph.max_degree + 1)) ** (t - 1))
+    common = nd * math.lcm(*range(1, graph.max_degree + 1)) ** (t - 1)
+    sums = _LedgerSums(s + 1, n, common)
     omega = [0] * s
     used = bytearray(n)
     last = s - 1
 
-    def extend(pos: int, d_iso: int, d_maj: int, d_product: int) -> None:
+    def extend(pos: int, d_iso: int, d_maj: int, d_product: int) -> tuple[int, int]:
         budget.spend()
         if pos == 0:
             candidates = range(n)
@@ -534,34 +528,38 @@ def copy_ledger(
                 d_iso *= degree[image] - len(neighbor_sets[image].intersection(omega[:pos]))
                 d_maj *= floor[image]
         power = product_power[pos]
-        if pos < last:
-            for v in candidates:
-                if not used[v]:
-                    used[v] = 1
-                    omega[pos] = v
-                    extend(pos + 1, d_iso, d_maj, d_product * floor[v] ** power)
-                    used[v] = 0
-            return
-        # Each choice of the last placed slot roots one leaf block.
-        nodes = 0
+        iso_row, maj_row = sums.iso[pos], sums.majorant[pos]
+        iso_mass = maj_mass = nodes = 0
         for v in candidates:
-            if not used[v]:
-                omega[pos] = v
+            if used[v]:
+                continue
+            omega[pos] = v
+            d_next = d_product * floor[v] ** power
+            if pos < last:
+                used[v] = 1
+                iso, maj = extend(pos + 1, d_iso, d_maj, d_next)
+                used[v] = 0
+            else:
+                # Each choice of the last placed slot roots one leaf block,
+                # which holds copies: free >= r under the degree hypothesis.
                 anchor = omega[p]
                 free = neighbor_sets[anchor].difference(omega)
                 nodes += block_nodes[len(free)]
                 copies = block_copies[len(free)]
-                if copies:
-                    sums.fold(
-                        omega,
-                        free,
-                        copies,
-                        block_each[len(free)],
-                        d_iso * copies,
-                        d_maj * floor[anchor] ** r,
-                        d_product * floor[v] ** power,
-                    )
+                iso, maj = sums.fold(
+                    free,
+                    copies,
+                    block_each[len(free)],
+                    d_iso * copies,
+                    d_maj * floor[anchor] ** r,
+                    d_next,
+                )
+            iso_row[v] += iso
+            maj_row[v] += maj
+            iso_mass += iso
+            maj_mass += maj
         budget.spend(nodes)
+        return iso_mass, maj_mass
 
     try:
         extend(0, nd, nd, nd)
@@ -569,8 +567,8 @@ def copy_ledger(
         raise _too_deep(tree) from None
     return CopyLedger(
         sums.count,
-        GTable(MeasureKind.ISO, sums.common, sums.iso),
-        GTable(MeasureKind.MAJORANT, sums.common, sums.majorant),
+        GTable(MeasureKind.ISO, common, sums.iso[:s] + sums.iso[s:] * r),
+        GTable(MeasureKind.MAJORANT, common, sums.majorant[:s] + sums.majorant[s:] * r),
         sums.dominated,
         exponents_agree and sums.product_ok,
         sums.product_ok,

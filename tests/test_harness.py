@@ -8,7 +8,7 @@ import pytest
 
 from treebound import harness
 from treebound.counting import count_copies
-from treebound.graphs import Tree, gen_cycle, gen_disjoint_cliques, path_tree, star_tree
+from treebound.graphs import Graph, Tree, gen_cycle, gen_disjoint_cliques, path_tree, star_tree
 from treebound.harness import (
     ConjectureScanConfig,
     SuiteConfig,
@@ -119,6 +119,15 @@ class TestRunSuite:
         )
         assert deep.copies is None
         assert shallow.error is None and shallow.copies == 1200 * 2
+
+    def test_edgeless_graph_gives_a_row_without_error(self, p2):
+        edgeless = Graph.from_edges(3, [])
+        config = SuiteConfig(graphs=(("e", edgeless),), trees=(("P2", p2),), include_gtables=True)
+        (row,) = run_suite(config)
+        assert row.error is None
+        assert (row.copies, row.homs, row.walks) == (0, 0, 0)
+        assert row.bounds and not any(bound.applicable for bound in row.bounds)
+        assert (row.slack_hom, row.hom_table_equal, row.g_tables) == (None, None, None)
 
     def test_negative_work_cap_gives_error_rows(self, p3, k4, c5):
         config = SuiteConfig(graphs=(("K4", k4), ("C5", c5)), trees=(("P3", p3),), work_cap=-1)
@@ -288,14 +297,6 @@ class TestConjectureScan:
         with pytest.raises(ValueError, match=message):
             conjecture_scan(config)
 
-    @pytest.mark.parametrize("max_tries", [0, -3])
-    def test_max_tries_checked_before_any_trial(self, max_tries):
-        config = ConjectureScanConfig(
-            family="random", n=8, t=2, trials=3, seed=0, min_degree=2, max_tries=max_tries
-        )
-        with pytest.raises(ValueError, match=f"max tries must be >= 1, got {max_tries}"):
-            conjecture_scan(config)
-
     def test_unknown_family_rejected(self):
         config = ConjectureScanConfig(
             family="tori", n=8, t=2, trials=1, seed=0, min_degree=2
@@ -314,7 +315,7 @@ class TestConjectureScan:
     def test_retry_cap_yields_error_rows(self):
         config = ConjectureScanConfig(
             family="random", n=6, t=3, trials=3, seed=1, min_degree=5,
-            edge_probability=0.3, max_tries=5,
+            edge_probability=0.3,
         )
         rows = conjecture_scan(config)
         assert len(rows) == 3

@@ -1,22 +1,26 @@
 """The copy ledger against the enumerating oracles and the public weight().
 
 copy_ledger folds each trailing leaf block of copies at once into every
-copy-side accumulator, and the HOM g-table is propagated along the labeling
-without enumerating maps; these tests check that both match tables built one
-Fraction per map, also on stars and brooms whose blocks hold up to t-1 slots,
-that the majorant table equals the labeling-free product form under several
-good labelings (the identity behind the reversal and product-form checks),
-that the majorant read from a copy's far end gives each slot the product
-form's exponent treedeg(x) - 1, that the chain floats are bit-identical to
-summing the public weight() copy by copy, that each per-copy check fails
-when one block carries a wrong weight, that the ledger charges the work
-cap the nodes of a full search on count_copies' leaf block, which never
-holds slot 1, that ledgers on graphs of max degree 10 and 14, whose common
-denominator is a 41- or 63-bit integer, keep their pinned values, that a
-tree too deep for the recursive search is a ValueError, that an instance
-makes one ledger pass and no count_copies pass, and that the ledger is a
-value: two passes compare and hash equal, and its tables are the GTables
-g_table_exact returns.
+copy-side accumulator: _LedgerSums.fold takes one block (its free set, its
+copies and their two denominators), writes the block row that the block's
+slots share, and returns the block's P and p mass, which the search adds to
+each placed slot's cell once per search node.  The HOM g-table is propagated
+along the labeling without enumerating maps.  These tests check that both
+match tables built one Fraction per map, also on stars and brooms whose
+blocks hold up to t-1 slots and on a spider whose block hangs under a slot
+placed before the last, that the majorant table equals the labeling-free
+product form under several good labelings (the identity behind the reversal
+and product-form checks), that the majorant read from a copy's far end gives
+each slot the product form's exponent treedeg(x) - 1, that the chain floats
+are bit-identical to summing the public weight() copy by copy, that each
+per-copy check fails when fold is handed a wrong weight for one block, that
+the ledger charges the work cap the nodes of a full search on count_copies'
+leaf block, which never holds slot 1, that ledgers on graphs of max degree
+10 and 14, whose common denominator is a 41- or 63-bit integer, keep their
+pinned values, that a tree too deep for the recursive search is a
+ValueError, that an instance makes one ledger pass and no count_copies pass,
+and that the ledger is a value: two passes compare and hash equal, and its
+tables are the GTables g_table_exact returns.
 """
 
 import hashlib
@@ -196,11 +200,11 @@ def _tamper_first_block(monkeypatch, change):
     original = measure._LedgerSums.fold
     sizes = []
 
-    def tampered(self, prefix, free, copies, each, d_iso, d_maj, *checks):
+    def tampered(self, free, copies, each, d_iso, d_maj, *checks):
         if not sizes:
             sizes.append(copies)
             d_iso, d_maj = change(d_iso, d_maj)
-        original(self, prefix, free, copies, each, d_iso, d_maj, *checks)
+        return original(self, free, copies, each, d_iso, d_maj, *checks)
 
     monkeypatch.setattr(measure._LedgerSums, "fold", tampered)
     return sizes
@@ -351,6 +355,28 @@ def test_ledger_folds_long_blocks_like_the_oracles(case):
     assert copy_ledger(graph, tree, labeling, work_cap=nodes).count == ledger.count
     with pytest.raises(WorkCapExceeded, match="copy enumeration exceeded the work cap"):
         copy_ledger(graph, tree, labeling, work_cap=nodes - 1)
+
+
+_SPIDER = Tree.from_edges([(1, 2), (1, 3), (1, 4), (3, 5), (3, 6)])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [gen_disjoint_cliques(1, 7), gen_random_min_degree(8, 0.9, 5, 3)],
+    ids=["K7", "G8"],
+)
+def test_shared_block_row_under_a_slot_placed_before_the_last(graph):
+    """The spider's order is 2,1,3,4,5,6: its r = 2 block slots 4-5 (0-based)
+    hang under slot 2, while slot 3 is the last placed slot."""
+    labeling = good_labeling(_SPIDER)
+    assert labeling.order == (2, 1, 3, 4, 5, 6)
+    assert labeling.parent_positions()[3:] == (1, 2, 2)
+    oracle = g_tables_by_enumeration(graph, _SPIDER, labeling, homs=False)
+    ledger = copy_ledger(graph, _SPIDER, labeling)
+    assert ledger.count == copies_by_permutations(graph, _SPIDER)
+    assert _rows(ledger.iso) == oracle["P"]
+    assert _rows(ledger.majorant) == oracle["p"]
+    assert ledger.nodes == search_nodes_by_permutations(graph, labeling)
 
 
 def test_ledger_nodes_are_a_statistic(k4, p3):

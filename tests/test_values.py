@@ -142,7 +142,7 @@ class TestConstruction:
         config = SuiteConfig(graphs=(), trees=())
         assert config.work_cap is None and config.include_gtables is False
         scan = ConjectureScanConfig("random", 12, 3, 2, 0)
-        assert (scan.edge_probability, scan.max_tries, scan.degree_floor) == (0.5, 1000, 6)
+        assert (scan.edge_probability, scan.degree_floor) == (0.5, 6)
         row = SuiteRow("g", "t", 4, 6, Fraction(3), 3, 2)
         assert row.copies is None and row.bounds == () and row.error is None
 
