@@ -2,17 +2,20 @@
 
 Every bound is a product with degree-dependent fractional exponents and
 overflows double precision quickly, so bounds are computed and compared as
-natural logs.  Exponents like (t-1)d(v)/(nd) are formed as exact rationals
-(nd means the degree sum 2|E|) and converted to float only inside the log
-sum.  A bound whose hypothesis fails is flagged inapplicable instead of
-producing NaN.
+natural logs.  Every log is computed from integers: an exponent like
+(t-1)d(v)/nd (nd means the degree sum 2|E|) and an average-degree base
+(nd - j*n)/n are each one int/int true division, which Python rounds
+correctly, and the falling-factorial logs are added left to right from 0.0.
+So the same graph gives the same log bits on every Python version.  A bound
+whose hypothesis fails is flagged inapplicable instead of producing NaN.
 
 Bounds covered, with their hypotheses:
 
 * copies_local:    nd * prod_v (d(v)-t+1)^((t-1)d(v)/nd)   [min degree >= t]
 * copies_average:  nd * (d-t+1)^(t-1)                      [min degree >= t]
 * homs_local:      nd * prod_v d(v)^((t-1)d(v)/nd)         [at least 1 edge]
-* copies_p3:       nd * prod_v (d(v)-2)^(2d(v)/nd)         [t = 3, min degree >= 3]
+* copies_p3:       nd * prod_v (d(v)-2)^(2d(v)/nd), which is
+  copies_local's value at t = 3                            [t = 3, min degree >= 3]
 * walks_blakley_roy: n * d^t (classical walk bound)        [at least 1 edge]
 * copies_induced(k): nd * prod_v (d(v)-k+1)^((t-1)d(v)/nd) [min degree >= k]
 * falling_factorial: n * d(d-1)...(d-t+1), the conjectured
@@ -22,7 +25,6 @@ Bounds covered, with their hypotheses:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .counting import CountResult
 from .graphs import Graph, _value_type
@@ -63,11 +65,6 @@ class BoundComparison:
 class BoundReport:
     """All bounds for one (graph, t, optional k) evaluation."""
 
-    n: int
-    edge_count: int
-    average_degree: Fraction
-    t: int
-    k: int | None
     copies_local: BoundValue
     copies_average: BoundValue
     homs_local: BoundValue
@@ -77,24 +74,17 @@ class BoundReport:
     falling_factorial: BoundValue
 
     def named_bounds(self) -> dict[str, BoundValue]:
-        return {
-            "copies_local": self.copies_local,
-            "copies_average": self.copies_average,
-            "homs_local": self.homs_local,
-            "copies_p3": self.copies_p3,
-            "walks_blakley_roy": self.walks_blakley_roy,
-            "copies_induced": self.copies_induced,
-            "falling_factorial": self.falling_factorial,
-        }
+        return {name: getattr(self, name) for name in self.__match_args__}
 
 
 def _log_degree_product(degrees, t: int, nd: int, shift: int) -> float:
-    """ln(nd) + sum_v ((t-1)d(v)/nd) * ln(d(v) - shift), exponents exact."""
+    """ln(nd) + sum_v ((t-1)d(v)/nd) * ln(d(v) - shift), each exponent one
+    correctly rounded int/int division."""
     total = math.log(nd)
     for deg in degrees:
         base = deg - shift
         if base != 1 and deg != 0:
-            total += float(Fraction((t - 1) * deg, nd)) * math.log(base)
+            total += (t - 1) * deg / nd * math.log(base)
     return total
 
 
@@ -111,24 +101,22 @@ def evaluate_bounds(graph: Graph, t: int, k: int | None = None) -> BoundReport:
         raise ValueError(f"induced-degree parameter k must be >= 1, got {k}")
     degrees = graph.degrees()
     n = graph.n
-    m = graph.edge_count
     nd = graph.degree_sum
-    d = graph.average_degree
     min_deg = graph.min_degree
 
     if min_deg >= t:
         copies_local = BoundValue(True, _log_degree_product(degrees, t, nd, t - 1))
         copies_average = BoundValue(
-            True, math.log(nd) + (t - 1) * math.log(float(d - t + 1))
+            True, math.log(nd) + (t - 1) * math.log((nd - (t - 1) * n) / n)
         )
     else:
         reason = f"min degree {min_deg} < t = {t}"
         copies_local = BoundValue(False, reason=reason)
         copies_average = BoundValue(False, reason=reason)
 
-    if m >= 1:
+    if nd > 0:
         homs_local = BoundValue(True, _log_degree_product(degrees, t, nd, 0))
-        walks_blakley_roy = BoundValue(True, math.log(n) + t * math.log(float(d)))
+        walks_blakley_roy = BoundValue(True, math.log(n) + t * math.log(nd / n))
     else:
         homs_local = BoundValue(False, reason="graph has no edges")
         walks_blakley_roy = BoundValue(False, reason="graph has no edges")
@@ -138,7 +126,7 @@ def evaluate_bounds(graph: Graph, t: int, k: int | None = None) -> BoundReport:
     elif min_deg < 3:
         copies_p3 = BoundValue(False, reason=f"min degree {min_deg} < 3")
     else:
-        copies_p3 = BoundValue(True, _log_degree_product(degrees, t, nd, 2))
+        copies_p3 = copies_local
 
     if k is None:
         copies_induced = BoundValue(False, reason="k not supplied")
@@ -147,22 +135,18 @@ def evaluate_bounds(graph: Graph, t: int, k: int | None = None) -> BoundReport:
     else:
         copies_induced = BoundValue(True, _log_degree_product(degrees, t, nd, k - 1))
 
-    factors = [d - j for j in range(t)]
-    if min(factors) <= 0:
-        falling_factorial = BoundValue(
-            False, reason=f"nonpositive factor d - {t - 1} = {d - t + 1}"
-        )
+    if nd - (t - 1) * n <= 0:
+        reason = f"nonpositive factor d - {t - 1} = {graph.average_degree - t + 1}"
+        falling_factorial = BoundValue(False, reason=reason)
     else:
-        falling_factorial = BoundValue(
-            True, math.log(n) + sum(math.log(float(f)) for f in factors)
-        )
+        # A plain loop, not sum(): sum() compensates float rounding from
+        # Python 3.12 on, which would change the last bit between versions.
+        factor_logs = 0.0
+        for j in range(t):
+            factor_logs += math.log((nd - j * n) / n)
+        falling_factorial = BoundValue(True, math.log(n) + factor_logs)
 
     return BoundReport(
-        n=n,
-        edge_count=m,
-        average_degree=d,
-        t=t,
-        k=k,
         copies_local=copies_local,
         copies_average=copies_average,
         homs_local=homs_local,

@@ -140,12 +140,12 @@ def _cmd_bounds(args, inputs):
             bounds_json[name] = {"applicable": False, "reason": bound.reason}
             rows.append([name, "false", "", bound.reason])
     payload = {
-        "n": report.n,
-        "m": report.edge_count,
-        "d": format_rational(report.average_degree),
+        "n": graph.n,
+        "m": graph.edge_count,
+        "d": format_rational(graph.average_degree),
         "minDegree": graph.min_degree,
-        "t": report.t,
-        "k": report.k,
+        "t": args.t,
+        "k": args.k,
         "bounds": bounds_json,
     }
     return payload, ["bound", "applicable", "log", "reason"], rows, EXIT_OK
@@ -421,10 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     inputs: dict = {}
     try:
         payload, header, rows, code = _HANDLERS[args.command](args, inputs)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (WorkCapExceeded, RetryLimitExceeded) as exc:

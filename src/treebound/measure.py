@@ -66,7 +66,7 @@ from itertools import chain, repeat
 from operator import sub
 from typing import Iterator, Sequence
 
-from .bounds import LOG_TOLERANCE
+from .bounds import LOG_TOLERANCE, compare_count_to_bound
 from .counting import _Budget, _leaf_block, _too_deep
 from .formats import format_log
 from .graphs import GoodLabeling, Graph, Tree, _check_vertex, _value_type, good_labeling_between
@@ -413,16 +413,16 @@ class CopyLedger:
 
     def chain(self, bound_log: float) -> ChainReport:
         """The chain's links, ending at the degree-local copy bound exp(bound_log)."""
-        log_count, entropy, product = math.log(self.count), self.entropy_log, self.product_log
+        entropy, product = self.entropy_log, self.product_log
         return ChainReport(
             omega_count=self.count,
             entropy_value=math.exp(entropy),
             majorant_product=math.exp(product),
             bound_value=math.exp(bound_log),
-            count_ge_entropy=log_count >= entropy - LOG_TOLERANCE,
+            count_ge_entropy=compare_count_to_bound(self.count, entropy).holds,
             entropy_ge_product=entropy >= product - LOG_TOLERANCE,
             product_ge_bound=product >= bound_log - LOG_TOLERANCE,
-            count_ge_bound=log_count >= bound_log - LOG_TOLERANCE,
+            count_ge_bound=compare_count_to_bound(self.count, bound_log).holds,
         )
 
 

@@ -5,7 +5,9 @@ permutations; star copies come from the closed form sum_v t! * C(d(v), t);
 homomorphisms by filtering the full map space, walks via adjacency-matrix
 powers in exact integer arithmetic, and g-tables by weighing each of those
 maps from the measure definitions, one Fraction per map, or, for the
-majorant, from its labeling-free product form.  Random graphs with a degree
+majorant, from its labeling-free product form.  The closed-form bounds are
+evaluated in Fractions: each exponent and the average degree is a Fraction
+converted to float once.  Random graphs with a degree
 floor are drawn whole and then checked, and good labelings are judged from
 the definition against the tree's edge list.
 """
@@ -166,6 +168,56 @@ def walks_by_matrix_power(graph: Graph, t: int) -> int:
     for _ in range(t):
         power = power @ a
     return int(power.sum())
+
+
+def bounds_by_fractions(graph: Graph, t: int, k: int | None = None) -> dict:
+    """The seven bounds of ``evaluate_bounds`` as {name: (True, log.hex())} or
+    {name: (False, reason)}.  Each exponent (t-1)d(v)/nd and the average
+    degree d are Fractions, each converted to float once, and the
+    falling-factorial logs of d - j are added left to right from 0.0."""
+    degrees = [len(graph.neighbors(v)) for v in range(graph.n)]
+    n, nd, low = graph.n, sum(degrees), min(degrees)
+    d = Fraction(nd, n)
+
+    def local(shift: int) -> float:
+        total = math.log(nd)
+        for deg in degrees:
+            if deg:
+                total += float(Fraction((t - 1) * deg, nd)) * math.log(deg - shift)
+        return total
+
+    def falling() -> float:
+        total = 0.0
+        for j in range(t):
+            total += math.log(float(d - j))
+        return math.log(n) + total
+
+    below_t, no_edges = f"min degree {low} < t = {t}", "graph has no edges"
+    bounds = {
+        "copies_local": local(t - 1) if low >= t else below_t,
+        "copies_average": (
+            math.log(nd) + (t - 1) * math.log(float(d - t + 1)) if low >= t else below_t
+        ),
+        "homs_local": local(0) if nd else no_edges,
+        "copies_p3": (
+            f"defined only for t = 3, got t = {t}"
+            if t != 3
+            else local(2) if low >= 3 else f"min degree {low} < 3"
+        ),
+        "walks_blakley_roy": math.log(n) + t * math.log(float(d)) if nd else no_edges,
+        "copies_induced": (
+            "k not supplied"
+            if k is None
+            else local(k - 1) if low >= k else f"min degree {low} < k = {k}"
+        ),
+        "falling_factorial": (
+            falling() if d - t + 1 > 0 else f"nonpositive factor d - {t - 1} = {d - t + 1}"
+        ),
+    }
+    return {
+        name: (True, value.hex()) if isinstance(value, float) else (False, value)
+        for name, value in bounds.items()
+    }
 
 
 def random_tree(rng: random.Random, t: int) -> Tree:

@@ -74,6 +74,7 @@ class TestRunSuite:
     # when standard_suite_config still built every graph and tree per call
     PINS = {
         3: "507fe0b1d5242196bd93a815a18e9386e5c2336bd4c0eaeeb721006f14f2badc",
+        9: "10c73331226ad2ff88bff389a3d388de5a73d4c26b6bb2cfcbc990b46fe63f15",
         11: "b3241cb6530552ebf31f5daf2c8c63789039b6d5889b358e10d083d28350c2a6",
     }
 
@@ -84,6 +85,18 @@ class TestRunSuite:
             suite_to_json(rows, include_gtables=True), sort_keys=True
         )
         assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[seed]
+
+    def test_copies_p3_cells_equal_copies_local_cells(self, suite_rows):
+        records = list(csv.DictReader(io.StringIO(suite_to_csv(suite_rows))))
+        cells = ("log", "holds", "margin")
+        checked = 0
+        for record in records:
+            if record["t"] == "3" and int(record["min_degree"]) >= 3:
+                local = [record[f"copies_local_{cell}"] for cell in cells]
+                assert [record[f"copies_p3_{cell}"] for cell in cells] == local
+                assert local[0] != ""
+                checked += 1
+        assert checked > 0
 
     def test_known_rows(self, suite_rows):
         by_key = {(r.graph_name, r.tree_name): r for r in suite_rows}
