@@ -141,8 +141,9 @@ def _leaf_block(graph: Graph, labeling: GoodLabeling) -> tuple[int, list[int], l
     nodes[free] = sum_{j<=r} (free)_j: the copies and the search nodes of a
     block whose parent image has ``free`` unused neighbors.  The callers
     find ``free`` their own way: ``count_copies`` reads it from its tally of
-    placed neighbours, ``copy_ledger`` builds the free set it folds; both
-    charge nodes[free] alike, so nodes and caps do not depend on which.
+    placed neighbours, ``copy_ledger`` lists the neighbors its ``used``
+    marks leave free; both charge nodes[free] alike, so nodes and caps do
+    not depend on which.
     """
     parent_pos = labeling.parent_positions()
     p = parent_pos[-1]

@@ -306,7 +306,13 @@ def _data_lines(text: str):
         yield lineno, line
 
 
-def _parse_header(lineno: int, line: str) -> tuple[int, int]:
+def _parse_header(text: str):
+    """The data lines after the 'n m' header, the header's line number, n and m."""
+    lines = _data_lines(text)
+    try:
+        lineno, line = next(lines)
+    except StopIteration:
+        raise FormatError("empty input: expected 'n m' header") from None
     parts = line.split()
     if len(parts) != 2:
         raise FormatError(f"header must be 'n m', got {line!r}", lineno)
@@ -314,7 +320,7 @@ def _parse_header(lineno: int, line: str) -> tuple[int, int]:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise FormatError(f"header must be two integers, got {line!r}", lineno) from None
-    return n, m
+    return lines, lineno, n, m
 
 
 def _parse_edge_line(lineno: int, line: str) -> tuple[int, int]:
@@ -356,12 +362,7 @@ def _parse_edges(lines, m: int, lo: int, hi: int, label: str) -> tuple[tuple[int
 
 def parse_graph(text: str) -> Graph:
     """Parse 0-indexed graph file content; reject loops and duplicate edges."""
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty input: expected 'n m' header") from None
-    n, m = _parse_header(lineno, header)
+    lines, lineno, n, m = _parse_header(text)
     if n < 1:
         raise FormatError(f"vertex count must be >= 1, got {n}", lineno)
     if m < 0:
@@ -379,12 +380,7 @@ def serialize_graph(graph: Graph) -> str:
 
 def parse_tree(text: str) -> Tree:
     """Parse 1-indexed tree file content: t+1 vertices, t edges, connected."""
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty input: expected 'n m' header") from None
-    n, m = _parse_header(lineno, header)
+    lines, lineno, n, m = _parse_header(text)
     if n < 2:
         raise FormatError(f"a tree needs at least 2 vertices, got {n}", lineno)
     if m != n - 1:

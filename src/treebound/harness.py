@@ -295,8 +295,6 @@ def suite_csv_columns() -> list[str]:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):

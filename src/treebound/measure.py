@@ -472,8 +472,10 @@ def copy_ledger(
     Requires min degree >= t.  The search backtracks along the labeling like
     count_copies, carrying each prefix's factors of D_iso, D_maj and of the
     product form's denominator, and stops at the trailing leaf block (slots
-    s..t sharing the parent slot p, s >= 2).  With `free` unused neighbors of
-    omega_p, the block holds (free)_r copies, r = t+1-s, which all weigh
+    s..t sharing the parent slot p, s >= 2).  `used` marks every placed
+    slot: a node's candidates (their number is its D_iso factor) are the
+    parent image's unmarked neighbors, and the block's `free` set is omega_p's.
+    The block holds (free)_r copies, r = t+1-s, which all weigh
     D_iso = D_prefix * (free)_r and D_maj = D_prefix,maj * (d(omega_p)-t+1)^r,
     and each free neighbor sits in each block slot in (free-1)_(r-1) of
     them; the block is folded at once, into one row that its r slots share
@@ -506,9 +508,8 @@ def copy_ledger(
     block_each = [c // free if free else 0 for free, c in enumerate(block_copies)]
     parent_pos = labeling.parent_positions()
     p = parent_pos[-1]
-    n, adjacency, degree = graph.n, graph.adjacency, graph.degrees()
-    neighbor_sets = [frozenset(a) for a in adjacency]
-    floor = [d - t + 1 for d in degree]
+    n, adjacency = graph.n, graph.adjacency
+    floor = [d - t + 1 for d in graph.degrees()]
     nd = graph.degree_sum
     common = nd * math.lcm(*range(1, graph.max_degree + 1)) ** (t - 1)
     sums = _LedgerSums(s + 1, n, common)
@@ -522,28 +523,25 @@ def copy_ledger(
             candidates = range(n)
         else:
             image = omega[parent_pos[pos]]
-            candidates = adjacency[image]
+            # the parent image's neighbors not embedded yet
+            candidates = [v for v in adjacency[image] if not used[v]]
             if pos >= 2:
-                # candidates: the parent image's neighbors not embedded yet
-                d_iso *= degree[image] - len(neighbor_sets[image].intersection(omega[:pos]))
+                d_iso *= len(candidates)
                 d_maj *= floor[image]
         power = product_power[pos]
         iso_row, maj_row = sums.iso[pos], sums.majorant[pos]
         iso_mass = maj_mass = nodes = 0
         for v in candidates:
-            if used[v]:
-                continue
             omega[pos] = v
             d_next = d_product * floor[v] ** power
+            used[v] = 1
             if pos < last:
-                used[v] = 1
                 iso, maj = extend(pos + 1, d_iso, d_maj, d_next)
-                used[v] = 0
             else:
                 # Each choice of the last placed slot roots one leaf block,
                 # which holds copies: free >= r under the degree hypothesis.
                 anchor = omega[p]
-                free = neighbor_sets[anchor].difference(omega)
+                free = [u for u in adjacency[anchor] if not used[u]]
                 nodes += block_nodes[len(free)]
                 copies = block_copies[len(free)]
                 iso, maj = sums.fold(
@@ -554,6 +552,7 @@ def copy_ledger(
                     d_maj * floor[anchor] ** r,
                     d_next,
                 )
+            used[v] = 0
             iso_row[v] += iso
             maj_row[v] += maj
             iso_mass += iso

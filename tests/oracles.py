@@ -20,8 +20,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
-import numpy as np
-
 from treebound.errors import RetryLimitExceeded
 from treebound.graphs import GoodLabeling, Graph, Tree
 
@@ -159,15 +157,19 @@ def slacks_by_cells(graph: Graph, rows) -> list:
 
 
 def walks_by_matrix_power(graph: Graph, t: int) -> int:
-    """Sum of the entries of the t-th adjacency-matrix power, exact."""
-    a = np.zeros((graph.n, graph.n), dtype=object)
+    """Sum of the entries of the t-th adjacency-matrix power, exact: the
+    identity multiplied t times by the 0/1 adjacency matrix, as lists of ints."""
+    n = graph.n
+    a = [[0] * n for _ in range(n)]
     for u, v in graph.edges:
-        a[u, v] = 1
-        a[v, u] = 1
-    power = np.eye(graph.n, dtype=object)
+        a[u][v] = 1
+        a[v][u] = 1
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(t):
-        power = power @ a
-    return int(power.sum())
+        power = [
+            [sum(row[k] * a[k][j] for k in range(n)) for j in range(n)] for row in power
+        ]
+    return sum(map(sum, power))
 
 
 def bounds_by_fractions(graph: Graph, t: int, k: int | None = None) -> dict:

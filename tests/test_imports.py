@@ -4,7 +4,8 @@ A CLI run is a fresh process that compiles every module it imports when no
 bytecode cache is written, so each command must load only what it runs,
 and none loads ``dataclasses`` (with ``inspect`` behind it).
 The budget tests run ``treebound.cli.main`` in a child process and read
-``sys.modules`` afterwards.
+``sys.modules`` afterwards.  The test oracles, which the benchmark's checks
+import too, need only the standard library.
 """
 
 import json
@@ -18,7 +19,8 @@ import pytest
 import treebound
 from treebound.graphs import gen_disjoint_cliques, serialize_graph
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # The names `from treebound import *` binds: the exports plus the six library
 # submodules.
@@ -154,3 +156,18 @@ print(json.dumps([before, same, treebound.g_table_exact.__module__]))
         assert before == ["treebound"]
         assert same
         assert home == "treebound.measure"
+
+
+def test_oracles_import_without_site_packages():
+    # python -S skips site-packages, so any third-party import fails here
+    code = """
+import json, sys
+import tests.oracles
+print(json.dumps(sorted({m.split(".")[0] for m in sys.modules} - sys.stdlib_module_names)))
+"""
+    env = {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{ROOT}"}
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == ["__main__", "tests", "treebound"]
