@@ -62,7 +62,6 @@ _EXPORTS = {
         "CheckResult",
         "ConjectureRow",
         "ConjectureScanConfig",
-        "ConjectureSummary",
         "SuiteConfig",
         "SuiteRow",
         "conjecture_scan",
@@ -73,7 +72,6 @@ _EXPORTS = {
         "standard_suite_config",
         "suite_to_csv",
         "suite_to_json",
-        "summarize_conjecture",
     ),
     "measure": (
         "ChainReport",

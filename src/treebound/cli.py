@@ -107,7 +107,7 @@ def _cmd_count(args, inputs):
     tree = _load_tree(args.tree, inputs)
     result = count_copies(graph, tree, work_cap=_work_cap())
     payload = {"count": str(result.value), "method": result.method}
-    return payload, ["count", "method"], [[str(result.value), result.method]], EXIT_OK
+    return payload, ["count", "method"], [[result.value, result.method]], EXIT_OK
 
 
 def _cmd_hom(args, inputs):
@@ -115,14 +115,14 @@ def _cmd_hom(args, inputs):
     tree = _load_tree(args.tree, inputs)
     result = count_homomorphisms(graph, tree)
     payload = {"count": str(result.value), "method": result.method}
-    return payload, ["count", "method"], [[str(result.value), result.method]], EXIT_OK
+    return payload, ["count", "method"], [[result.value, result.method]], EXIT_OK
 
 
 def _cmd_walks(args, inputs):
     graph = _load_graph(args.graph, inputs)
     result = count_walks(graph, args.length)
     payload = {"count": str(result.value), "length": args.length}
-    return payload, ["count", "length"], [[str(result.value), args.length]], EXIT_OK
+    return payload, ["count", "length"], [[result.value, args.length]], EXIT_OK
 
 
 def _cmd_bounds(args, inputs):
@@ -130,15 +130,14 @@ def _cmd_bounds(args, inputs):
 
     graph = _load_graph(args.graph, inputs)
     report = evaluate_bounds(graph, args.t, args.k)
-    bounds_json = {}
-    rows = []
-    for name, bound in report.named_bounds().items():
-        if bound.applicable:
-            bounds_json[name] = {"applicable": True, "log": format_log(bound.log_value)}
-            rows.append([name, "true", f"{bound.log_value:.15g}", ""])
-        else:
-            bounds_json[name] = {"applicable": False, "reason": bound.reason}
-            rows.append([name, "false", "", bound.reason])
+    named = report.named_bounds()
+    bounds_json = {
+        name: {"applicable": True, "log": format_log(b.log_value)}
+        if b.applicable
+        else {"applicable": False, "reason": b.reason}
+        for name, b in named.items()
+    }
+    rows = [[name, b.applicable, b.log_value, b.reason] for name, b in named.items()]
     payload = {
         "n": graph.n,
         "m": graph.edge_count,
@@ -228,10 +227,7 @@ def _cmd_verify(args, inputs):
     if chain is not None:
         # informational: links are measured, never asserted
         payload["chain"] = chain.to_json_dict()
-    rows = [
-        [c.name, "" if c.passed is None else str(c.passed).lower(), c.detail]
-        for c in checks
-    ]
+    rows = [[c.name, c.passed, c.detail] for c in checks]
     code = EXIT_OK if not failed else EXIT_INVARIANT
     return payload, ["check", "passed", "detail"], rows, code
 
@@ -294,7 +290,7 @@ def _cmd_gen(args, inputs):
         payload["path"] = args.output
     else:
         payload["content"] = text
-    row = [args.family, graph.n, graph.edge_count, graph.min_degree, args.output or ""]
+    row = [args.family, graph.n, graph.edge_count, graph.min_degree, args.output]
     return payload, ["family", "n", "m", "min_degree", "path"], [row], EXIT_OK
 
 
@@ -421,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     inputs: dict = {}
     try:
         payload, header, rows, code = _HANDLERS[args.command](args, inputs)
-    except (FormatError, OSError) as exc:
+    except (FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (WorkCapExceeded, RetryLimitExceeded) as exc:

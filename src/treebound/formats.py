@@ -1,7 +1,8 @@
 """Payload formatting shared by the CLI envelope and the report writers.
 
 A leaf module: the CLI formats every command's payload with these, so it
-stays free of the library's heavier modules.
+stays free of the library's heavier modules.  csv_table is the one place
+that turns a value into a CSV cell; its callers pass raw values.
 """
 
 from __future__ import annotations
@@ -22,8 +23,22 @@ def format_log(value: float) -> float:
     return float(f"{value:.15g}")
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.15g}"
+    return str(value)
+
+
 def csv_table(header, rows) -> str:
-    """The one CSV writer of the package: a header line, then the rows."""
+    """The one CSV writer of the package: a header line, then the rows.
+
+    Every cell is formatted here: None is empty, a bool is true/false, a
+    float has 15 significant digits, and anything else is its str.
+    """
     # imported here: JSON output, the default, needs no csv module
     import csv
     import io
@@ -31,5 +46,5 @@ def csv_table(header, rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(map(_csv_cell, row) for row in rows)
     return buffer.getvalue()

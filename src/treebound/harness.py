@@ -11,7 +11,10 @@ not abort the run.
 Reports persist as flat CSV (fixed columns, see suite_csv_columns) and as
 nested JSON carrying a schemaVersion field; exact rationals serialize as
 "numerator/denominator" strings and logs as doubles with 15 significant
-digits.
+digits.  Each report has one writer: a row's JSON record holds its values,
+and the CSV passes the same values to formats.csv_table, which formats
+every cell.  A suite row and instance_report read one instance's copy
+ledger and HOM table from the same step, _instance_tables.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .counting import count_copies, count_homomorphisms, count_walks
 from .errors import RetryLimitExceeded, WorkCapExceeded
 from .formats import SCHEMA_VERSION, csv_table, format_log, format_rational
 from .graphs import (
+    GoodLabeling,
     Graph,
     Tree,
     _check_clique_order,
@@ -43,7 +47,7 @@ from .graphs import (
 # measure is imported where it is used, so that the conjecture scanner
 # runs without loading it
 if TYPE_CHECKING:
-    from .measure import ChainReport
+    from .measure import ChainReport, CopyLedger, GTable
 
 __all__ = [
     "SuiteConfig",
@@ -56,9 +60,7 @@ __all__ = [
     "suite_to_json",
     "ConjectureScanConfig",
     "ConjectureRow",
-    "ConjectureSummary",
     "conjecture_scan",
-    "summarize_conjecture",
     "conjecture_csv_rows",
     "conjecture_to_csv",
     "conjecture_to_json",
@@ -149,6 +151,22 @@ def _row_bounds(report: BoundReport, counts: dict[str, int | None]) -> tuple[Row
     return tuple(rows)
 
 
+def _instance_tables(
+    graph: Graph, tree: Tree, labeling: GoodLabeling, work_cap: int | None
+) -> tuple[CopyLedger | None, GTable | None]:
+    """One instance's copy ledger and HOM g-table, each None where undefined.
+
+    The ledger needs min degree >= t, and its copy pass is the only one
+    charged against the work cap; an edgeless graph defines no weight, so
+    it has no HOM table.
+    """
+    from .measure import MeasureKind, copy_ledger, g_table_exact
+
+    ledger = copy_ledger(graph, tree, labeling, work_cap) if graph.min_degree >= tree.t else None
+    hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM) if graph.degree_sum else None
+    return ledger, hom_table
+
+
 def _build_row(
     graph_name: str,
     graph: Graph,
@@ -158,8 +176,6 @@ def _build_row(
     include_gtables: bool,
     shared: tuple | None = None,
 ) -> SuiteRow:
-    from .measure import MeasureKind, copy_ledger, g_table_exact
-
     # run_suite's caches; a cache keeps no exception, and each is called in the try
     labeling_of, walks_of, bounds_of = shared or (good_labeling, count_walks, evaluate_bounds)
     t = tree.t
@@ -175,8 +191,8 @@ def _build_row(
     tables: dict = {}
     try:
         labeling = labeling_of(tree)
+        ledger, hom_table = _instance_tables(graph, tree, labeling, work_cap)
         # with min degree >= t the ledger's copy pass also yields the count
-        ledger = copy_ledger(graph, tree, labeling, work_cap) if graph.min_degree >= t else None
         copies = ledger.count if ledger else count_copies(graph, tree, labeling, work_cap).value
         homs = count_homomorphisms(graph, tree).value
         walks = walks_of(graph, t).value
@@ -185,9 +201,7 @@ def _build_row(
         base["bounds"] = _row_bounds(
             report, {"copies": copies, "homs": homs, "walks": walks}
         )
-        # an edgeless graph defines no weight, so it has no HOM table
-        if graph.degree_sum:
-            hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM)
+        if hom_table:
             tables["Pprime"] = hom_table
             base["slack_hom"] = hom_table.min_slack(graph)
             base["hom_table_equal"] = hom_table.equals_degree_profile(graph)
@@ -292,16 +306,6 @@ def suite_csv_columns() -> list[str]:
     return cols
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.15g}"
-    return str(value)
-
-
 def _bound_json(bound: RowBound) -> dict:
     out: dict = {"applicable": bound.applicable}
     if bound.applicable:
@@ -338,8 +342,8 @@ def _suite_record(row: SuiteRow) -> dict:
     }
 
 
-def _suite_csv_cells(record: dict, columns: list[str]) -> list[str]:
-    """A suite record's values as CSV cells, in column order."""
+def _suite_csv_row(record: dict, columns: list[str]) -> list:
+    """A suite record's values in CSV column order."""
     values = dict(
         record,
         **record["counts"],
@@ -354,12 +358,12 @@ def _suite_csv_cells(record: dict, columns: list[str]) -> list[str]:
         values[f"{name}_holds"] = bound.get("holds")
         values[f"{name}_margin"] = bound.get("logMargin")
     values.update(zip(_CHAIN_COLUMNS, record["chainLinks"] or ()))
-    return [_csv_cell(values.get(c)) for c in columns]
+    return [values.get(c) for c in columns]
 
 
 def suite_to_csv(rows: list[SuiteRow]) -> str:
     columns = suite_csv_columns()
-    return csv_table(columns, (_suite_csv_cells(_suite_record(row), columns) for row in rows))
+    return csv_table(columns, (_suite_csv_row(_suite_record(row), columns) for row in rows))
 
 
 def suite_to_json(rows: list[SuiteRow], include_gtables: bool = False) -> dict:
@@ -417,16 +421,6 @@ class ConjectureRow:
     log_margin: float | None
     verdict: str  # holds | violated | inapplicable
     error: str | None = None
-
-
-@_value_type
-class ConjectureSummary:
-    total: int
-    holds: int
-    violated: int
-    inapplicable: int
-    min_log_margin: float | None
-    violations: tuple[str, ...]
 
 
 def _conjecture_instances(config: ConjectureScanConfig):
@@ -506,19 +500,6 @@ def conjecture_scan(config: ConjectureScanConfig) -> list[ConjectureRow]:
     return rows
 
 
-def summarize_conjecture(rows: list[ConjectureRow]) -> ConjectureSummary:
-    margins = [r.log_margin for r in rows if r.log_margin is not None]
-    violations = tuple(r.descriptor for r in rows if r.verdict == "violated")
-    return ConjectureSummary(
-        total=len(rows),
-        holds=sum(r.verdict == "holds" for r in rows),
-        violated=len(violations),
-        inapplicable=sum(r.verdict == "inapplicable" for r in rows),
-        min_log_margin=min(margins) if margins else None,
-        violations=violations,
-    )
-
-
 def _conjecture_record(row: ConjectureRow) -> dict:
     """One scan row under its JSON keys; the CSV writes the same values."""
     return {
@@ -535,11 +516,11 @@ def _conjecture_record(row: ConjectureRow) -> dict:
     }
 
 
-def conjecture_csv_rows(rows: list[ConjectureRow]) -> tuple[list[str], list[list[str]]]:
-    """The scan's CSV header and cells; the cells hold the JSON record's values."""
+def conjecture_csv_rows(rows: list[ConjectureRow]) -> tuple[list[str], list[list]]:
+    """The scan's CSV header and rows; each row holds its JSON record's values."""
     header = ["instance", "n", "d", "min_degree", "t", "copies", "ff_log", "log_margin",
               "verdict", "error"]
-    return header, [[_csv_cell(v) for v in _conjecture_record(row).values()] for row in rows]
+    return header, [list(_conjecture_record(row).values()) for row in rows]
 
 
 def conjecture_to_csv(rows: list[ConjectureRow]) -> str:
@@ -547,17 +528,20 @@ def conjecture_to_csv(rows: list[ConjectureRow]) -> str:
 
 
 def conjecture_to_json(rows: list[ConjectureRow]) -> dict:
-    summary = summarize_conjecture(rows)
+    """The scan's rows and a summary: the count of rows per verdict, the
+    least log margin (None when no row has one) and the violated instances."""
+    margins = [r.log_margin for r in rows if r.log_margin is not None]
+    violations = [r.descriptor for r in rows if r.verdict == "violated"]
     return {
         "schemaVersion": SCHEMA_VERSION,
         "rows": [_conjecture_record(row) for row in rows],
         "summary": {
-            "total": summary.total,
-            "holds": summary.holds,
-            "violated": summary.violated,
-            "inapplicable": summary.inapplicable,
-            "minLogMargin": _or_none(format_log, summary.min_log_margin),
-            "violations": list(summary.violations),
+            "total": len(rows),
+            "holds": sum(r.verdict == "holds" for r in rows),
+            "violated": len(violations),
+            "inapplicable": sum(r.verdict == "inapplicable" for r in rows),
+            "minLogMargin": format_log(min(margins)) if margins else None,
+            "violations": violations,
         },
     }
 
@@ -581,21 +565,19 @@ def instance_report(
     """Run every asserted measure/bound invariant on one (graph, tree) pair.
 
     Returns the checks and the chain report (None below the min-degree
-    hypothesis), fed by one copy pass (copy_ledger) and the propagated HOM
-    g-table.  Checks needing the hypothesis are skipped (passed=None) when
-    the graph misses it; homomorphism-side checks run on every graph with an
-    edge and are skipped on an edgeless one, where no weight is defined.
-    Only the copy pass is charged against the work cap.
+    hypothesis), fed by the suite row's step, _instance_tables: one copy
+    pass (copy_ledger) and the propagated HOM g-table.  Checks needing the
+    hypothesis are skipped (passed=None) when the graph misses it;
+    homomorphism-side checks run on every graph with an edge and are skipped
+    on an edgeless one, where no weight is defined.  Only the copy pass is
+    charged against the work cap.
     """
-    from .measure import MeasureKind, copy_ledger, g_table_exact
-
     t = tree.t
-    labeling = good_labeling(tree)
+    ledger, hom_table = _instance_tables(graph, tree, good_labeling(tree), work_cap)
     names = ["iso-total-probability", "iso-below-majorant", "majorant-floor",
              "reversal-symmetry", "majorant-product-form", "copies-ge-local-bound"]
     chain = None
-    if graph.min_degree >= t:
-        ledger = copy_ledger(graph, tree, labeling, work_cap)
+    if ledger:
         count, iso_total = ledger.count, ledger.iso.row_sum(1)
         compared = f"{count} copies compared"
         slack = ledger.majorant.min_slack(graph)
@@ -612,13 +594,12 @@ def instance_report(
     else:
         verdicts = [(None, f"skipped: min degree {graph.min_degree} < t = {t}")] * len(names)
     names += ["hom-total-probability", "hom-degree-profile"]
-    if graph.degree_sum == 0:
-        verdicts += [(None, "skipped: graph has no edges")] * 2
-    else:
-        hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM)
+    if hom_table:
         hom_total = hom_table.row_sum(1)
         verdicts += [
             (hom_total == 1, f"sum over homomorphic embeddings = {format_rational(hom_total)}"),
             (hom_table.equals_degree_profile(graph), "g[i][v] vs d(v)/nd over the full table"),
         ]
+    else:
+        verdicts += [(None, "skipped: graph has no edges")] * 2
     return [CheckResult(name, *verdict) for name, verdict in zip(names, verdicts)], chain

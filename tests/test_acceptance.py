@@ -23,10 +23,10 @@ from treebound.graphs import (
 from treebound.harness import (
     ConjectureScanConfig,
     conjecture_scan,
+    conjecture_to_json,
     instance_report,
     run_suite,
     standard_suite_config,
-    summarize_conjecture,
 )
 from treebound.measure import (
     MeasureKind,
@@ -246,8 +246,8 @@ def test_criterion_12_conjecture_scan():
             ConjectureScanConfig(family="random", n=10, t=3, trials=50, seed=2024, min_degree=4)
         )
         assert len(random_rows) == 50
-        summary = summarize_conjecture(random_rows)
-        assert summary.total == 50
+        summary = conjecture_to_json(random_rows)["summary"]
+        assert summary["total"] == 50
         recorded = [r for r in random_rows if r.verdict in ("holds", "violated")]
         assert all(r.log_margin is not None for r in recorded)
-        assert summary.min_log_margin is not None
+        assert summary["minLogMargin"] is not None

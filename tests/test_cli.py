@@ -53,6 +53,95 @@ K4_MONTE_CARLO_SEED3 = {
 }
 
 
+def _gtable_csv(cells):
+    """A gtable CSV over K4/P3: the header, then one i,v,weight line per cell."""
+    lines = [f"{i},{v},{cell}" for i, row in enumerate(cells, 1) for v, cell in enumerate(row)]
+    return "\n".join(["i,v,weight", *lines, ""])
+
+
+K4_BOUNDS_T3_CSV = """\
+bound,applicable,log,reason
+copies_local,true,2.484906649788,
+copies_average,true,2.484906649788,
+homs_local,true,4.68213122712422,
+copies_p3,true,2.484906649788,
+walks_blakley_roy,true,4.68213122712422,
+{induced}
+falling_factorial,true,3.17805383034795,
+"""
+# The --format csv stdout of every command on K4 (and verify on the edgeless
+# "3 0" graph), byte for byte; argv after the command's --graph/--tree options.
+K4_CSV = {
+    "count": (["count", "--tree", "path:3"], "count,method\n24,enumeration\n"),
+    "hom": (["hom", "--tree", "path:3"], "count,method\n108,dp\n"),
+    "walks": (["walks", "--length", "3"], "count,length\n108,3\n"),
+    "bounds": (
+        ["bounds", "--t", "3"],
+        K4_BOUNDS_T3_CSV.format(induced="copies_induced,false,,k not supplied"),
+    ),
+    "bounds-k": (
+        ["bounds", "--t", "3", "--k", "3"],
+        K4_BOUNDS_T3_CSV.format(induced="copies_induced,true,2.484906649788,"),
+    ),
+    "gtable-P": (["gtable", "--tree", "path:3", "--measure", "P"], _gtable_csv([["1/4"] * 4] * 4)),
+    "gtable-p": (["gtable", "--tree", "path:3", "--measure", "p"], _gtable_csv([["1/2"] * 4] * 4)),
+    "gtable-Pprime": (
+        ["gtable", "--tree", "path:3", "--measure", "Pprime"],
+        _gtable_csv([["1/4"] * 4] * 4),
+    ),
+    "gtable-P-monte-carlo": (
+        ["gtable", "--tree", "path:3", "--measure", "P", "--samples", "20", "--seed", "0"],
+        _gtable_csv([
+            ["3/20", "3/10", "3/10", "1/4"],
+            ["7/20", "1/20", "7/20", "1/4"],
+            ["1/5", "1/5", "1/4", "7/20"],
+            ["3/10", "9/20", "1/10", "3/20"],
+        ]),
+    ),
+    "sample": (
+        ["sample", "--tree", "path:3", "--samples", "20", "--seed", "0"],
+        "embedding,count\n0 2 3 1,2\n0 3 2 1,1\n1 0 2 3,1\n1 0 3 2,1\n1 2 0 3,2\n"
+        "1 2 3 0,2\n2 0 3 1,2\n2 3 0 1,2\n2 3 1 0,2\n3 0 1 2,1\n3 0 2 1,2\n"
+        "3 1 2 0,1\n3 2 1 0,1\n",
+    ),
+    "verify": (
+        ["verify", "--tree", "path:3"],
+        """\
+check,passed,detail
+iso-total-probability,true,sum over 24 copies = 1/1
+iso-below-majorant,true,24 copies compared
+majorant-floor,true,min g[i][v] - d(v)/nd = 1/4
+reversal-symmetry,true,24 copies compared
+majorant-product-form,true,24 copies compared
+copies-ge-local-bound,true,"count 24, bound exp(2.484906649788)"
+hom-total-probability,true,sum over homomorphic embeddings = 1/1
+hom-degree-profile,true,g[i][v] vs d(v)/nd over the full table
+""",
+    ),
+    "verify-edgeless": (
+        ["verify", "--tree", "path:3"],
+        "check,passed,detail\n"
+        + "".join(
+            f"{name},,skipped: min degree 0 < t = 3\n"
+            for name in ("iso-total-probability", "iso-below-majorant", "majorant-floor",
+                         "reversal-symmetry", "majorant-product-form", "copies-ge-local-bound")
+        )
+        + "hom-total-probability,,skipped: graph has no edges\n"
+        + "hom-degree-profile,,skipped: graph has no edges\n",
+    ),
+    "conjecture": (
+        ["conjecture", "--family", "cliques", "--n", "4", "--t", "3", "--trials", "2",
+         "--seed", "0", "--min-degree", "3"],
+        """\
+instance,n,d,min_degree,t,copies,ff_log,log_margin,verdict,error
+"cliques(c=1,q=4)",4,3/1,3,3,24,3.17805383034795,4.44089209850063e-16,holds,
+"cliques(c=2,q=4)",8,3/1,3,3,48,3.87120101090789,4.44089209850063e-16,holds,
+""",
+    ),
+    "gen": (["gen", "cliques", "1", "4"], "family,n,m,min_degree,path\ncliques,4,6,3,\n"),
+}
+
+
 @pytest.fixture()
 def k4_file(tmp_path):
     path = tmp_path / "k4.txt"
@@ -310,6 +399,20 @@ class TestConjecture:
         assert json.loads(json_out)["result"] == conjecture_to_json(rows)
 
 
+class TestCsvOutput:
+    @pytest.mark.parametrize("case", K4_CSV)
+    def test_k4_stdout_is_pinned(self, capsys, tmp_path, k4_file, case):
+        argv, expected = K4_CSV[case]
+        graph = k4_file
+        if case == "verify-edgeless":
+            graph = tmp_path / "e.txt"
+            graph.write_text("3 0\n")
+        if argv[0] not in ("conjecture", "gen"):
+            argv = [argv[0], "--graph", str(graph), *argv[1:]]
+        assert main([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestGen:
     def test_gen_cliques_round_trips(self, capsys, tmp_path):
         out = tmp_path / "cl.txt"
@@ -343,6 +446,16 @@ class TestExitCodes:
         bad.write_text("2 1\n0 0\n")
         assert main(["count", "--graph", str(bad), "--tree", "path:2"]) == 3
         assert "self-loop" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--graph", "--tree"])
+    def test_undecodable_file_is_format_error(self, capsys, tmp_path, k4_file, option):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"2 1\n0 1\n\xff\n" if option == "--graph" else b"2 1\n1 2\n\xff\n")
+        files = {"--graph": k4_file, "--tree": "path:1", option: str(bad)}
+        assert main(["count", "--graph", files["--graph"], "--tree", files["--tree"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "can't decode byte 0xff" in captured.err
 
     def test_bad_usage(self, capsys):
         assert main(["count", "--graph"]) == 2

@@ -21,7 +21,6 @@ from treebound.harness import (
     suite_csv_columns,
     suite_to_csv,
     suite_to_json,
-    summarize_conjecture,
 )
 
 
@@ -246,10 +245,10 @@ class TestConjectureScan:
         rows = conjecture_scan(config)
         assert len(rows) == 50
         assert all(r.verdict in ("holds", "violated", "inapplicable") for r in rows)
-        summary = summarize_conjecture(rows)
-        assert summary.total == 50
-        assert summary.holds + summary.violated + summary.inapplicable == 50
-        assert summary.min_log_margin is not None
+        summary = conjecture_to_json(rows)["summary"]
+        assert summary["total"] == 50
+        assert summary["holds"] + summary["violated"] + summary["inapplicable"] == 50
+        assert summary["minLogMargin"] is not None
 
     def test_scan_is_deterministic(self):
         config = ConjectureScanConfig(
@@ -337,7 +336,7 @@ class TestConjectureScan:
             assert row.error.startswith("RetryLimitExceeded: ")
             assert (row.n, row.average_degree, row.min_degree, row.copies) == (6, None, None, None)
         assert len({row.descriptor for row in rows}) == 3
-        assert summarize_conjecture(rows).inapplicable == 3
+        assert conjecture_to_json(rows)["summary"]["inapplicable"] == 3
         records = list(csv.reader(io.StringIO(conjecture_to_csv(rows))))
         assert records[1][2:4] == ["", ""]
         assert conjecture_to_json(rows)["rows"][0]["d"] is None
@@ -403,6 +402,21 @@ class TestSharpness:
 
 
 class TestInstanceChecks:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_report_agrees_with_suite_row(self, seed):
+        # a check is skipped (None) exactly where the row's field is None
+        config = standard_suite_config(seed)
+        pairs = [(graph, tree) for _, graph in config.graphs for _, tree in config.trees]
+        for row, (graph, tree) in zip(run_suite(config), pairs, strict=True):
+            checks = {c.name: c.passed for c in instance_report(graph, tree)[0]}
+            floor = None if row.slack_majorant is None else row.slack_majorant >= 0
+            local = None if row.chain_links is None else row.chain_links[3]
+            assert (
+                checks["majorant-floor"],
+                checks["copies-ge-local-bound"],
+                checks["hom-degree-profile"],
+            ) == (floor, local, row.hom_table_equal), (row.graph_name, row.tree_name)
+
     def test_all_pass_on_k4_p3(self, k4, p3):
         results = instance_report(k4, p3)[0]
         assert {r.name for r in results} == {

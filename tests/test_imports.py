@@ -26,7 +26,7 @@ SRC = ROOT / "src"
 # submodules.
 STAR_NAMES = {
     "BoundComparison", "BoundReport", "BoundValue", "ChainReport", "CheckResult",
-    "ConjectureRow", "ConjectureScanConfig", "ConjectureSummary", "CopyLedger",
+    "ConjectureRow", "ConjectureScanConfig", "CopyLedger",
     "CountResult", "DEFAULT_WORK_CAP", "FormatError", "GTable",
     "GoodLabeling", "Graph", "LOG_TOLERANCE", "MeasureKind",
     "RetryLimitExceeded", "SCHEMA_VERSION", "SuiteConfig", "SuiteRow", "Tree",
@@ -38,7 +38,7 @@ STAR_NAMES = {
     "good_labeling_between", "graphs", "harness", "instance_report", "measure",
     "parse_graph", "parse_tree", "path_tree", "run_suite", "sample_embeddings",
     "serialize_graph", "serialize_tree", "standard_suite_config", "star_tree",
-    "suite_to_csv", "suite_to_json", "summarize_conjecture", "weight",
+    "suite_to_csv", "suite_to_json", "weight",
 }
 SUBMODULES = ("graphs", "counting", "bounds", "measure", "harness", "cli", "errors", "formats")
 

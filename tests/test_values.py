@@ -33,7 +33,6 @@ from treebound.harness import (
     CheckResult,
     ConjectureRow,
     ConjectureScanConfig,
-    ConjectureSummary,
     RowBound,
     SuiteConfig,
     SuiteRow,
@@ -41,7 +40,6 @@ from treebound.harness import (
     instance_report,
     run_suite,
     standard_suite_config,
-    summarize_conjecture,
 )
 from treebound.measure import (
     ChainReport,
@@ -55,7 +53,7 @@ from treebound.measure import (
 VALUE_TYPES = (
     Graph, Tree, GoodLabeling, CountResult, BoundValue, BoundComparison,
     BoundReport, GTable, ChainReport, CopyLedger, RowBound, SuiteRow, SuiteConfig,
-    ConjectureScanConfig, ConjectureRow, ConjectureSummary, CheckResult,
+    ConjectureScanConfig, ConjectureRow, CheckResult,
 )
 
 
@@ -82,7 +80,6 @@ def _instances() -> dict:
         SuiteConfig: standard_suite_config(0),
         ConjectureScanConfig: scan_config,
         ConjectureRow: scan[0],
-        ConjectureSummary: summarize_conjecture(scan),
         CheckResult: instance_report(k4, p3)[0][0],
     }
 
