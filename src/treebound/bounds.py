@@ -50,10 +50,6 @@ class BoundValue:
     log_value: float | None = None
     reason: str | None = None
 
-    @property
-    def value(self) -> float | None:
-        return None if self.log_value is None else math.exp(self.log_value)
-
 
 @_value_type
 class BoundComparison:

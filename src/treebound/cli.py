@@ -75,8 +75,26 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _read_input(option: str, source: str) -> str:
+    """An input file's text; bytes that are not UTF-8 are a FormatError
+    naming the option, the file and the line of the first bad byte."""
+    data = Path(source).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; number their lines as the parser does
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise FormatError(
+            f"{option} {source}: can't decode byte 0x{data[exc.start]:02x} as UTF-8 "
+            f"({exc.reason})",
+            line,
+        ) from None
+    # universal newlines, as a file read in text mode has them
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_graph(source: str, inputs: dict) -> Graph:
-    text = Path(source).read_text(encoding="utf-8")
+    text = _read_input("--graph", source)
     inputs["graph"] = {"source": source, "sha256": _digest(text)}
     return parse_graph(text)
 
@@ -92,7 +110,7 @@ def _load_tree(source: str, inputs: dict) -> Tree:
         tree = path_tree(t) if kind == "path" else star_tree(t)
         text = serialize_tree(tree)
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        text = _read_input("--tree", source)
         tree = parse_tree(text)
     inputs["tree"] = {"source": source, "sha256": _digest(text)}
     return tree
@@ -417,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     inputs: dict = {}
     try:
         payload, header, rows, code = _HANDLERS[args.command](args, inputs)
-    except (FormatError, OSError, UnicodeDecodeError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (WorkCapExceeded, RetryLimitExceeded) as exc:

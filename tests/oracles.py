@@ -9,7 +9,9 @@ majorant, from its labeling-free product form.  The closed-form bounds are
 evaluated in Fractions: each exponent and the average degree is a Fraction
 converted to float once.  Random graphs with a degree
 floor are drawn whole and then checked, and good labelings are judged from
-the definition against the tree's edge list.
+the definition against the tree's edge list.  The one package call is
+good_labeling_between in reversed_labeling, which builds an input to the
+checks, not a reference value.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from treebound.errors import RetryLimitExceeded
-from treebound.graphs import GoodLabeling, Graph, Tree
+from treebound.graphs import GoodLabeling, Graph, Tree, good_labeling_between
 
 
 def _edge_maps(graph: Graph, tree: Tree, maps):
@@ -225,6 +227,14 @@ def bounds_by_fractions(graph: Graph, t: int, k: int | None = None) -> dict:
 def random_tree(rng: random.Random, t: int) -> Tree:
     """Uniform-ish random recursive tree: vertex j hangs off an earlier one."""
     return Tree.from_edges((rng.randint(1, j - 1), j) for j in range(2, t + 2))
+
+
+def reversed_labeling(labeling: GoodLabeling) -> tuple[Tree, GoodLabeling]:
+    """A copy's own tree, whose vertex j is slot j of the labeling, and its
+    good labeling from slot t+1 back to slot 1: the copy read from its far end."""
+    k = len(labeling.order)
+    index_tree = Tree.from_edges(zip(labeling.parents[1:], range(2, k + 1)))
+    return index_tree, good_labeling_between(index_tree, k, 1)
 
 
 def is_good_labeling(tree: Tree, order, parents) -> bool:

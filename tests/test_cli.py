@@ -455,6 +455,8 @@ class TestExitCodes:
         assert main(["count", "--graph", files["--graph"], "--tree", files["--tree"]]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
+        # the bad byte opens line 3, and the message names the option and the file
+        assert captured.err.startswith(f"error: line 3: {option} {bad}: ")
         assert "can't decode byte 0xff" in captured.err
 
     def test_bad_usage(self, capsys):

@@ -10,8 +10,10 @@ match tables built one Fraction per map, also on stars and brooms whose
 blocks hold up to t-1 slots and on a spider whose block hangs under a slot
 placed before the last, that the majorant table equals the labeling-free
 product form under several good labelings (the identity behind the reversal
-and product-form checks), that the majorant read from a copy's far end gives
-each slot the product form's exponent treedeg(x) - 1, that the chain floats
+and product-form checks), that under every good labeling, and under the one
+that reads a copy from its far end, each slot parents treedeg(x) - 1 slots
+from the third on (the exponent identity by which the reversal row reports
+the product form's verdict), that the chain floats
 are bit-identical to summing the public weight() copy by copy, that each
 per-copy check fails when fold is handed a wrong weight for one block, that
 the ledger charges the work cap the nodes of a full search on count_copies'
@@ -29,6 +31,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -41,6 +44,7 @@ from tests.oracles import (
     g_tables_by_enumeration,
     majorant_table_by_product_form,
     random_tree,
+    reversed_labeling,
     search_nodes_by_permutations,
 )
 from treebound import counting, measure
@@ -131,7 +135,7 @@ def test_ledger_matches_public_per_copy_path(instance):
     assert ledger.entropy_log == entropy_log
     assert ledger.product_log == product_log
     assert ledger.iso_below_majorant == dominated
-    assert ledger.reversal_equal and ledger.product_form_equal
+    assert ledger.product_form_equal
     bound_log = evaluate_bounds(graph, tree.t).copies_local.log_value
     report = ledger.chain(bound_log)
     assert report.entropy_value == math.exp(entropy_log)
@@ -147,7 +151,7 @@ def _labelings(tree):
 def _check_majorant_against_product_form(graph, tree):
     for labeling in _labelings(tree):
         ledger = copy_ledger(graph, tree, labeling)
-        assert ledger.reversal_equal and ledger.product_form_equal
+        assert ledger.product_form_equal
         table = _rows(ledger.majorant)
         assert table == majorant_table_by_product_form(graph, tree, labeling)
 
@@ -182,16 +186,6 @@ def test_majorant_table_is_labeling_free(instance, rng):
         by_vertex.append(dict(zip(labeling.order, rows)))
     # each copy weighs the same whichever labeling reads it
     assert by_vertex[0] == by_vertex[1]
-
-
-@pytest.mark.parametrize("tree", [path_tree(3), star_tree(3)], ids=["P3", "S3"])
-def test_reversed_labeling_runs_from_far_end(tree):
-    labeling = good_labeling(tree)
-    k = tree.t + 1
-    reversed_labeling = measure._reversed_labeling(labeling)
-    assert reversed_labeling.vertex(1) == k and reversed_labeling.vertex(k) == 1
-    index_tree = Tree.from_edges((labeling.f(j), j) for j in range(2, k + 1))
-    reversed_labeling.validate(index_tree)
 
 
 def _tamper_first_block(monkeypatch, change):
@@ -349,7 +343,7 @@ def test_ledger_folds_long_blocks_like_the_oracles(case):
     assert ledger.count == copies_by_permutations(graph, tree)
     assert _rows(ledger.iso) == oracle["P"]
     assert _rows(ledger.majorant) == oracle["p"]
-    assert ledger.iso_below_majorant and ledger.reversal_equal and ledger.product_form_equal
+    assert ledger.iso_below_majorant and ledger.product_form_equal
     nodes = search_nodes_by_permutations(graph, labeling)
     assert ledger.nodes == nodes
     assert copy_ledger(graph, tree, labeling, work_cap=nodes).count == ledger.count
@@ -385,8 +379,7 @@ def test_ledger_nodes_are_a_statistic(k4, p3):
     assert ledger.nodes == counting.count_copies(k4, p3, labeling).nodes == 65
     copy = measure.CopyLedger(
         ledger.count, ledger.iso, ledger.majorant, ledger.iso_below_majorant,
-        ledger.reversal_equal, ledger.product_form_equal, ledger.entropy_log,
-        ledger.product_log, nodes=0,
+        ledger.product_form_equal, ledger.entropy_log, ledger.product_log, nodes=0,
     )
     assert ledger == copy
 
@@ -437,19 +430,35 @@ def test_ledger_block_is_the_count_block(rng, t):
         assert ledger.nodes == counted.nodes
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(1, 9))
-def test_reversal_exponents_are_tree_degrees_less_one(rng, t):
-    """Read from its far end, the majorant gives each slot the power
-    treedeg(x) - 1 of the product form, under every good labeling tried."""
-    tree = random_tree(rng, t)
-    labelings = [good_labeling(tree, leaf) for leaf in tree.leaves] + [
-        good_labeling_between(tree, first, last)
-        for first, last in permutations(tree.leaves, 2)
-    ]
-    for labeling in labelings:
-        powers = [tree.tree_degree(x) - 1 for x in labeling.order]
-        assert measure._check_exponents(tree, labeling) == (powers, True)
+def _later_children(labeling):
+    """Per 1-based slot, how many slots from the third on it is the parent of:
+    its power of d(omega_slot)-t+1 in the majorant read under this labeling."""
+    counts = Counter(labeling.parents[2:])
+    return [counts[slot] for slot in range(1, len(labeling.order) + 1)]
+
+
+def test_exponent_identity_in_both_directions():
+    """The identity that makes the reversal row the product form's verdict:
+    under every leaf-started and every leaf-pair good labeling of 63 random
+    trees with t <= 9, slot x is the parent of treedeg(x) - 1 slots from the
+    third on, and so it is under the labeling that reads the copy from its
+    far end, slot t+1 back to slot 1."""
+    rng = random.Random(21)
+    for t in range(1, 10):
+        for _ in range(7):
+            tree = random_tree(rng, t)
+            labelings = [good_labeling(tree, leaf) for leaf in tree.leaves] + [
+                good_labeling_between(tree, first, last)
+                for first, last in permutations(tree.leaves, 2)
+            ]
+            for labeling in labelings:
+                powers = [tree.tree_degree(x) - 1 for x in labeling.order]
+                assert _later_children(labeling) == powers
+                index_tree, far_end = reversed_labeling(labeling)
+                assert far_end.order[0] == t + 1 and far_end.order[-1] == 1
+                far_end.validate(index_tree)
+                by_slot = dict(zip(far_end.order, _later_children(far_end)))
+                assert [by_slot[slot] for slot in range(1, t + 2)] == powers
 
 
 _FORK = Tree.from_edges([(1, 2), (2, 3), (3, 4), (3, 5)])
@@ -481,4 +490,4 @@ def test_ledger_with_big_common_denominator_keeps_pinned_values(
     assert ledger.product_log.hex() == product_hex
     tables = json.dumps([ledger.iso.to_json_dict(), ledger.majorant.to_json_dict()], sort_keys=True)
     assert hashlib.sha256(tables.encode()).hexdigest().startswith(digest)
-    assert ledger.iso_below_majorant and ledger.reversal_equal and ledger.product_form_equal
+    assert ledger.iso_below_majorant and ledger.product_form_equal

@@ -11,13 +11,12 @@ from tests.oracles import (
     g_tables_by_enumeration,
     hom_embeddings_by_exhaustion,
     random_tree,
+    reversed_labeling,
     slacks_by_cells,
 )
-from treebound import measure
 from treebound.bounds import evaluate_bounds
 from treebound.graphs import (
     Graph,
-    Tree,
     gen_cycle,
     gen_disjoint_cliques,
     gen_random_min_degree,
@@ -267,9 +266,7 @@ class TestGTables:
 class TestReversalAndProductForm:
     def test_petersen_star_reversal(self, petersen, s3):
         L = good_labeling(s3)
-        k = s3.t + 1
-        reversed_L = measure._reversed_labeling(L)
-        index_tree = Tree.from_edges((L.f(j), j) for j in range(2, k + 1))
+        index_tree, reversed_L = reversed_labeling(L)
         for omega in copies_in_slot_order(petersen, L):
             # the copy read from its far end, as an embedding of its own index tree
             z = tuple(omega[idx - 1] for idx in reversed_L.order)
@@ -277,7 +274,7 @@ class TestReversalAndProductForm:
             assert weight(petersen, index_tree, reversed_L, z, MeasureKind.MAJORANT) == weight(
                 petersen, s3, L, omega, MeasureKind.MAJORANT
             )
-        assert copy_ledger(petersen, s3, L).reversal_equal
+        assert copy_ledger(petersen, s3, L).product_form_equal
 
     def test_petersen_star_product_form(self, petersen, s3):
         L = good_labeling(s3)
