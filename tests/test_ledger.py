@@ -188,6 +188,15 @@ def test_majorant_table_is_labeling_free(instance, rng):
     assert by_vertex[0] == by_vertex[1]
 
 
+@pytest.mark.parametrize("tree", [path_tree(3), star_tree(3)], ids=["P3", "S3"])
+def test_reversed_labeling_runs_from_far_end(tree):
+    labeling = good_labeling(tree)
+    k = tree.t + 1
+    index_tree, far_end = reversed_labeling(labeling)
+    assert far_end.vertex(1) == k and far_end.vertex(k) == 1
+    far_end.validate(index_tree)
+
+
 def _tamper_first_block(monkeypatch, change):
     """Give every copy of the first folded leaf block the denominators
     change(D_iso, D_maj); return the list that records that block's size."""
@@ -437,28 +446,26 @@ def _later_children(labeling):
     return [counts[slot] for slot in range(1, len(labeling.order) + 1)]
 
 
-def test_exponent_identity_in_both_directions():
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 9))
+def test_reversal_exponents_are_tree_degrees_less_one(rng, t):
     """The identity that makes the reversal row the product form's verdict:
-    under every leaf-started and every leaf-pair good labeling of 63 random
-    trees with t <= 9, slot x is the parent of treedeg(x) - 1 slots from the
-    third on, and so it is under the labeling that reads the copy from its
-    far end, slot t+1 back to slot 1."""
-    rng = random.Random(21)
-    for t in range(1, 10):
-        for _ in range(7):
-            tree = random_tree(rng, t)
-            labelings = [good_labeling(tree, leaf) for leaf in tree.leaves] + [
-                good_labeling_between(tree, first, last)
-                for first, last in permutations(tree.leaves, 2)
-            ]
-            for labeling in labelings:
-                powers = [tree.tree_degree(x) - 1 for x in labeling.order]
-                assert _later_children(labeling) == powers
-                index_tree, far_end = reversed_labeling(labeling)
-                assert far_end.order[0] == t + 1 and far_end.order[-1] == 1
-                far_end.validate(index_tree)
-                by_slot = dict(zip(far_end.order, _later_children(far_end)))
-                assert [by_slot[slot] for slot in range(1, t + 2)] == powers
+    under every leaf-started and every leaf-pair good labeling, slot x is the
+    parent of treedeg(x) - 1 slots from the third on, and so it is under the
+    labeling that reads the copy from its far end, slot t+1 back to slot 1."""
+    tree = random_tree(rng, t)
+    labelings = [good_labeling(tree, leaf) for leaf in tree.leaves] + [
+        good_labeling_between(tree, first, last)
+        for first, last in permutations(tree.leaves, 2)
+    ]
+    for labeling in labelings:
+        powers = [tree.tree_degree(x) - 1 for x in labeling.order]
+        assert _later_children(labeling) == powers
+        index_tree, far_end = reversed_labeling(labeling)
+        assert far_end.order[0] == t + 1 and far_end.order[-1] == 1
+        far_end.validate(index_tree)
+        by_slot = dict(zip(far_end.order, _later_children(far_end)))
+        assert [by_slot[slot] for slot in range(1, t + 2)] == powers
 
 
 _FORK = Tree.from_edges([(1, 2), (2, 3), (3, 4), (3, 5)])
