@@ -75,28 +75,35 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _read_input(option: str, source: str) -> str:
-    """An input file's text; bytes that are not UTF-8 are a FormatError
-    naming the option, the file and the line of the first bad byte."""
+def _read_input(option: str, source: str, parse):
+    """An input file's text and ``parse`` of it.  A FormatError, from bytes
+    that are not UTF-8 or from the parser, names the option and the file."""
     data = Path(source).read_bytes()
+    try:
+        text = _decode(data)
+        return text, parse(text)
+    except FormatError as exc:
+        raise FormatError(f"{option} {source}: {exc.detail}", exc.line) from None
+
+
+def _decode(data: bytes) -> str:
+    """UTF-8 text with universal newlines, as a file read in text mode has
+    them; a bad byte is a FormatError at its line."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the bad one decode; number their lines as the parser does
         line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
         raise FormatError(
-            f"{option} {source}: can't decode byte 0x{data[exc.start]:02x} as UTF-8 "
-            f"({exc.reason})",
-            line,
+            f"can't decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})", line
         ) from None
-    # universal newlines, as a file read in text mode has them
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_graph(source: str, inputs: dict) -> Graph:
-    text = _read_input("--graph", source)
+    text, graph = _read_input("--graph", source, parse_graph)
     inputs["graph"] = {"source": source, "sha256": _digest(text)}
-    return parse_graph(text)
+    return graph
 
 
 def _load_tree(source: str, inputs: dict) -> Tree:
@@ -110,8 +117,7 @@ def _load_tree(source: str, inputs: dict) -> Tree:
         tree = path_tree(t) if kind == "path" else star_tree(t)
         text = serialize_tree(tree)
     else:
-        text = _read_input("--tree", source)
-        tree = parse_tree(text)
+        text, tree = _read_input("--tree", source, parse_tree)
     inputs["tree"] = {"source": source, "sha256": _digest(text)}
     return tree
 

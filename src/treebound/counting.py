@@ -19,8 +19,13 @@ set work per candidate, and the tally charges no nodes of its own.  The
 block and its closed forms come from one helper, ``_leaf_block(graph,
 labeling)``, which ``measure.copy_ledger`` shares: the ledger folds the
 same block into its tables and charges it the same way, but builds the
-free set that its rows need.  Both searches recurse once per slot; a tree
-too deep for the interpreter's recursion limit is a ValueError.
+free set that its rows need.  When that block is one leaf under the last
+placed slot, whose own parent is the slot q placed just before it (every
+path with t >= 2 has this shape), ``count_copies`` stops at slot q instead
+and counts the two-level subtree below each choice of q from codegrees, in
+O(t) per choice (the two-level tail; see ``count_copies``).  It charges
+the same nodes.  Both searches recurse once per slot; a tree too deep for
+the interpreter's recursion limit is a ValueError.
 Counters are pure functions; results do not depend on which good labeling
 drives the search.  ``count_homomorphisms`` is the one neighbour-sum DP:
 ``count_walks`` is its count on a path.
@@ -108,8 +113,26 @@ def count_copies(
     hits[w], the number of vertices placed at slots < s-1 that are adjacent
     to w: free = d(v) - hits[v] when p = s-1 (every path, star and fork),
     and free = d(omega_p) - hits[omega_p] - [v ~ omega_p] otherwise.  The
-    tally adds no node charge.  A tree too deep for the recursion limit is
-    a ValueError.
+    tally adds no node charge.
+
+    The two-level tail: when the block is one slot (r = 1, s = t) under
+    p = s-1 >= 1, and slot s-1's parent is slot q = s-2, as on every path
+    with t >= 2, the search stops at slot q.  With X the vertices at slots
+    < q, codeg(x, u) = |N(x) & N(u)| and B(u) = sum_{v ~ u} d(v) - d(u), a
+    choice u of slot q has
+        copies below u = B(u) - sum_{x in X} codeg(x, u)
+                         - sum_{x in X, x ~ u} (d(x) - 1 - hits[x]),
+        nodes below u = 1 + (d(u) - hits[u]) + copies below u,
+    which costs O(t) per u instead of a loop over N(u); the nodes are
+    charged once per q-node, so ``nodes`` and the caps do not change.  This
+    is the codegree identity behind closed-form counts of short paths (Alon,
+    Yuster & Zwick, Finding and counting given length cycles, 1997).  B, a
+    neighbour set per vertex and, when q >= 1, a codegree dict per vertex
+    are built once per call; the dicts take sum_w d(w)^2 time and hold at
+    most that many entries (at most n^2).  That build, like the tally, is
+    not charged to the work cap.  Every other shape keeps the loop above.
+
+    A tree too deep for the recursion limit is a ValueError.
     """
     if labeling is None:
         labeling = good_labeling(tree)
@@ -174,11 +197,45 @@ def _count_by_leaf_block(graph: Graph, labeling: GoodLabeling, budget: _Budget) 
     omega = [0] * s
     used = bytearray(graph.n)
     last = s - 1
+    # The two-level tail: a one-slot block under the last placed slot, whose
+    # parent is the slot q placed just before it, is counted at slot q
+    # (s >= 2, so q >= 0).
+    tail = s == len(parent_pos) - 1 and p == last and parent_pos[last] == last - 1
+    q = last - 1 if tail else -1
+    near = [set(a) for a in adjacency] if q >= 1 or p != last else None
+    if tail:
+        # two_step[u] = sum over v ~ u of d(v) - 1: the walks u, v, w with w != u.
+        two_step = [sum(degree[v] for v in a) - len(a) for a in adjacency]
+    if q >= 1:
+        # codeg[x][u] = |N(x) & N(u)|, one count per common neighbour a.
+        codeg = [{} for _ in range(graph.n)]
+        for a in adjacency:
+            for x in a:
+                row = codeg[x]
+                for u in a:
+                    row[u] = row.get(u, 0) + 1
 
     def extend(pos: int) -> int:
         budget.spend()
         candidates = range(graph.n) if pos == 0 else adjacency[omega[parent_pos[pos]]]
         total = 0
+        if pos == q:
+            # Each choice u of slot q roots a two-level subtree: its paths
+            # u, v, w avoid the placed set X, so they are two_step[u] less
+            # codeg(x, u) per x in X, less d(x) - 1 - hits[x] per x ~ u.
+            placed = [(codeg[x], near[x], degree[x] - 1 - hits[x]) for x in omega[:q]]
+            nodes = 0
+            for u in candidates:
+                if not used[u]:
+                    below = two_step[u]
+                    for row, adjacent, spare in placed:
+                        below -= row.get(u, 0)
+                        if u in adjacent:
+                            below -= spare
+                    total += below
+                    nodes += 1 + degree[u] - hits[u] + below
+            budget.spend(nodes)
+            return total
         if pos < last:
             for v in candidates:
                 if not used[v]:
@@ -204,10 +261,10 @@ def _count_by_leaf_block(graph: Graph, labeling: GoodLabeling, budget: _Budget) 
         else:
             anchor = omega[p]
             unplaced = degree[anchor] - hits[anchor]
-            near = set(adjacency[anchor])
+            adjacent = near[anchor]
             for v in candidates:
                 if not used[v]:
-                    free = unplaced - (v in near)
+                    free = unplaced - (v in adjacent)
                     total += block_copies[free]
                     nodes += block_nodes[free]
         budget.spend(nodes)

@@ -6,14 +6,16 @@ from __future__ import annotations
 class FormatError(ValueError):
     """Malformed graph or tree file content.
 
-    Carries the 1-based line number of the offending line when known.
+    Carries the 1-based line number of the offending line when known, and
+    the message without its line prefix as ``detail``.
     """
 
     def __init__(self, message: str, line: int | None = None):
+        self.detail = message
+        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class WorkCapExceeded(RuntimeError):

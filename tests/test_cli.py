@@ -459,6 +459,23 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: line 3: {option} {bad}: ")
         assert "can't decode byte 0xff" in captured.err
 
+    @pytest.mark.parametrize(
+        "option, content, detail",
+        [
+            ("--graph", "4 x\n", "header must be two integers, got '4 x'"),
+            ("--tree", "3 x\n", "header must be two integers, got '3 x'"),
+        ],
+        ids=["--graph", "--tree"],
+    )
+    def test_parse_error_names_its_input(self, capsys, tmp_path, k4_file, option, content, detail):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(content)
+        files = {"--graph": k4_file, "--tree": "path:2", option: str(bad)}
+        assert main(["count", "--graph", files["--graph"], "--tree", files["--tree"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 1: {option} {bad}: {detail}\n"
+
     def test_bad_usage(self, capsys):
         assert main(["count", "--graph"]) == 2
         assert main(["no-such-command"]) == 2

@@ -297,6 +297,28 @@ DENSE_STAR = (gen_disjoint_cliques(1, 6), star_tree(4), good_labeling(star_tree(
 # under slot 2, while the last placed slot is 3.
 SPIDER = Tree.from_edges([(1, 2), (1, 3), (1, 4), (3, 5)])
 SPIDER_BLOCK_UNDER_EARLIER_SLOT = (gen_disjoint_cliques(1, 6), SPIDER, good_labeling(SPIDER, 2))
+# Shapes of the two-level tail, which counts the last two slots at slot q = t - 2.
+# P2 has q = 0: nothing is placed before it, so it needs no codegree dicts.
+TWO_EDGE_PATH = (
+    Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)]),
+    path_tree(2),
+    good_labeling(path_tree(2)),
+)
+# P4 on a graph with two isolated vertices, far below min degree t.
+PATH_WITH_ISOLATED_VERTICES = (
+    Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4)]),
+    path_tree(4),
+    good_labeling(path_tree(4)),
+)
+# P4 with a leaf on its second vertex, labeled from that leaf to the path's far
+# end: order (6, 2, 1, 3, 4, 5), parent positions (-1, 0, 1, 1, 3, 4).  The
+# labeling ends along the leg 3-4-5, and the placed set holds the leaf 1 too.
+LEG = Tree.from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+LABELING_ENDS_ALONG_A_LEG = (
+    gen_random_min_degree(8, 0.75, 5, seed=4),
+    LEG,
+    good_labeling_between(LEG, 6, 5),
+)
 
 
 @settings(max_examples=80, deadline=None)
@@ -305,6 +327,9 @@ SPIDER_BLOCK_UNDER_EARLIER_SLOT = (gen_disjoint_cliques(1, 6), SPIDER, good_labe
 @example(SINGLE_EDGE)
 @example(LOW_DEGREE_STAR)
 @example(SPIDER_BLOCK_UNDER_EARLIER_SLOT)
+@example(TWO_EDGE_PATH)
+@example(PATH_WITH_ISOLATED_VERTICES)
+@example(LABELING_ENDS_ALONG_A_LEG)
 def test_leaf_block_count_matches_oracles_and_enumeration(case):
     graph, tree, labeling = case
     result = count_copies(graph, tree, labeling)
@@ -334,6 +359,9 @@ def test_slot_order_oracle_lists_every_copy(case):
 @example(SINGLE_EDGE)
 @example(DENSE_STAR)
 @example(SPIDER_BLOCK_UNDER_EARLIER_SLOT)
+@example(TWO_EDGE_PATH)
+@example(PATH_WITH_ISOLATED_VERTICES)
+@example(LABELING_ENDS_ALONG_A_LEG)
 def test_count_and_enumeration_hit_the_work_cap_at_the_same_node(case):
     graph, tree, labeling = case
     nodes = search_nodes_by_permutations(graph, labeling)
@@ -353,6 +381,13 @@ def test_spider_block_sits_under_an_earlier_slot():
     assert labeling.parent_positions() == (-1, 0, 1, 1, 2)
 
 
+def test_leg_labeling_ends_along_a_leg():
+    labeling = LABELING_ENDS_ALONG_A_LEG[2]
+    assert labeling.order == (6, 2, 1, 3, 4, 5)
+    assert labeling.parent_positions() == (-1, 0, 1, 1, 3, 4)
+    assert LABELING_ENDS_ALONG_A_LEG[0].min_degree == LEG.t
+
+
 @pytest.mark.parametrize(
     "tree, labeling, copies, nodes",
     [
@@ -360,15 +395,17 @@ def test_spider_block_sits_under_an_earlier_slot():
         (star_tree(4), None, 696_792, 763_441),
         (FORK, None, 657_532, 722_673),
         (SPIDER, good_labeling(SPIDER, 2), 657_532, 724_181),
+        (path_tree(3), None, 59_314, 65_141),
+        (path_tree(5), None, 6_633_682, 7_337_121),
     ],
-    ids=["path", "star", "fork", "spider"],
+    ids=["path", "star", "fork", "spider", "path3", "path5"],
 )
 def test_counts_and_nodes_on_a_40_vertex_graph(tree, labeling, copies, nodes):
     """Long backtracking on a larger graph than the property tests draw, so
-    a neighbour tally left stale by one branch would change these values."""
+    a neighbour tally left stale by one branch, or a codegree term missed
+    by the two-level tail of the paths, would change these values."""
     graph = gen_random_min_degree(40, 0.3, 6, 1)
     result = count_copies(graph, tree, labeling)
     assert (result.value, result.nodes) == (copies, nodes)
-    if tree is SPIDER:
-        with pytest.raises(WorkCapExceeded, match=f"work cap of {nodes - 1} search nodes"):
-            count_copies(graph, tree, labeling, work_cap=nodes - 1)
+    with pytest.raises(WorkCapExceeded, match=f"work cap of {nodes - 1} search nodes"):
+        count_copies(graph, tree, labeling, work_cap=nodes - 1)
