@@ -8,6 +8,12 @@ seeds reproduce the payload bit for bit (elapsed time excluded).  CSV
 output prints the payload as a flat table on stdout and moves the envelope
 metadata to stderr.
 
+``main`` reads the inputs before it runs a command: ``--graph`` and then
+``--tree``, each when the command has the option and it is given.  A tree
+is a file or one of the presets path:T / star:T.  Input files are UTF-8
+(a leading byte order mark is dropped), and the error for a file that
+cannot be read, decoded or parsed names the option and the file.
+
 Exit codes: 0 success, 1 invariant failure, 2 usage, 3 input format,
 4 work cap, 141 output pipe closed by its reader (128 + SIGPIPE, as shell
 tools report it).  The environment variable TREEBOUND_WORK_CAP overrides the
@@ -76,19 +82,23 @@ def _digest(text: str) -> str:
 
 
 def _read_input(option: str, source: str, parse):
-    """An input file's text and ``parse`` of it.  A FormatError, from bytes
-    that are not UTF-8 or from the parser, names the option and the file."""
-    data = Path(source).read_bytes()
+    """An input file's text and ``parse`` of it.  An OSError from reading
+    the file, and a FormatError from bytes that are not UTF-8 or from the
+    parser, name the option and the file."""
     try:
-        text = _decode(data)
+        text = _decode(Path(source).read_bytes())
         return text, parse(text)
+    except OSError as exc:
+        raise OSError(f"{option} {source}: {exc.strerror}") from None
     except FormatError as exc:
         raise FormatError(f"{option} {source}: {exc.detail}", exc.line) from None
 
 
 def _decode(data: bytes) -> str:
     """UTF-8 text with universal newlines, as a file read in text mode has
-    them; a bad byte is a FormatError at its line."""
+    them, and without a leading byte order mark; a bad byte is a FormatError
+    at its line."""
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -123,36 +133,32 @@ def _load_tree(source: str, inputs: dict) -> Tree:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (payload, csv header, csv rows, exit code)
+# Handlers: each takes the parsed arguments and the loaded graph and tree
+# (None where the command has no such input) and returns (payload, csv
+# header, csv rows, exit code)
 
 
-def _cmd_count(args, inputs):
-    graph = _load_graph(args.graph, inputs)
-    tree = _load_tree(args.tree, inputs)
+def _cmd_count(args, graph, tree):
     result = count_copies(graph, tree, work_cap=_work_cap())
     payload = {"count": str(result.value), "method": result.method}
     return payload, ["count", "method"], [[result.value, result.method]], EXIT_OK
 
 
-def _cmd_hom(args, inputs):
-    graph = _load_graph(args.graph, inputs)
-    tree = _load_tree(args.tree, inputs)
+def _cmd_hom(args, graph, tree):
     result = count_homomorphisms(graph, tree)
     payload = {"count": str(result.value), "method": result.method}
     return payload, ["count", "method"], [[result.value, result.method]], EXIT_OK
 
 
-def _cmd_walks(args, inputs):
-    graph = _load_graph(args.graph, inputs)
+def _cmd_walks(args, graph, tree):
     result = count_walks(graph, args.length)
     payload = {"count": str(result.value), "length": args.length}
     return payload, ["count", "length"], [[result.value, args.length]], EXIT_OK
 
 
-def _cmd_bounds(args, inputs):
+def _cmd_bounds(args, graph, tree):
     from .bounds import evaluate_bounds
 
-    graph = _load_graph(args.graph, inputs)
     report = evaluate_bounds(graph, args.t, args.k)
     named = report.named_bounds()
     bounds_json = {
@@ -174,11 +180,9 @@ def _cmd_bounds(args, inputs):
     return payload, ["bound", "applicable", "log", "reason"], rows, EXIT_OK
 
 
-def _cmd_gtable(args, inputs):
+def _cmd_gtable(args, graph, tree):
     from .measure import MeasureKind, g_table_exact, g_table_monte_carlo
 
-    graph = _load_graph(args.graph, inputs)
-    tree = _load_tree(args.tree, inputs)
     kind = MeasureKind(args.measure)
     labeling = good_labeling(tree)
     if args.samples is not None:
@@ -207,14 +211,12 @@ def _cmd_gtable(args, inputs):
     return payload, ["i", "v", "weight"], rows, EXIT_OK
 
 
-def _cmd_sample(args, inputs):
+def _cmd_sample(args, graph, tree):
     import random
     from collections import Counter
 
     from .measure import sample_embeddings
 
-    graph = _load_graph(args.graph, inputs)
-    tree = _load_tree(args.tree, inputs)
     draws = sample_embeddings(
         graph, tree, good_labeling(tree), random.Random(args.seed), args.samples
     )
@@ -233,11 +235,9 @@ def _cmd_sample(args, inputs):
     return payload, ["embedding", "count"], rows, EXIT_OK
 
 
-def _cmd_verify(args, inputs):
+def _cmd_verify(args, graph, tree):
     from .harness import instance_report
 
-    graph = _load_graph(args.graph, inputs)
-    tree = _load_tree(args.tree, inputs)
     checks, chain = instance_report(graph, tree, work_cap=_work_cap())
     failed = [c for c in checks if c.passed is False]
     skipped = [c for c in checks if c.passed is None]
@@ -256,7 +256,7 @@ def _cmd_verify(args, inputs):
     return payload, ["check", "passed", "detail"], rows, code
 
 
-def _cmd_conjecture(args, inputs):
+def _cmd_conjecture(args, graph, tree):
     from .harness import (
         ConjectureScanConfig,
         conjecture_csv_rows,
@@ -264,7 +264,6 @@ def _cmd_conjecture(args, inputs):
         conjecture_to_json,
     )
 
-    tree = _load_tree(args.tree, inputs) if args.tree else None
     config = ConjectureScanConfig(
         family=args.family,
         n=args.n,
@@ -280,26 +279,24 @@ def _cmd_conjecture(args, inputs):
     return (conjecture_to_json(rows), *conjecture_csv_rows(rows), EXIT_OK)
 
 
-def _cmd_gen(args, inputs):
-    if args.family == "cliques":
-        graph = gen_disjoint_cliques(args.c, args.q)
-        params = {"c": args.c, "q": args.q}
-    elif args.family == "cycle":
-        graph = gen_cycle(args.n)
-        params = {"n": args.n}
-    elif args.family == "complete-bipartite":
-        graph = gen_complete_bipartite(args.a, args.b)
-        params = {"a": args.a, "b": args.b}
-    else:
-        graph = gen_random_min_degree(
-            args.n, args.p, args.min_degree, args.seed, max_tries=args.max_tries
-        )
-        params = {
-            "n": args.n,
-            "p": args.p,
-            "minDegree": args.min_degree,
-            "seed": args.seed,
-        }
+# gen family -> (generator, its positional arguments as (name, type, params key))
+_GEN_FAMILIES = {
+    "cliques": (gen_disjoint_cliques, [("c", int, "c"), ("q", int, "q")]),
+    "cycle": (gen_cycle, [("n", int, "n")]),
+    "complete-bipartite": (gen_complete_bipartite, [("a", int, "a"), ("b", int, "b")]),
+    "random": (
+        gen_random_min_degree,
+        [("n", int, "n"), ("p", float, "p"), ("min_degree", int, "minDegree"),
+         ("seed", int, "seed")],
+    ),
+}
+
+
+def _cmd_gen(args, graph, tree):
+    generate, arguments = _GEN_FAMILIES[args.family]
+    params = {key: getattr(args, name) for name, _, key in arguments}
+    options = {"max_tries": args.max_tries} if args.family == "random" else {}
+    graph = generate(*params.values(), **options)
     text = serialize_graph(graph)
     payload = {
         "family": args.family,
@@ -342,41 +339,41 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
         return p
 
-    p = with_format(sub.add_parser("count", help="exact injective copy count"))
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tree", required=True, help="tree file, or path:T / star:T")
+    def command(name, help, *inputs):
+        """A subcommand's parser with --format and the required inputs."""
+        p = with_format(sub.add_parser(name, help=help))
+        for option in inputs:
+            add_input(p, option)
+        return p
 
-    p = with_format(sub.add_parser("hom", help="exact homomorphism count"))
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tree", required=True)
+    def add_input(p, option, required=True):
+        help = "tree file, or path:T / star:T" if option == "--tree" else None
+        if not required:
+            help += " (default: the t-edge path)"
+        p.add_argument(option, required=required, help=help)
 
-    p = with_format(sub.add_parser("walks", help="exact walk count"))
-    p.add_argument("--graph", required=True)
+    command("count", "exact injective copy count", "--graph", "--tree")
+    command("hom", "exact homomorphism count", "--graph", "--tree")
+
+    p = command("walks", "exact walk count", "--graph")
     p.add_argument("--length", type=int, required=True)
 
-    p = with_format(sub.add_parser("bounds", help="evaluate all lower bounds in log space"))
-    p.add_argument("--graph", required=True)
+    p = command("bounds", "evaluate all lower bounds in log space", "--graph")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
 
-    p = with_format(sub.add_parser("gtable", help="per-index vertex weight table"))
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tree", required=True)
+    p = command("gtable", "per-index vertex weight table", "--graph", "--tree")
     p.add_argument("--measure", choices=["P", "p", "Pprime"], required=True)
     p.add_argument("--samples", type=int, default=None, help="Monte Carlo draws (default: exact)")
     p.add_argument("--seed", type=int, default=0)
 
-    p = with_format(sub.add_parser("sample", help="draw embeddings from the process"))
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tree", required=True)
+    p = command("sample", "draw embeddings from the process", "--graph", "--tree")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
-    p = with_format(sub.add_parser("verify", help="run all instance invariants"))
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tree", required=True)
+    command("verify", "run all instance invariants", "--graph", "--tree")
 
-    p = with_format(sub.add_parser("conjecture", help="scan the falling-factorial bound"))
+    p = command("conjecture", "scan the falling-factorial bound")
     p.add_argument("--family", choices=["cliques", "random"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
@@ -386,30 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-degree", type=int, default=None, help="degree floor (default: 2t)"
     )
     p.add_argument("--edge-probability", type=float, default=0.5)
-    p.add_argument("--tree", default=None, help="override the default t-edge path")
+    add_input(p, "--tree", required=False)
 
     p = sub.add_parser("gen", help="write a generated graph file")
     gen_sub = p.add_subparsers(dest="family", required=True)
-
-    def gen_parser(name):
-        q = with_format(gen_sub.add_parser(name))
+    for family, (_, arguments) in _GEN_FAMILIES.items():
+        q = with_format(gen_sub.add_parser(family))
         q.add_argument("-o", "--output", default=None)
-        return q
-
-    q = gen_parser("cliques")
-    q.add_argument("c", type=int)
-    q.add_argument("q", type=int)
-    q = gen_parser("cycle")
-    q.add_argument("n", type=int)
-    q = gen_parser("complete-bipartite")
-    q.add_argument("a", type=int)
-    q.add_argument("b", type=int)
-    q = gen_parser("random")
-    q.add_argument("n", type=int)
-    q.add_argument("p", type=float)
-    q.add_argument("min_degree", type=int)
-    q.add_argument("seed", type=int)
-    q.add_argument("--max-tries", type=int, default=1000)
+        for name, type_, _ in arguments:
+            q.add_argument(name, type=type_)
+    gen_sub.choices["random"].add_argument("--max-tries", type=int, default=1000)
 
     return parser
 
@@ -440,7 +423,13 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     inputs: dict = {}
     try:
-        payload, header, rows, code = _HANDLERS[args.command](args, inputs)
+        # test for None, not truth: an empty --tree '' is a file name too
+        graph = tree = None
+        if getattr(args, "graph", None) is not None:
+            graph = _load_graph(args.graph, inputs)
+        if getattr(args, "tree", None) is not None:
+            tree = _load_tree(args.tree, inputs)
+        payload, header, rows, code = _HANDLERS[args.command](args, graph, tree)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -8,8 +8,10 @@ maps from the measure definitions, one Fraction per map, or, for the
 majorant, from its labeling-free product form.  The closed-form bounds are
 evaluated in Fractions: each exponent and the average degree is a Fraction
 converted to float once.  Random graphs with a degree
-floor are drawn whole and then checked, and good labelings are judged from
-the definition against the tree's edge list.  The one package call is
+floor are drawn whole and then checked, good labelings are judged from
+the definition against the tree's edge list, and the tree shapes on k
+vertices are found by comparing canonical strings of every tree whose
+vertex j hangs off an earlier vertex.  The one package call is
 good_labeling_between in reversed_labeling, which builds an input to the
 checks, not a reference value.
 """
@@ -227,6 +229,38 @@ def bounds_by_fractions(graph: Graph, t: int, k: int | None = None) -> dict:
 def random_tree(rng: random.Random, t: int) -> Tree:
     """Uniform-ish random recursive tree: vertex j hangs off an earlier one."""
     return Tree.from_edges((rng.randint(1, j - 1), j) for j in range(2, t + 2))
+
+
+def free_trees(k: int) -> list[tuple[tuple[int, int], ...]]:
+    """One edge list on vertices 1..k per tree shape on k vertices, in the
+    order of their canonical strings: 1, 1, 1, 2, 3, 6, 11 shapes for
+    k = 1..7 (OEIS A000055).  It tries every tree in which each vertex j > 1
+    hangs off an earlier vertex, which every shape has (number its vertices
+    in breadth-first order), and two trees are one shape when their
+    canonical strings agree: the nested-parenthesis string of the tree
+    rooted at a centre, children sorted, at the centre giving the smaller."""
+    shapes = {}
+    for parents in product(*(range(1, j) for j in range(2, k + 1))):
+        edges = tuple(zip(parents, range(2, k + 1)))
+        shapes.setdefault(_centre_string(k, edges), edges)
+    return [shapes[key] for key in sorted(shapes)]
+
+
+def _centre_string(k: int, edges) -> str:
+    neighbours = {x: set() for x in range(1, k + 1)}
+    for a, b in edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+
+    def rooted(x, parent) -> str:
+        return "(" + "".join(sorted(rooted(y, x) for y in neighbours[x] if y != parent)) + ")"
+
+    # peel the leaves layer by layer; the one or two vertices left are the centres
+    left = set(neighbours)
+    while len(left) > 2:
+        leaves = {x for x in left if len(neighbours[x] & left) <= 1}
+        left -= leaves
+    return min(rooted(x, None) for x in left)
 
 
 def reversed_labeling(labeling: GoodLabeling) -> tuple[Tree, GoodLabeling]:

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -413,6 +414,59 @@ class TestCsvOutput:
         assert capsys.readouterr().out == expected
 
 
+class TestInputs:
+    """The envelope's inputs, and input files with a UTF-8 byte order mark."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    @pytest.mark.parametrize("case", K4_CSV)
+    def test_inputs_are_the_commands_options(self, capsys, k4_file, case):
+        argv = K4_CSV[case][0]
+        if argv[0] not in ("conjecture", "gen"):
+            argv = [argv[0], "--graph", k4_file, *argv[1:]]
+        code, envelope = run_json(capsys, argv)
+        assert code == 0
+        expected = {"conjecture": set(), "gen": set(), "walks": {"graph"}, "bounds": {"graph"}}
+        assert set(envelope["inputs"]) == expected.get(argv[0], {"graph", "tree"})
+
+    def test_conjecture_tree_is_its_only_input(self, capsys):
+        argv = ["conjecture", "--family", "cliques", "--n", "4", "--t", "3", "--trials", "1",
+                "--seed", "0", "--min-degree", "3", "--tree", "star:3"]
+        code, envelope = run_json(capsys, argv)
+        assert code == 0
+        assert set(envelope["inputs"]) == {"tree"}
+
+    def test_bom_graph_file(self, capsys, tmp_path, k4_file):
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(self.BOM + Path(k4_file).read_bytes())
+        _, plain = run_json(capsys, ["count", "--graph", k4_file, "--tree", "path:3"])
+        code, envelope = run_json(capsys, ["count", "--graph", str(bom), "--tree", "path:3"])
+        assert code == 0
+        assert envelope["result"] == plain["result"] == {"count": "24", "method": "enumeration"}
+        assert envelope["inputs"]["graph"]["sha256"] == plain["inputs"]["graph"]["sha256"]
+
+    def test_bom_tree_file(self, capsys, tmp_path, k4_file):
+        plain, bom = tmp_path / "p2.txt", tmp_path / "bom.txt"
+        plain.write_bytes(b"3 2\n1 2\n2 3\n")
+        bom.write_bytes(self.BOM + plain.read_bytes())
+        envelopes = [
+            run_json(capsys, ["count", "--graph", k4_file, "--tree", str(tree)])[1]
+            for tree in (plain, bom)
+        ]
+        assert [e["result"]["count"] for e in envelopes] == ["24", "24"]
+        assert envelopes[0]["inputs"]["tree"]["sha256"] == envelopes[1]["inputs"]["tree"]["sha256"]
+
+    def test_bom_file_with_a_bad_byte_keeps_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(self.BOM + b"2 1\n0 1\n\xff\n")
+        assert main(["count", "--graph", str(bad), "--tree", "path:1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line 3: --graph {bad}: can't decode byte 0xff as UTF-8 (invalid start byte)\n"
+        )
+
+
 class TestGen:
     def test_gen_cliques_round_trips(self, capsys, tmp_path):
         out = tmp_path / "cl.txt"
@@ -475,6 +529,41 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: line 1: {option} {bad}: {detail}\n"
+
+    @pytest.mark.parametrize("option", ["--graph", "--tree"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file_names_its_input(self, capsys, tmp_path, k4_file, option, kind):
+        bad = tmp_path / "no-such.txt" if kind == "missing" else tmp_path
+        reason = os.strerror(errno.ENOENT if kind == "missing" else errno.EISDIR)
+        files = {"--graph": k4_file, "--tree": "path:2", option: str(bad)}
+        assert main(["count", "--graph", files["--graph"], "--tree", files["--tree"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} {bad}: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["count", "hom", "gtable", "sample", "verify"])
+    def test_graph_is_read_before_the_tree(self, capsys, tmp_path, command):
+        bad_graph, bad_tree = tmp_path / "g.txt", tmp_path / "t.txt"
+        bad_graph.write_text("4 x\n")
+        bad_tree.write_text("3 x\n")
+        extra = {"gtable": ["--measure", "P"], "sample": ["--samples", "1", "--seed", "0"]}
+        argv = [command, "--graph", str(bad_graph), "--tree", str(bad_tree)]
+        assert main([*argv, *extra.get(command, [])]) == 3
+        assert capsys.readouterr().err.startswith(f"error: line 1: --graph {bad_graph}: ")
+
+    @pytest.mark.parametrize("command", ["count", "conjecture"])
+    def test_empty_tree_name_is_read_as_a_file(self, capsys, k4_file, command):
+        # '' names the working directory, not "no tree": conjecture does not
+        # fall back to its default path
+        if command == "count":
+            argv = ["count", "--graph", k4_file]
+        else:
+            argv = ["conjecture", "--family", "cliques", "--n", "4", "--t", "3",
+                    "--trials", "1", "--seed", "0", "--min-degree", "3"]
+        assert main([*argv, "--tree", ""]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tree : ")
 
     def test_bad_usage(self, capsys):
         assert main(["count", "--graph"]) == 2

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from tests.oracles import (
     copies_by_permutations,
     copies_in_slot_order,
+    free_trees,
+    g_tables_by_enumeration,
     homs_by_exhaustion,
     random_tree,
     search_nodes_by_permutations,
@@ -409,3 +411,46 @@ def test_counts_and_nodes_on_a_40_vertex_graph(tree, labeling, copies, nodes):
     assert (result.value, result.nodes) == (copies, nodes)
     with pytest.raises(WorkCapExceeded, match=f"work cap of {nodes - 1} search nodes"):
         count_copies(graph, tree, labeling, work_cap=nodes - 1)
+
+
+def test_free_trees_match_a000055():
+    """The shape oracle against OEIS A000055, the number of trees on k
+    vertices up to isomorphism."""
+    shapes = [free_trees(k) for k in range(1, 8)]
+    assert [len(trees) for trees in shapes] == [1, 1, 1, 2, 3, 6, 11]
+    for k, trees in enumerate(shapes[1:], 2):
+        for edges in trees:
+            assert Tree.from_edges(edges).t == k - 1
+
+
+# K6, and K7 less the matching 01, 23, 45: both meet the degree floor t <= 5
+# of the copy ledger, and only K7 less the matching has unequal degrees.
+MATCHING = [{0, 1}, {2, 3}, {4, 5}]
+SHAPE_GRAPHS = {
+    "K6": gen_disjoint_cliques(1, 6),
+    "K7-matching": Graph.from_edges(
+        7, [(u, v) for u in range(7) for v in range(u + 1, 7) if {u, v} not in MATCHING]
+    ),
+}
+SHAPES = [(t, i, edges) for t in range(1, 7) for i, edges in enumerate(free_trees(t + 1))]
+
+
+@pytest.mark.parametrize("graph_name", SHAPE_GRAPHS)
+@pytest.mark.parametrize("t, i, edges", SHAPES, ids=[f"t{t}-{i}" for t, i, _ in SHAPES])
+def test_every_tree_shape_matches_the_oracles(graph_name, t, i, edges):
+    """Every tree shape with t <= 6 edges under good_labeling, so the
+    kernel's two-level tail and its leaf blocks under the last placed slot
+    and under an earlier one are reached by shape, not by random draw:
+    count_copies' value and nodes against the permutation oracles and, for
+    t <= 5, where both graphs meet the degree floor, the copy ledger's
+    tables against the enumerating oracle."""
+    graph, tree = SHAPE_GRAPHS[graph_name], Tree.from_edges(edges)
+    labeling = good_labeling(tree)
+    result = count_copies(graph, tree)
+    assert result.value == copies_by_permutations(graph, tree)
+    assert result.nodes == search_nodes_by_permutations(graph, labeling)
+    if t <= 5:
+        oracle = g_tables_by_enumeration(graph, tree, labeling, homs=False)
+        ledger = copy_ledger(graph, tree, labeling)
+        assert [list(row) for row in ledger.iso.rows] == oracle["P"]
+        assert [list(row) for row in ledger.majorant.rows] == oracle["p"]
