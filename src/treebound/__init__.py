@@ -82,7 +82,6 @@ _EXPORTS = {
         "g_table_exact",
         "g_table_monte_carlo",
         "sample_embeddings",
-        "weight",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -307,7 +307,11 @@ def _cmd_gen(args, graph, tree):
         "sha256": _digest(text),
     }
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        # an output path that cannot be written is a usage error, not a bad input file
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"--output {args.output}: {exc.strerror}") from None
         payload["path"] = args.output
     else:
         payload["content"] = text

@@ -13,9 +13,9 @@ the resulting vertex sequences matter:
   weight (1/nd) * prod 1/d(parent image) is a probability on homomorphic
   (repeats allowed) embeddings.
 
-Everything is computed in exact arbitrary-precision rationals; entropy-like
-aggregates exp(sum -w ln w) go through floats only at the final step, so the
-chain report can distinguish, say, 24 from 144 without float doubt.
+Everything is exact, a whole table at a time: no function weighs one
+embedding alone.  Entropy-like aggregates exp(sum -w ln w) go through floats
+only at the final step, so the chain report can tell 24 from 144 for sure.
 
 For each measure, g_table_exact tabulates g[i][v]: the total weight of
 embeddings whose i-th vertex is v, for the full index range i = 1..t+1.
@@ -44,7 +44,7 @@ denominator fixed before the pass that every D divides.  The HOM table
 enumerates nothing: its slot 1 is the start law d(v)/nd, and each later
 slot is one random-walk step from its parent slot, so the table is
 propagated in O(t*m) exact integer steps.  A GTable is one denominator
-and integer numerators: its slacks, row sums and the HOM identity are
+and integer numerators: its min slack, row sums and the HOM identity are
 integer sums, with one Fraction per result, and its JSON reduces each cell
 with a gcd.
 
@@ -77,7 +77,6 @@ __all__ = [
     "MeasureKind",
     "GTable",
     "ChainReport",
-    "weight",
     "sample_embeddings",
     "g_table_exact",
     "g_table_monte_carlo",
@@ -92,57 +91,6 @@ class MeasureKind(Enum):
     ISO = "P"
     MAJORANT = "p"
     HOM = "Pprime"
-
-
-def _validate_embedding(
-    graph: Graph, labeling: GoodLabeling, verts: Sequence[int], injective: bool
-) -> None:
-    k = len(labeling.order)
-    if len(verts) != k:
-        raise ValueError(f"embedding has {len(verts)} vertices, labeling needs {k}")
-    if injective and len(set(verts)) != k:
-        raise ValueError("embedding repeats a vertex")
-    parent_pos = labeling.parent_positions()
-    # every vertex meets has_edge here, which refuses one outside 0..n-1
-    for pos in range(1, k):
-        if not graph.has_edge(verts[pos], verts[parent_pos[pos]]):
-            raise ValueError(
-                f"embedding misses edge at index {pos + 1}: "
-                f"{verts[pos]} not adjacent to parent image {verts[parent_pos[pos]]}"
-            )
-
-
-def weight(graph: Graph, tree: Tree, labeling: GoodLabeling, omega, kind: MeasureKind) -> Fraction:
-    """Exact rational weight of one embedding under the chosen measure.
-
-    The embedding must realize the labeled tree in the graph; ISO and
-    MAJORANT additionally require it to be injective, while HOM accepts
-    repeated vertices.  With t = 1 every weight is 1/nd (empty product).
-    """
-    labeling.validate(tree)
-    verts = tuple(omega)
-    _validate_embedding(graph, labeling, verts, injective=kind is not MeasureKind.HOM)
-    if graph.degree_sum == 0:
-        raise ValueError("graph has no edges; weights undefined")
-    t = tree.t
-    parent_pos = labeling.parent_positions()
-    denominator = graph.degree_sum
-    for pos in range(2, t + 1):
-        parent_image = verts[parent_pos[pos]]
-        if kind is MeasureKind.ISO:
-            used = verts[:pos]
-            denominator *= sum(1 for u in graph.adjacency[parent_image] if u not in used)
-        elif kind is MeasureKind.MAJORANT:
-            base = graph.degree(parent_image) - t + 1
-            if base <= 0:
-                raise ValueError(
-                    "nonpositive candidate floor d(v)-t+1; the majorant needs "
-                    f"min degree >= t = {t}"
-                )
-            denominator *= base
-        else:
-            denominator *= graph.degree(parent_image)
-    return Fraction(1, denominator)
 
 
 def sample_embeddings(
@@ -197,7 +145,7 @@ class GTable:
     whose i-th vertex is v, for i = 1..t+1; a probability's rows sum to 1,
     the majorant's to >= 1.  Built over any denominator, a table divides out
     the gcd of all its integers, so equal tables compare and hash equal
-    whatever built them.  Only g(), slacks() and rows make Fractions.
+    whatever built them.  Only g() reads a cell as a Fraction.
     """
 
     kind: MeasureKind
@@ -229,11 +177,6 @@ class GTable:
     def n(self) -> int:
         return len(self.numerators[0])
 
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """rows[i-1][v] = g[i][v], one Fraction per cell."""
-        return tuple(tuple(Fraction(x, self.denominator) for x in row) for row in self.numerators)
-
     def _slack_numerators(self, graph: Graph) -> tuple[int, Iterator[list[int]]]:
         """(nd * denominator, rows of (g[i][v] - d(v)/nd) * nd * denominator)."""
         if graph.n != self.n:
@@ -246,12 +189,6 @@ class GTable:
         """Sum of row i over the vertices, 1 <= i <= positions."""
         self._check_index(i)
         return Fraction(sum(self.numerators[i - 1]), self.denominator)
-
-    def slacks(self, graph: Graph) -> Iterator[tuple[int, int, Fraction]]:
-        """(i, v, g[i][v] - d(v)/nd) over the whole table."""
-        denominator, rows = self._slack_numerators(graph)
-        return ((i, v, Fraction(x, denominator))
-                for i, row in enumerate(rows, 1) for v, x in enumerate(row))
 
     def min_slack(self, graph: Graph) -> Fraction:
         """Smallest g[i][v] - d(v)/nd; >= 0 certifies the degree floor."""

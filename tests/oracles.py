@@ -4,16 +4,16 @@ counted, and listed in a labeling's slot order, by filtering raw
 permutations; star copies come from the closed form sum_v t! * C(d(v), t);
 homomorphisms by filtering the full map space, walks via adjacency-matrix
 powers in exact integer arithmetic, and g-tables by weighing each of those
-maps from the measure definitions, one Fraction per map, or, for the
-majorant, from its labeling-free product form.  The closed-form bounds are
-evaluated in Fractions: each exponent and the average degree is a Fraction
-converted to float once.  Random graphs with a degree
+maps with copy_weight, straight from the measure definitions, one Fraction
+per map, or, for the majorant, from its labeling-free product form.  The
+closed-form bounds are evaluated in Fractions: each exponent and the average
+degree is a Fraction converted to float once.  Random graphs with a degree
 floor are drawn whole and then checked, good labelings are judged from
 the definition against the tree's edge list, and the tree shapes on k
 vertices are found by comparing canonical strings of every tree whose
-vertex j hangs off an earlier vertex.  The one package call is
-good_labeling_between in reversed_labeling, which builds an input to the
-checks, not a reference value.
+vertex j hangs off an earlier vertex.  Two package calls give no
+reference value: good_labeling_between in reversed_labeling builds an
+input to the checks, and GTable.g in fraction_rows reads a table under test.
 """
 
 from __future__ import annotations
@@ -85,38 +85,44 @@ def hom_embeddings_by_exhaustion(graph: Graph, tree: Tree, labeling: GoodLabelin
         yield tuple(phi[x - 1] for x in labeling.order)
 
 
+def copy_weight(graph: Graph, labeling: GoodLabeling, omega, kind: str) -> Fraction:
+    """The weight of one embedding omega, a vertex tuple in labeling slot
+    order, straight from the process definitions: 1/nd, then one factor per
+    slot j = 3..t+1, with t read from the labeling.  kind "P" (ISO) divides
+    by the parent image's neighbours not among slots 1..j-1, "p" (MAJORANT)
+    by its degree less t-1, and "Pprime" (HOM) by its degree.  omega is
+    taken as given: nothing checks that it embeds the labeled tree."""
+    t = len(labeling.order) - 1
+    w = Fraction(1, 2 * len(graph.edges))
+    for j in range(3, t + 2):
+        neighbors = set(graph.neighbors(omega[labeling.parents[j - 1] - 1]))
+        if kind == "P":
+            w /= len(neighbors - set(omega[: j - 1]))
+        elif kind == "p":
+            w /= len(neighbors) - t + 1
+        else:
+            w /= len(neighbors)
+    return w
+
+
 def g_tables_by_enumeration(
     graph: Graph, tree: Tree, labeling: GoodLabeling, homs: bool = True
 ) -> dict:
     """Exact g-tables {"P", "p", "Pprime"} as lists of rows of Fractions.
 
     Every injective copy is weighed under P (ISO) and p (MAJORANT), every
-    homomorphism under Pprime (HOM), straight from the process definitions:
-    1/nd, then one factor per slot j = 3..t+1 of the labeling.  P and p need
+    homomorphism under Pprime (HOM), each by copy_weight.  P and p need
     min degree >= t; without it only "Pprime" is returned.  homs=False skips
     the n^(t+1) map space and returns P and p alone.
     """
-    nd = 2 * len(graph.edges)
     t = tree.t
-
-    def weigh(phi, kind: str) -> tuple[list[int], Fraction]:
-        omega = [phi[x - 1] for x in labeling.order]
-        w = Fraction(1, nd)
-        for j in range(3, t + 2):
-            neighbors = set(graph.neighbors(omega[labeling.parents[j - 1] - 1]))
-            if kind == "P":
-                w /= len(neighbors - set(omega[: j - 1]))
-            elif kind == "p":
-                w /= len(neighbors) - t + 1
-            else:
-                w /= len(neighbors)
-        return omega, w
 
     def table(kinds, maps) -> dict:
         rows = {kind: [[Fraction(0)] * graph.n for _ in range(t + 1)] for kind in kinds}
         for phi in maps:
+            omega = [phi[x - 1] for x in labeling.order]
             for kind in kinds:
-                omega, w = weigh(phi, kind)
+                w = copy_weight(graph, labeling, omega, kind)
                 for i, v in enumerate(omega):
                     rows[kind][i][v] += w
         return rows
@@ -148,6 +154,12 @@ def majorant_table_by_product_form(graph: Graph, tree: Tree, labeling: GoodLabel
         for row, x in zip(rows, labeling.order):
             row[phi[x - 1]] += w
     return rows
+
+
+def fraction_rows(table) -> list:
+    """A GTable's cells g[i][v] as lists of Fractions, one row per index i,
+    read one cell at a time through GTable.g."""
+    return [[table.g(i, v) for v in range(table.n)] for i in range(1, table.positions + 1)]
 
 
 def slacks_by_cells(graph: Graph, rows) -> list:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from tests.oracles import copies_in_slot_order, homs_by_exhaustion, random_tree
+from tests.oracles import copies_in_slot_order, copy_weight, homs_by_exhaustion, random_tree
 from treebound.bounds import compare_count_to_bound, evaluate_bounds
 from treebound.counting import count_copies, count_homomorphisms, count_walks
 from treebound.graphs import (
@@ -34,7 +34,6 @@ from treebound.measure import (
     g_table_exact,
     g_table_monte_carlo,
     sample_embeddings,
-    weight,
 )
 
 LOG_TOL = 1e-9
@@ -210,14 +209,9 @@ def test_criterion_10_bound_relations():
 def test_criterion_11_chain_report(suite_rows, k4, p3):
     with criterion(11, "chain on (K4,P3) = (24, 24, 144, 12), links (T,F,T,T)"):
         labeling = good_labeling(p3)
-        iso_weights = [
-            weight(k4, p3, labeling, omega, MeasureKind.ISO)
-            for omega in copies_in_slot_order(k4, labeling)
-        ]
-        majorant_weights = [
-            weight(k4, p3, labeling, omega, MeasureKind.MAJORANT)
-            for omega in copies_in_slot_order(k4, labeling)
-        ]
+        copies = list(copies_in_slot_order(k4, labeling))
+        iso_weights = [copy_weight(k4, labeling, omega, "P") for omega in copies]
+        majorant_weights = [copy_weight(k4, labeling, omega, "p") for omega in copies]
         # exact rational confirmation: P is uniform 1/24 so exp H(P) = 24;
         # p is constantly 1/12 with total 2, so prod p^-p = 12^2 = 144
         assert iso_weights == [Fraction(1, 24)] * 24

@@ -635,6 +635,15 @@ class TestExitCodes:
         assert f"max tries must be >= 1, got {max_tries}" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, kind):
+        out = tmp_path / "no-such-dir" / "k4.txt" if kind == "missing-directory" else tmp_path
+        reason = os.strerror(errno.ENOENT if kind == "missing-directory" else errno.EISDIR)
+        assert main(["gen", "cliques", "1", "4", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --output {out}: {reason}\n"
+
 
 class TestEntryPoint:
     """`python -m treebound` in a child process: exit codes reach the OS."""

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from tests.oracles import (
     copies_by_permutations,
     copies_in_slot_order,
+    copy_weight,
+    fraction_rows,
     free_trees,
     g_tables_by_enumeration,
     homs_by_exhaustion,
@@ -33,7 +35,7 @@ from treebound.graphs import (
     path_tree,
     star_tree,
 )
-from treebound.measure import MeasureKind, copy_ledger, weight
+from treebound.measure import copy_ledger
 
 
 class TestCountCopies:
@@ -346,13 +348,17 @@ def test_leaf_block_count_matches_oracles_and_enumeration(case):
 @example(LOW_DEGREE_STAR)
 def test_slot_order_oracle_lists_every_copy(case):
     """copies_in_slot_order lists each copy once, in lexicographic order, as
-    a tuple that weight() accepts as an injective copy under the labeling."""
+    an injective tuple that carries every tree edge to a graph edge when slot
+    i holds tree vertex order[i], and whose oracle ISO weight is positive."""
     graph, tree, labeling = case
     copies = list(copies_in_slot_order(graph, labeling))
     assert len(copies) == copies_by_permutations(graph, tree)
     assert copies == sorted(set(copies))
     for omega in copies:
-        assert weight(graph, tree, labeling, omega, MeasureKind.ISO) > 0
+        image = dict(zip(labeling.order, omega))
+        assert len(set(omega)) == len(omega)
+        assert all(graph.has_edge(image[a], image[b]) for a, b in tree.edges)
+        assert copy_weight(graph, labeling, omega, "P") > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -452,5 +458,5 @@ def test_every_tree_shape_matches_the_oracles(graph_name, t, i, edges):
     if t <= 5:
         oracle = g_tables_by_enumeration(graph, tree, labeling, homs=False)
         ledger = copy_ledger(graph, tree, labeling)
-        assert [list(row) for row in ledger.iso.rows] == oracle["P"]
-        assert [list(row) for row in ledger.majorant.rows] == oracle["p"]
+        assert fraction_rows(ledger.iso) == oracle["P"]
+        assert fraction_rows(ledger.majorant) == oracle["p"]

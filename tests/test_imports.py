@@ -38,7 +38,7 @@ STAR_NAMES = {
     "good_labeling_between", "graphs", "harness", "instance_report", "measure",
     "parse_graph", "parse_tree", "path_tree", "run_suite", "sample_embeddings",
     "serialize_graph", "serialize_tree", "standard_suite_config", "star_tree",
-    "suite_to_csv", "suite_to_json", "weight",
+    "suite_to_csv", "suite_to_json",
 }
 SUBMODULES = ("graphs", "counting", "bounds", "measure", "harness", "cli", "errors", "formats")
 
@@ -85,15 +85,21 @@ class TestLazyExports:
 
     @pytest.mark.parametrize(
         "home, name",
-        [("graphs", "Embedding"), ("measure", "GroupedWeights")],
-        ids=["Embedding", "GroupedWeights"],
+        [("graphs", "Embedding"), ("measure", "GroupedWeights"), ("measure", "weight")],
+        ids=["Embedding", "GroupedWeights", "weight"],
     )
     def test_retired_names_are_gone(self, home, name):
-        # draws are plain tuples, and the copy ledger's tables are GTables
+        # draws are plain tuples, the copy ledger's tables are GTables, and
+        # the one per-copy weight is the test oracles' copy_weight
         assert name not in dir(treebound)
         assert not hasattr(getattr(treebound, home), name)
         with pytest.raises(AttributeError, match=name):
             getattr(treebound, name)
+
+    def test_gtable_reads_cells_only_through_g(self):
+        # the retired readers rows and slacks repeated g(i, v) and min_slack
+        for name in ("rows", "slacks"):
+            assert not hasattr(treebound.GTable, name)
 
 
 class TestImportBudget:

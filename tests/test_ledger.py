@@ -1,4 +1,4 @@
-"""The copy ledger against the enumerating oracles and the public weight().
+"""The copy ledger against the enumerating oracles and their per-copy weight.
 
 copy_ledger folds each trailing leaf block of copies at once into every
 copy-side accumulator: _LedgerSums.fold takes one block (its free set, its
@@ -14,7 +14,7 @@ and product-form checks), that under every good labeling, and under the one
 that reads a copy from its far end, each slot parents treedeg(x) - 1 slots
 from the third on (the exponent identity by which the reversal row reports
 the product form's verdict), that the chain floats
-are bit-identical to summing the public weight() copy by copy, that each
+are bit-identical to summing the oracle's copy_weight copy by copy, that each
 per-copy check fails when fold is handed a wrong weight for one block, that
 the ledger charges the work cap the nodes of a full search on count_copies'
 leaf block, which never holds slot 1, that ledgers on graphs of max degree
@@ -41,6 +41,8 @@ from hypothesis import strategies as st
 from tests.oracles import (
     copies_by_permutations,
     copies_in_slot_order,
+    copy_weight,
+    fraction_rows,
     g_tables_by_enumeration,
     majorant_table_by_product_form,
     random_tree,
@@ -61,7 +63,7 @@ from treebound.graphs import (
     star_tree,
 )
 from treebound.harness import SuiteConfig, instance_report, run_suite
-from treebound.measure import MeasureKind, copy_ledger, g_table_exact, weight
+from treebound.measure import MeasureKind, copy_ledger, g_table_exact
 
 
 @st.composite
@@ -86,10 +88,6 @@ def any_instances(draw):
     return graph, tree
 
 
-def _rows(table):
-    return [list(row) for row in table.rows]
-
-
 @settings(max_examples=40, deadline=None)
 @given(degree_instances())
 def test_copy_tables_match_enumerating_oracle(instance):
@@ -98,10 +96,10 @@ def test_copy_tables_match_enumerating_oracle(instance):
     oracle = g_tables_by_enumeration(graph, tree, labeling)
     ledger = copy_ledger(graph, tree, labeling)
     assert ledger.count == copies_by_permutations(graph, tree)
-    assert _rows(ledger.iso) == oracle["P"]
-    assert _rows(ledger.majorant) == oracle["p"]
+    assert fraction_rows(ledger.iso) == oracle["P"]
+    assert fraction_rows(ledger.majorant) == oracle["p"]
     for kind, token in ((MeasureKind.ISO, "P"), (MeasureKind.MAJORANT, "p")):
-        assert _rows(g_table_exact(graph, tree, labeling, kind)) == oracle[token]
+        assert fraction_rows(g_table_exact(graph, tree, labeling, kind)) == oracle[token]
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,7 +108,7 @@ def test_hom_table_matches_enumerating_oracle(instance):
     graph, tree = instance
     labeling = good_labeling(tree)
     table = g_table_exact(graph, tree, labeling, MeasureKind.HOM)
-    assert _rows(table) == g_tables_by_enumeration(graph, tree, labeling)["Pprime"]
+    assert fraction_rows(table) == g_tables_by_enumeration(graph, tree, labeling)["Pprime"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,8 +119,8 @@ def test_ledger_matches_public_per_copy_path(instance):
     count, iso_total, entropy_log, product_log = 0, 0, 0.0, 0.0
     dominated = True
     for omega in copies_in_slot_order(graph, labeling):
-        iso = weight(graph, tree, labeling, omega, MeasureKind.ISO)
-        maj = weight(graph, tree, labeling, omega, MeasureKind.MAJORANT)
+        iso = copy_weight(graph, labeling, omega, "P")
+        maj = copy_weight(graph, labeling, omega, "p")
         count += 1
         iso_total += iso
         entropy_log -= float(iso) * (math.log(iso.numerator) - math.log(iso.denominator))
@@ -152,7 +150,7 @@ def _check_majorant_against_product_form(graph, tree):
     for labeling in _labelings(tree):
         ledger = copy_ledger(graph, tree, labeling)
         assert ledger.product_form_equal
-        table = _rows(ledger.majorant)
+        table = fraction_rows(ledger.majorant)
         assert table == majorant_table_by_product_form(graph, tree, labeling)
 
 
@@ -181,7 +179,7 @@ def test_majorant_table_is_labeling_free(instance, rng):
     first, last = rng.sample(tree.leaves, 2)
     by_vertex = []
     for labeling in (good_labeling(tree), good_labeling_between(tree, first, last)):
-        rows = _rows(copy_ledger(graph, tree, labeling).majorant)
+        rows = fraction_rows(copy_ledger(graph, tree, labeling).majorant)
         assert rows == majorant_table_by_product_form(graph, tree, labeling)
         by_vertex.append(dict(zip(labeling.order, rows)))
     # each copy weighs the same whichever labeling reads it
@@ -350,8 +348,8 @@ def test_ledger_folds_long_blocks_like_the_oracles(case):
     oracle = g_tables_by_enumeration(graph, tree, labeling, homs=False)
     ledger = copy_ledger(graph, tree, labeling)
     assert ledger.count == copies_by_permutations(graph, tree)
-    assert _rows(ledger.iso) == oracle["P"]
-    assert _rows(ledger.majorant) == oracle["p"]
+    assert fraction_rows(ledger.iso) == oracle["P"]
+    assert fraction_rows(ledger.majorant) == oracle["p"]
     assert ledger.iso_below_majorant and ledger.product_form_equal
     nodes = search_nodes_by_permutations(graph, labeling)
     assert ledger.nodes == nodes
@@ -377,8 +375,8 @@ def test_shared_block_row_under_a_slot_placed_before_the_last(graph):
     oracle = g_tables_by_enumeration(graph, _SPIDER, labeling, homs=False)
     ledger = copy_ledger(graph, _SPIDER, labeling)
     assert ledger.count == copies_by_permutations(graph, _SPIDER)
-    assert _rows(ledger.iso) == oracle["P"]
-    assert _rows(ledger.majorant) == oracle["p"]
+    assert fraction_rows(ledger.iso) == oracle["P"]
+    assert fraction_rows(ledger.majorant) == oracle["p"]
     assert ledger.nodes == search_nodes_by_permutations(graph, labeling)
 
 
