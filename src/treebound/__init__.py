@@ -16,7 +16,7 @@ each command loads only the modules it runs:
 - ``count``, ``hom``, ``walks``, ``gen``: graphs, counting, errors, formats;
 - ``bounds``: those plus bounds;
 - ``conjecture``: those plus bounds and harness, but not measure;
-- ``gtable``, ``sample``: those plus bounds and measure, but not harness;
+- ``gtable``, ``sample``: those plus measure, but not bounds or harness;
 - ``verify``: every module.
 """
 

@@ -49,11 +49,16 @@ integer sums, with one Fraction per result, and its JSON reduces each cell
 with a gcd.
 
 The sampler is prepared once per run: sample_embeddings checks its inputs
-and builds the directed-edge list once, then each draw costs O(t*d).  A
-draw makes one randrange(nd) for the start edge and one randrange per later
-slot over the candidates in sorted order, so a seed fixes the whole stream,
-and the Monte Carlo table and the CLI each consume one stream.  A draw is a
-plain tuple of graph vertices in labeling order.
+and builds the directed-edge list and each vertex's neighbor-to-position
+map once, in O(m), then each later slot costs O(t), not O(d): it counts the
+parent image's used neighbors by position and steps past them.  Each choice
+among c options (c = nd for the start edge, the unused neighbors in sorted
+order for a later slot) is one getrandbits(k) rejection loop with
+k = c.bit_length(), exactly the bits random.Random.randrange(c) reads, so a
+seed fixes the whole stream; an rng subclass that overrides only random()
+gets the stream of its getrandbits.  The Monte Carlo table and the CLI each
+consume one stream.  A draw is a plain tuple of graph vertices in labeling
+order.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ from itertools import chain, repeat
 from operator import sub
 from typing import Iterator, Sequence
 
-from .bounds import LOG_TOLERANCE, compare_count_to_bound
 from .counting import _Budget, _leaf_block, _too_deep
 from .formats import format_log
 from .graphs import GoodLabeling, Graph, Tree, _check_vertex, _value_type
@@ -102,10 +106,21 @@ def sample_embeddings(
     at a uniform directed edge, then embeds each next tree vertex as a
     uniform unused neighbor of its parent's image; candidates are taken in
     sorted vertex order so a seeded generator reproduces runs exactly.  The
-    checks run here, before any draw, and the directed-edge list and the
-    (slot, parent slot) steps are built once for the whole run.
-    With min degree >= t the candidate set is never empty; an empty set
-    (degree hypothesis violated) aborts the draw that meets it.
+    checks run here, before any draw, and the directed-edge list, each
+    vertex's map from neighbor to its position in the sorted adjacency list
+    (O(m) in all) and the (slot, parent slot) steps are built once for the
+    whole run.  A slot then costs O(t): it looks up the positions of the
+    placed vertices among the parent image's neighbors, draws r below the
+    number of unused ones, and steps r past each used position <= r, in
+    ascending order, to the r-th unused neighbor.
+
+    Each choice among c options is one rejection loop, getrandbits(k) with
+    k = c.bit_length() redrawn while >= c: the bits random.Random.randrange(c)
+    reads, so the draws and the generator's final state equal a randrange
+    loop's.  An rng subclass that overrides only random() gets the stream of
+    its getrandbits, not of its random().  With min degree >= t the
+    candidate set is never empty; an empty set (degree hypothesis violated)
+    aborts the draw that meets it, before it reads any bits for that slot.
     """
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
@@ -115,23 +130,40 @@ def sample_embeddings(
         raise ValueError("graph has no edges; nothing to sample")
     adjacency = graph.adjacency
     directed = [(u, w) for u in range(graph.n) for w in adjacency[u]]
+    position = [{w: i for i, w in enumerate(a)} for a in adjacency]
     steps = tuple(enumerate(labeling.parent_positions()))[2:]
+    getrandbits = rng.getrandbits
+    k_start = nd.bit_length()
 
     def draws() -> Iterator[tuple[int, ...]]:
         for _ in range(samples):
-            first, second = directed[rng.randrange(nd)]
-            verts = [first, second]
-            used = {first, second}
+            r = getrandbits(k_start)
+            while r >= nd:
+                r = getrandbits(k_start)
+            verts = list(directed[r])
             for pos, parent in steps:
-                candidates = [u for u in adjacency[verts[parent]] if u not in used]
-                if not candidates:
+                image = verts[parent]
+                where = position[image]
+                used = []  # a plain loop: on 3.11 a comprehension is one more call per slot
+                for u in verts:
+                    if u in where:
+                        used.append(where[u])
+                used.sort()
+                c = len(where) - len(used)
+                if not c:
                     raise ValueError(
                         f"empty candidate set at index {pos + 1}: min degree "
                         f"{graph.min_degree} is below t = {tree.t}"
                     )
-                chosen = candidates[rng.randrange(len(candidates))]
-                verts.append(chosen)
-                used.add(chosen)
+                k = c.bit_length()
+                r = getrandbits(k)
+                while r >= c:
+                    r = getrandbits(k)
+                for i in used:
+                    if i > r:
+                        break
+                    r += 1
+                verts.append(adjacency[image][r])
             yield tuple(verts)
 
     return draws()
@@ -332,6 +364,8 @@ class CopyLedger:
 
     def chain(self, bound_log: float) -> ChainReport:
         """The chain's links, ending at the degree-local copy bound exp(bound_log)."""
+        from .bounds import LOG_TOLERANCE, compare_count_to_bound  # sample, gtable never load it
+
         entropy, product = self.entropy_log, self.product_log
         return ChainReport(
             omega_count=self.count,

@@ -8,9 +8,10 @@ maps with copy_weight, straight from the measure definitions, one Fraction
 per map, or, for the majorant, from its labeling-free product form.  The
 closed-form bounds are evaluated in Fractions: each exponent and the average
 degree is a Fraction converted to float once.  Random graphs with a degree
-floor are drawn whole and then checked, good labelings are judged from
-the definition against the tree's edge list, and the tree shapes on k
-vertices are found by comparing canonical strings of every tree whose
+floor are drawn whole and then checked, the embedding process is drawn
+with one randrange per choice over lists of unused neighbours, good
+labelings are judged from the definition against the tree's edge list, and
+the tree shapes on k vertices are found by comparing canonical strings of every tree whose
 vertex j hangs off an earlier vertex.  Two package calls give no
 reference value: good_labeling_between in reversed_labeling builds an
 input to the checks, and GTable.g in fraction_rows reads a table under test.
@@ -322,3 +323,30 @@ def random_min_degree_by_rejection(
     raise RetryLimitExceeded(
         f"no graph with min degree >= {min_degree} in {max_tries} draws of G({n}, {p})"
     )
+
+
+def draws_by_randrange(graph: Graph, tree: Tree, labeling: GoodLabeling, rng, samples: int):
+    """The embedding process drawn with one rng.randrange per choice: a start
+    edge from the directed-edge list, then each later slot from a list of
+    the parent image's unused neighbours in sorted order, O(d) per slot.  A
+    draw that meets an empty list raises sample_embeddings' ValueError.  The
+    inputs are taken as given: nothing is checked before the first draw."""
+    nd = graph.degree_sum
+    adjacency = graph.adjacency
+    directed = [(u, w) for u in range(graph.n) for w in adjacency[u]]
+    steps = tuple(enumerate(labeling.parent_positions()))[2:]
+    for _ in range(samples):
+        first, second = directed[rng.randrange(nd)]
+        verts = [first, second]
+        used = {first, second}
+        for pos, parent in steps:
+            candidates = [u for u in adjacency[verts[parent]] if u not in used]
+            if not candidates:
+                raise ValueError(
+                    f"empty candidate set at index {pos + 1}: min degree "
+                    f"{graph.min_degree} is below t = {tree.t}"
+                )
+            chosen = candidates[rng.randrange(len(candidates))]
+            verts.append(chosen)
+            used.add(chosen)
+        yield tuple(verts)

@@ -133,9 +133,9 @@ print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
             (["conjecture", "--family", "cliques", "--n", "4", "--t", "3", "--trials", "2",
               "--seed", "0", "--min-degree", "3"], {"bounds", "harness"}),
             (["sample", "--graph", "{g}", "--tree", "path:3", "--samples", "20", "--seed", "0"],
-             {"bounds", "measure"}),
+             {"measure"}),
             (["gtable", "--graph", "{g}", "--tree", "path:3", "--measure", "P",
-              "--samples", "20", "--seed", "0"], {"bounds", "measure"}),
+              "--samples", "20", "--seed", "0"], {"measure"}),
             (["verify", "--graph", "{g}", "--tree", "path:3"], {"bounds", "harness", "measure"}),
         ],
         ids=["count", "hom", "walks", "gen", "bounds", "conjecture", "sample",

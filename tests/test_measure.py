@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.oracles import (
     copies_in_slot_order,
     copy_weight,
+    draws_by_randrange,
     fraction_rows,
     g_tables_by_enumeration,
     hom_embeddings_by_exhaustion,
@@ -19,10 +20,12 @@ from tests.oracles import (
 from treebound.bounds import evaluate_bounds
 from treebound.graphs import (
     Graph,
+    Tree,
     gen_cycle,
     gen_disjoint_cliques,
     gen_random_min_degree,
     good_labeling,
+    good_labeling_between,
     path_tree,
     star_tree,
 )
@@ -115,6 +118,26 @@ class TestSampler:
         L = good_labeling(p3)
         pinned = [(1, 0, 3, 2), (3, 2, 1, 0), (0, 3, 1, 2), (0, 1, 3, 2), (0, 1, 2, 3)]
         stream = sample_embeddings(k4, p3, L, random.Random(4), 5)
+        assert list(stream) == pinned
+
+    @pytest.mark.parametrize(
+        "tree, pinned",
+        [
+            (path_tree(4), [(37, 6, 20, 26, 3), (10, 36, 31, 21, 33), (34, 21, 24, 38, 18),
+                            (26, 4, 16, 5, 30), (5, 29, 3, 20, 30)]),
+            (star_tree(4), [(37, 6, 20, 24, 8), (10, 36, 31, 25, 20), (34, 21, 24, 39, 13),
+                            (26, 4, 16, 13, 15), (5, 29, 3, 27, 11)]),
+            (Tree.from_edges([(1, 2), (2, 3), (3, 4), (3, 5)]),
+             [(37, 6, 20, 26, 1), (10, 36, 31, 21, 18), (34, 21, 24, 38, 6),
+              (26, 4, 16, 5, 14), (5, 29, 3, 20, 39)]),
+        ],
+        ids=["P4", "S4", "fork"],
+    )
+    def test_seeded_stream_is_pinned_on_a_sparse_graph(self, tree, pinned):
+        # degrees 6..21 on 40 vertices: unlike K4, a parent image's used
+        # neighbours are few, and the chosen vertex's position varies widely
+        graph = gen_random_min_degree(40, 0.3, 6, 1)
+        stream = sample_embeddings(graph, tree, good_labeling(tree), random.Random(0), 5)
         assert list(stream) == pinned
 
     def test_stream_checks_run_before_any_draw(self, k4, p3):
@@ -353,6 +376,63 @@ def test_stream_draws_copies_and_feeds_the_monte_carlo_table(case):
         for i in range(tree.t + 1)
     ]
     assert fraction_rows(table) == expected
+
+
+@st.composite
+def oracle_streams(draw):
+    """A graph on 2..40 vertices, sparse ones with isolated vertices or min
+    degree below t among them, a random tree with 2 <= t <= 6 (t = 1 has no
+    slot past the start edge) under a breadth-first or good_labeling_between
+    labeling, 1..30 draws and a seed."""
+    t = draw(st.integers(2, 6))
+    tree = random_tree(draw(st.randoms(use_true_random=False)), t)
+    n = draw(st.integers(2, 40))
+    p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    graph = Graph.from_edges(n, edges or [(0, 1)])
+    first = draw(st.sampled_from(tree.leaves))
+    if draw(st.booleans()):
+        labeling = good_labeling(tree, first)
+    else:
+        last = draw(st.sampled_from([x for x in tree.leaves if x != first]))
+        labeling = good_labeling_between(tree, first, last)
+    return graph, tree, labeling, draw(st.integers(1, 30)), draw(st.integers(0, 10**6))
+
+
+def _drain(stream, rng):
+    """The draws a stream yields before it ends or fails, its error text (None
+    if it ended) and the generator's state afterwards."""
+    draws = []
+    try:
+        for verts in stream:
+            draws.append(verts)
+    except ValueError as exc:
+        return draws, str(exc), rng.getstate()
+    return draws, None, rng.getstate()
+
+
+def _oracle_case(graph, tree, samples=20, seed=0):
+    return graph, tree, good_labeling(tree), samples, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_streams())
+# a star under K6: each leaf slot's parent image (the centre) has several used neighbours
+@example(_oracle_case(gen_disjoint_cliques(1, 6), star_tree(4)))
+# a path along C12: each parent image has one used neighbour, its own parent's image
+@example(_oracle_case(gen_cycle(12), path_tree(5)))
+# a path in the star K_{1,3}: the first draw is stuck
+@example(_oracle_case(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), path_tree(3), seed=1))
+def test_stream_equals_the_randrange_oracle(case):
+    """The sampler reads the same bits as one randrange per choice: equal
+    draws, the same stuck-draw error at the same draw, and an equal
+    generator state afterwards."""
+    graph, tree, labeling, samples, seed = case
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    got = _drain(sample_embeddings(graph, tree, labeling, rng, samples), rng)
+    want = _drain(draws_by_randrange(graph, tree, labeling, oracle_rng, samples), oracle_rng)
+    assert got == want
 
 
 def _assert_slacks_match_oracle(graph, table):
