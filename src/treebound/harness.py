@@ -15,12 +15,19 @@ digits.  Each report has one writer: a row's JSON record holds its values,
 and the CSV passes the same values to formats.csv_table, which formats
 every cell.  A suite row and instance_report read one instance's copy
 ledger and HOM table from the same step, _instance_tables.
+
+run_suite computes each instance once per process: a bounded LRU cache,
+keyed by value on (graph, tree, work_cap), keeps the finished fields of the
+last _ROW_CACHE_SIZE (128) instances, and a row is built from them, its
+config's names and a fresh g_tables dict of shared, immutable GTables.  Error
+rows are never cached, since an error can follow process state (the recursion
+limit); _finished_row.cache_clear() empties the cache.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -105,6 +112,10 @@ class RowBound:
 
 @_value_type(uncompared=("g_tables",))
 class SuiteRow:
+    """One (graph, tree) row of run_suite.  Rows of equal instances share
+    their field values, which are immutable; g_tables is each row's own dict
+    of the shared GTables, or None, and equality ignores it."""
+
     graph_name: str
     tree_name: str
     n: int
@@ -167,21 +178,28 @@ def _instance_tables(
     return ledger, hom_table
 
 
-def _build_row(
-    graph_name: str,
-    graph: Graph,
-    tree_name: str,
-    tree: Tree,
-    work_cap: int | None,
-    include_gtables: bool,
-    shared: tuple | None = None,
-) -> SuiteRow:
+# How many instances the row cache keeps: the standard battery's 54 fixed
+# rows and the 12 random rows of six seeds.
+_ROW_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _finished_row(graph: Graph, tree: Tree, work_cap: int | None) -> list:
+    """The row cache's slot for one instance, found by value: empty until a
+    row of it completes without error, then [(fields, g-tables)], where the
+    fields are every SuiteRow field but the two names and g_tables."""
+    return []
+
+
+def _instance_fields(
+    graph: Graph, tree: Tree, work_cap: int | None, shared: tuple | None
+) -> tuple[dict, dict]:
+    """One instance's row fields and g-tables; the fields hold an error, and
+    what was made before it, when a step fails."""
     # run_suite's caches; a cache keeps no exception, and each is called in the try
     labeling_of, walks_of, bounds_of = shared or (good_labeling, count_walks, evaluate_bounds)
     t = tree.t
-    base = dict(
-        graph_name=graph_name,
-        tree_name=tree_name,
+    fields = dict(
         n=graph.n,
         edge_count=graph.edge_count,
         average_degree=graph.average_degree,
@@ -196,31 +214,61 @@ def _build_row(
         copies = ledger.count if ledger else count_copies(graph, tree, labeling, work_cap).value
         homs = count_homomorphisms(graph, tree).value
         walks = walks_of(graph, t).value
-        base.update(copies=copies, homs=homs, walks=walks)
+        fields.update(copies=copies, homs=homs, walks=walks)
         report = bounds_of(graph, t)
-        base["bounds"] = _row_bounds(
+        fields["bounds"] = _row_bounds(
             report, {"copies": copies, "homs": homs, "walks": walks}
         )
         if hom_table:
             tables["Pprime"] = hom_table
-            base["slack_hom"] = hom_table.min_slack(graph)
-            base["hom_table_equal"] = hom_table.equals_degree_profile(graph)
+            fields["slack_hom"] = hom_table.min_slack(graph)
+            fields["hom_table_equal"] = hom_table.equals_degree_profile(graph)
         if ledger:
             tables["p"] = ledger.majorant
             tables["P"] = ledger.iso
-            base["slack_majorant"] = tables["p"].min_slack(graph)
-            base["slack_iso"] = tables["P"].min_slack(graph)
-            base["chain_links"] = ledger.chain(report.copies_local.log_value).links()
+            fields["slack_majorant"] = tables["p"].min_slack(graph)
+            fields["slack_iso"] = tables["P"].min_slack(graph)
+            fields["chain_links"] = ledger.chain(report.copies_local.log_value).links()
     except (WorkCapExceeded, ValueError) as exc:
-        base["error"] = f"{type(exc).__name__}: {exc}"
-    if include_gtables:
-        base["g_tables"] = tables or None
-    return SuiteRow(**base)
+        fields["error"] = f"{type(exc).__name__}: {exc}"
+    return fields, tables
+
+
+def _build_row(
+    graph_name: str,
+    graph: Graph,
+    tree_name: str,
+    tree: Tree,
+    work_cap: int | None,
+    include_gtables: bool,
+    shared: tuple | None = None,
+) -> SuiteRow:
+    slot = _finished_row(graph, tree, work_cap)
+    if slot:
+        fields, tables = slot[0]
+    else:
+        fields, tables = _instance_fields(graph, tree, work_cap, shared)
+        # an error can follow process state (the recursion limit), so it is made again
+        if "error" not in fields:
+            slot.append((fields, tables))
+    return SuiteRow(
+        graph_name=graph_name,
+        tree_name=tree_name,
+        g_tables=(dict(tables) or None) if include_gtables else None,
+        **fields,
+    )
 
 
 def run_suite(config: SuiteConfig) -> list[SuiteRow]:
     """Evaluate every (graph, tree) pair; per-row failures never abort the run.
-    Each tree is labeled once, and each graph's walks and bounds made once per t."""
+
+    An instance that completed without error earlier in the process is not
+    computed again: the row cache, keyed by value on (graph, tree, work_cap),
+    keeps the last _ROW_CACHE_SIZE instances' finished fields, and each row
+    gets its config's names and a fresh g_tables dict of the shared, immutable
+    GTables.  Error rows are never cached.  Rows that are computed share one
+    labeling per tree, and one walk count and bound report per graph and t.
+    """
     shared = tuple(map(cache, (good_labeling, count_walks, evaluate_bounds)))
     return [
         _build_row(gname, graph, tname, tree, config.work_cap, config.include_gtables, shared)
@@ -263,7 +311,8 @@ def standard_suite_config(
     """The default desk-scale battery: 11 graphs (n <= 8) crossed with 6 trees.
 
     The seed draws the two random graphs, rand7 and rand8; the other nine
-    graphs and the trees are the same objects in every call.  Contains well
+    graphs and the trees are the same objects in every call, so after the
+    first seed run_suite takes their 54 rows from its row cache.  Contains well
     over 20 rows whose graph meets the min-degree->=-t hypothesis for trees
     up to t = 4, which is what the floor and chain checks quantify over.
     """

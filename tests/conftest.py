@@ -1,5 +1,6 @@
 import pytest
 
+from treebound import harness
 from treebound.graphs import (
     Graph,
     gen_cycle,
@@ -28,6 +29,13 @@ PETERSEN_TEXT = """\
 6 8
 5 8
 """
+
+
+@pytest.fixture(autouse=True)
+def cold_row_cache():
+    """Each test starts with run_suite's row cache empty, so no test reads
+    rows that another test computed, or computed under its monkeypatches."""
+    harness._finished_row.cache_clear()
 
 
 @pytest.fixture(scope="session")

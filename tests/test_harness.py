@@ -58,9 +58,14 @@ class TestRunSuite:
         assert chains
         assert all(links[0] and links[2] and links[3] for links in chains)
 
-    def test_rows_are_reproducible(self, suite_rows):
-        again = run_suite(standard_suite_config(seed=0))
-        assert again == suite_rows
+    def test_rows_are_reproducible(self):
+        config = standard_suite_config(seed=0, include_gtables=True)
+        cold = run_suite(config)
+        hits = harness._finished_row.cache_info().hits
+        warm = run_suite(config)
+        assert harness._finished_row.cache_info().hits == hits + 66
+        assert warm == cold
+        assert [r.g_tables for r in warm] == [r.g_tables for r in cold]
 
     def test_fixed_battery_is_shared_across_seeds(self):
         a, b = standard_suite_config(seed=0), standard_suite_config(seed=5)
@@ -155,6 +160,7 @@ class TestRunSuite:
     def test_rows_equal_rows_built_one_pair_at_a_time(self):
         config = standard_suite_config(seed=0, include_gtables=True)
         rows = run_suite(config)
+        harness._finished_row.cache_clear()
         alone = [
             harness._build_row(gname, graph, tname, tree, config.work_cap, True)
             for gname, graph in config.graphs
@@ -164,19 +170,29 @@ class TestRunSuite:
         assert [r.g_tables for r in rows] == [r.g_tables for r in alone]
 
     def test_shared_work_runs_once_per_tree_and_per_graph_and_size(self, monkeypatch):
-        config = standard_suite_config(seed=0)
-        calls = Counter()
+        calls, seen = Counter(), set()
         for name in ("good_labeling", "count_walks", "evaluate_bounds"):
             def counted(*args, _name=name, _original=getattr(harness, name)):
                 calls[_name] += 1
+                seen.add(args[0])
                 return _original(*args)
 
             monkeypatch.setattr(harness, name, counted)
+        config = standard_suite_config(seed=0)
         rows = run_suite(config)
         sizes = {tree.t for _, tree in config.trees}
         assert calls["good_labeling"] == len(config.trees) == 6
         assert calls["count_walks"] == len(config.graphs) * len(sizes) == 33
         assert calls["evaluate_bounds"] == len(config.graphs) * len(sizes) == 33
+        assert [r.error for r in rows if r.error] == []
+        # at another seed the 54 fixed rows come from the row cache, so only
+        # the two random graphs get walks and bounds
+        calls.clear()
+        seen.clear()
+        config = standard_suite_config(seed=1)
+        rows = run_suite(config)
+        assert calls == {"good_labeling": 6, "count_walks": 6, "evaluate_bounds": 6}
+        assert seen == {tree for _, tree in config.trees} | {graph for _, graph in config.graphs[9:]}
         assert [r.error for r in rows if r.error] == []
 
     def test_a_failing_shared_step_fails_only_its_rows(self, monkeypatch, p2, p3, k4, c5):
@@ -191,6 +207,72 @@ class TestRunSuite:
         config = SuiteConfig(graphs=(("K4", k4), ("C5", c5)), trees=(("P2", p2), ("P3", p3)))
         rows = run_suite(config)
         assert [r.error for r in rows] == ["ValueError: refused"] * 2 + [None] * 2
+
+
+class TestRowCache:
+    @staticmethod
+    def reports(seed, include_gtables):
+        rows = run_suite(standard_suite_config(seed, include_gtables=include_gtables))
+        return suite_to_csv(rows), json.dumps(suite_to_json(rows, include_gtables))
+
+    def test_warm_reports_equal_cold_ones(self):
+        keys = [(seed, gtables) for seed in range(10) for gtables in (False, True)]
+        warm = {key: self.reports(*key) for key in keys}
+        assert harness._finished_row.cache_info().hits > 0
+        for key in keys:
+            harness._finished_row.cache_clear()
+            assert self.reports(*key) == warm[key], key
+
+    def test_a_value_equal_graph_hits(self, p3):
+        k4 = gen_disjoint_cliques(1, 4)
+        same = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        assert same == k4 and same is not k4
+        (first,) = run_suite(SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),)))
+        before = harness._finished_row.cache_info()
+        (second,) = run_suite(SuiteConfig(graphs=(("same", same),), trees=(("P3", p3),)))
+        after = harness._finished_row.cache_info()
+        assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
+        assert second.graph_name == "same" and second.copies == first.copies == 24
+
+    def test_work_cap_is_in_the_key(self):
+        k5_p4 = dict(graphs=(("K5", gen_disjoint_cliques(1, 5)),), trees=(("P4", path_tree(4)),))
+        capped, free = (SuiteConfig(**k5_p4, work_cap=cap) for cap in (10, None))
+        failed = "WorkCapExceeded: copy enumeration exceeded the work cap of 10 search nodes"
+        assert run_suite(capped)[0].error == failed
+        assert run_suite(free)[0].error is None and run_suite(free)[0].copies == 120
+        assert run_suite(capped)[0].error == failed
+
+    def test_a_rows_g_tables_dict_is_its_own(self, p3, k4):
+        config = SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),), include_gtables=True)
+        (first,) = run_suite(config)
+        tables = dict(first.g_tables)
+        first.g_tables.clear()
+        (second,) = run_suite(config)
+        assert second.g_tables == tables
+        assert all(second.g_tables[key] is table for key, table in tables.items())
+
+    def test_error_rows_are_made_again(self, monkeypatch, p3, k4):
+        original = harness.evaluate_bounds
+
+        def refuse(graph, t):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(harness, "evaluate_bounds", refuse)
+        config = SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),))
+        (failed,) = run_suite(config)
+        # the fields made before the failing step stay in the error row
+        assert (failed.error, failed.copies, failed.bounds) == ("ValueError: refused", 24, ())
+        assert run_suite(config) == [failed]
+        monkeypatch.setattr(harness, "evaluate_bounds", original)
+        (row,) = run_suite(config)
+        assert row.error is None and row.bounds
+
+    def test_cache_size_is_bounded(self):
+        for seed in range(8):
+            run_suite(standard_suite_config(seed))
+            assert harness._finished_row.cache_info().currsize <= harness._ROW_CACHE_SIZE
+        # 54 fixed rows and 12 random rows per seed overflow it by the eighth seed
+        assert harness._finished_row.cache_info().currsize == harness._ROW_CACHE_SIZE
 
 
 class TestSuiteSerialization:
