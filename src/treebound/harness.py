@@ -21,7 +21,14 @@ keyed by value on (graph, tree, work_cap), keeps the finished fields of the
 last _ROW_CACHE_SIZE (128) instances, and a row is built from them, its
 config's names and a fresh g_tables dict of shared, immutable GTables.  Error
 rows are never cached, since an error can follow process state (the recursion
-limit); _finished_row.cache_clear() empties the cache.
+limit); _finished_row.cache_clear() empties the cache.  Each instance is also
+rendered once: a cache slot keeps, next to the fields and g-tables, a render
+memo that the writers fill the first time they write a row read from the
+cache, with its CSV values and JSON record without the two names, and each
+of its g-tables' JSON.  Rows computed in the call, hand-built rows and error
+rows carry no memo and are rendered from their fields.  The writers put the
+names and new containers around what the memo keeps, so no report shares a
+dict or list with another.
 """
 
 from __future__ import annotations
@@ -114,7 +121,10 @@ class RowBound:
 class SuiteRow:
     """One (graph, tree) row of run_suite.  Rows of equal instances share
     their field values, which are immutable; g_tables is each row's own dict
-    of the shared GTables, or None, and equality ignores it."""
+    of the shared GTables, or None, and equality ignores it.  A row read from
+    the row cache also carries its slot's render memo, a private attribute
+    outside the fields: equality, hash and repr do not see it, and a row
+    built by hand from the same values writes the same reports."""
 
     graph_name: str
     tree_name: str
@@ -186,9 +196,24 @@ _ROW_CACHE_SIZE = 128
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _finished_row(graph: Graph, tree: Tree, work_cap: int | None) -> list:
     """The row cache's slot for one instance, found by value: empty until a
-    row of it completes without error, then [(fields, g-tables)], where the
-    fields are every SuiteRow field but the two names and g_tables."""
+    row of it completes without error, then [(fields, g-tables, memo)], where
+    the fields are every SuiteRow field but the two names and g_tables, and
+    the memo is the instance's _Rendered."""
     return []
+
+
+class _Rendered:
+    """One cached instance's rendering, filled by the writers the first time
+    they write a row read from the cache: its CSV values and its JSON record,
+    both without the two names, and the JSON of each of the slot's g-tables
+    by key.  The writers copy the record and table JSON on the way out."""
+
+    __slots__ = ("tables", "values", "record", "table_json")
+
+    def __init__(self, tables: dict):
+        self.tables = tables
+        self.values = self.record = None
+        self.table_json: dict[str, dict] = {}
 
 
 def _instance_fields(
@@ -244,19 +269,24 @@ def _build_row(
     shared: tuple | None = None,
 ) -> SuiteRow:
     slot = _finished_row(graph, tree, work_cap)
+    rendered = None
     if slot:
-        fields, tables = slot[0]
+        fields, tables, rendered = slot[0]
     else:
         fields, tables = _instance_fields(graph, tree, work_cap, shared)
         # an error can follow process state (the recursion limit), so it is made again
         if "error" not in fields:
-            slot.append((fields, tables))
-    return SuiteRow(
+            slot.append((fields, tables, _Rendered(tables)))
+    row = SuiteRow(
         graph_name=graph_name,
         tree_name=tree_name,
         g_tables=(dict(tables) or None) if include_gtables else None,
         **fields,
     )
+    # only a row read from the cache gets the memo: an instance that never recurs keeps none
+    if rendered is not None:
+        object.__setattr__(row, "_rendered", rendered)
+    return row
 
 
 def run_suite(config: SuiteConfig) -> list[SuiteRow]:
@@ -266,8 +296,10 @@ def run_suite(config: SuiteConfig) -> list[SuiteRow]:
     computed again: the row cache, keyed by value on (graph, tree, work_cap),
     keeps the last _ROW_CACHE_SIZE instances' finished fields, and each row
     gets its config's names and a fresh g_tables dict of the shared, immutable
-    GTables.  Error rows are never cached.  Rows that are computed share one
-    labeling per tree, and one walk count and bound report per graph and t.
+    GTables.  A row read from the cache also carries its slot's render memo,
+    so the writers render each such instance once.  Error rows are never
+    cached.  Rows that are computed share one labeling per tree, and one walk
+    count and bound report per graph and t.
     """
     shared = tuple(map(cache, (good_labeling, count_walks, evaluate_bounds)))
     return [
@@ -367,10 +399,8 @@ def _bound_json(bound: RowBound) -> dict:
 
 
 def _suite_record(row: SuiteRow) -> dict:
-    """One suite row under its JSON keys; the CSV writes the same values."""
+    """One suite row's JSON record without the two names."""
     return {
-        "graph": row.graph_name,
-        "tree": row.tree_name,
         "n": row.n,
         "m": row.edge_count,
         "d": format_rational(row.average_degree),
@@ -391,37 +421,82 @@ def _suite_record(row: SuiteRow) -> dict:
     }
 
 
-def _suite_csv_row(record: dict, columns: list[str]) -> list:
-    """A suite record's values in CSV column order."""
-    values = dict(
-        record,
-        **record["counts"],
-        min_degree=record["minDegree"],
-        slack_majorant=record["slackMajorant"],
-        slack_iso=record["slackIso"],
-        slack_hom=record["slackHom"],
-        hom_table_equal=record["homTableEqual"],
+def _suite_csv_values(row: SuiteRow) -> tuple:
+    """One suite row's CSV values after the two names, in column order: the
+    JSON record's values, which csv_table formats.  A log goes in unrounded,
+    since its 15-digit cell is that of its rounded JSON value."""
+    bounds = {b.name: b for b in row.bounds}
+    values = [row.n, row.edge_count, format_rational(row.average_degree), row.min_degree,
+              row.t, row.copies, row.homs, row.walks]
+    for name, _ in _BOUND_TARGETS:
+        bound = bounds.get(name)
+        if bound is not None and bound.applicable:
+            values += (bound.log_value, bound.holds, bound.log_margin)
+        else:
+            values += (None, None, None)
+    values += (
+        _or_none(format_rational, row.slack_majorant),
+        _or_none(format_rational, row.slack_iso),
+        _or_none(format_rational, row.slack_hom),
+        row.hom_table_equal,
+        *(row.chain_links or (None,) * len(_CHAIN_COLUMNS)),
+        row.error,
     )
-    for name, bound in record["bounds"].items():
-        values[f"{name}_log"] = bound.get("log")
-        values[f"{name}_holds"] = bound.get("holds")
-        values[f"{name}_margin"] = bound.get("logMargin")
-    values.update(zip(_CHAIN_COLUMNS, record["chainLinks"] or ()))
-    return [values.get(c) for c in columns]
+    return tuple(values)
+
+
+def _kept(row: SuiteRow, part: str, render):
+    """render(row), or for a row read from the row cache, its memo's part,
+    rendered at the instance's first report."""
+    rendered = getattr(row, "_rendered", None)
+    if rendered is None:
+        return render(row)
+    value = getattr(rendered, part)
+    if value is None:
+        value = render(row)
+        setattr(rendered, part, value)
+    return value
+
+
+def _json_record(row: SuiteRow) -> dict:
+    record = _kept(row, "record", _suite_record)
+    # new containers, so that a caller's edit reaches no other report
+    return {
+        "graph": row.graph_name,
+        "tree": row.tree_name,
+        **record,
+        "counts": dict(record["counts"]),
+        "bounds": {name: dict(bound) for name, bound in record["bounds"].items()},
+        "chainLinks": _or_none(list, record["chainLinks"]),
+    }
+
+
+def _table_json(row: SuiteRow, key: str, table: GTable) -> dict:
+    """table.to_json_dict(), kept in the memo when the table is its slot's."""
+    rendered = getattr(row, "_rendered", None)
+    # a caller may put another table in a row's own g_tables dict
+    if rendered is None or rendered.tables.get(key) is not table:
+        return table.to_json_dict()
+    kept = rendered.table_json.get(key)
+    if kept is None:
+        kept = rendered.table_json[key] = table.to_json_dict()
+    return {**kept, "rows": [cells[:] for cells in kept["rows"]]}
 
 
 def suite_to_csv(rows: list[SuiteRow]) -> str:
-    columns = suite_csv_columns()
-    return csv_table(columns, (_suite_csv_row(_suite_record(row), columns) for row in rows))
+    return csv_table(
+        suite_csv_columns(),
+        ((row.graph_name, row.tree_name, *_kept(row, "values", _suite_csv_values)) for row in rows),
+    )
 
 
 def suite_to_json(rows: list[SuiteRow], include_gtables: bool = False) -> dict:
     json_rows = []
     for row in rows:
-        entry = _suite_record(row)
+        entry = _json_record(row)
         if include_gtables and row.g_tables:
             entry["gTables"] = {
-                key: table.to_json_dict() for key, table in row.g_tables.items()
+                key: _table_json(row, key, table) for key, table in row.g_tables.items()
             }
         json_rows.append(entry)
     return {"schemaVersion": SCHEMA_VERSION, "rows": json_rows}

@@ -3,15 +3,19 @@ import hashlib
 import io
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from treebound import harness
 from treebound.counting import count_copies
+from treebound.formats import csv_table
 from treebound.graphs import Graph, Tree, gen_cycle, gen_disjoint_cliques, path_tree, star_tree
 from treebound.harness import (
     ConjectureScanConfig,
+    RowBound,
     SuiteConfig,
+    SuiteRow,
     conjecture_scan,
     conjecture_to_csv,
     conjecture_to_json,
@@ -89,6 +93,22 @@ class TestRunSuite:
             suite_to_json(rows, include_gtables=True), sort_keys=True
         )
         assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[seed]
+
+    # one sha256 over both reports at seeds 0-39, with and without g-tables,
+    # from an empty row cache and again from a warm one; taken before the
+    # writers kept a render memo per cached instance
+    SWEEP_PIN = "3d587d574b7e69e3907bf27f1cecee4bfa8bc2c270dcb8809f95ed9100a3284a"
+
+    def test_cold_and_warm_reports_over_forty_seeds_are_pinned(self):
+        digest = hashlib.sha256()
+        for order in ((False, True), (True, False)):
+            for seed in range(40):
+                for gtables in order:
+                    rows = run_suite(standard_suite_config(seed, include_gtables=gtables))
+                    digest.update(suite_to_csv(rows).encode())
+                    doc = suite_to_json(rows, include_gtables=gtables)
+                    digest.update(json.dumps(doc, sort_keys=True).encode())
+        assert digest.hexdigest() == self.SWEEP_PIN
 
     def test_copies_p3_cells_equal_copies_local_cells(self, suite_rows):
         records = list(csv.DictReader(io.StringIO(suite_to_csv(suite_rows))))
@@ -275,7 +295,139 @@ class TestRowCache:
         assert harness._finished_row.cache_info().currsize == harness._ROW_CACHE_SIZE
 
 
+class TestRenderMemo:
+    """A row read from the row cache is written from its slot's render memo."""
+
+    @staticmethod
+    def reports(config):
+        rows = run_suite(config)
+        return suite_to_csv(rows), json.dumps(suite_to_json(rows, config.include_gtables))
+
+    def test_edits_to_a_report_reach_no_later_report(self):
+        config = standard_suite_config(0, include_gtables=True)
+        run_suite(config)
+        first = self.reports(config)
+        doc = suite_to_json(run_suite(config), include_gtables=True)
+        for entry in doc["rows"]:
+            entry["counts"]["copies"] = "poison"
+            entry["bounds"]["copies_local"]["applicable"] = "poison"
+            entry["bounds"].clear()
+            if entry["chainLinks"]:
+                entry["chainLinks"][0] = "poison"
+            entry["gTables"]["Pprime"]["rows"][0][0] = "poison"
+            entry["gTables"]["Pprime"]["kind"] = "poison"
+            entry["gTables"]["Pprime"]["rows"].append(["poison"])
+        assert self.reports(config) == first
+
+    def test_a_rows_own_g_tables_are_written(self, p3, k4, c5):
+        config = SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),), include_gtables=True)
+        run_suite(config)
+        written = suite_to_json(run_suite(config), include_gtables=True)
+        (row,) = run_suite(config)
+        (c5_row,) = run_suite(SuiteConfig(graphs=(("C5", c5),), trees=(("P3", p3),),
+                                          include_gtables=True))
+        row.g_tables["Pprime"] = c5_row.g_tables["Pprime"]
+        del row.g_tables["P"]
+        tables = suite_to_json([row], include_gtables=True)["rows"][0]["gTables"]
+        assert tables == {
+            "Pprime": c5_row.g_tables["Pprime"].to_json_dict(),
+            "p": written["rows"][0]["gTables"]["p"],
+        }
+        assert tables["Pprime"] != written["rows"][0]["gTables"]["Pprime"]
+
+    @pytest.mark.parametrize("order", [(False, True), (True, False)])
+    def test_writing_with_and_without_g_tables_matches_cold(self, order):
+        configs = [standard_suite_config(2, include_gtables=gtables) for gtables in order]
+        cold = [self.reports(config) for config in configs]
+        harness._finished_row.cache_clear()
+        for config in configs:
+            run_suite(config)
+        assert [self.reports(config) for config in configs] == cold
+        assert [self.reports(config) for config in configs] == cold
+
+    def test_the_memo_is_invisible(self):
+        config = standard_suite_config(0, include_gtables=True)
+        run_suite(config)
+        cached = run_suite(config)
+        assert all(hasattr(row, "_rendered") for row in cached)
+        suite_to_csv(cached), suite_to_json(cached, include_gtables=True)
+        by_hand = [
+            SuiteRow(**{name: getattr(row, name) for name in SuiteRow.__match_args__})
+            for row in cached
+        ]
+        assert not any(hasattr(row, "_rendered") for row in by_hand)
+        assert by_hand == cached
+        assert [hash(row) for row in by_hand] == [hash(row) for row in cached]
+        assert [repr(row) for row in by_hand] == [repr(row) for row in cached]
+        assert suite_to_csv(by_hand) == suite_to_csv(cached)
+        assert suite_to_json(by_hand, True) == suite_to_json(cached, True)
+
+    def test_a_warm_report_renders_no_cached_row_again(self, monkeypatch):
+        from treebound.measure import GTable
+
+        config = standard_suite_config(0, include_gtables=True)
+        run_suite(config)
+        rows = run_suite(config)
+        suite_to_csv(rows), suite_to_json(rows, include_gtables=True)
+        calls = Counter()
+
+        def counted(name, original):
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return call
+
+        monkeypatch.setattr(harness, "_suite_record", counted("record", harness._suite_record))
+        monkeypatch.setattr(GTable, "to_json_dict", counted("table", GTable.to_json_dict))
+        rows = run_suite(config)
+        suite_to_csv(rows), suite_to_json(rows, include_gtables=True)
+        assert calls == {}
+        # a fresh seed renders only its 12 computed rows and their tables
+        rows = run_suite(standard_suite_config(1, include_gtables=True))
+        suite_to_csv(rows), suite_to_json(rows, include_gtables=True)
+        assert calls == {"record": 12, "table": sum(len(row.g_tables) for row in rows[54:])}
+
+    def test_error_rows_get_no_memo(self, p3, k4):
+        config = SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),), work_cap=2)
+        for _ in range(2):
+            (row,) = run_suite(config)
+            assert row.error is not None and not hasattr(row, "_rendered")
+        assert harness._finished_row(k4, p3, 2) == []
+
+
+def _csv_from_records(rows: list[SuiteRow]) -> str:
+    """The suite CSV re-packed from each row's JSON record, column by column."""
+    lines = []
+    for record in suite_to_json(rows)["rows"]:
+        values = dict(
+            record,
+            **record["counts"],
+            min_degree=record["minDegree"],
+            slack_majorant=record["slackMajorant"],
+            slack_iso=record["slackIso"],
+            slack_hom=record["slackHom"],
+            hom_table_equal=record["homTableEqual"],
+        )
+        for name, bound in record["bounds"].items():
+            values.update({f"{name}_log": bound.get("log"), f"{name}_holds": bound.get("holds"),
+                           f"{name}_margin": bound.get("logMargin")})
+        values.update(zip(harness._CHAIN_COLUMNS, record["chainLinks"] or ()))
+        lines.append([values.get(column) for column in suite_csv_columns()])
+    return csv_table(suite_csv_columns(), lines)
+
+
 class TestSuiteSerialization:
+    def test_csv_cells_are_the_json_values(self, p3, k4):
+        # computed rows, then the same instances read from the row cache
+        rows = run_suite(standard_suite_config(0)) + run_suite(standard_suite_config(0))
+        rows += run_suite(SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),), work_cap=2))
+        rows.append(SuiteRow("hand", "made", 3, 2, Fraction(4, 3), 1, 2, copies=2,
+                             bounds=(RowBound("copies_local", True, 1 / 3, False, -2 / 7),
+                                     RowBound("walks_blakley_roy", False, reason="why"))))
+        assert rows[132].error is not None
+        assert suite_to_csv(rows) == _csv_from_records(rows)
+
     def test_csv_shape(self, suite_rows):
         text = suite_to_csv(suite_rows)
         records = list(csv.reader(io.StringIO(text)))
