@@ -13,10 +13,12 @@ Every CLI invocation is a fresh process that compiles each module it
 imports when no bytecode cache is written (``PYTHONDONTWRITEBYTECODE``), so
 each command loads only the modules it runs:
 
-- ``count``, ``hom``, ``walks``, ``gen``: graphs, counting, errors, formats;
-- ``bounds``: those plus bounds;
-- ``conjecture``: those plus bounds and harness, but not measure;
-- ``gtable``, ``sample``: those plus measure, but not bounds or harness;
+- ``gen``: graphs, errors, formats;
+- ``count``, ``hom``, ``walks``: those plus counting;
+- ``bounds``: those plus counting and bounds;
+- ``conjecture``: those plus counting, bounds and harness, but not measure;
+- ``gtable``, ``sample``: those plus measure, but not counting, bounds or
+  harness (an exact ``gtable`` of ``P`` or ``p`` loads counting too);
 - ``verify``: every module.
 """
 

@@ -19,6 +19,12 @@ Exit codes: 0 success, 1 invariant failure, 2 usage, 3 input format,
 tools report it).  The environment variable TREEBOUND_WORK_CAP overrides the
 default search-node cap; a command that reads it exits 2 when it is not an
 integer >= 0.
+
+``main(argv)`` returns the exit code and never ends the process, so tests
+and other Python callers run it in process.  ``entry`` is the process
+entry: it runs ``main``, flushes stdout and stderr, and ends the process
+with ``os._exit``, without interpreter teardown.  No output is lost, but
+``atexit`` handlers do not run in a CLI process.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from pathlib import Path
 
 # Every command needs these; each handler imports the rest of what it runs,
 # so a command loads (and compiles, without a bytecode cache) no more.
-from .counting import count_copies, count_homomorphisms, count_walks
 from .errors import FormatError, RetryLimitExceeded, WorkCapExceeded
 from .formats import SCHEMA_VERSION, csv_table, format_log, format_rational
 from .graphs import (
@@ -139,18 +144,24 @@ def _load_tree(source: str, inputs: dict) -> Tree:
 
 
 def _cmd_count(args, graph, tree):
+    from .counting import count_copies
+
     result = count_copies(graph, tree, work_cap=_work_cap())
     payload = {"count": str(result.value), "method": result.method}
     return payload, ["count", "method"], [[result.value, result.method]], EXIT_OK
 
 
 def _cmd_hom(args, graph, tree):
+    from .counting import count_homomorphisms
+
     result = count_homomorphisms(graph, tree)
     payload = {"count": str(result.value), "method": result.method}
     return payload, ["count", "method"], [[result.value, result.method]], EXIT_OK
 
 
 def _cmd_walks(args, graph, tree):
+    from .counting import count_walks
+
     result = count_walks(graph, args.length)
     payload = {"count": str(result.value), "length": args.length}
     return payload, ["count", "length"], [[result.value, args.length]], EXIT_OK
@@ -319,86 +330,116 @@ def _cmd_gen(args, graph, tree):
     return payload, ["family", "n", "m", "min_degree", "path"], [row], EXIT_OK
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "hom": _cmd_hom,
-    "walks": _cmd_walks,
-    "bounds": _cmd_bounds,
-    "gtable": _cmd_gtable,
-    "sample": _cmd_sample,
-    "verify": _cmd_verify,
-    "conjecture": _cmd_conjecture,
-    "gen": _cmd_gen,
+_TREE_HELP = "tree file, or path:T / star:T"
+_GRAPH = ("--graph", {"required": True})
+_TREE = ("--tree", {"required": True, "help": _TREE_HELP})
+
+# subcommand -> (handler, help, its options after --format as (flag, add_argument
+# keywords)); gen has no --format of its own, its families have
+_COMMANDS = {
+    "count": (_cmd_count, "exact injective copy count", [_GRAPH, _TREE]),
+    "hom": (_cmd_hom, "exact homomorphism count", [_GRAPH, _TREE]),
+    "walks": (
+        _cmd_walks, "exact walk count", [_GRAPH, ("--length", {"type": int, "required": True})]
+    ),
+    "bounds": (
+        _cmd_bounds,
+        "evaluate all lower bounds in log space",
+        [_GRAPH, ("--t", {"type": int, "required": True}), ("--k", {"type": int, "default": None})],
+    ),
+    "gtable": (
+        _cmd_gtable,
+        "per-index vertex weight table",
+        [
+            _GRAPH,
+            _TREE,
+            ("--measure", {"choices": ["P", "p", "Pprime"], "required": True}),
+            ("--samples", {"type": int, "default": None, "help": "Monte Carlo draws (default: exact)"}),
+            ("--seed", {"type": int, "default": 0}),
+        ],
+    ),
+    "sample": (
+        _cmd_sample,
+        "draw embeddings from the process",
+        [
+            _GRAPH,
+            _TREE,
+            ("--samples", {"type": int, "required": True}),
+            ("--seed", {"type": int, "required": True}),
+        ],
+    ),
+    "verify": (_cmd_verify, "run all instance invariants", [_GRAPH, _TREE]),
+    "conjecture": (
+        _cmd_conjecture,
+        "scan the falling-factorial bound",
+        [
+            ("--family", {"choices": ["cliques", "random"], "required": True}),
+            ("--n", {"type": int, "required": True}),
+            ("--t", {"type": int, "required": True}),
+            ("--trials", {"type": int, "required": True}),
+            ("--seed", {"type": int, "required": True}),
+            ("--min-degree", {"type": int, "default": None, "help": "degree floor (default: 2t)"}),
+            ("--edge-probability", {"type": float, "default": 0.5}),
+            ("--tree", {"required": False, "help": f"{_TREE_HELP} (default: the t-edge path)"}),
+        ],
+    ),
+    "gen": (_cmd_gen, "write a generated graph file", []),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _named(argv: list[str] | None, names) -> set:
+    """Which of ``names`` get their arguments: all of them without an argv,
+    else the first of them in argv, if any.  That is the one argparse hands
+    the rest of argv to, since every token before its first positional starts
+    with "-" and so is no name."""
+    if argv is None:
+        return set(names)
+    first = next((arg for arg in argv if arg in names), None)
+    return set() if first is None else {first}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand and gen family is registered with
+    its name and help, so the top-level help and the invalid-choice errors
+    are always the full parser's; given ``argv``, only the subcommand (and
+    gen family) that argv names gets its arguments, which is all that
+    parsing argv reads."""
     parser = argparse.ArgumentParser(
         prog="treebound",
         description="Count tree copies in graphs and check the bounds they satisfy.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    built = _named(argv, _COMMANDS)
+    for name, (_, help, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        if name not in built:
+            continue
+        if name == "gen":
+            _add_gen_families(p, None if argv is None else argv[argv.index(name) + 1 :])
+            continue
+        _with_format(p)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+    return parser
 
-    def with_format(p):
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        return p
 
-    def command(name, help, *inputs):
-        """A subcommand's parser with --format and the required inputs."""
-        p = with_format(sub.add_parser(name, help=help))
-        for option in inputs:
-            add_input(p, option)
-        return p
+def _with_format(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    return p
 
-    def add_input(p, option, required=True):
-        help = "tree file, or path:T / star:T" if option == "--tree" else None
-        if not required:
-            help += " (default: the t-edge path)"
-        p.add_argument(option, required=required, help=help)
 
-    command("count", "exact injective copy count", "--graph", "--tree")
-    command("hom", "exact homomorphism count", "--graph", "--tree")
-
-    p = command("walks", "exact walk count", "--graph")
-    p.add_argument("--length", type=int, required=True)
-
-    p = command("bounds", "evaluate all lower bounds in log space", "--graph")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-
-    p = command("gtable", "per-index vertex weight table", "--graph", "--tree")
-    p.add_argument("--measure", choices=["P", "p", "Pprime"], required=True)
-    p.add_argument("--samples", type=int, default=None, help="Monte Carlo draws (default: exact)")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = command("sample", "draw embeddings from the process", "--graph", "--tree")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    command("verify", "run all instance invariants", "--graph", "--tree")
-
-    p = command("conjecture", "scan the falling-factorial bound")
-    p.add_argument("--family", choices=["cliques", "random"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
-        "--min-degree", type=int, default=None, help="degree floor (default: 2t)"
-    )
-    p.add_argument("--edge-probability", type=float, default=0.5)
-    add_input(p, "--tree", required=False)
-
-    p = sub.add_parser("gen", help="write a generated graph file")
-    gen_sub = p.add_subparsers(dest="family", required=True)
+def _add_gen_families(gen: argparse.ArgumentParser, argv: list[str] | None) -> None:
+    families = gen.add_subparsers(dest="family", required=True)
+    built = _named(argv, _GEN_FAMILIES)
     for family, (_, arguments) in _GEN_FAMILIES.items():
-        q = with_format(gen_sub.add_parser(family))
-        q.add_argument("-o", "--output", default=None)
+        q = families.add_parser(family)
+        if family not in built:
+            continue
+        _with_format(q).add_argument("-o", "--output", default=None)
         for name, type_, _ in arguments:
             q.add_argument(name, type=type_)
-    gen_sub.choices["random"].add_argument("--max-tries", type=int, default=1000)
-
-    return parser
+        if family == "random":
+            q.add_argument("--max-tries", type=int, default=1000)
 
 
 def _emit(args, argv, inputs, payload, header, rows, elapsed) -> None:
@@ -419,7 +460,7 @@ def _emit(args, argv, inputs, payload, header, rows, elapsed) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -433,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
             graph = _load_graph(args.graph, inputs)
         if getattr(args, "tree", None) is not None:
             tree = _load_tree(args.tree, inputs)
-        payload, header, rows, code = _HANDLERS[args.command](args, graph, tree)
+        payload, header, rows, code = _COMMANDS[args.command][0](args, graph, tree)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
@@ -456,5 +497,22 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def entry():
+    """The process entry of ``python -m treebound``, ``python -m
+    treebound.cli`` and the ``treebound`` script: run ``main`` on sys.argv,
+    flush stdout and then stderr, and end the process with main's exit code,
+    skipping interpreter teardown (its final garbage collection and freeing
+    every object), so ``atexit`` handlers do not run.  A flush that finds
+    the reader gone exits 141 and writes nothing; an exception that escapes
+    ``main`` propagates and ends the process in the normal way."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

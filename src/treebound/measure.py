@@ -73,7 +73,6 @@ from itertools import chain, repeat
 from operator import sub
 from typing import Iterator, Sequence
 
-from .counting import _Budget, _leaf_block, _too_deep
 from .formats import format_log
 from .graphs import GoodLabeling, Graph, Tree, _check_vertex, _value_type
 
@@ -445,6 +444,10 @@ def copy_ledger(
     in 1..Delta (candidate-set sizes, or floors d(v)-t+1), so both tables sum
     over the one denominator nd * lcm(1..Delta)^(t-1), fixed before the pass.
     """
+    # only the copy pass needs counting: the sampler, the Monte Carlo table
+    # and the HOM table run without loading it
+    from .counting import _Budget, _leaf_block, _too_deep
+
     labeling.validate(tree)
     t = tree.t
     if graph.min_degree < t:

@@ -2,14 +2,24 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from treebound.cli import main
-from treebound.graphs import Graph, gen_cycle, gen_disjoint_cliques, path_tree, serialize_graph
+from tests.entries import ENTRIES, fail_first_check
+from treebound import harness
+from treebound.cli import build_parser, main
+from treebound.graphs import (
+    Graph,
+    gen_cycle,
+    gen_disjoint_cliques,
+    gen_random_min_degree,
+    path_tree,
+    serialize_graph,
+)
 from treebound.harness import (
     ConjectureScanConfig,
     conjecture_scan,
@@ -155,6 +165,11 @@ def c5_file(tmp_path):
     path = tmp_path / "c5.txt"
     path.write_text(serialize_graph(gen_cycle(5)))
     return str(path)
+
+
+def _timeless(text):
+    """CLI output without the value of its elapsedSeconds field."""
+    return re.sub(r'("elapsedSeconds": )[-+.e0-9]+', r"\1_", text)
 
 
 def run_json(capsys, argv):
@@ -645,16 +660,88 @@ class TestExitCodes:
         assert captured.err == f"error: --output {out}: {reason}\n"
 
 
+class TestParser:
+    """The parser build_parser(argv) narrows to argv's subcommand reads argv
+    as the full build_parser() does."""
+
+    COMMANDS = ["count", "hom", "walks", "bounds", "gtable", "sample", "verify", "conjecture", "gen"]
+    FAMILIES = ["cliques", "cycle", "complete-bipartite", "random"]
+
+    @staticmethod
+    def parse(parser, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "prefix", [[], *([c] for c in COMMANDS), *(["gen", f] for f in FAMILIES)],
+        ids=lambda prefix: "-".join(prefix) or "top",
+    )
+    def test_help_is_the_full_parsers(self, capsys, prefix):
+        argv = [*prefix, "--help"]
+        code, out, err = self.parse(build_parser(argv), argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: {' '.join(['treebound', *prefix])} ")
+        assert out == self.parse(build_parser(), argv, capsys)[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nope"],
+            ["count", "--graph", "g.txt"],
+            ["count", "--graph", "g.txt", "--tree", "path:2", "--bogus"],
+            ["gtable", "--graph", "g.txt", "--tree", "path:2", "--measure", "Q"],
+            ["bounds", "--graph", "g.txt", "--t", "x"],
+            ["gen", "random", "40", "0.3", "6", "1", "--max-tries"],
+            # argparse still parses count's options, then rejects the first one
+            ["--verbose", "count", "--graph", "g.txt", "--tree", "path:2"],
+        ],
+        ids=["no-command", "unknown-command", "missing-option", "unknown-option",
+             "bad-measure", "non-integer-t", "max-tries-without-value",
+             "option-before-command"],
+    )
+    def test_bad_argv_errors_as_the_full_parser(self, capsys, argv):
+        code, out, err = self.parse(build_parser(argv), argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: treebound")
+        assert (code, out, err) == self.parse(build_parser(), argv, capsys)
+        assert main(argv) == 2
+        assert capsys.readouterr() == (out, err)
+
+    def test_only_the_named_subcommand_gets_arguments(self, capsys):
+        code, out, _ = self.parse(build_parser(["count"]), ["hom", "--help"], capsys)
+        assert code == 0
+        assert "--graph" not in out
+        assert "--graph" in self.parse(build_parser(["hom"]), ["hom", "--help"], capsys)[1]
+        code, _, err = self.parse(build_parser(["gen", "cycle"]), ["gen", "random", "1"], capsys)
+        assert code == 2
+        assert "unrecognized arguments: 1" in err
+
+
 class TestEntryPoint:
-    """`python -m treebound` in a child process: exit codes reach the OS."""
+    """The process entries in a child process: exit codes reach the OS, and
+    ending the process without teardown loses no output."""
 
     SRC = Path(__file__).resolve().parents[1] / "src"
+    ROOT = SRC.parent
 
-    def run(self, *argv):
-        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+    # the control for the teardown test: main's code passed to sys.exit
+    MAIN = ["-c", "import sys; from treebound.cli import main; sys.exit(main())"]
+
+    def child_env(self, extra=None, pythonpath=()):
+        env = {**os.environ, **(extra or {}),
+               "PYTHONPATH": os.pathsep.join([*pythonpath, str(self.SRC), str(self.ROOT)])}
+        # a pipe's stdout is block-buffered, as it is for every caller that
+        # does not set this, so output that is never flushed is lost
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
+    def run(self, *argv, entry="module", env=None, pythonpath=()):
         return subprocess.run(
-            [sys.executable, "-m", "treebound", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
+            [sys.executable, *(self.MAIN if entry == "main" else ENTRIES[entry]), *argv],
+            capture_output=True, text=True, env=self.child_env(env, pythonpath), timeout=60,
         )
 
     def test_count_result_matches_in_process_main(self, capsys, k4_file):
@@ -665,19 +752,102 @@ class TestEntryPoint:
         assert code == 0
         assert json.loads(child.stdout)["result"] == envelope["result"]
 
-    def test_reader_closing_the_pipe_exits_141(self):
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("entry")
+        paths = {"k4": root / "k4.txt", "g200": root / "g200.txt", "missing": root / "missing.txt"}
+        paths["k4"].write_text(serialize_graph(gen_disjoint_cliques(1, 4)))
+        paths["g200"].write_text(serialize_graph(gen_random_min_degree(200, 0.1, 5, 1)))
+        # a sitecustomize, run as the child starts, that fails verify's first
+        # check as fail_first_check does in process; and one that registers
+        # an atexit handler
+        for name, code in (
+            ("faulty", "import treebound.harness\n"
+                       "from tests.entries import fail_first_check\n"
+                       "treebound.harness.instance_report = "
+                       "fail_first_check(treebound.harness.instance_report)\n"),
+            ("atexit", "import atexit, sys\n"
+                       "atexit.register(lambda: sys.stderr.write('atexit handler ran\\n'))\n"),
+        ):
+            paths[name] = root / name
+            paths[name].mkdir()
+            (paths[name] / "sitecustomize.py").write_text(code)
+        return {name: str(path) for name, path in paths.items()}
+
+    # (argv with {input} placeholders, extra environment, failed first check, exit code)
+    OUTPUT_CASES = {
+        # the envelope carries the ~0.6 MB graph file, more than a pipe buffers
+        "gen-large": ("gen cliques 40 60", None, False, 0),
+        # argparse prints help to stdout and main does not flush it
+        "help": ("gen random --help", None, False, 0),
+        "sample-n200": ("sample --graph {g200} --tree path:4 --samples 2000 --seed 3",
+                        None, False, 0),
+        # the CSV table on stdout, the envelope metadata on stderr
+        "verify-csv": ("verify --graph {k4} --tree path:3 --format csv", None, False, 0),
+        "exit-1": ("verify --graph {k4} --tree path:3", None, True, 1),
+        "exit-2": ("count --graph {k4}", None, False, 2),
+        "exit-3": ("count --graph {missing} --tree path:3", None, False, 3),
+        "exit-4": ("count --graph {k4} --tree path:3", {"TREEBOUND_WORK_CAP": "0"}, False, 4),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("case", OUTPUT_CASES)
+    def test_output_matches_in_process_main(self, capsys, monkeypatch, inputs, case, entry):
+        template, env, faulty, code = self.OUTPUT_CASES[case]
+        argv = [arg.format(**inputs) for arg in template.split()]
+        monkeypatch.delenv("TREEBOUND_WORK_CAP", raising=False)
+        child = self.run(*argv, entry=entry, env=env,
+                         pythonpath=[inputs["faulty"]] if faulty else [])
+        for name, value in (env or {}).items():
+            monkeypatch.setenv(name, value)
+        if faulty:
+            monkeypatch.setattr(harness, "instance_report",
+                                fail_first_check(harness.instance_report))
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert child.returncode == code, child.stderr
+        assert _timeless(child.stdout) == _timeless(captured.out)
+        assert _timeless(child.stderr) == _timeless(captured.err)
+        assert captured.out or captured.err
+
+    @pytest.mark.parametrize("entry", [*ENTRIES, "main"])
+    def test_entry_skips_teardown(self, inputs, entry):
+        # the control, sys.exit(main()), ends the process normally: the handler runs
+        argv = ["count", "--graph", inputs["k4"], "--tree", "path:3"]
+        child = self.run(*argv, entry=entry, pythonpath=[inputs["atexit"]])
+        assert child.returncode == 0
+        assert json.loads(child.stdout)["result"]["count"] == "24"
+        assert child.stderr == ("atexit handler ran\n" if entry == "main" else "")
+
+    @pytest.mark.parametrize("entry", ["module", "cli-module"])
+    def test_reader_closing_the_pipe_exits_141(self, entry):
         # the envelope carries the ~0.6 MB graph file, more than a pipe buffers,
         # so the child is still writing when the reader goes away
-        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
-        argv = [sys.executable, "-m", "treebound", "gen", "cliques", "40", "60"]
+        argv = [sys.executable, *ENTRIES[entry], "gen", "cliques", "40", "60"]
         with subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.child_env()
         ) as child:
             assert child.stdout.read(10) == b'{\n  "comma'
             child.stdout.close()
             stderr = child.stderr.read()
             assert child.wait(timeout=60) == 141
         assert stderr == b""
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_flush_to_a_closed_pipe_exits_141(self, entry):
+        # main leaves the help in stdout's buffer, and the entry's flush finds
+        # the reader gone
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run(
+                [sys.executable, *ENTRIES[entry], "--help"],
+                stdout=write, stderr=subprocess.PIPE, env=self.child_env(), timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert child.returncode == 141
+        assert child.stderr == b""
 
     def test_usage_and_format_errors_reach_the_os(self, tmp_path):
         assert self.run("count", "--graph").returncode == 2

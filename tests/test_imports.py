@@ -111,10 +111,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded = sorted(m for m in sys.modules if m.startswith("treebound"))
 print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
 """
-    BASE = {
-        "treebound", "treebound.cli", "treebound.counting", "treebound.errors",
-        "treebound.formats", "treebound.graphs",
-    }
+    BASE = {"treebound", "treebound.cli", "treebound.errors", "treebound.formats", "treebound.graphs"}
 
     @pytest.fixture(scope="class")
     def k4_file(self, tmp_path_factory):
@@ -125,21 +122,26 @@ print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
     @pytest.mark.parametrize(
         "argv, extra",
         [
-            (["count", "--graph", "{g}", "--tree", "star:3"], set()),
-            (["hom", "--graph", "{g}", "--tree", "path:3"], set()),
-            (["walks", "--graph", "{g}", "--length", "3"], set()),
+            (["count", "--graph", "{g}", "--tree", "star:3"], {"counting"}),
+            (["hom", "--graph", "{g}", "--tree", "path:3"], {"counting"}),
+            (["walks", "--graph", "{g}", "--length", "3"], {"counting"}),
             (["gen", "cycle", "5"], set()),
-            (["bounds", "--graph", "{g}", "--t", "3"], {"bounds"}),
+            (["bounds", "--graph", "{g}", "--t", "3"], {"bounds", "counting"}),
             (["conjecture", "--family", "cliques", "--n", "4", "--t", "3", "--trials", "2",
-              "--seed", "0", "--min-degree", "3"], {"bounds", "harness"}),
+              "--seed", "0", "--min-degree", "3"], {"bounds", "counting", "harness"}),
             (["sample", "--graph", "{g}", "--tree", "path:3", "--samples", "20", "--seed", "0"],
              {"measure"}),
             (["gtable", "--graph", "{g}", "--tree", "path:3", "--measure", "P",
               "--samples", "20", "--seed", "0"], {"measure"}),
-            (["verify", "--graph", "{g}", "--tree", "path:3"], {"bounds", "harness", "measure"}),
+            (["gtable", "--graph", "{g}", "--tree", "path:3", "--measure", "Pprime"],
+             {"measure"}),
+            (["gtable", "--graph", "{g}", "--tree", "path:3", "--measure", "P"],
+             {"counting", "measure"}),
+            (["verify", "--graph", "{g}", "--tree", "path:3"],
+             {"bounds", "counting", "harness", "measure"}),
         ],
         ids=["count", "hom", "walks", "gen", "bounds", "conjecture", "sample",
-             "gtable-monte-carlo", "verify"],
+             "gtable-monte-carlo", "gtable-exact-hom", "gtable-exact-copies", "verify"],
     )
     def test_command_loads_only_what_it_runs(self, k4_file, argv, extra):
         argv = [arg.format(g=k4_file) for arg in argv]

@@ -3,8 +3,9 @@
 ``python -S`` skips site-packages, so a runtime import from outside the
 standard library fails here; pyproject declares ``dependencies = []``.  The
 child gets only ``src`` on its path, and every case pins its exit code and,
-where it has one, its output.  CI runs this file once more on each Python
-of its matrix.
+where it has one, its output.  Two more cases run through the other process
+entries, ``python -S -m treebound.cli`` and the console script.  CI runs
+this file once more on each Python of its matrix.
 """
 
 import json
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.entries import ENTRIES
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The spider: its leaf block (slot 5) hangs under slot 3, not under the last
@@ -23,12 +26,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SPIDER = "5 4\n1 2\n1 3\n1 4\n3 5\n"
 
 
-def treebound(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
+def treebound(*argv: str, env: dict | None = None, entry: str = "module"):
     child_env = {**os.environ, "PYTHONPATH": str(SRC)}
     child_env.pop("TREEBOUND_WORK_CAP", None)
     child_env.update(env or {})
     return subprocess.run(
-        [sys.executable, "-S", "-m", "treebound", *argv],
+        [sys.executable, "-S", *ENTRIES[entry], *argv],
         capture_output=True, text=True, env=child_env, timeout=120,
     )
 
@@ -181,10 +184,24 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv, env, code, check", [case[1:] for case in CASES],
-                         ids=[case[0] for case in CASES])
-def test_pinned_run(files, argv, env, code, check):
-    child = treebound(*(arg.format(**files) for arg in argv.split()), env=env)
+# (entry, the CASES id it runs) for the other two entries: the CSV table is
+# compared byte for byte, and the work cap's exit 4 reaches the OS.
+ENTRY_CASES = [
+    ("cli-module", "verify-k4-path3-csv"),
+    ("console-script", "count-g40-path5-cap-below"),
+]
+RUNS = [(case[0], "module", *case[1:]) for case in CASES] + [
+    (f"{entry}-{case[0]}", entry, *case[1:])
+    for entry, name in ENTRY_CASES
+    for case in CASES
+    if case[0] == name
+]
+
+
+@pytest.mark.parametrize("entry, argv, env, code, check", [run[1:] for run in RUNS],
+                         ids=[run[0] for run in RUNS])
+def test_pinned_run(files, entry, argv, env, code, check):
+    child = treebound(*(arg.format(**files) for arg in argv.split()), env=env, entry=entry)
     assert child.returncode == code, child.stderr
     if check:
         assert check(child.stdout, child.stderr), (child.stdout, child.stderr)
