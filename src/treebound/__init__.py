@@ -2,9 +2,9 @@
 
 The package counts labeled copies, homomorphisms, and walks of trees in
 simple graphs; evaluates the associated log-space lower bounds; runs the
-oriented random embedding process with exact-rational measures; and ships a
-harness that checks every identity and inequality on desk-scale instances,
-including a scanner for the open falling-factorial bound.
+oriented random embedding process with exact-rational measures; and ships
+per-instance checks of every identity and inequality, a suite runner over
+desk-scale instances, and a scanner for the open falling-factorial bound.
 
 Names are resolved lazily (PEP 562): ``import treebound`` loads no
 submodule, and the first use of an exported name or a submodule attribute
@@ -13,13 +13,21 @@ Every CLI invocation is a fresh process that compiles each module it
 imports when no bytecode cache is written (``PYTHONDONTWRITEBYTECODE``), so
 each command loads only the modules it runs:
 
-- ``gen``: graphs, errors, formats;
-- ``count``, ``hom``, ``walks``: those plus counting;
-- ``bounds``: those plus counting and bounds;
-- ``conjecture``: those plus counting, bounds and harness, but not measure;
-- ``gtable``, ``sample``: those plus measure, but not counting, bounds or
-  harness (an exact ``gtable`` of ``P`` or ``p`` loads counting too);
-- ``verify``: every module.
+- ``gen``: graphs, errors, formats and families;
+- ``count``, ``hom``, ``walks``: graphs, errors, formats and counting;
+- ``bounds``: those plus bounds;
+- ``conjecture``: those plus conjecture and families, but not measure or
+  harness;
+- ``gtable``, ``sample``: graphs, errors, formats and measure, but not
+  counting or bounds (an exact ``gtable`` of ``P`` or ``p`` loads counting
+  too);
+- ``verify``: graphs, errors, formats, counting, bounds, measure and checks,
+  but not harness, conjecture or families.
+
+The rule holds within modules too: code lives in the module of the
+commands that run it, so ``verify`` compiles no suite runner, scanner or
+generator.  The suite (``harness``) is the library's own and no command
+loads it.
 """
 
 import importlib
@@ -34,6 +42,14 @@ _EXPORTS = {
         "compare_count_to_bound",
         "evaluate_bounds",
     ),
+    "checks": ("CheckResult", "instance_report"),
+    "conjecture": (
+        "ConjectureRow",
+        "ConjectureScanConfig",
+        "conjecture_scan",
+        "conjecture_to_csv",
+        "conjecture_to_json",
+    ),
     "counting": (
         "DEFAULT_WORK_CAP",
         "CountResult",
@@ -42,15 +58,17 @@ _EXPORTS = {
         "count_walks",
     ),
     "errors": ("FormatError", "RetryLimitExceeded", "WorkCapExceeded"),
+    "families": (
+        "gen_complete_bipartite",
+        "gen_cycle",
+        "gen_disjoint_cliques",
+        "gen_random_min_degree",
+    ),
     "formats": ("SCHEMA_VERSION",),
     "graphs": (
         "GoodLabeling",
         "Graph",
         "Tree",
-        "gen_complete_bipartite",
-        "gen_cycle",
-        "gen_disjoint_cliques",
-        "gen_random_min_degree",
         "good_labeling",
         "good_labeling_between",
         "parse_graph",
@@ -61,15 +79,8 @@ _EXPORTS = {
         "star_tree",
     ),
     "harness": (
-        "CheckResult",
-        "ConjectureRow",
-        "ConjectureScanConfig",
         "SuiteConfig",
         "SuiteRow",
-        "conjecture_scan",
-        "conjecture_to_csv",
-        "conjecture_to_json",
-        "instance_report",
         "run_suite",
         "standard_suite_config",
         "suite_to_csv",
@@ -87,10 +98,33 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("bounds", "cli", "counting", "errors", "formats", "graphs", "harness", "measure")
+_SUBMODULES = (
+    "bounds",
+    "checks",
+    "cli",
+    "conjecture",
+    "counting",
+    "errors",
+    "families",
+    "formats",
+    "graphs",
+    "harness",
+    "measure",
+)
 
 # `from treebound import *` binds the exports and the library submodules
-__all__ = [*_HOME, "bounds", "counting", "errors", "graphs", "harness", "measure"]
+__all__ = [
+    *_HOME,
+    "bounds",
+    "checks",
+    "conjecture",
+    "counting",
+    "errors",
+    "families",
+    "graphs",
+    "harness",
+    "measure",
+]
 
 __version__ = "0.1.0"
 

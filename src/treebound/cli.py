@@ -43,10 +43,6 @@ from .formats import SCHEMA_VERSION, csv_table, format_log, format_rational
 from .graphs import (
     Graph,
     Tree,
-    gen_complete_bipartite,
-    gen_cycle,
-    gen_disjoint_cliques,
-    gen_random_min_degree,
     good_labeling,
     parse_graph,
     parse_tree,
@@ -247,7 +243,7 @@ def _cmd_sample(args, graph, tree):
 
 
 def _cmd_verify(args, graph, tree):
-    from .harness import instance_report
+    from .checks import instance_report
 
     checks, chain = instance_report(graph, tree, work_cap=_work_cap())
     failed = [c for c in checks if c.passed is False]
@@ -268,7 +264,7 @@ def _cmd_verify(args, graph, tree):
 
 
 def _cmd_conjecture(args, graph, tree):
-    from .harness import (
+    from .conjecture import (
         ConjectureScanConfig,
         conjecture_csv_rows,
         conjecture_scan,
@@ -290,13 +286,14 @@ def _cmd_conjecture(args, graph, tree):
     return (conjecture_to_json(rows), *conjecture_csv_rows(rows), EXIT_OK)
 
 
-# gen family -> (generator, its positional arguments as (name, type, params key))
+# gen family -> (its generator's name in families, its positional arguments as
+# (name, type, params key))
 _GEN_FAMILIES = {
-    "cliques": (gen_disjoint_cliques, [("c", int, "c"), ("q", int, "q")]),
-    "cycle": (gen_cycle, [("n", int, "n")]),
-    "complete-bipartite": (gen_complete_bipartite, [("a", int, "a"), ("b", int, "b")]),
+    "cliques": ("gen_disjoint_cliques", [("c", int, "c"), ("q", int, "q")]),
+    "cycle": ("gen_cycle", [("n", int, "n")]),
+    "complete-bipartite": ("gen_complete_bipartite", [("a", int, "a"), ("b", int, "b")]),
     "random": (
-        gen_random_min_degree,
+        "gen_random_min_degree",
         [("n", int, "n"), ("p", float, "p"), ("min_degree", int, "minDegree"),
          ("seed", int, "seed")],
     ),
@@ -304,7 +301,10 @@ _GEN_FAMILIES = {
 
 
 def _cmd_gen(args, graph, tree):
-    generate, arguments = _GEN_FAMILIES[args.family]
+    from . import families
+
+    generator, arguments = _GEN_FAMILIES[args.family]
+    generate = getattr(families, generator)
     params = {key: getattr(args, name) for name, _, key in arguments}
     options = {"max_tries": args.max_tries} if args.family == "random" else {}
     graph = generate(*params.values(), **options)
@@ -398,13 +398,23 @@ def _named(argv: list[str] | None, names) -> set:
     return set() if first is None else {first}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but the help's write to stdout lets an OSError
+    out: argparse swallows it, and with an unbuffered stdout
+    (PYTHONUNBUFFERED) a reader that is gone would lose the help with exit 0.
+    Subparsers are made of the parser's class, so every level gets this."""
+
+    def print_help(self, file=None):
+        (sys.stdout if file is None else file).write(self.format_help())
+
+
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The CLI's parser.  Every subcommand and gen family is registered with
     its name and help, so the top-level help and the invalid-choice errors
     are always the full parser's; given ``argv``, only the subcommand (and
     gen family) that argv names gets its arguments, which is all that
     parsing argv reads."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treebound",
         description="Count tree copies in graphs and check the bounds they satisfy.",
     )
@@ -465,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except BrokenPipeError:
+        # --help to a reader that is gone, with an unbuffered stdout
+        return _reader_gone()
     start = time.perf_counter()
     inputs: dict = {}
     try:
@@ -488,13 +501,17 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args, argv, inputs, payload, header, rows, time.perf_counter() - start)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader is gone: send what stdout still buffers to devnull, so
-        # the flush at interpreter exit raises nothing.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        return _reader_gone()
     return code
+
+
+def _reader_gone() -> int:
+    """Exit code 141, once a write to stdout found its reader gone: what
+    stdout still buffers goes to devnull, so no later flush raises."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return EXIT_BROKEN_PIPE
 
 
 def entry():

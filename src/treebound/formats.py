@@ -23,6 +23,11 @@ def format_log(value: float) -> float:
     return float(f"{value:.15g}")
 
 
+def _or_none(fmt, value):
+    """fmt(value), or None when the value is missing."""
+    return None if value is None else fmt(value)
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""

@@ -1,12 +1,10 @@
-"""Suite runner, conjecture scanner, per-instance checks, and report writers.
+"""Suite runner and its report writers.
 
 run_suite sweeps (graph, tree) pairs and records, per row: the exact copy,
 homomorphism, and walk counts; every bound with its holds/margin verdict;
 the exact g-table floor slack per measure; and the chain-link verdicts.
-conjecture_scan compares exact copy counts against the falling-factorial
-value n*d(d-1)...(d-t+1) over a graph family and reports verdicts without
-asserting one: a violated row is the scan's most valuable output and must
-not abort the run.
+The conjecture scanner lives in ``conjecture`` and the per-instance checks
+of ``verify`` in ``checks``; neither loads this module.
 
 Reports persist as flat CSV (fixed columns, see suite_csv_columns) and as
 nested JSON carrying a schemaVersion field; exact rationals serialize as
@@ -14,7 +12,7 @@ nested JSON carrying a schemaVersion field; exact rationals serialize as
 digits.  Each report has one writer: a row's JSON record holds its values,
 and the CSV passes the same values to formats.csv_table, which formats
 every cell.  A suite row and instance_report read one instance's copy
-ledger and HOM table from the same step, _instance_tables.
+ledger and HOM table from the same step, measure._instance_tables.
 
 run_suite computes each instance once per process: a bounded LRU cache,
 keyed by value on (graph, tree, work_cap), keeps the finished fields of the
@@ -33,35 +31,26 @@ dict or list with another.
 
 from __future__ import annotations
 
-import random
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, compare_count_to_bound, evaluate_bounds
 from .counting import count_copies, count_homomorphisms, count_walks
-from .errors import RetryLimitExceeded, WorkCapExceeded
-from .formats import SCHEMA_VERSION, csv_table, format_log, format_rational
-from .graphs import (
-    GoodLabeling,
-    Graph,
-    Tree,
-    _check_clique_order,
-    _check_random_min_degree,
-    _value_type,
+from .errors import WorkCapExceeded
+from .families import (
     gen_complete_bipartite,
     gen_cycle,
     gen_disjoint_cliques,
     gen_random_min_degree,
-    good_labeling,
-    path_tree,
-    star_tree,
 )
+from .formats import SCHEMA_VERSION, _or_none, csv_table, format_log, format_rational
+from .graphs import Graph, Tree, _value_type, good_labeling, path_tree, star_tree
 
-# measure is imported where it is used, so that the conjecture scanner
-# runs without loading it
+# measure is imported where it is used, so that setting up a suite does
+# not load it
 if TYPE_CHECKING:
-    from .measure import ChainReport, CopyLedger, GTable
+    from .measure import GTable
 
 __all__ = [
     "SuiteConfig",
@@ -72,14 +61,6 @@ __all__ = [
     "suite_csv_columns",
     "suite_to_csv",
     "suite_to_json",
-    "ConjectureScanConfig",
-    "ConjectureRow",
-    "conjecture_scan",
-    "conjecture_csv_rows",
-    "conjecture_to_csv",
-    "conjecture_to_json",
-    "CheckResult",
-    "instance_report",
 ]
 
 # Which count each bound is checked against in a suite row.
@@ -98,11 +79,6 @@ _CHAIN_COLUMNS = (
     "chain_product_ge_bound",
     "chain_count_ge_bound",
 )
-
-
-def _or_none(fmt, value):
-    """fmt(value), or None when the value is missing."""
-    return None if value is None else fmt(value)
 
 
 @_value_type
@@ -172,22 +148,6 @@ def _row_bounds(report: BoundReport, counts: dict[str, int | None]) -> tuple[Row
     return tuple(rows)
 
 
-def _instance_tables(
-    graph: Graph, tree: Tree, labeling: GoodLabeling, work_cap: int | None
-) -> tuple[CopyLedger | None, GTable | None]:
-    """One instance's copy ledger and HOM g-table, each None where undefined.
-
-    The ledger needs min degree >= t, and its copy pass is the only one
-    charged against the work cap; an edgeless graph defines no weight, so
-    it has no HOM table.
-    """
-    from .measure import MeasureKind, copy_ledger, g_table_exact
-
-    ledger = copy_ledger(graph, tree, labeling, work_cap) if graph.min_degree >= tree.t else None
-    hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM) if graph.degree_sum else None
-    return ledger, hom_table
-
-
 # How many instances the row cache keeps: the standard battery's 54 fixed
 # rows and the 12 random rows of six seeds.
 _ROW_CACHE_SIZE = 128
@@ -221,6 +181,8 @@ def _instance_fields(
 ) -> tuple[dict, dict]:
     """One instance's row fields and g-tables; the fields hold an error, and
     what was made before it, when a step fails."""
+    from .measure import _instance_tables
+
     # run_suite's caches; a cache keeps no exception, and each is called in the try
     labeling_of, walks_of, bounds_of = shared or (good_labeling, count_walks, evaluate_bounds)
     t = tree.t
@@ -500,231 +462,3 @@ def suite_to_json(rows: list[SuiteRow], include_gtables: bool = False) -> dict:
             }
         json_rows.append(entry)
     return {"schemaVersion": SCHEMA_VERSION, "rows": json_rows}
-
-
-# ---------------------------------------------------------------------------
-# Conjecture scanner
-
-
-@_value_type
-class ConjectureScanConfig:
-    """One scan: a family of graphs checked against the falling factorial.
-
-    family "cliques" builds disjoint cliques of order min_degree+1 with
-    1..trials components; family "random" draws seeded binomial graphs
-    conditioned on the degree floor.  The floor itself is a parameter: how
-    large a minimum degree the conjectured bound needs (if any) is exactly
-    what the scan explores, so nothing is hard-coded; when omitted it
-    defaults to 2t.
-    """
-
-    family: str
-    n: int
-    t: int
-    trials: int
-    seed: int
-    min_degree: int | None = None
-    edge_probability: float = 0.5
-    tree: Tree | None = None
-    work_cap: int | None = None
-
-    @property
-    def degree_floor(self) -> int:
-        return 2 * self.t if self.min_degree is None else self.min_degree
-
-
-@_value_type
-class ConjectureRow:
-    descriptor: str
-    n: int
-    average_degree: Fraction | None  # None when the trial's graph was not built
-    min_degree: int | None
-    t: int
-    copies: int | None
-    falling_factorial_log: float | None
-    log_margin: float | None
-    verdict: str  # holds | violated | inapplicable
-    error: str | None = None
-
-
-def _conjecture_instances(config: ConjectureScanConfig):
-    """Yield (descriptor, build) per trial; build() makes the trial's graph.
-    Deferring it turns a failure to build (a retry cap, say) into one error row.
-    The family's parameters are checked with the generator's own checks
-    before the first trial, so a config no trial can build is a ValueError."""
-    floor = config.degree_floor
-    if config.family == "cliques":
-        q = floor + 1
-        _check_clique_order(q)
-        for c in range(1, config.trials + 1):
-            yield f"cliques(c={c},q={q})", partial(gen_disjoint_cliques, c, q)
-    elif config.family == "random":
-        _check_random_min_degree(config.n, config.edge_probability, floor)
-        rng = random.Random(config.seed)
-        for i in range(config.trials):
-            trial_seed = rng.randrange(2**32)
-            yield (
-                f"random(n={config.n},p={config.edge_probability},"
-                f"minDeg>={floor},seed={trial_seed})",
-                partial(
-                    gen_random_min_degree,
-                    config.n,
-                    config.edge_probability,
-                    floor,
-                    seed=trial_seed,
-                ),
-            )
-    else:
-        raise ValueError(f"unknown family {config.family!r}; expected cliques or random")
-
-
-def conjecture_scan(config: ConjectureScanConfig) -> list[ConjectureRow]:
-    """Compare exact copy counts against n*d(d-1)...(d-t+1) over a family.
-
-    Rows report and never assert: the statement under test is open, so a
-    violated verdict is recorded (margin below -1e-9 in log space) and the
-    scan keeps going.  A trial whose graph cannot be generated yields an
-    inapplicable row carrying the error, with n = config.n and no degrees.
-    A config with fewer than 1 trial, a tree without config.t edges, or family
-    parameters no trial can build (p outside (0, 1] or a degree floor outside
-    0..n-1 for random graphs, a floor below 1 for cliques) is a ValueError,
-    raised before the first trial.  A random trial gets gen_random_min_degree's
-    default number of draws.
-    """
-    tree = config.tree if config.tree is not None else path_tree(config.t)
-    if tree.t != config.t:
-        raise ValueError(f"tree has {tree.t} edges but config.t = {config.t}")
-    if config.trials < 1:
-        raise ValueError(f"need at least 1 trial, got {config.trials}")
-    rows = []
-    for descriptor, build in _conjecture_instances(config):
-        row = dict(
-            descriptor=descriptor,
-            n=config.n,
-            average_degree=None,
-            min_degree=None,
-            t=config.t,
-            copies=None,
-            falling_factorial_log=None,
-            log_margin=None,
-            verdict="inapplicable",
-        )
-        try:
-            graph = build()
-            row.update(n=graph.n, average_degree=graph.average_degree, min_degree=graph.min_degree)
-            row["copies"] = count_copies(graph, tree, work_cap=config.work_cap).value
-            bound = evaluate_bounds(graph, config.t).falling_factorial
-            if bound.applicable:
-                row["falling_factorial_log"] = bound.log_value
-                cmp = compare_count_to_bound(row["copies"], bound.log_value)
-                row.update(log_margin=cmp.log_margin, verdict="holds" if cmp.holds else "violated")
-        except (WorkCapExceeded, RetryLimitExceeded, ValueError) as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(ConjectureRow(**row))
-    return rows
-
-
-def _conjecture_record(row: ConjectureRow) -> dict:
-    """One scan row under its JSON keys; the CSV writes the same values."""
-    return {
-        "instance": row.descriptor,
-        "n": row.n,
-        "d": _or_none(format_rational, row.average_degree),
-        "minDegree": row.min_degree,
-        "t": row.t,
-        "copies": _or_none(str, row.copies),
-        "fallingFactorialLog": _or_none(format_log, row.falling_factorial_log),
-        "logMargin": _or_none(format_log, row.log_margin),
-        "verdict": row.verdict,
-        "error": row.error,
-    }
-
-
-def conjecture_csv_rows(rows: list[ConjectureRow]) -> tuple[list[str], list[list]]:
-    """The scan's CSV header and rows; each row holds its JSON record's values."""
-    header = ["instance", "n", "d", "min_degree", "t", "copies", "ff_log", "log_margin",
-              "verdict", "error"]
-    return header, [list(_conjecture_record(row).values()) for row in rows]
-
-
-def conjecture_to_csv(rows: list[ConjectureRow]) -> str:
-    return csv_table(*conjecture_csv_rows(rows))
-
-
-def conjecture_to_json(rows: list[ConjectureRow]) -> dict:
-    """The scan's rows and a summary: the count of rows per verdict, the
-    least log margin (None when no row has one) and the violated instances."""
-    margins = [r.log_margin for r in rows if r.log_margin is not None]
-    violations = [r.descriptor for r in rows if r.verdict == "violated"]
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "rows": [_conjecture_record(row) for row in rows],
-        "summary": {
-            "total": len(rows),
-            "holds": sum(r.verdict == "holds" for r in rows),
-            "violated": len(violations),
-            "inapplicable": sum(r.verdict == "inapplicable" for r in rows),
-            "minLogMargin": format_log(min(margins)) if margins else None,
-            "violations": violations,
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
-# Per-instance invariant checks (the CLI `verify` surface)
-
-
-@_value_type
-class CheckResult:
-    """One named invariant check; passed is None when skipped."""
-
-    name: str
-    passed: bool | None
-    detail: str
-
-
-def instance_report(
-    graph: Graph, tree: Tree, work_cap: int | None = None
-) -> tuple[list[CheckResult], ChainReport | None]:
-    """Run every asserted measure/bound invariant on one (graph, tree) pair.
-
-    Returns the checks and the chain report (None below the min-degree
-    hypothesis), fed by the suite row's step, _instance_tables: one copy
-    pass (copy_ledger) and the propagated HOM g-table.  Checks needing the
-    hypothesis are skipped (passed=None) when the graph misses it;
-    homomorphism-side checks run on every graph with an edge and are skipped
-    on an edgeless one, where no weight is defined.  Only the copy pass is
-    charged against the work cap.
-    """
-    t = tree.t
-    ledger, hom_table = _instance_tables(graph, tree, good_labeling(tree), work_cap)
-    names = ["iso-total-probability", "iso-below-majorant", "majorant-floor",
-             "reversal-symmetry", "majorant-product-form", "copies-ge-local-bound"]
-    chain = None
-    if ledger:
-        count, iso_total = ledger.count, ledger.iso.row_sum(1)
-        compared = f"{count} copies compared"
-        slack = ledger.majorant.min_slack(graph)
-        bound_log = evaluate_bounds(graph, t).copies_local.log_value
-        chain = ledger.chain(bound_log)
-        verdicts = [
-            (iso_total == 1, f"sum over {count} copies = {format_rational(iso_total)}"),
-            (ledger.iso_below_majorant, compared),
-            (slack >= 0, f"min g[i][v] - d(v)/nd = {format_rational(slack)}"),
-            # a copy's reversed weight is its product-form weight in every good labeling
-            (ledger.product_form_equal, compared),
-            (ledger.product_form_equal, compared),
-            (chain.count_ge_bound, f"count {count}, bound exp({format_log(bound_log)})"),
-        ]
-    else:
-        verdicts = [(None, f"skipped: min degree {graph.min_degree} < t = {t}")] * len(names)
-    names += ["hom-total-probability", "hom-degree-profile"]
-    if hom_table:
-        hom_total = hom_table.row_sum(1)
-        verdicts += [
-            (hom_total == 1, f"sum over homomorphic embeddings = {format_rational(hom_total)}"),
-            (hom_table.equals_degree_profile(graph), "g[i][v] vs d(v)/nd over the full table"),
-        ]
-    else:
-        verdicts += [(None, "skipped: graph has no edges")] * 2
-    return [CheckResult(name, *verdict) for name, verdict in zip(names, verdicts)], chain

@@ -529,3 +529,18 @@ def copy_ledger(
         sums.product_log,
         budget.spent,
     )
+
+
+def _instance_tables(
+    graph: Graph, tree: Tree, labeling: GoodLabeling, work_cap: int | None
+) -> tuple[CopyLedger | None, GTable | None]:
+    """One instance's copy ledger and HOM g-table, each None where undefined:
+    the one step that a suite row and instance_report read.
+
+    The ledger needs min degree >= t, and its copy pass is the only one
+    charged against the work cap; an edgeless graph defines no weight, so
+    it has no HOM table.
+    """
+    ledger = copy_ledger(graph, tree, labeling, work_cap) if graph.min_degree >= tree.t else None
+    hom_table = g_table_exact(graph, tree, labeling, MeasureKind.HOM) if graph.degree_sum else None
+    return ledger, hom_table

@@ -1,14 +1,8 @@
 import pytest
 
 from treebound import harness
-from treebound.graphs import (
-    Graph,
-    gen_cycle,
-    gen_disjoint_cliques,
-    parse_graph,
-    path_tree,
-    star_tree,
-)
+from treebound.families import gen_cycle, gen_disjoint_cliques
+from treebound.graphs import Graph, parse_graph, path_tree, star_tree
 
 # Outer 5-cycle, spokes, and the inner 5-cycle taken with step 2.
 PETERSEN_TEXT = """\

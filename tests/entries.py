@@ -30,7 +30,7 @@ ENTRIES = {
 
 
 def fail_first_check(report):
-    """``harness.instance_report`` with its first check failed: the only way
+    """``checks.instance_report`` with its first check failed: the only way
     ``verify`` exits 1, since every check holds on a correct library."""
 
     def instance_report(*args, **kwargs):

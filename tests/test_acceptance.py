@@ -14,20 +14,12 @@ import pytest
 
 from tests.oracles import copies_in_slot_order, copy_weight, homs_by_exhaustion, random_tree
 from treebound.bounds import compare_count_to_bound, evaluate_bounds
+from treebound.checks import instance_report
+from treebound.conjecture import ConjectureScanConfig, conjecture_scan, conjecture_to_json
 from treebound.counting import count_copies, count_homomorphisms, count_walks
-from treebound.graphs import (
-    gen_disjoint_cliques,
-    gen_random_min_degree,
-    good_labeling,
-)
-from treebound.harness import (
-    ConjectureScanConfig,
-    conjecture_scan,
-    conjecture_to_json,
-    instance_report,
-    run_suite,
-    standard_suite_config,
-)
+from treebound.families import gen_disjoint_cliques, gen_random_min_degree
+from treebound.graphs import good_labeling
+from treebound.harness import run_suite, standard_suite_config
 from treebound.measure import (
     MeasureKind,
     copy_ledger,

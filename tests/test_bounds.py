@@ -10,12 +10,8 @@ from treebound.bounds import (
     evaluate_bounds,
 )
 from treebound.counting import count_copies, count_homomorphisms, count_walks
-from treebound.graphs import (
-    Graph,
-    gen_disjoint_cliques,
-    gen_random_min_degree,
-    path_tree,
-)
+from treebound.families import gen_disjoint_cliques, gen_random_min_degree
+from treebound.graphs import Graph, path_tree
 from tests.oracles import bounds_by_fractions
 
 

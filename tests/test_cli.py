@@ -10,23 +10,17 @@ from pathlib import Path
 import pytest
 
 from tests.entries import ENTRIES, fail_first_check
-from treebound import harness
+from treebound import checks
+from treebound.checks import instance_report
 from treebound.cli import build_parser, main
-from treebound.graphs import (
-    Graph,
-    gen_cycle,
-    gen_disjoint_cliques,
-    gen_random_min_degree,
-    path_tree,
-    serialize_graph,
-)
-from treebound.harness import (
+from treebound.conjecture import (
     ConjectureScanConfig,
     conjecture_scan,
     conjecture_to_csv,
     conjecture_to_json,
-    instance_report,
 )
+from treebound.families import gen_cycle, gen_disjoint_cliques, gen_random_min_degree
+from treebound.graphs import Graph, path_tree, serialize_graph
 
 
 # Seeded sampler payloads on K4/P3, pinned: a changed random call, call
@@ -731,12 +725,12 @@ class TestEntryPoint:
     MAIN = ["-c", "import sys; from treebound.cli import main; sys.exit(main())"]
 
     def child_env(self, extra=None, pythonpath=()):
-        env = {**os.environ, **(extra or {}),
-               "PYTHONPATH": os.pathsep.join([*pythonpath, str(self.SRC), str(self.ROOT)])}
         # a pipe's stdout is block-buffered, as it is for every caller that
-        # does not set this, so output that is never flushed is lost
-        env.pop("PYTHONUNBUFFERED", None)
-        return env
+        # does not set PYTHONUNBUFFERED, so output that is never flushed is
+        # lost; a test that wants it unbuffered passes it in extra
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        return {**env, **(extra or {}),
+                "PYTHONPATH": os.pathsep.join([*pythonpath, str(self.SRC), str(self.ROOT)])}
 
     def run(self, *argv, entry="module", env=None, pythonpath=()):
         return subprocess.run(
@@ -762,10 +756,10 @@ class TestEntryPoint:
         # check as fail_first_check does in process; and one that registers
         # an atexit handler
         for name, code in (
-            ("faulty", "import treebound.harness\n"
+            ("faulty", "import treebound.checks\n"
                        "from tests.entries import fail_first_check\n"
-                       "treebound.harness.instance_report = "
-                       "fail_first_check(treebound.harness.instance_report)\n"),
+                       "treebound.checks.instance_report = "
+                       "fail_first_check(treebound.checks.instance_report)\n"),
             ("atexit", "import atexit, sys\n"
                        "atexit.register(lambda: sys.stderr.write('atexit handler ran\\n'))\n"),
         ):
@@ -801,8 +795,8 @@ class TestEntryPoint:
         for name, value in (env or {}).items():
             monkeypatch.setenv(name, value)
         if faulty:
-            monkeypatch.setattr(harness, "instance_report",
-                                fail_first_check(harness.instance_report))
+            monkeypatch.setattr(checks, "instance_report",
+                                fail_first_check(checks.instance_report))
         assert main(argv) == code
         captured = capsys.readouterr()
         assert child.returncode == code, child.stderr
@@ -835,19 +829,21 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_flush_to_a_closed_pipe_exits_141(self, entry):
-        # main leaves the help in stdout's buffer, and the entry's flush finds
-        # the reader gone
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            child = subprocess.run(
-                [sys.executable, *ENTRIES[entry], "--help"],
-                stdout=write, stderr=subprocess.PIPE, env=self.child_env(), timeout=60,
-            )
-        finally:
-            os.close(write)
-        assert child.returncode == 141
-        assert child.stderr == b""
+        # Buffered, main leaves the help in stdout's buffer, and the entry's
+        # flush finds the reader gone; unbuffered, the help's own write does,
+        # which argparse alone would swallow and exit 0.
+        for extra in (None, {"PYTHONUNBUFFERED": "1"}):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                child = subprocess.run(
+                    [sys.executable, *ENTRIES[entry], "--help"],
+                    stdout=write, stderr=subprocess.PIPE, env=self.child_env(extra), timeout=60,
+                )
+            finally:
+                os.close(write)
+            assert child.returncode == 141, extra
+            assert child.stderr == b"", extra
 
     def test_usage_and_format_errors_reach_the_os(self, tmp_path):
         assert self.run("count", "--graph").returncode == 2

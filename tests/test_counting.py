@@ -24,12 +24,10 @@ from treebound.counting import (
     count_walks,
 )
 from treebound.errors import WorkCapExceeded
+from treebound.families import gen_cycle, gen_disjoint_cliques, gen_random_min_degree
 from treebound.graphs import (
     Graph,
     Tree,
-    gen_cycle,
-    gen_disjoint_cliques,
-    gen_random_min_degree,
     good_labeling,
     good_labeling_between,
     path_tree,

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebound import graphs
+from treebound import families
 from treebound.errors import FormatError, RetryLimitExceeded
-from treebound.graphs import (
-    GoodLabeling,
-    Graph,
-    Tree,
+from treebound.families import (
     gen_complete_bipartite,
     gen_cycle,
     gen_disjoint_cliques,
     gen_random_min_degree,
+)
+from treebound.graphs import (
+    GoodLabeling,
+    Graph,
+    Tree,
     good_labeling,
     good_labeling_between,
     parse_graph,
@@ -365,10 +367,10 @@ class TestRandomStream:
             b.random()
         assert a.getstate() == b.getstate()
 
-    @pytest.mark.parametrize("count", [0, 1, graphs._SKIP_CHUNK, 2 * graphs._SKIP_CHUNK + 7])
+    @pytest.mark.parametrize("count", [0, 1, families._SKIP_CHUNK, 2 * families._SKIP_CHUNK + 7])
     def test_skip_draws_spans_chunks(self, count):
         a, b = random.Random(11), random.Random(11)
-        graphs._skip_draws(a, count)
+        families._skip_draws(a, count)
         for _ in range(count):
             b.random()
         assert a.getstate() == b.getstate()

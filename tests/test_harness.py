@@ -8,18 +8,21 @@ from fractions import Fraction
 import pytest
 
 from treebound import harness
-from treebound.counting import count_copies
-from treebound.formats import csv_table
-from treebound.graphs import Graph, Tree, gen_cycle, gen_disjoint_cliques, path_tree, star_tree
-from treebound.harness import (
+from treebound.checks import instance_report
+from treebound.conjecture import (
     ConjectureScanConfig,
-    RowBound,
-    SuiteConfig,
-    SuiteRow,
     conjecture_scan,
     conjecture_to_csv,
     conjecture_to_json,
-    instance_report,
+)
+from treebound.counting import count_copies
+from treebound.families import gen_cycle, gen_disjoint_cliques
+from treebound.formats import csv_table
+from treebound.graphs import Graph, Tree, path_tree, star_tree
+from treebound.harness import (
+    RowBound,
+    SuiteConfig,
+    SuiteRow,
     run_suite,
     standard_suite_config,
     suite_csv_columns,

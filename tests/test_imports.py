@@ -17,16 +17,17 @@ from pathlib import Path
 import pytest
 
 import treebound
-from treebound.graphs import gen_disjoint_cliques, serialize_graph
+from treebound.families import gen_disjoint_cliques
+from treebound.graphs import serialize_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-# The names `from treebound import *` binds: the exports plus the six library
+# The names `from treebound import *` binds: the exports plus the nine library
 # submodules.
 STAR_NAMES = {
     "BoundComparison", "BoundReport", "BoundValue", "ChainReport", "CheckResult",
-    "ConjectureRow", "ConjectureScanConfig", "CopyLedger",
+    "ConjectureRow", "ConjectureScanConfig", "CopyLedger", "checks", "conjecture", "families",
     "CountResult", "DEFAULT_WORK_CAP", "FormatError", "GTable",
     "GoodLabeling", "Graph", "LOG_TOLERANCE", "MeasureKind",
     "RetryLimitExceeded", "SCHEMA_VERSION", "SuiteConfig", "SuiteRow", "Tree",
@@ -40,7 +41,10 @@ STAR_NAMES = {
     "serialize_graph", "serialize_tree", "standard_suite_config", "star_tree",
     "suite_to_csv", "suite_to_json",
 }
-SUBMODULES = ("graphs", "counting", "bounds", "measure", "harness", "cli", "errors", "formats")
+SUBMODULES = (
+    "graphs", "families", "counting", "bounds", "measure", "checks", "conjecture", "harness",
+    "cli", "errors", "formats",
+)
 
 
 def run_child(code: str, *argv: str) -> list:
@@ -83,18 +87,47 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no_such_name"):
             treebound.no_such_name  # noqa: B018
 
+    # (home, name, where it lives now, or None for a name retired outright)
+    RETIRED = [
+        ("graphs", "Embedding", None),
+        ("measure", "GroupedWeights", None),
+        ("measure", "weight", None),
+        *(("graphs", name, "families") for name in (
+            "gen_disjoint_cliques", "gen_cycle", "gen_complete_bipartite",
+            "gen_random_min_degree", "_check_clique_order", "_check_random_min_degree",
+            "_skip_draws", "_SKIP_CHUNK")),
+        *(("harness", name, "conjecture") for name in (
+            "ConjectureScanConfig", "ConjectureRow", "conjecture_scan", "conjecture_csv_rows",
+            "conjecture_to_csv", "conjecture_to_json", "_conjecture_instances",
+            "_conjecture_record")),
+        ("harness", "CheckResult", "checks"),
+        ("harness", "instance_report", "checks"),
+        ("harness", "_instance_tables", "measure"),
+        ("harness", "_or_none", "formats"),
+    ]
+
     @pytest.mark.parametrize(
-        "home, name",
-        [("graphs", "Embedding"), ("measure", "GroupedWeights"), ("measure", "weight")],
-        ids=["Embedding", "GroupedWeights", "weight"],
+        "home, name, new_home",
+        RETIRED,
+        ids=[name if new_home is None else f"{home}.{name}" for home, name, new_home in RETIRED],
     )
-    def test_retired_names_are_gone(self, home, name):
+    def test_retired_names_are_gone(self, home, name, new_home):
         # draws are plain tuples, the copy ledger's tables are GTables, and
         # the one per-copy weight is the test oracles' copy_weight
-        assert name not in dir(treebound)
-        assert not hasattr(getattr(treebound, home), name)
-        with pytest.raises(AttributeError, match=name):
-            getattr(treebound, name)
+        if new_home is None:
+            assert name not in dir(treebound)
+            assert not hasattr(getattr(treebound, home), name)
+            with pytest.raises(AttributeError, match=name):
+                getattr(treebound, name)
+            return
+        # A moved name has no re-export at its old home, which would load that
+        # module again; the old home binds it only where it still uses it
+        # (harness formats with _or_none), and then as the new home's object.
+        moved = getattr(getattr(treebound, new_home), name)
+        assert getattr(getattr(treebound, home), name, moved) is moved
+        if name in treebound._HOME:
+            assert treebound._HOME[name] == new_home
+            assert getattr(treebound, name) is moved
 
     def test_gtable_reads_cells_only_through_g(self):
         # the retired readers rows and slacks repeated g(i, v) and min_slack
@@ -125,10 +158,13 @@ print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
             (["count", "--graph", "{g}", "--tree", "star:3"], {"counting"}),
             (["hom", "--graph", "{g}", "--tree", "path:3"], {"counting"}),
             (["walks", "--graph", "{g}", "--length", "3"], {"counting"}),
-            (["gen", "cycle", "5"], set()),
+            (["gen", "cycle", "5"], {"families"}),
+            (["gen", "random", "12", "0.5", "4", "0"], {"families"}),
             (["bounds", "--graph", "{g}", "--t", "3"], {"bounds", "counting"}),
             (["conjecture", "--family", "cliques", "--n", "4", "--t", "3", "--trials", "2",
-              "--seed", "0", "--min-degree", "3"], {"bounds", "counting", "harness"}),
+              "--seed", "0", "--min-degree", "3"], {"bounds", "conjecture", "counting", "families"}),
+            (["conjecture", "--family", "random", "--n", "12", "--t", "3", "--trials", "2",
+              "--seed", "0", "--min-degree", "4"], {"bounds", "conjecture", "counting", "families"}),
             (["sample", "--graph", "{g}", "--tree", "path:3", "--samples", "20", "--seed", "0"],
              {"measure"}),
             (["gtable", "--graph", "{g}", "--tree", "path:3", "--measure", "P",
@@ -138,9 +174,10 @@ print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
             (["gtable", "--graph", "{g}", "--tree", "path:3", "--measure", "P"],
              {"counting", "measure"}),
             (["verify", "--graph", "{g}", "--tree", "path:3"],
-             {"bounds", "counting", "harness", "measure"}),
+             {"bounds", "checks", "counting", "measure"}),
         ],
-        ids=["count", "hom", "walks", "gen", "bounds", "conjecture", "sample",
+        ids=["count", "hom", "walks", "gen", "gen-random", "bounds", "conjecture",
+             "conjecture-random", "sample",
              "gtable-monte-carlo", "gtable-exact-hom", "gtable-exact-copies", "verify"],
     )
     def test_command_loads_only_what_it_runs(self, k4_file, argv, extra):

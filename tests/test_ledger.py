@@ -51,18 +51,18 @@ from tests.oracles import (
 )
 from treebound import counting, measure
 from treebound.bounds import evaluate_bounds
+from treebound.checks import instance_report
 from treebound.errors import WorkCapExceeded
+from treebound.families import gen_disjoint_cliques, gen_random_min_degree
 from treebound.graphs import (
     Graph,
     Tree,
-    gen_disjoint_cliques,
-    gen_random_min_degree,
     good_labeling,
     good_labeling_between,
     path_tree,
     star_tree,
 )
-from treebound.harness import SuiteConfig, instance_report, run_suite
+from treebound.harness import SuiteConfig, run_suite
 from treebound.measure import MeasureKind, copy_ledger, g_table_exact
 
 

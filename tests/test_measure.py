@@ -18,12 +18,10 @@ from tests.oracles import (
     slacks_by_cells,
 )
 from treebound.bounds import evaluate_bounds
+from treebound.families import gen_cycle, gen_disjoint_cliques, gen_random_min_degree
 from treebound.graphs import (
     Graph,
     Tree,
-    gen_cycle,
-    gen_disjoint_cliques,
-    gen_random_min_degree,
     good_labeling,
     good_labeling_between,
     path_tree,

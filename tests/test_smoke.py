@@ -101,6 +101,25 @@ def majorant_rows_sum_to_2(out, err):
     return result(out)["rowSums"] == ["2/1"] * 4
 
 
+def result_has(**pinned):
+    """The result's values at the pinned keys."""
+    return lambda out, err: {key: result(out)[key] for key in pinned} == pinned
+
+
+def scan_is(*rows: tuple[str, str, str]):
+    """A conjecture scan's rows as (instance, copies, verdict), and a summary
+    that counts them."""
+    def check(out, err):
+        r = result(out)
+        got = [(row["instance"], row["copies"], row["verdict"]) for row in r["rows"]]
+        verdicts = [verdict for _, _, verdict in rows]
+        summary = {key: r["summary"][key] for key in ("total", "holds", "violated")}
+        want = {"total": len(rows), "holds": verdicts.count("holds"),
+                "violated": verdicts.count("violated")}
+        return got == list(rows) and summary == want
+    return check
+
+
 # (id, argv with {file} placeholders, extra environment, exit code, output check)
 CASES = [
     ("count-k4-path3", "count --graph {k4} --tree path:3", None, 0, None),
@@ -176,11 +195,17 @@ CASES = [
      None, 0, None),
     ("verify-k4-path3", "verify --graph {k4} --tree path:3", None, 0, None),
     ("verify-k4-path1", "verify --graph {k4} --tree path:1", None, 0, None),
+    # K4 holds 4! = 24 copies of P3 and 2xK4 twice that; each meets its falling
+    # factorial n*3*2*1 exactly.
     ("conjecture-cliques", "conjecture --family cliques --n 4 --t 3 --trials 2 --seed 0 --min-degree 3",
-     None, 0, None),
-    ("gen-random-40", "gen random 40 0.3 6 1", None, 0, None),
+     None, 0, scan_is(("cliques(c=1,q=4)", "24", "holds"), ("cliques(c=2,q=4)", "48", "holds"))),
+    # The graph is a pure function of its seed: pinned by its file's digest.
+    ("gen-random-40", "gen random 40 0.3 6 1", None, 0, result_has(
+        n=40, m=232, minDegree=6,
+        sha256="bd7c27ab6483f7d0433cea0343f3a349682ef16e31d3a0e2e88ed0c8e124d875")),
     ("conjecture-random", "conjecture --family random --n 12 --t 3 --trials 2 --seed 0 --min-degree 4",
-     None, 0, None),
+     None, 0, scan_is(("random(n=12,p=0.5,minDeg>=4,seed=3626764237)", "1332", "holds"),
+                      ("random(n=12,p=0.5,minDeg>=4,seed=1806341205)", "1092", "holds"))),
 ]
 
 

@@ -20,27 +20,12 @@ from treebound.bounds import (
     compare_count_to_bound,
     evaluate_bounds,
 )
+from treebound.checks import CheckResult, instance_report
+from treebound.conjecture import ConjectureRow, ConjectureScanConfig, conjecture_scan
 from treebound.counting import CountResult, count_copies
-from treebound.graphs import (
-    GoodLabeling,
-    Graph,
-    Tree,
-    gen_disjoint_cliques,
-    good_labeling,
-    path_tree,
-)
-from treebound.harness import (
-    CheckResult,
-    ConjectureRow,
-    ConjectureScanConfig,
-    RowBound,
-    SuiteConfig,
-    SuiteRow,
-    conjecture_scan,
-    instance_report,
-    run_suite,
-    standard_suite_config,
-)
+from treebound.families import gen_disjoint_cliques
+from treebound.graphs import GoodLabeling, Graph, Tree, good_labeling, path_tree
+from treebound.harness import RowBound, SuiteConfig, SuiteRow, run_suite, standard_suite_config
 from treebound.measure import (
     ChainReport,
     CopyLedger,
