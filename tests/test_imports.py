@@ -27,14 +27,14 @@ SRC = ROOT / "src"
 # submodules.
 STAR_NAMES = {
     "BoundComparison", "BoundReport", "BoundValue", "ChainReport", "CheckResult",
-    "ConjectureRow", "ConjectureScanConfig", "CopyLedger", "checks", "conjecture", "families",
+    "ConjectureRow", "ConjectureScanConfig", "CopyLedger",
     "CountResult", "DEFAULT_WORK_CAP", "FormatError", "GTable",
     "GoodLabeling", "Graph", "LOG_TOLERANCE", "MeasureKind",
     "RetryLimitExceeded", "SCHEMA_VERSION", "SuiteConfig", "SuiteRow", "Tree",
-    "WorkCapExceeded", "bounds", "compare_count_to_bound", "conjecture_scan",
-    "conjecture_to_csv", "conjecture_to_json", "copy_ledger", "count_copies",
-    "count_homomorphisms", "count_walks", "counting", "errors",
-    "evaluate_bounds", "g_table_exact", "g_table_monte_carlo", "gen_complete_bipartite",
+    "WorkCapExceeded", "bounds", "checks", "compare_count_to_bound", "conjecture",
+    "conjecture_scan", "conjecture_to_csv", "conjecture_to_json", "copy_ledger", "count_copies",
+    "count_homomorphisms", "count_walks", "counting", "errors", "evaluate_bounds", "families",
+    "g_table_exact", "g_table_monte_carlo", "gen_complete_bipartite",
     "gen_cycle", "gen_disjoint_cliques", "gen_random_min_degree", "good_labeling",
     "good_labeling_between", "graphs", "harness", "instance_report", "measure",
     "parse_graph", "parse_tree", "path_tree", "run_suite", "sample_embeddings",
