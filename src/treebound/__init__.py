@@ -15,9 +15,9 @@ each command loads only the modules it runs:
 
 - ``gen``: graphs, errors, formats and families;
 - ``count``, ``hom``, ``walks``: graphs, errors, formats and counting;
-- ``bounds``: those plus bounds;
-- ``conjecture``: those plus conjecture and families, but not measure or
-  harness;
+- ``bounds``: graphs, errors, formats and bounds;
+- ``conjecture``: those plus counting, conjecture and families, but not
+  measure or harness;
 - ``gtable``, ``sample``: graphs, errors, formats and measure, but not
   counting or bounds (an exact ``gtable`` of ``P`` or ``p`` loads counting
   too);
@@ -98,33 +98,11 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (
-    "bounds",
-    "checks",
-    "cli",
-    "conjecture",
-    "counting",
-    "errors",
-    "families",
-    "formats",
-    "graphs",
-    "harness",
-    "measure",
-)
+_SUBMODULES = (*_EXPORTS, "cli")
 
-# `from treebound import *` binds the exports and the library submodules
-__all__ = [
-    *_HOME,
-    "bounds",
-    "checks",
-    "conjecture",
-    "counting",
-    "errors",
-    "families",
-    "graphs",
-    "harness",
-    "measure",
-]
+# `from treebound import *` binds the exports and every library submodule
+# but formats, whose one export, SCHEMA_VERSION, is bound by name
+__all__ = [*_HOME, *(module for module in _EXPORTS if module != "formats")]
 
 __version__ = "0.1.0"
 

@@ -17,16 +17,17 @@ Bounds covered, with their hypotheses:
 * copies_p3:       nd * prod_v (d(v)-2)^(2d(v)/nd), which is
   copies_local's value at t = 3                            [t = 3, min degree >= 3]
 * walks_blakley_roy: n * d^t (classical walk bound)        [at least 1 edge]
-* copies_induced(k): nd * prod_v (d(v)-k+1)^((t-1)d(v)/nd) [min degree >= k]
 * falling_factorial: n * d(d-1)...(d-t+1), the conjectured
   copy bound, exact on disjoint cliques                    [all factors > 0]
+
+copies_local is the paper's theorem.  compare_count_to_bound checks an
+exact int count against one bound's log; the module imports no counter.
 """
 
 from __future__ import annotations
 
 import math
 
-from .counting import CountResult
 from .graphs import Graph, _value_type
 
 __all__ = [
@@ -59,14 +60,13 @@ class BoundComparison:
 
 @_value_type
 class BoundReport:
-    """All bounds for one (graph, t, optional k) evaluation."""
+    """All bounds for one (graph, t) evaluation."""
 
     copies_local: BoundValue
     copies_average: BoundValue
     homs_local: BoundValue
     copies_p3: BoundValue
     walks_blakley_roy: BoundValue
-    copies_induced: BoundValue
     falling_factorial: BoundValue
 
     def named_bounds(self) -> dict[str, BoundValue]:
@@ -84,17 +84,14 @@ def _log_degree_product(degrees, t: int, nd: int, shift: int) -> float:
     return total
 
 
-def evaluate_bounds(graph: Graph, t: int, k: int | None = None) -> BoundReport:
-    """Evaluate every bound for the given tree size t (and optional k).
+def evaluate_bounds(graph: Graph, t: int) -> BoundReport:
+    """Evaluate every bound for the given tree size t.
 
-    An out-of-hypothesis bound (e.g. min degree below t, or k above the
-    minimum degree) is flagged inapplicable, not an error; only t < 1 or a
-    nonpositive k is rejected outright.
+    An out-of-hypothesis bound (e.g. min degree below t) is flagged
+    inapplicable, not an error; only t < 1 is rejected outright.
     """
     if t < 1:
         raise ValueError(f"tree edge count must be >= 1, got {t}")
-    if k is not None and k < 1:
-        raise ValueError(f"induced-degree parameter k must be >= 1, got {k}")
     degrees = graph.degrees()
     n = graph.n
     nd = graph.degree_sum
@@ -124,13 +121,6 @@ def evaluate_bounds(graph: Graph, t: int, k: int | None = None) -> BoundReport:
     else:
         copies_p3 = copies_local
 
-    if k is None:
-        copies_induced = BoundValue(False, reason="k not supplied")
-    elif min_deg < k:
-        copies_induced = BoundValue(False, reason=f"min degree {min_deg} < k = {k}")
-    else:
-        copies_induced = BoundValue(True, _log_degree_product(degrees, t, nd, k - 1))
-
     if nd - (t - 1) * n <= 0:
         reason = f"nonpositive factor d - {t - 1} = {graph.average_degree - t + 1}"
         falling_factorial = BoundValue(False, reason=reason)
@@ -148,25 +138,23 @@ def evaluate_bounds(graph: Graph, t: int, k: int | None = None) -> BoundReport:
         homs_local=homs_local,
         copies_p3=copies_p3,
         walks_blakley_roy=walks_blakley_roy,
-        copies_induced=copies_induced,
         falling_factorial=falling_factorial,
     )
 
 
-def compare_count_to_bound(count: CountResult | int, log_bound: float) -> BoundComparison:
+def compare_count_to_bound(count: int, log_bound: float) -> BoundComparison:
     """Check an exact count against a log-space bound with 1e-9 tolerance.
 
     A zero count can only satisfy a bound that is itself at most 1 (log at
     most 0) within tolerance; its log margin is reported as -inf.
     """
-    value = count.value if isinstance(count, CountResult) else count
-    if value < 0:
-        raise ValueError(f"count must be >= 0, got {value}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if not math.isfinite(log_bound):
         raise ValueError(f"log bound must be finite, got {log_bound}")
-    if value == 0:
+    if count == 0:
         return BoundComparison(holds=log_bound <= LOG_TOLERANCE, log_margin=float("-inf"))
-    log_count = math.log(value)
+    log_count = math.log(count)
     return BoundComparison(
         holds=log_count >= log_bound - LOG_TOLERANCE, log_margin=log_count - log_bound
     )

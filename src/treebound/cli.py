@@ -39,7 +39,7 @@ from pathlib import Path
 # Every command needs these; each handler imports the rest of what it runs,
 # so a command loads (and compiles, without a bytecode cache) no more.
 from .errors import FormatError, RetryLimitExceeded, WorkCapExceeded
-from .formats import SCHEMA_VERSION, csv_table, format_log, format_rational
+from .formats import SCHEMA_VERSION, csv_table, format_count, format_log, format_rational
 from .graphs import (
     Graph,
     Tree,
@@ -143,7 +143,7 @@ def _cmd_count(args, graph, tree):
     from .counting import count_copies
 
     result = count_copies(graph, tree, work_cap=_work_cap())
-    payload = {"count": str(result.value), "method": result.method}
+    payload = {"count": format_count(result.value), "method": result.method}
     return payload, ["count", "method"], [[result.value, result.method]], EXIT_OK
 
 
@@ -151,7 +151,7 @@ def _cmd_hom(args, graph, tree):
     from .counting import count_homomorphisms
 
     result = count_homomorphisms(graph, tree)
-    payload = {"count": str(result.value), "method": result.method}
+    payload = {"count": format_count(result.value), "method": result.method}
     return payload, ["count", "method"], [[result.value, result.method]], EXIT_OK
 
 
@@ -159,14 +159,14 @@ def _cmd_walks(args, graph, tree):
     from .counting import count_walks
 
     result = count_walks(graph, args.length)
-    payload = {"count": str(result.value), "length": args.length}
+    payload = {"count": format_count(result.value), "length": args.length}
     return payload, ["count", "length"], [[result.value, args.length]], EXIT_OK
 
 
 def _cmd_bounds(args, graph, tree):
     from .bounds import evaluate_bounds
 
-    report = evaluate_bounds(graph, args.t, args.k)
+    report = evaluate_bounds(graph, args.t)
     named = report.named_bounds()
     bounds_json = {
         name: {"applicable": True, "log": format_log(b.log_value)}
@@ -181,7 +181,6 @@ def _cmd_bounds(args, graph, tree):
         "d": format_rational(graph.average_degree),
         "minDegree": graph.min_degree,
         "t": args.t,
-        "k": args.k,
         "bounds": bounds_json,
     }
     return payload, ["bound", "applicable", "log", "reason"], rows, EXIT_OK
@@ -345,7 +344,7 @@ _COMMANDS = {
     "bounds": (
         _cmd_bounds,
         "evaluate all lower bounds in log space",
-        [_GRAPH, ("--t", {"type": int, "required": True}), ("--k", {"type": int, "default": None})],
+        [_GRAPH, ("--t", {"type": int, "required": True})],
     ),
     "gtable": (
         _cmd_gtable,

@@ -23,7 +23,7 @@ from .families import (
     gen_disjoint_cliques,
     gen_random_min_degree,
 )
-from .formats import SCHEMA_VERSION, _or_none, csv_table, format_log, format_rational
+from .formats import SCHEMA_VERSION, _or_none, csv_table, format_count, format_log, format_rational
 from .graphs import Tree, _value_type, path_tree
 
 __all__ = [
@@ -162,7 +162,7 @@ def _conjecture_record(row: ConjectureRow) -> dict:
         "d": _or_none(format_rational, row.average_degree),
         "minDegree": row.min_degree,
         "t": row.t,
-        "copies": _or_none(str, row.copies),
+        "copies": _or_none(format_count, row.copies),
         "fallingFactorialLog": _or_none(format_log, row.falling_factorial_log),
         "logMargin": _or_none(format_log, row.log_margin),
         "verdict": row.verdict,

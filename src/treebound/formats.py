@@ -2,16 +2,29 @@
 
 A leaf module: the CLI formats every command's payload with these, so it
 stays free of the library's heavier modules.  csv_table is the one place
-that turns a value into a CSV cell; its callers pass raw values.
+that turns a value into a CSV cell; its callers pass raw values, and
+format_count is the one place that turns a count into its decimal text.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["SCHEMA_VERSION", "format_rational", "format_log", "csv_table"]
+__all__ = ["SCHEMA_VERSION", "format_count", "format_rational", "format_log", "csv_table"]
 
 SCHEMA_VERSION = "1"
+
+
+def format_count(value: int) -> str:
+    """str(value), which Python 3.11+ refuses past 4300 digits; such a
+    count is written through decimal, which has no limit and the same
+    digits."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(value))
 
 
 def format_rational(value: Fraction) -> str:
@@ -35,14 +48,15 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.15g}"
-    return str(value)
+    return format_count(value)
 
 
 def csv_table(header, rows) -> str:
     """The one CSV writer of the package: a header line, then the rows.
 
     Every cell is formatted here: None is empty, a bool is true/false, a
-    float has 15 significant digits, and anything else is its str.
+    float has 15 significant digits, an int is its format_count, and
+    anything else is its str.
     """
     # imported here: JSON output, the default, needs no csv module
     import csv

@@ -44,7 +44,7 @@ from .families import (
     gen_disjoint_cliques,
     gen_random_min_degree,
 )
-from .formats import SCHEMA_VERSION, _or_none, csv_table, format_log, format_rational
+from .formats import SCHEMA_VERSION, _or_none, csv_table, format_count, format_log, format_rational
 from .graphs import Graph, Tree, _value_type, good_labeling, path_tree, star_tree
 
 # measure is imported where it is used, so that setting up a suite does
@@ -369,9 +369,9 @@ def _suite_record(row: SuiteRow) -> dict:
         "minDegree": row.min_degree,
         "t": row.t,
         "counts": {
-            "copies": _or_none(str, row.copies),
-            "homs": _or_none(str, row.homs),
-            "walks": _or_none(str, row.walks),
+            "copies": _or_none(format_count, row.copies),
+            "homs": _or_none(format_count, row.homs),
+            "walks": _or_none(format_count, row.walks),
         },
         "bounds": {b.name: _bound_json(b) for b in row.bounds},
         "slackMajorant": _or_none(format_rational, row.slack_majorant),

@@ -73,7 +73,7 @@ from itertools import chain, repeat
 from operator import sub
 from typing import Iterator, Sequence
 
-from .formats import format_log
+from .formats import format_count, format_log
 from .graphs import GoodLabeling, Graph, Tree, _check_vertex, _value_type
 
 __all__ = [
@@ -324,7 +324,7 @@ class ChainReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "omegaCount": str(self.omega_count),
+            "omegaCount": format_count(self.omega_count),
             "expEntropy": format_log(self.entropy_value),
             "majorantProduct": format_log(self.majorant_product),
             "localBound": format_log(self.bound_value),

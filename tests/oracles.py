@@ -189,8 +189,8 @@ def walks_by_matrix_power(graph: Graph, t: int) -> int:
     return sum(map(sum, power))
 
 
-def bounds_by_fractions(graph: Graph, t: int, k: int | None = None) -> dict:
-    """The seven bounds of ``evaluate_bounds`` as {name: (True, log.hex())} or
+def bounds_by_fractions(graph: Graph, t: int) -> dict:
+    """The six bounds of ``evaluate_bounds`` as {name: (True, log.hex())} or
     {name: (False, reason)}.  Each exponent (t-1)d(v)/nd and the average
     degree d are Fractions, each converted to float once, and the
     falling-factorial logs of d - j are added left to right from 0.0."""
@@ -224,11 +224,6 @@ def bounds_by_fractions(graph: Graph, t: int, k: int | None = None) -> dict:
             else local(2) if low >= 3 else f"min degree {low} < 3"
         ),
         "walks_blakley_roy": math.log(n) + t * math.log(float(d)) if nd else no_edges,
-        "copies_induced": (
-            "k not supplied"
-            if k is None
-            else local(k - 1) if low >= k else f"min degree {low} < k = {k}"
-        ),
         "falling_factorial": (
             falling() if d - t + 1 > 0 else f"nonpositive factor d - {t - 1} = {d - t + 1}"
         ),

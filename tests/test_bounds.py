@@ -11,8 +11,8 @@ from treebound.bounds import (
 )
 from treebound.counting import count_copies, count_homomorphisms, count_walks
 from treebound.families import gen_disjoint_cliques, gen_random_min_degree
-from treebound.graphs import Graph, path_tree
-from tests.oracles import bounds_by_fractions
+from treebound.graphs import Graph, Tree, path_tree, star_tree
+from tests.oracles import bounds_by_fractions, free_trees
 
 
 def exp_or_none(bound):
@@ -63,18 +63,13 @@ class TestEvaluateBounds:
         assert not r.falling_factorial.applicable
         assert "nonpositive factor" in r.falling_factorial.reason
 
-    def test_k_above_min_degree_is_flagged_not_fatal(self, k4):
-        r = evaluate_bounds(k4, 2, k=4)
-        assert not r.copies_induced.applicable
-        assert "min degree 3 < k = 4" in r.copies_induced.reason
-
     def test_no_edges(self):
         r = evaluate_bounds(Graph.from_edges(3, []), 1)
         assert not r.homs_local.applicable
         assert not r.walks_blakley_roy.applicable
 
     def test_single_vertex_everything_flagged(self):
-        r = evaluate_bounds(Graph.from_edges(1, []), 2, k=1)
+        r = evaluate_bounds(Graph.from_edges(1, []), 2)
         assert all(not b.applicable for b in r.named_bounds().values())
 
     def test_reason_texts(self, k4, c5):
@@ -84,13 +79,16 @@ class TestEvaluateBounds:
         assert evaluate_bounds(c5, 3).copies_p3.reason == "min degree 2 < 3"
         edgeless = evaluate_bounds(Graph.from_edges(3, []), 1)
         assert edgeless.homs_local.reason == edgeless.walks_blakley_roy.reason == "graph has no edges"
-        assert edgeless.copies_induced.reason == "k not supplied"
+
+    def test_report_holds_the_six_bounds_in_order(self, k4):
+        assert tuple(evaluate_bounds(k4, 3).named_bounds()) == (
+            "copies_local", "copies_average", "homs_local", "copies_p3",
+            "walks_blakley_roy", "falling_factorial",
+        )
 
     def test_invalid_parameters(self, k4):
         with pytest.raises(ValueError):
             evaluate_bounds(k4, 0)
-        with pytest.raises(ValueError):
-            evaluate_bounds(k4, 2, k=0)
 
 
 class TestSameLogsOnEveryPython:
@@ -112,15 +110,14 @@ class TestSameLogsOnEveryPython:
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             g = Graph.from_edges(n, edges)
             t = rng.randint(1, 6)
-            k = rng.choice((None, 1, 2, 3, 4, 9))
             got = {
                 name: (b.applicable, b.log_value.hex() if b.applicable else b.reason)
-                for name, b in evaluate_bounds(g, t, k).named_bounds().items()
+                for name, b in evaluate_bounds(g, t).named_bounds().items()
             }
-            assert got == bounds_by_fractions(g, t, k), (n, edges, t, k)
+            assert got == bounds_by_fractions(g, t), (n, edges, t)
             applicable.update(name for name, (ok, _) in got.items() if ok)
         # every bound took its log path often, not just its reason path
-        assert len(applicable) == 7 and min(applicable.values()) >= 100, applicable
+        assert len(applicable) == 6 and min(applicable.values()) >= 100, applicable
 
 
 class TestCompareCountToBound:
@@ -186,8 +183,8 @@ class TestBoundRelations:
         )
         r = evaluate_bounds(g, 3)
         assert r.copies_local.log_value < r.copies_average.log_value - LOG_TOLERANCE
-        count = count_copies(g, path_tree(3))
-        assert count.value == 56
+        count = count_copies(g, path_tree(3)).value
+        assert count == 56
         assert compare_count_to_bound(count, r.copies_local.log_value).holds
         assert compare_count_to_bound(count, r.copies_average.log_value).holds
 
@@ -204,17 +201,10 @@ class TestBoundRelations:
             assert r.copies_p3.applicable
             assert r.copies_p3 == r.copies_local
 
-    def test_induced_with_k_equal_t_matches_local(self):
-        for g, t in _random_valid_instances(12, seed=22):
-            r = evaluate_bounds(g, t, k=t)
-            assert r.copies_induced.log_value == pytest.approx(
-                r.copies_local.log_value, abs=1e-9
-            )
-
     def test_local_bound_below_exact_count(self):
         for g, t in _random_valid_instances(15, seed=23, ts=(2, 3)):
             r = evaluate_bounds(g, t)
-            count = count_copies(g, path_tree(t))
+            count = count_copies(g, path_tree(t)).value
             assert compare_count_to_bound(count, r.copies_local.log_value).holds
 
     def test_hom_bound_below_exact_count(self):
@@ -223,7 +213,7 @@ class TestBoundRelations:
             g = gen_random_min_degree(rng.randint(3, 8), 0.6, 1, seed=rng.randrange(10**6))
             t = rng.randint(1, 4)
             r = evaluate_bounds(g, t)
-            count = count_homomorphisms(g, path_tree(t))
+            count = count_homomorphisms(g, path_tree(t)).value
             assert compare_count_to_bound(count, r.homs_local.log_value).holds
 
     def test_walk_bound_below_exact_count(self):
@@ -232,7 +222,8 @@ class TestBoundRelations:
             g = gen_random_min_degree(rng.randint(3, 8), 0.6, 1, seed=rng.randrange(10**6))
             t = rng.randint(1, 5)
             r = evaluate_bounds(g, t)
-            assert compare_count_to_bound(count_walks(g, t), r.walks_blakley_roy.log_value).holds
+            count = count_walks(g, t).value
+            assert compare_count_to_bound(count, r.walks_blakley_roy.log_value).holds
 
     def test_walk_bound_equality_on_regular_graphs(self, k4, c5):
         for g, t, expected in [(k4, 3, 108), (c5, 2, 20)]:
@@ -245,6 +236,66 @@ class TestBoundRelations:
         for c, q, t in [(1, 4, 3), (3, 5, 3), (2, 6, 4)]:
             g = gen_disjoint_cliques(c, q)
             r = evaluate_bounds(g, t)
-            count = count_copies(g, path_tree(t))
+            count = count_copies(g, path_tree(t)).value
             cmp = compare_count_to_bound(count, r.falling_factorial.log_value)
             assert abs(cmp.log_margin) <= 1e-9
+
+
+# each proven bound and the count it bounds from below
+PROVEN = {
+    "copies_local": "copies",
+    "copies_average": "copies",
+    "copies_p3": "copies",
+    "homs_local": "homs",
+    "walks_blakley_roy": "walks",
+}
+
+
+def _proven_bounds_hold(g, tree):
+    """Assert that each applicable proven bound is at most its count, and
+    return the names of the applicable ones.  falling_factorial is the open
+    conjecture, which the scanner tests, and is not checked here."""
+    counts = {
+        "copies": count_copies(g, tree).value,
+        "homs": count_homomorphisms(g, tree).value,
+        "walks": count_walks(g, tree.t).value,
+    }
+    applied = set()
+    for name, b in evaluate_bounds(g, tree.t).named_bounds().items():
+        if name in PROVEN and b.applicable:
+            count = counts[PROVEN[name]]
+            assert compare_count_to_bound(count, b.log_value).holds, (name, count, g.edges)
+            applied.add(name)
+    return applied
+
+
+class TestProvenBoundsOnEveryTreeShape:
+    # the 13 tree shapes with 1 to 5 edges, each named by its edge list
+    @pytest.mark.parametrize(
+        "edges",
+        [pytest.param(e, id="-".join(f"{u}{v}" for u, v in e)) for k in range(2, 7)
+         for e in free_trees(k)],
+    )
+    def test_on_random_graphs_around_the_degree_floor(self, edges):
+        tree = Tree.from_edges(edges)
+        t = tree.t
+        rng = random.Random(len(edges) * 1000 + sum(u * v for u, v in edges))
+        sides, applied = set(), set()
+        for floor in (t - 1, t, t + 1):
+            for _ in range(5):
+                n = rng.randint(floor + 2, floor + 4)
+                # a mean degree within 1 above the floor, which the graph often meets
+                p = min(0.95, rng.uniform(floor, floor + 1) / (n - 1))
+                g = gen_random_min_degree(n, p, floor, seed=rng.randrange(10**6))
+                sides.add((g.min_degree > t) - (g.min_degree < t))
+                applied |= _proven_bounds_hold(g, tree)
+        # graphs with min degree below, at and above t; every bound applied
+        assert sides == {-1, 0, 1}
+        assert applied == set(PROVEN) - ({"copies_p3"} if t != 3 else set())
+
+    @pytest.mark.parametrize("tree", [path_tree(4), star_tree(4)], ids=["P4", "S4"])
+    def test_k5(self, tree):
+        # each of the 5! maps of a 5-vertex tree into K5 is a copy
+        k5 = gen_disjoint_cliques(1, 5)
+        assert count_copies(k5, tree).value == 120
+        assert _proven_bounds_hold(k5, tree) == set(PROVEN) - {"copies_p3"}

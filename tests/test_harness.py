@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -447,6 +448,19 @@ class TestSuiteSerialization:
         num, den = first["d"].split("/")
         assert int(den) > 0 and int(num) >= 0
         json.dumps(doc)  # must be serializable as-is
+
+    def test_counts_past_the_digit_limit_are_written(self, k4):
+        # 4 * 3^10000 homomorphisms of the 10000-edge path (and as many walks)
+        # in K4: 4,772 digits, past the 4,300 that str() of an int allows from
+        # Python 3.11 on.  Decimal parses the text without that limit.
+        (row,) = run_suite(SuiteConfig(graphs=(("K4", k4),), trees=(("P10000", path_tree(10000)),)))
+        assert row.error is None and row.copies == 0
+        want = 4 * 3**10000
+        counts = suite_to_json([row])["rows"][0]["counts"]
+        assert counts["copies"] == "0"
+        (record,) = csv.DictReader(io.StringIO(suite_to_csv([row])))
+        for text in (counts["homs"], counts["walks"], record["homs"], record["walks"]):
+            assert len(text) == 4772 and Decimal(text) == want
 
     def test_json_includes_gtables_when_asked(self, k4, p3):
         config = SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),), include_gtables=True)

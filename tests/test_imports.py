@@ -160,7 +160,7 @@ print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
             (["walks", "--graph", "{g}", "--length", "3"], {"counting"}),
             (["gen", "cycle", "5"], {"families"}),
             (["gen", "random", "12", "0.5", "4", "0"], {"families"}),
-            (["bounds", "--graph", "{g}", "--t", "3"], {"bounds", "counting"}),
+            (["bounds", "--graph", "{g}", "--t", "3"], {"bounds"}),
             (["conjecture", "--family", "cliques", "--n", "4", "--t", "3", "--trials", "2",
               "--seed", "0", "--min-degree", "3"], {"bounds", "conjecture", "counting", "families"}),
             (["conjecture", "--family", "random", "--n", "12", "--t", "3", "--trials", "2",

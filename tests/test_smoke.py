@@ -9,10 +9,10 @@ this file once more on each Python of its matrix.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -41,8 +41,10 @@ def files(tmp_path_factory) -> dict[str, str]:
     """The input files, named as the cases' {placeholders}; the graphs are
     written by `gen -o`, which must exit 0."""
     root = tmp_path_factory.mktemp("smoke")
-    paths = {name: str(root / f"{name}.txt") for name in ("k4", "k5", "g40", "spider", "k4bom")}
+    names = ("k3", "k4", "k5", "g40", "spider", "k4bom")
+    paths = {name: str(root / f"{name}.txt") for name in names}
     for name, argv in (
+        ("k3", ("gen", "cliques", "1", "3")),
         ("k4", ("gen", "cliques", "1", "4")),
         ("k5", ("gen", "cliques", "1", "5")),
         ("g40", ("gen", "random", "40", "0.3", "6", "1")),
@@ -81,18 +83,11 @@ def verify_passes_all_120(out, err):
     return r["allPassed"] is True and r["chain"]["omegaCount"] == "120"
 
 
-def k4_bounds_at_t3_k3(out, err):
-    # On K4 at t = 3 every floor d(v) - t + 1 is 1, so the four copy bounds are
-    # ln 12; the hom and walk bounds are ln 108 and the falling factorial ln 24.
-    bounds = result(out)["bounds"]
-    want = {"copies_local": 12, "copies_average": 12, "copies_p3": 12, "copies_induced": 12,
-            "homs_local": 108, "walks_blakley_roy": 108, "falling_factorial": 24}
-    return all(bounds[name]["applicable"] and abs(bounds[name]["log"] - math.log(x)) <= 1e-12
-               for name, x in want.items())
-
-
-def no_k_no_induced_bound(out, err):
-    return result(out)["bounds"]["copies_induced"] == {"applicable": False, "reason": "k not supplied"}
+def walks_k3_past_the_digit_limit(out, err):
+    # 3 * 2^20000 walks of length 20000 in K3: 6,022 digits, past the 4,300
+    # that str() of an int allows from Python 3.11 on
+    text = result(out)["count"]
+    return len(text) == 6022 and Decimal(text) == 3 * 2**20000
 
 
 def majorant_rows_sum_to_2(out, err):
@@ -152,16 +147,23 @@ CASES = [
      {"TREEBOUND_WORK_CAP": "7337120"}, 4, None),
     ("count-g40-path5-cap", "count --graph {g40} --tree path:5",
      {"TREEBOUND_WORK_CAP": "7337121"}, 0, None),
-    ("bounds-k4-t3-k3", "bounds --graph {k4} --t 3 --k 3", None, 0, k4_bounds_at_t3_k3),
-    ("bounds-k4-t3", "bounds --graph {k4} --t 3", None, 0, no_k_no_induced_bound),
+    ("walks-k3-20000", "walks --graph {k3} --length 20000", None, 0, walks_k3_past_the_digit_limit),
+    # bounds has no --k: the induced-degree bound it fed is gone, so --k is a
+    # usage error (exit 2)
+    ("bounds-k4-t3-k3", "bounds --graph {k4} --t 3 --k 3", None, 2,
+     lambda out, err: out == "" and "error: unrecognized arguments: --k 3" in err),
+    # On K4 at t = 3 every floor d(v) - t + 1 is 1, so the three copy bounds are
+    # ln 12; the hom and walk bounds are ln 108 and the falling factorial ln 24.
+    ("bounds-k4-t3", "bounds --graph {k4} --t 3", None, 0, result_is(
+        '{"bounds":{"copies_average":{"applicable":true,"log":2.484906649788},"copies_local":{"applicable":true,"log":2.484906649788},"copies_p3":{"applicable":true,"log":2.484906649788},"falling_factorial":{"applicable":true,"log":3.17805383034795},"homs_local":{"applicable":true,"log":4.68213122712422},"walks_blakley_roy":{"applicable":true,"log":4.68213122712422}},"d":"3/1","m":6,"minDegree":3,"n":4,"t":3}'
+    )),
     # formats.csv_table formats every CSV cell: None empty, bools true/false,
     # floats to 15 significant digits. Both tables are compared byte for byte.
     ("bounds-k4-t3-csv", "bounds --graph {k4} --t 3 --format csv", None, 0, lines_are(
         "bound,applicable,log,reason",
         "copies_local,true,2.484906649788,", "copies_average,true,2.484906649788,",
         "homs_local,true,4.68213122712422,", "copies_p3,true,2.484906649788,",
-        "walks_blakley_roy,true,4.68213122712422,", "copies_induced,false,,k not supplied",
-        "falling_factorial,true,3.17805383034795,",
+        "walks_blakley_roy,true,4.68213122712422,", "falling_factorial,true,3.17805383034795,",
     )),
     ("verify-k4-path3-csv", "verify --graph {k4} --tree path:3 --format csv", None, 0, lines_are(
         "check,passed,detail",
