@@ -14,20 +14,21 @@ imports when no bytecode cache is written (``PYTHONDONTWRITEBYTECODE``), so
 each command loads only the modules it runs:
 
 - ``gen``: graphs, errors, formats and families;
-- ``count``, ``hom``, ``walks``: graphs, errors, formats and counting;
+- ``count``, ``hom``, ``walks``: graphs, errors, formats, counting, _search;
 - ``bounds``: graphs, errors, formats and bounds;
-- ``conjecture``: those plus counting, conjecture and families, but not
-  measure or harness;
+- ``conjecture``: those plus counting, _search, conjecture and families,
+  but not measure or harness;
 - ``gtable``, ``sample``: graphs, errors, formats and measure, but not
-  counting or bounds (an exact ``gtable`` of ``P`` or ``p`` loads counting
+  counting or bounds (an exact ``gtable`` of ``P`` or ``p`` loads _search
   too);
-- ``verify``: graphs, errors, formats, counting, bounds, measure and checks,
-  but not harness, conjecture or families.
+- ``verify``: graphs, errors, formats, _search, bounds, measure and checks,
+  but not counting, harness, conjecture or families.
 
 The rule holds within modules too: code lives in the module of the
-commands that run it, so ``verify`` compiles no suite runner, scanner or
-generator.  The suite (``harness``) is the library's own and no command
-loads it.
+commands that run it, so ``verify`` compiles no counter, suite runner,
+scanner or generator.  The suite (``harness``) is the library's own and no
+command loads it, and no command loads ``hashlib`` where the interpreter
+has a built-in SHA-256; only ``conjecture`` loads ``fractions``.
 """
 
 import importlib

@@ -50,15 +50,16 @@ def instance_report(
              "reversal-symmetry", "majorant-product-form", "copies-ge-local-bound"]
     chain = None
     if ledger:
-        count, iso_total = ledger.count, ledger.iso.row_sum(1)
+        # integer verdicts: a row sums to 1 when numerator == denominator
+        count, (iso_sum, common) = ledger.count, ledger.iso.row_sum_ratio(1)
         compared = f"{count} copies compared"
-        slack = ledger.majorant.min_slack(graph)
+        slack = ledger.majorant.min_slack_ratio(graph)
         bound_log = evaluate_bounds(graph, t).copies_local.log_value
         chain = ledger.chain(bound_log)
         verdicts = [
-            (iso_total == 1, f"sum over {count} copies = {format_rational(iso_total)}"),
+            (iso_sum == common, f"sum over {count} copies = {format_rational(iso_sum, common)}"),
             (ledger.iso_below_majorant, compared),
-            (slack >= 0, f"min g[i][v] - d(v)/nd = {format_rational(slack)}"),
+            (slack[0] >= 0, f"min g[i][v] - d(v)/nd = {format_rational(*slack)}"),
             # a copy's reversed weight is its product-form weight in every good labeling
             (ledger.product_form_equal, compared),
             (ledger.product_form_equal, compared),
@@ -68,9 +69,10 @@ def instance_report(
         verdicts = [(None, f"skipped: min degree {graph.min_degree} < t = {t}")] * len(names)
     names += ["hom-total-probability", "hom-degree-profile"]
     if hom_table:
-        hom_total = hom_table.row_sum(1)
+        hom_sum, common = hom_table.row_sum_ratio(1)
+        hom_total = format_rational(hom_sum, common)
         verdicts += [
-            (hom_total == 1, f"sum over homomorphic embeddings = {format_rational(hom_total)}"),
+            (hom_sum == common, f"sum over homomorphic embeddings = {hom_total}"),
             (hom_table.equals_degree_profile(graph), "g[i][v] vs d(v)/nd over the full table"),
         ]
     else:

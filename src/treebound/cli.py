@@ -76,10 +76,16 @@ def _work_cap() -> int | None:
 
 
 def _digest(text: str) -> str:
-    # hashlib loads OpenSSL; a conjecture scan without --tree has no input to digest
-    import hashlib
-
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    # the built-in SHA-256 (_sha2 on 3.12+, _sha256 before), as random.py takes
+    # _sha512: hashlib loads OpenSSL, a tenth of a child's start-up; same digest
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def _read_input(option: str, source: str, parse):
@@ -178,7 +184,7 @@ def _cmd_bounds(args, graph, tree):
     payload = {
         "n": graph.n,
         "m": graph.edge_count,
-        "d": format_rational(graph.average_degree),
+        "d": format_rational(graph.degree_sum, graph.n),
         "minDegree": graph.min_degree,
         "t": args.t,
         "bounds": bounds_json,
@@ -203,8 +209,8 @@ def _cmd_gtable(args, graph, tree):
         "measure": args.measure,
         "mode": mode,
         "table": table.to_json_dict(),
-        "rowSums": [format_rational(table.row_sum(i)) for i in range(1, table.positions + 1)],
-        "minSlack": format_rational(table.min_slack(graph)),
+        "rowSums": [format_rational(*table.row_sum_ratio(i)) for i in range(1, table.positions + 1)],
+        "minSlack": format_rational(*table.min_slack_ratio(graph)),
     }
     if args.samples is not None:
         payload["samples"] = args.samples
@@ -401,10 +407,17 @@ class _Parser(argparse.ArgumentParser):
     """argparse's parser, but the help's write to stdout lets an OSError
     out: argparse swallows it, and with an unbuffered stdout
     (PYTHONUNBUFFERED) a reader that is gone would lose the help with exit 0.
-    Subparsers are made of the parser's class, so every level gets this."""
+    Subparsers are made of the parser's class, so every level gets this.
+    Leftover arguments get the usage of the invoked ``_parser``, not the top's."""
 
     def print_help(self, file=None):
         (sys.stdout if file is None else file).write(self.format_help())
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            getattr(parsed, "_parser", self).error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
@@ -423,6 +436,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         if name not in built:
             continue
+        p.set_defaults(_parser=p)
         if name == "gen":
             _add_gen_families(p, None if argv is None else argv[argv.index(name) + 1 :])
             continue
@@ -444,6 +458,7 @@ def _add_gen_families(gen: argparse.ArgumentParser, argv: list[str] | None) -> N
         q = families.add_parser(family)
         if family not in built:
             continue
+        q.set_defaults(_parser=q)
         _with_format(q).add_argument("-o", "--output", default=None)
         for name, type_, _ in arguments:
             q.add_argument(name, type=type_)

@@ -23,7 +23,7 @@ from .families import (
     gen_disjoint_cliques,
     gen_random_min_degree,
 )
-from .formats import SCHEMA_VERSION, _or_none, csv_table, format_count, format_log, format_rational
+from .formats import SCHEMA_VERSION, _fraction_text, _or_none, csv_table, format_count, format_log
 from .graphs import Tree, _value_type, path_tree
 
 __all__ = [
@@ -159,7 +159,7 @@ def _conjecture_record(row: ConjectureRow) -> dict:
     return {
         "instance": row.descriptor,
         "n": row.n,
-        "d": _or_none(format_rational, row.average_degree),
+        "d": _or_none(_fraction_text, row.average_degree),
         "minDegree": row.min_degree,
         "t": row.t,
         "copies": _or_none(format_count, row.copies),

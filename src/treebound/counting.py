@@ -16,10 +16,10 @@ every node the block would have held, so it raises ``WorkCapExceeded`` at
 the caps a search visiting every node would.  It reads the block's
 ``free`` count from a tally of placed neighbours per graph vertex, with no
 set work per candidate, and the tally charges no nodes of its own.  The
-block and its closed forms come from one helper, ``_leaf_block(graph,
-labeling)``, which ``measure.copy_ledger`` shares: the ledger folds the
-same block into its tables and charges it the same way, but builds the
-free set that its rows need.  When that block is one leaf under the last
+block and its closed forms come from one helper, ``_search._leaf_block``,
+which ``measure.copy_ledger`` shares: the ledger folds the same block into
+its tables and charges it the same way, but builds the free set that its
+rows need.  When that block is one leaf under the last
 placed slot, whose own parent is the slot q placed just before it (every
 path with t >= 2 has this shape), ``count_copies`` stops at slot q instead
 and counts the two-level subtree below each choice of q from codegrees, in
@@ -33,7 +33,8 @@ drives the search.  ``count_homomorphisms`` is the one neighbour-sum DP:
 
 from __future__ import annotations
 
-from .errors import WorkCapExceeded
+from . import _search
+from ._search import DEFAULT_WORK_CAP, _Budget, _too_deep
 from .graphs import Graph, GoodLabeling, Tree, _bfs_order, _value_type, good_labeling, path_tree
 
 __all__ = [
@@ -43,8 +44,6 @@ __all__ = [
     "count_homomorphisms",
     "count_walks",
 ]
-
-DEFAULT_WORK_CAP = 100_000_000
 
 
 @_value_type(uncompared=("nodes",))
@@ -59,32 +58,6 @@ class CountResult:
     value: int
     method: str  # enumeration | dp
     nodes: int = 0
-
-
-class _Budget:
-    """Search-node budget for one named pass; spend() raises
-    WorkCapExceeded once more than ``cap`` nodes are charged.  A cap below 0
-    is a ValueError."""
-
-    __slots__ = ("cap", "remaining", "pass_name")
-
-    def __init__(self, cap: int | None, pass_name: str):
-        self.cap = DEFAULT_WORK_CAP if cap is None else cap
-        if self.cap < 0:
-            raise ValueError(f"work cap must be >= 0, got {self.cap}")
-        self.remaining = self.cap
-        self.pass_name = pass_name
-
-    def spend(self, units: int = 1) -> None:
-        self.remaining -= units
-        if self.remaining < 0:
-            raise WorkCapExceeded(
-                f"{self.pass_name} exceeded the work cap of {self.cap} search nodes"
-            )
-
-    @property
-    def spent(self) -> int:
-        return self.cap - self.remaining
 
 
 def count_copies(
@@ -146,51 +119,10 @@ def count_copies(
     return CountResult(total, "enumeration", budget.spent)
 
 
-def _too_deep(tree: Tree) -> ValueError:
-    """The error for a search that outgrew the interpreter's recursion
-    limit: each search recurses once per slot of the labeling."""
-    return ValueError(
-        f"tree with {tree.t} edges ({tree.t + 1} vertices) is too deep for the copy search"
-    )
-
-
-def _leaf_block(graph: Graph, labeling: GoodLabeling) -> tuple[int, list[int], list[int]]:
-    """The trailing leaf block of a labeling and its closed forms.
-
-    The block is the longest final run of slots s..t (0-based) that share
-    one parent slot, with s >= 2: it never holds slot 1, the start edge's
-    second end, which carries no weight factor.  So with r = t+1-s slots it
-    is empty only when t = 1, and the search then places both slots itself.
-    Returns s and, for free = 0..max degree, copies[free] = (free)_r and
-    nodes[free] = sum_{j<=r} (free)_j: the copies and the search nodes of a
-    block whose parent image has ``free`` unused neighbors.  The callers
-    find ``free`` their own way: ``count_copies`` reads it from its tally of
-    placed neighbours, ``copy_ledger`` lists the neighbors its ``used``
-    marks leave free; both charge nodes[free] alike, so nodes and caps do
-    not depend on which.
-    """
-    parent_pos = labeling.parent_positions()
-    p = parent_pos[-1]
-    s = len(parent_pos)
-    while s > 2 and parent_pos[s - 1] == p:
-        s -= 1
-    r = len(parent_pos) - s
-    copies: list[int] = []
-    nodes: list[int] = []
-    for free in range(graph.max_degree + 1):
-        ways = total = 1
-        for i in range(r):
-            ways *= free - i
-            total += ways
-        copies.append(ways)
-        nodes.append(total)
-    return s, copies, nodes
-
-
 def _count_by_leaf_block(graph: Graph, labeling: GoodLabeling, budget: _Budget) -> int:
     parent_pos = labeling.parent_positions()
     p = parent_pos[-1]
-    s, block_copies, block_nodes = _leaf_block(graph, labeling)
+    s, block_copies, block_nodes = _search._leaf_block(graph, labeling)
     adjacency = graph.adjacency
     degree = graph.degrees()
     hits = [0] * graph.n  # hits[w]: vertices at slots < last that are adjacent to w

@@ -8,7 +8,7 @@ format_count is the one place that turns a count into its decimal text.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 __all__ = ["SCHEMA_VERSION", "format_count", "format_rational", "format_log", "csv_table"]
 
@@ -27,8 +27,14 @@ def format_count(value: int) -> str:
         return str(Decimal(value))
 
 
-def format_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(numerator: int, denominator: int) -> str:
+    """numerator/denominator (denominator > 0) in lowest terms; zero is 0/1."""
+    common = math.gcd(numerator, denominator)
+    return f"{numerator // common}/{denominator // common}"
+
+
+def _fraction_text(value) -> str:
+    return format_rational(value.numerator, value.denominator)
 
 
 def format_log(value: float) -> float:

@@ -17,7 +17,6 @@ commands that generate graphs and the suite load.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter
 
 from .errors import FormatError, FrozenInstanceError
@@ -181,7 +180,8 @@ class Graph:
 
     @property
     def average_degree(self) -> Fraction:
-        return Fraction(2 * len(self.edges), self.n)
+        from fractions import Fraction  # only callers that want a Fraction load it
+        return Fraction(self.degree_sum, self.n)
 
     @property
     def min_degree(self) -> int:

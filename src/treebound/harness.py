@@ -44,7 +44,7 @@ from .families import (
     gen_disjoint_cliques,
     gen_random_min_degree,
 )
-from .formats import SCHEMA_VERSION, _or_none, csv_table, format_count, format_log, format_rational
+from .formats import SCHEMA_VERSION, _fraction_text, _or_none, csv_table, format_count, format_log
 from .graphs import Graph, Tree, _value_type, good_labeling, path_tree, star_tree
 
 # measure is imported where it is used, so that setting up a suite does
@@ -365,7 +365,7 @@ def _suite_record(row: SuiteRow) -> dict:
     return {
         "n": row.n,
         "m": row.edge_count,
-        "d": format_rational(row.average_degree),
+        "d": _fraction_text(row.average_degree),
         "minDegree": row.min_degree,
         "t": row.t,
         "counts": {
@@ -374,9 +374,9 @@ def _suite_record(row: SuiteRow) -> dict:
             "walks": _or_none(format_count, row.walks),
         },
         "bounds": {b.name: _bound_json(b) for b in row.bounds},
-        "slackMajorant": _or_none(format_rational, row.slack_majorant),
-        "slackIso": _or_none(format_rational, row.slack_iso),
-        "slackHom": _or_none(format_rational, row.slack_hom),
+        "slackMajorant": _or_none(_fraction_text, row.slack_majorant),
+        "slackIso": _or_none(_fraction_text, row.slack_iso),
+        "slackHom": _or_none(_fraction_text, row.slack_hom),
         "homTableEqual": row.hom_table_equal,
         "chainLinks": _or_none(list, row.chain_links),
         "error": row.error,
@@ -388,7 +388,7 @@ def _suite_csv_values(row: SuiteRow) -> tuple:
     JSON record's values, which csv_table formats.  A log goes in unrounded,
     since its 15-digit cell is that of its rounded JSON value."""
     bounds = {b.name: b for b in row.bounds}
-    values = [row.n, row.edge_count, format_rational(row.average_degree), row.min_degree,
+    values = [row.n, row.edge_count, _fraction_text(row.average_degree), row.min_degree,
               row.t, row.copies, row.homs, row.walks]
     for name, _ in _BOUND_TARGETS:
         bound = bounds.get(name)
@@ -397,9 +397,9 @@ def _suite_csv_values(row: SuiteRow) -> tuple:
         else:
             values += (None, None, None)
     values += (
-        _or_none(format_rational, row.slack_majorant),
-        _or_none(format_rational, row.slack_iso),
-        _or_none(format_rational, row.slack_hom),
+        _or_none(_fraction_text, row.slack_majorant),
+        _or_none(_fraction_text, row.slack_iso),
+        _or_none(_fraction_text, row.slack_hom),
         row.hom_table_equal,
         *(row.chain_links or (None,) * len(_CHAIN_COLUMNS)),
         row.error,

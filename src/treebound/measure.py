@@ -45,8 +45,9 @@ enumerates nothing: its slot 1 is the start law d(v)/nd, and each later
 slot is one random-walk step from its parent slot, so the table is
 propagated in O(t*m) exact integer steps.  A GTable is one denominator
 and integer numerators: its min slack, row sums and the HOM identity are
-integer sums, with one Fraction per result, and its JSON reduces each cell
-with a gcd.
+integer sums, read as (numerator, denominator) pairs; only g, row_sum and
+min_slack make a Fraction, importing fractions when called.  Its JSON
+reduces each cell with a gcd.
 
 The sampler is prepared once per run: sample_embeddings checks its inputs
 and builds the directed-edge list and each vertex's neighbor-to-position
@@ -67,7 +68,6 @@ import math
 import random
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, repeat
 from operator import sub
@@ -194,6 +194,7 @@ class GTable:
         """Entry for 1-based index i, 1 <= i <= positions, and graph vertex v."""
         self._check_index(i)
         _check_vertex(v, 0, self.n - 1)
+        from fractions import Fraction
         return Fraction(self.numerators[i - 1][v], self.denominator)
 
     def _check_index(self, i: int) -> None:
@@ -216,15 +217,25 @@ class GTable:
         floor = [d * common for d in graph.degrees()]
         return nd * common, ([x * nd - f for x, f in zip(row, floor)] for row in self.numerators)
 
-    def row_sum(self, i: int) -> Fraction:
-        """Sum of row i over the vertices, 1 <= i <= positions."""
+    def row_sum_ratio(self, i: int) -> tuple[int, int]:
+        """Sum of row i over the vertices, 1 <= i <= positions, as (numerator, denominator)."""
         self._check_index(i)
-        return Fraction(sum(self.numerators[i - 1]), self.denominator)
+        return sum(self.numerators[i - 1]), self.denominator
+
+    def row_sum(self, i: int) -> Fraction:
+        """row_sum_ratio(i) as a Fraction."""
+        from fractions import Fraction
+        return Fraction(*self.row_sum_ratio(i))
+
+    def min_slack_ratio(self, graph: Graph) -> tuple[int, int]:
+        """Smallest g[i][v] - d(v)/nd as (numerator, denominator > 0); >= 0 certifies the floor."""
+        denominator, rows = self._slack_numerators(graph)
+        return min(min(row) for row in rows), denominator
 
     def min_slack(self, graph: Graph) -> Fraction:
-        """Smallest g[i][v] - d(v)/nd; >= 0 certifies the degree floor."""
-        denominator, rows = self._slack_numerators(graph)
-        return Fraction(min(min(row) for row in rows), denominator)
+        """min_slack_ratio(graph) as a Fraction."""
+        from fractions import Fraction
+        return Fraction(*self.min_slack_ratio(graph))
 
     def equals_degree_profile(self, graph: Graph) -> bool:
         """True when g[i][v] = d(v)/nd exactly everywhere (the HOM identity)."""
@@ -444,9 +455,9 @@ def copy_ledger(
     in 1..Delta (candidate-set sizes, or floors d(v)-t+1), so both tables sum
     over the one denominator nd * lcm(1..Delta)^(t-1), fixed before the pass.
     """
-    # only the copy pass needs counting: the sampler, the Monte Carlo table
-    # and the HOM table run without loading it
-    from .counting import _Budget, _leaf_block, _too_deep
+    # only the copy pass needs the search helpers: the sampler, the Monte
+    # Carlo table and the HOM table run without loading them
+    from ._search import _Budget, _leaf_block, _too_deep
 
     labeling.validate(tree)
     t = tree.t

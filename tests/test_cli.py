@@ -1,4 +1,6 @@
 import errno
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -21,7 +23,7 @@ from treebound.conjecture import (
     conjecture_to_json,
 )
 from treebound.families import gen_cycle, gen_disjoint_cliques, gen_random_min_degree
-from treebound.graphs import Graph, path_tree, serialize_graph
+from treebound.graphs import Graph, path_tree, serialize_graph, serialize_tree
 
 
 # Seeded sampler payloads on K4/P3, pinned: a changed random call, call
@@ -498,6 +500,42 @@ class TestInputs:
         ]
         assert [e["result"]["count"] for e in envelopes] == ["24", "24"]
         assert envelopes[0]["inputs"]["tree"]["sha256"] == envelopes[1]["inputs"]["tree"]["sha256"]
+
+    # runs main in a child; "fallback" hides the built-in SHA-256 modules
+    # first, so the digests take hashlib's, and whether hashlib was loaded
+    # ends stderr
+    DIGEST_CHILD = """
+import json, sys
+if sys.argv[1] == "fallback":
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from treebound.cli import main
+code = main(sys.argv[2:])
+print(json.dumps("hashlib" in sys.modules), file=sys.stderr)
+sys.exit(code)
+"""
+
+    def test_input_digests_are_sha256_of_the_normalized_text(self, tmp_path):
+        graph = serialize_graph(gen_disjoint_cliques(1, 4))
+        crlf = tmp_path / "k4-crlf.txt"
+        crlf.write_bytes(self.BOM + graph.replace("\n", "\r\n").encode())
+        argv = ["count", "--graph", str(crlf), "--tree", "path:4"]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        builtin = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+        outputs = {}
+        for path in ("builtin", "fallback"):
+            child = subprocess.run(
+                [sys.executable, "-S", "-c", self.DIGEST_CHILD, path, *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert child.returncode == 0, child.stderr
+            outputs[path] = child.stdout
+            hashlib_loaded = json.loads(child.stderr.splitlines()[-1])
+            assert hashlib_loaded == (path == "fallback" or not builtin)
+            inputs = json.loads(child.stdout)["inputs"]
+            assert inputs["graph"]["sha256"] == hashlib.sha256(graph.encode()).hexdigest()
+            tree = serialize_tree(path_tree(4)).encode()
+            assert inputs["tree"]["sha256"] == hashlib.sha256(tree).hexdigest()
+        assert _timeless(outputs["builtin"]) == _timeless(outputs["fallback"])
 
     def test_bom_file_with_a_bad_byte_keeps_its_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

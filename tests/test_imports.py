@@ -2,12 +2,17 @@
 
 A CLI run is a fresh process that compiles every module it imports when no
 bytecode cache is written, so each command must load only what it runs,
-and none loads ``dataclasses`` (with ``inspect`` behind it).
-The budget tests run ``treebound.cli.main`` in a child process and read
-``sys.modules`` afterwards.  The test oracles, which the benchmark's checks
+and none loads ``dataclasses`` (with ``inspect`` behind it).  The standard
+library has a budget too: no command loads ``hashlib`` (OpenSSL) where the
+interpreter has a built-in SHA-256, and only the conjecture scanner loads
+``fractions`` (with ``decimal`` and ``numbers``).
+The budget tests run ``treebound.cli.main`` in a ``python -S`` child, so
+no site-packages start-up hook imports anything, and read ``sys.modules``
+afterwards.  The test oracles, which the benchmark's checks
 import too, need only the standard library.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -47,10 +52,15 @@ SUBMODULES = (
 )
 
 
-def run_child(code: str, *argv: str) -> list:
+# hashlib is avoidable only where the interpreter has its own SHA-256
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+def run_child(code: str, *argv: str, flags: tuple[str, ...] = ()) -> list:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     child = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *flags, "-c", code, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout.splitlines()[-1])
@@ -142,7 +152,10 @@ from treebound.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("treebound"))
-print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
+stdlib = sorted(
+    {"dataclasses", "hashlib", "_hashlib", "fractions", "decimal", "numbers"} & set(sys.modules)
+)
+print(json.dumps([code, loaded, stdlib]))
 """
     BASE = {"treebound", "treebound.cli", "treebound.errors", "treebound.formats", "treebound.graphs"}
 
@@ -155,26 +168,31 @@ print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
     @pytest.mark.parametrize(
         "argv, extra",
         [
-            (["count", "--graph", "{g}", "--tree", "star:3"], {"counting"}),
-            (["hom", "--graph", "{g}", "--tree", "path:3"], {"counting"}),
-            (["walks", "--graph", "{g}", "--length", "3"], {"counting"}),
+            # counting takes its work cap from _search, so every counting
+            # command loads it
+            (["count", "--graph", "{g}", "--tree", "star:3"], {"counting", "_search"}),
+            (["hom", "--graph", "{g}", "--tree", "path:3"], {"counting", "_search"}),
+            (["walks", "--graph", "{g}", "--length", "3"], {"counting", "_search"}),
             (["gen", "cycle", "5"], {"families"}),
             (["gen", "random", "12", "0.5", "4", "0"], {"families"}),
             (["bounds", "--graph", "{g}", "--t", "3"], {"bounds"}),
             (["conjecture", "--family", "cliques", "--n", "4", "--t", "3", "--trials", "2",
-              "--seed", "0", "--min-degree", "3"], {"bounds", "conjecture", "counting", "families"}),
+              "--seed", "0", "--min-degree", "3"],
+             {"bounds", "conjecture", "counting", "families", "_search"}),
             (["conjecture", "--family", "random", "--n", "12", "--t", "3", "--trials", "2",
-              "--seed", "0", "--min-degree", "4"], {"bounds", "conjecture", "counting", "families"}),
+              "--seed", "0", "--min-degree", "4"],
+             {"bounds", "conjecture", "counting", "families", "_search"}),
             (["sample", "--graph", "{g}", "--tree", "path:3", "--samples", "20", "--seed", "0"],
              {"measure"}),
             (["gtable", "--graph", "{g}", "--tree", "path:3", "--measure", "P",
               "--samples", "20", "--seed", "0"], {"measure"}),
             (["gtable", "--graph", "{g}", "--tree", "path:3", "--measure", "Pprime"],
              {"measure"}),
+            # the copy ledger's search runs without counting
             (["gtable", "--graph", "{g}", "--tree", "path:3", "--measure", "P"],
-             {"counting", "measure"}),
+             {"measure", "_search"}),
             (["verify", "--graph", "{g}", "--tree", "path:3"],
-             {"bounds", "checks", "counting", "measure"}),
+             {"bounds", "checks", "measure", "_search"}),
         ],
         ids=["count", "hom", "walks", "gen", "gen-random", "bounds", "conjecture",
              "conjecture-random", "sample",
@@ -182,11 +200,17 @@ print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
     )
     def test_command_loads_only_what_it_runs(self, k4_file, argv, extra):
         argv = [arg.format(g=k4_file) for arg in argv]
-        code, loaded, dataclasses_loaded = run_child(self.CLI_CHILD, *argv)
+        code, loaded, stdlib = run_child(self.CLI_CHILD, *argv, flags=("-S",))
         assert code == 0
         assert set(loaded) == self.BASE | {f"treebound.{name}" for name in extra}
         # the value types define their methods without the dataclasses machinery
-        assert not dataclasses_loaded
+        assert "dataclasses" not in stdlib
+        if BUILTIN_SHA256:
+            # the input digests take the built-in SHA-256, not OpenSSL's
+            assert not {"hashlib", "_hashlib"} & set(stdlib)
+        if argv[0] != "conjecture":
+            # payload rationals are formatted from integer pairs
+            assert not {"fractions", "decimal", "numbers"} & set(stdlib)
 
     def test_package_import_loads_no_submodule_until_used(self):
         code = """

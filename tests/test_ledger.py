@@ -49,7 +49,7 @@ from tests.oracles import (
     reversed_labeling,
     search_nodes_by_permutations,
 )
-from treebound import counting, measure
+from treebound import _search, counting, measure
 from treebound.bounds import evaluate_bounds
 from treebound.checks import instance_report
 from treebound.errors import WorkCapExceeded
@@ -417,7 +417,7 @@ def test_ledger_block_is_the_count_block(rng, t):
     tree = random_tree(rng, t)
     first, last = rng.sample(tree.leaves, 2)
     graph = gen_disjoint_cliques(1, t + 1)
-    original = counting._leaf_block
+    original = _search._leaf_block
     for labeling in (good_labeling(tree, first), good_labeling_between(tree, first, last)):
         starts = []
 
@@ -427,8 +427,8 @@ def test_ledger_block_is_the_count_block(rng, t):
             return block
 
         with pytest.MonkeyPatch.context() as patch:
-            # copy_ledger reads counting's _leaf_block when it runs
-            patch.setattr(counting, "_leaf_block", recorded)
+            # both passes read _search's _leaf_block when they run
+            patch.setattr(_search, "_leaf_block", recorded)
             counted = counting.count_copies(graph, tree, labeling)
             ledger = copy_ledger(graph, tree, labeling)
         # one block, past slot 1, so both searches charge the same nodes

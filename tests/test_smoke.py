@@ -78,6 +78,16 @@ def first_error_line_starts(prefix: str):
     return lambda out, err: err.splitlines()[0].startswith(prefix)
 
 
+def usage_error(usage: str, message: str):
+    """Nothing on stdout, and the invoked subcommand's usage line, then its
+    error, on stderr."""
+    def check(out, err):
+        lines = err.splitlines()
+        prog = usage.split(" [")[0]
+        return out == "" and lines[0] == f"usage: {usage}" and lines[-1] == f"{prog}: {message}"
+    return check
+
+
 def verify_passes_all_120(out, err):
     r = result(out)
     return r["allPassed"] is True and r["chain"]["omegaCount"] == "120"
@@ -149,9 +159,15 @@ CASES = [
      {"TREEBOUND_WORK_CAP": "7337121"}, 0, None),
     ("walks-k3-20000", "walks --graph {k3} --length 20000", None, 0, walks_k3_past_the_digit_limit),
     # bounds has no --k: the induced-degree bound it fed is gone, so --k is a
-    # usage error (exit 2)
-    ("bounds-k4-t3-k3", "bounds --graph {k4} --t 3 --k 3", None, 2,
-     lambda out, err: out == "" and "error: unrecognized arguments: --k 3" in err),
+    # usage error (exit 2), reported with the usage of bounds, as is a gen
+    # family's leftover argument with that family's (COLUMNS keeps each usage
+    # on one line)
+    ("bounds-k4-t3-k3", "bounds --graph {k4} --t 3 --k 3", {"COLUMNS": "80"}, 2, usage_error(
+        "treebound bounds [-h] [--format {json,csv}] --graph GRAPH --t T",
+        "error: unrecognized arguments: --k 3")),
+    ("gen-cycle-extra", "gen cycle 5 6", {"COLUMNS": "80"}, 2, usage_error(
+        "treebound gen cycle [-h] [--format {json,csv}] [-o OUTPUT] n",
+        "error: unrecognized arguments: 6")),
     # On K4 at t = 3 every floor d(v) - t + 1 is 1, so the three copy bounds are
     # ln 12; the hom and walk bounds are ln 108 and the falling factorial ln 24.
     ("bounds-k4-t3", "bounds --graph {k4} --t 3", None, 0, result_is(
