@@ -8,13 +8,8 @@ the step a suite row reads them from, measure._instance_tables.  Only
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .formats import format_log, format_rational
 from .graphs import Graph, Tree, _value_type, good_labeling
-
-if TYPE_CHECKING:
-    from .measure import ChainReport
 
 __all__ = ["CheckResult", "instance_report"]
 
@@ -33,7 +28,7 @@ def instance_report(
 ) -> tuple[list[CheckResult], ChainReport | None]:
     """Run every asserted measure/bound invariant on one (graph, tree) pair.
 
-    Returns the checks and the chain report (None below the min-degree
+    Returns the checks and measure's ChainReport (None below the min-degree
     hypothesis), fed by the suite row's step, _instance_tables: one copy
     pass (copy_ledger) and the propagated HOM g-table.  Checks needing the
     hypothesis are skipped (passed=None) when the graph misses it;

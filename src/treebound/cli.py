@@ -8,6 +8,11 @@ seeds reproduce the payload bit for bit (elapsed time excluded).  CSV
 output prints the payload as a flat table on stdout and moves the envelope
 metadata to stderr.
 
+``main`` reads a well-formed ``COMMAND --flag VALUE ...`` line for any
+command but gen straight from the command table ``_COMMANDS``; every other
+line (help, usage errors, gen, ``--flag=value``, an abbreviated flag) goes
+to the argparse parser that ``_parser`` builds from the same table.
+
 ``main`` reads the inputs before it runs a command: ``--graph`` and then
 ``--tree``, each when the command has the option and it is given.  A tree
 is a file or one of the presets path:T / star:T.  Input files are UTF-8
@@ -29,12 +34,11 @@ with ``os._exit``, without interpreter teardown.  No output is lost, but
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
-from pathlib import Path
+from types import SimpleNamespace
 
 # Every command needs these; each handler imports the rest of what it runs,
 # so a command loads (and compiles, without a bytecode cache) no more.
@@ -93,7 +97,8 @@ def _read_input(option: str, source: str, parse):
     the file, and a FormatError from bytes that are not UTF-8 or from the
     parser, name the option and the file."""
     try:
-        text = _decode(Path(source).read_bytes())
+        with open(source, "rb") as file:
+            text = _decode(file.read())
         return text, parse(text)
     except OSError as exc:
         raise OSError(f"{option} {source}: {exc.strerror}") from None
@@ -325,7 +330,8 @@ def _cmd_gen(args, graph, tree):
     if args.output:
         # an output path that cannot be written is a usage error, not a bad input file
         try:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as file:
+                file.write(text)
         except OSError as exc:
             raise ValueError(f"--output {args.output}: {exc.strerror}") from None
         payload["path"] = args.output
@@ -336,26 +342,30 @@ def _cmd_gen(args, graph, tree):
 
 
 _TREE_HELP = "tree file, or path:T / star:T"
+_FORMAT = ("--format", {"choices": ["json", "csv"], "default": "json"})
 _GRAPH = ("--graph", {"required": True})
 _TREE = ("--tree", {"required": True, "help": _TREE_HELP})
 
-# subcommand -> (handler, help, its options after --format as (flag, add_argument
-# keywords)); gen has no --format of its own, its families have
+# subcommand -> (handler, help, its options as (flag, add_argument keywords));
+# gen has no --format of its own, its families have
 _COMMANDS = {
-    "count": (_cmd_count, "exact injective copy count", [_GRAPH, _TREE]),
-    "hom": (_cmd_hom, "exact homomorphism count", [_GRAPH, _TREE]),
+    "count": (_cmd_count, "exact injective copy count", [_FORMAT, _GRAPH, _TREE]),
+    "hom": (_cmd_hom, "exact homomorphism count", [_FORMAT, _GRAPH, _TREE]),
     "walks": (
-        _cmd_walks, "exact walk count", [_GRAPH, ("--length", {"type": int, "required": True})]
+        _cmd_walks,
+        "exact walk count",
+        [_FORMAT, _GRAPH, ("--length", {"type": int, "required": True})],
     ),
     "bounds": (
         _cmd_bounds,
         "evaluate all lower bounds in log space",
-        [_GRAPH, ("--t", {"type": int, "required": True})],
+        [_FORMAT, _GRAPH, ("--t", {"type": int, "required": True})],
     ),
     "gtable": (
         _cmd_gtable,
         "per-index vertex weight table",
         [
+            _FORMAT,
             _GRAPH,
             _TREE,
             ("--measure", {"choices": ["P", "p", "Pprime"], "required": True}),
@@ -367,17 +377,19 @@ _COMMANDS = {
         _cmd_sample,
         "draw embeddings from the process",
         [
+            _FORMAT,
             _GRAPH,
             _TREE,
             ("--samples", {"type": int, "required": True}),
             ("--seed", {"type": int, "required": True}),
         ],
     ),
-    "verify": (_cmd_verify, "run all instance invariants", [_GRAPH, _TREE]),
+    "verify": (_cmd_verify, "run all instance invariants", [_FORMAT, _GRAPH, _TREE]),
     "conjecture": (
         _cmd_conjecture,
         "scan the falling-factorial bound",
         [
+            _FORMAT,
             ("--family", {"choices": ["cliques", "random"], "required": True}),
             ("--n", {"type": int, "required": True}),
             ("--t", {"type": int, "required": True}),
@@ -392,78 +404,44 @@ _COMMANDS = {
 }
 
 
-def _named(argv: list[str] | None, names) -> set:
-    """Which of ``names`` get their arguments: all of them without an argv,
-    else the first of them in argv, if any.  That is the one argparse hands
-    the rest of argv to, since every token before its first positional starts
-    with "-" and so is no name."""
-    if argv is None:
-        return set(names)
-    first = next((arg for arg in argv if arg in names), None)
-    return set() if first is None else {first}
+def _table_args(argv: list[str]) -> SimpleNamespace | None:
+    """argv parsed from the command table, or None for argparse to parse.
+    The table reads one shape: a command other than gen, then (flag, value)
+    pairs, each flag one of the command's own, given once, with no value
+    that starts with "-"; each value converts with its option's type and is
+    one of its choices, and every required flag is given.  The namespace is
+    the one argparse gives, without ``_parser``."""
+    if not argv or argv[0] == "gen" or argv[0] not in _COMMANDS:
+        return None
+    options = dict(_COMMANDS[argv[0]][2])
+    flags, values = argv[1::2], argv[2::2]
+    given = dict(zip(flags, values))
+    if (len(flags) != len(values) or len(given) != len(flags) or not given.keys() <= options.keys()
+            or any(value.startswith("-") for value in values)):
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for flag, keywords in options.items():
+        if flag in given:
+            try:
+                value = keywords.get("type", str)(given[flag])
+            except ValueError:
+                return None
+            if value not in keywords.get("choices", [value]):
+                return None
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default")
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but the help's write to stdout lets an OSError
-    out: argparse swallows it, and with an unbuffered stdout
-    (PYTHONUNBUFFERED) a reader that is gone would lose the help with exit 0.
-    Subparsers are made of the parser's class, so every level gets this.
-    Leftover arguments get the usage of the invoked ``_parser``, not the top's."""
+def build_parser():
+    """The CLI's argparse parser.  It lives in ``_parser``, which only a
+    command line that the table does not read imports."""
+    from ._parser import build_parser
 
-    def print_help(self, file=None):
-        (sys.stdout if file is None else file).write(self.format_help())
-
-    def parse_args(self, args=None, namespace=None):
-        parsed, extras = self.parse_known_args(args, namespace)
-        if extras:
-            getattr(parsed, "_parser", self).error(f"unrecognized arguments: {' '.join(extras)}")
-        return parsed
-
-
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser.  Every subcommand and gen family is registered with
-    its name and help, so the top-level help and the invalid-choice errors
-    are always the full parser's; given ``argv``, only the subcommand (and
-    gen family) that argv names gets its arguments, which is all that
-    parsing argv reads."""
-    parser = _Parser(
-        prog="treebound",
-        description="Count tree copies in graphs and check the bounds they satisfy.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    built = _named(argv, _COMMANDS)
-    for name, (_, help, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help)
-        if name not in built:
-            continue
-        p.set_defaults(_parser=p)
-        if name == "gen":
-            _add_gen_families(p, None if argv is None else argv[argv.index(name) + 1 :])
-            continue
-        _with_format(p)
-        for flag, keywords in options:
-            p.add_argument(flag, **keywords)
-    return parser
-
-
-def _with_format(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    return p
-
-
-def _add_gen_families(gen: argparse.ArgumentParser, argv: list[str] | None) -> None:
-    families = gen.add_subparsers(dest="family", required=True)
-    built = _named(argv, _GEN_FAMILIES)
-    for family, (_, arguments) in _GEN_FAMILIES.items():
-        q = families.add_parser(family)
-        if family not in built:
-            continue
-        q.set_defaults(_parser=q)
-        _with_format(q).add_argument("-o", "--output", default=None)
-        for name, type_, _ in arguments:
-            q.add_argument(name, type=type_)
-        if family == "random":
-            q.add_argument("--max-tries", type=int, default=1000)
+    return build_parser()
 
 
 def _emit(args, argv, inputs, payload, header, rows, elapsed) -> None:
@@ -484,9 +462,8 @@ def _emit(args, argv, inputs, payload, header, rows, elapsed) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _table_args(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except BrokenPipeError:

@@ -67,11 +67,11 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from functools import cache, reduce
 from itertools import chain, repeat
 from operator import sub
-from typing import Iterator, Sequence
 
 from .formats import format_count, format_log
 from .graphs import GoodLabeling, Graph, Tree, _check_vertex, _value_type

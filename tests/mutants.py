@@ -38,6 +38,7 @@ SEARCH = ("tests/test_counting.py", "tests/test_ledger.py")
 SAMPLER = ("tests/test_measure.py",)
 SUITE = ("tests/test_harness.py",)
 DIGEST = ("tests/test_cli.py::TestInputs", "tests/test_smoke.py")
+PARSE = ("tests/test_cli.py::TestParser",)
 
 # (name, file under src/treebound, exact snippet, replacement, tests that must fail)
 MUTANTS = [
@@ -89,6 +90,13 @@ MUTANTS = [
      'return sha256(text.strip().encode("utf-8")).hexdigest()', DIGEST),
     ("digest-fallback", "cli.py",
      "from hashlib import sha256", "from hashlib import sha1 as sha256", DIGEST),
+    # the command table's parse reads only what argparse reads the same way
+    ("table-takes-dash-values", "cli.py",
+     'or any(value.startswith("-") for value in values)', "", PARSE),
+    ("table-skips-choices", "cli.py",
+     'if value not in keywords.get("choices", [value]):', "if False:", PARSE),
+    ("table-skips-required", "cli.py", 'elif keywords.get("required"):', "elif False:", PARSE),
+    ("table-takes-repeated-flags", "cli.py", "len(given) != len(flags)", "False", PARSE),
 ]
 
 

@@ -1,6 +1,8 @@
+import contextlib
 import errno
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -8,14 +10,17 @@ import re
 import subprocess
 import sys
 from decimal import Decimal
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tests.entries import ENTRIES, fail_first_check
 from treebound import checks
 from treebound.checks import instance_report
-from treebound.cli import build_parser, main
+from treebound.cli import _COMMANDS, _table_args, build_parser, main
 from treebound.conjecture import (
     ConjectureScanConfig,
     conjecture_scan,
@@ -634,8 +639,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["count", "conjecture"])
     def test_empty_tree_name_is_read_as_a_file(self, capsys, k4_file, command):
-        # '' names the working directory, not "no tree": conjecture does not
-        # fall back to its default path
+        # '' is a file name that no file has, not "no tree": conjecture does
+        # not fall back to its default path
         if command == "count":
             argv = ["count", "--graph", k4_file]
         else:
@@ -726,9 +731,65 @@ class TestExitCodes:
         assert captured.err == f"error: --output {out}: {reason}\n"
 
 
+# values the command table must leave to argparse, or must read as it does:
+# a negative number, a flag, an empty name, digit groups, an exponent and a
+# leading space
+ODD_VALUES = ["-1", "--graph", "", "3_0", "1e3", " 5"]
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, well_formed): a well-formed command line of a table command
+    other than gen, its flags in any order, or one perturbed by an odd
+    value, a repeated flag, an abbreviation, --flag=value, an extra token or
+    a dropped flag."""
+    command = draw(st.sampled_from([name for name in _COMMANDS if name != "gen"]))
+    options = dict(_COMMANDS[command][2])
+    flags = [flag for flag, keywords in options.items()
+             if keywords.get("required") or draw(st.booleans())]
+    pairs = [[flag, draw(well_formed_value(options[flag]))]
+             for flag in draw(st.permutations(flags))]
+    odd = st.sampled_from(ODD_VALUES + list(options))
+    change = draw(st.sampled_from(
+        [None, "value", "repeat", "abbreviate", "equals", "extra", "drop"]))
+    # every command but gen has a required flag, so there is a pair to change
+    i = draw(st.integers(0, len(pairs) - 1))
+    flag = pairs[i][0]
+    if change == "value":
+        pairs[i][1] = draw(odd)
+    elif change == "repeat":
+        pairs.insert(draw(st.integers(0, len(pairs))), [flag, draw(odd)])
+    elif change == "abbreviate" and len(flag) > 3:
+        pairs[i][0] = flag[: draw(st.integers(3, len(flag) - 1))]
+    elif change == "equals":
+        pairs[i] = [f"{flag}={pairs[i][1]}"]
+    elif change == "extra":
+        pairs.insert(draw(st.integers(0, len(pairs))), [draw(odd)])
+    elif change == "drop":
+        del pairs[i]
+    else:
+        change = None
+    return [command, *(token for pair in pairs for token in pair)], change is None
+
+
+def well_formed_value(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if keywords.get("type") is int:
+        return st.integers(0, 10**6).map(str)
+    if keywords.get("type") is float:
+        return st.floats(0, 10.0).map(str)
+    return st.text(max_size=6).filter(lambda value: not value.startswith("-"))
+
+
+@cache
+def full_parser():
+    return build_parser()
+
+
 class TestParser:
-    """The parser build_parser(argv) narrows to argv's subcommand reads argv
-    as the full build_parser() does."""
+    """main reads a well-formed command line from the command table, as the
+    full argparse parser reads it, and hands every other one to that parser."""
 
     COMMANDS = ["count", "hom", "walks", "bounds", "gtable", "sample", "verify", "conjecture", "gen"]
     FAMILIES = ["cliques", "cycle", "complete-bipartite", "random"]
@@ -746,10 +807,11 @@ class TestParser:
     )
     def test_help_is_the_full_parsers(self, capsys, prefix):
         argv = [*prefix, "--help"]
-        code, out, err = self.parse(build_parser(argv), argv, capsys)
-        assert (code, err) == (0, "")
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
         assert out.startswith(f"usage: {' '.join(['treebound', *prefix])} ")
-        assert out == self.parse(build_parser(), argv, capsys)[1]
+        assert (0, out, err) == self.parse(build_parser(), argv, capsys)
 
     @pytest.mark.parametrize(
         "argv",
@@ -769,21 +831,33 @@ class TestParser:
              "option-before-command"],
     )
     def test_bad_argv_errors_as_the_full_parser(self, capsys, argv):
-        code, out, err = self.parse(build_parser(argv), argv, capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("usage: treebound")
-        assert (code, out, err) == self.parse(build_parser(), argv, capsys)
         assert main(argv) == 2
-        assert capsys.readouterr() == (out, err)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: treebound")
+        assert (2, out, err) == self.parse(build_parser(), argv, capsys)
 
-    def test_only_the_named_subcommand_gets_arguments(self, capsys):
-        code, out, _ = self.parse(build_parser(["count"]), ["hom", "--help"], capsys)
-        assert code == 0
-        assert "--graph" not in out
-        assert "--graph" in self.parse(build_parser(["hom"]), ["hom", "--help"], capsys)[1]
-        code, _, err = self.parse(build_parser(["gen", "cycle"]), ["gen", "random", "1"], capsys)
-        assert code == 2
-        assert "unrecognized arguments: 1" in err
+    # one line argparse rejects for each check of the table's, whatever the draws
+    @example((["bounds", "--t", "1e3", "--graph", "g", "--t", "5"], False))
+    @example((["count", "--graph", "--tree", "--tree", "path:2"], False))
+    @example((["gtable", "--graph", "g", "--tree", "path:2", "--measure", "3_0"], False))
+    @example((["walks", "--length", "5"], False))
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_table_reads_argv_as_argparse_does(self, drawn):
+        argv, well_formed = drawn
+        table = _table_args(argv)
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                parsed = vars(full_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+        else:
+            del parsed["_parser"]
+        if well_formed:
+            assert table is not None
+        if table is not None:
+            assert vars(table) == parsed
 
 
 class TestEntryPoint:

@@ -4,8 +4,10 @@ A CLI run is a fresh process that compiles every module it imports when no
 bytecode cache is written, so each command must load only what it runs,
 and none loads ``dataclasses`` (with ``inspect`` behind it).  The standard
 library has a budget too: no command loads ``hashlib`` (OpenSSL) where the
-interpreter has a built-in SHA-256, and only the conjecture scanner loads
-``fractions`` (with ``decimal`` and ``numbers``).
+interpreter has a built-in SHA-256, only the conjecture scanner loads
+``fractions`` (with ``decimal`` and ``numbers``), only ``gen`` and help load
+``argparse`` (with ``gettext`` and ``locale``), and none loads ``pathlib``
+or ``typing``.
 The budget tests run ``treebound.cli.main`` in a ``python -S`` child, so
 no site-packages start-up hook imports anything, and read ``sys.modules``
 afterwards.  The test oracles, which the benchmark's checks
@@ -152,9 +154,10 @@ from treebound.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("treebound"))
-stdlib = sorted(
-    {"dataclasses", "hashlib", "_hashlib", "fractions", "decimal", "numbers"} & set(sys.modules)
-)
+stdlib = sorted({
+    "dataclasses", "hashlib", "_hashlib", "fractions", "decimal", "numbers",
+    "argparse", "gettext", "locale", "pathlib", "typing",
+} & set(sys.modules))
 print(json.dumps([code, loaded, stdlib]))
 """
     BASE = {"treebound", "treebound.cli", "treebound.errors", "treebound.formats", "treebound.graphs"}
@@ -173,8 +176,9 @@ print(json.dumps([code, loaded, stdlib]))
             (["count", "--graph", "{g}", "--tree", "star:3"], {"counting", "_search"}),
             (["hom", "--graph", "{g}", "--tree", "path:3"], {"counting", "_search"}),
             (["walks", "--graph", "{g}", "--length", "3"], {"counting", "_search"}),
-            (["gen", "cycle", "5"], {"families"}),
-            (["gen", "random", "12", "0.5", "4", "0"], {"families"}),
+            # gen, and only gen, is parsed by argparse on a well-formed line
+            (["gen", "cycle", "5"], {"families", "_parser"}),
+            (["gen", "random", "12", "0.5", "4", "0"], {"families", "_parser"}),
             (["bounds", "--graph", "{g}", "--t", "3"], {"bounds"}),
             (["conjecture", "--family", "cliques", "--n", "4", "--t", "3", "--trials", "2",
               "--seed", "0", "--min-degree", "3"],
@@ -193,10 +197,12 @@ print(json.dumps([code, loaded, stdlib]))
              {"measure", "_search"}),
             (["verify", "--graph", "{g}", "--tree", "path:3"],
              {"bounds", "checks", "measure", "_search"}),
+            (["verify", "--help"], {"_parser"}),
         ],
         ids=["count", "hom", "walks", "gen", "gen-random", "bounds", "conjecture",
              "conjecture-random", "sample",
-             "gtable-monte-carlo", "gtable-exact-hom", "gtable-exact-copies", "verify"],
+             "gtable-monte-carlo", "gtable-exact-hom", "gtable-exact-copies", "verify",
+             "verify-help"],
     )
     def test_command_loads_only_what_it_runs(self, k4_file, argv, extra):
         argv = [arg.format(g=k4_file) for arg in argv]
@@ -211,6 +217,13 @@ print(json.dumps([code, loaded, stdlib]))
         if argv[0] != "conjecture":
             # payload rationals are formatted from integer pairs
             assert not {"fractions", "decimal", "numbers"} & set(stdlib)
+        # argparse parses only the lines the command table does not read:
+        # gen's and help; no command loads pathlib or typing
+        if argv[0] == "gen" or "--help" in argv:
+            assert "argparse" in stdlib
+        else:
+            assert not {"argparse", "gettext", "locale"} & set(stdlib)
+        assert not {"pathlib", "typing"} & set(stdlib)
 
     def test_package_import_loads_no_submodule_until_used(self):
         code = """

@@ -4,8 +4,10 @@
 standard library fails here; pyproject declares ``dependencies = []``.  The
 child gets only ``src`` on its path, and every case pins its exit code and,
 where it has one, its output.  Two more cases run through the other process
-entries, ``python -S -m treebound.cli`` and the console script.  CI runs
-this file once more on each Python of its matrix.
+entries, ``python -S -m treebound.cli`` and the console script, and three
+command lines that only argparse reads print the bytes of their plain twins,
+which the command table reads.  CI runs this file once more on each Python
+of its matrix.
 """
 
 import json
@@ -248,3 +250,25 @@ def test_pinned_run(files, entry, argv, env, code, check):
     assert child.returncode == code, child.stderr
     if check:
         assert check(child.stdout, child.stderr), (child.stdout, child.stderr)
+
+
+# (id, a command line only argparse reads, its plain twin, which the command
+# table reads): the two children print the same bytes
+SPELLINGS = [
+    ("format-equals", "bounds --graph {k4} --t 3 --format=csv",
+     "bounds --graph {k4} --t 3 --format csv"),
+    ("abbreviated-flag", "count --gra {k4} --tree path:3 --format csv",
+     "count --graph {k4} --tree path:3 --format csv"),
+    ("repeated-flag", "verify --graph {missing} --graph {k4} --tree path:3 --format csv",
+     "verify --graph {k4} --tree path:3 --format csv"),
+]
+
+
+@pytest.mark.parametrize("spelled, plain", [case[1:] for case in SPELLINGS],
+                         ids=[case[0] for case in SPELLINGS])
+def test_spelling_prints_its_plain_twins_bytes(files, spelled, plain):
+    spelled_child, plain_child = (
+        treebound(*(arg.format(**files) for arg in argv.split())) for argv in (spelled, plain)
+    )
+    assert (spelled_child.returncode, plain_child.returncode) == (0, 0), spelled_child.stderr
+    assert spelled_child.stdout == plain_child.stdout
