@@ -10,30 +10,25 @@ Reports persist as flat CSV (fixed columns, see suite_csv_columns) and as
 nested JSON carrying a schemaVersion field; exact rationals serialize as
 "numerator/denominator" strings and logs as doubles with 15 significant
 digits.  Each report has one writer: a row's JSON record holds its values,
-and the CSV passes the same values to formats.csv_table, which formats
-every cell.  A suite row and instance_report read one instance's copy
-ledger and HOM table from the same step, measure._instance_tables.
+and the CSV is that record flattened in column order, each cell formatted
+by formats.csv_table.  A suite row and instance_report read one instance's
+copy ledger and HOM table from the same step, measure._instance_tables.
 
-run_suite computes each instance once per process: a bounded LRU cache,
-keyed by value on (graph, tree, work_cap), keeps the finished fields of the
-last _ROW_CACHE_SIZE (128) instances, and a row is built from them, its
-config's names and a fresh g_tables dict of shared, immutable GTables.  Error
-rows are never cached, since an error can follow process state (the recursion
-limit); _finished_row.cache_clear() empties the cache.  Each instance is also
-rendered once: a cache slot keeps, next to the fields and g-tables, a render
-memo that the writers fill the first time they write a row read from the
-cache, with its CSV values and JSON record without the two names, and each
-of its g-tables' JSON.  Rows computed in the call, hand-built rows and error
-rows carry no memo and are rendered from their fields.  The writers put the
-names and new containers around what the memo keeps, so no report shares a
-dict or list with another.
+run_suite computes and renders each instance once per process: a bounded
+LRU cache, keyed by value on (graph, tree, work_cap), keeps the last
+_ROW_CACHE_SIZE (128) instances' finished fields, g-tables and JSON record,
+rendered when the instance first completes.  Each row gets its config's
+names, a fresh g_tables dict of the shared, immutable GTables and the
+record; each GTable renders its JSON cells once.  Error rows are never
+cached, since an error can follow process state (the recursion limit).  The
+writers put the names and new containers around what is kept, so no report
+shares a dict or list with another.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, compare_count_to_bound, evaluate_bounds
 from .counting import count_copies, count_homomorphisms, count_walks
@@ -46,11 +41,6 @@ from .families import (
 )
 from .formats import SCHEMA_VERSION, _fraction_text, _or_none, csv_table, format_count, format_log
 from .graphs import Graph, Tree, _value_type, good_labeling, path_tree, star_tree
-
-# measure is imported where it is used, so that setting up a suite does
-# not load it
-if TYPE_CHECKING:
-    from .measure import GTable
 
 __all__ = [
     "SuiteConfig",
@@ -97,10 +87,10 @@ class RowBound:
 class SuiteRow:
     """One (graph, tree) row of run_suite.  Rows of equal instances share
     their field values, which are immutable; g_tables is each row's own dict
-    of the shared GTables, or None, and equality ignores it.  A row read from
-    the row cache also carries its slot's render memo, a private attribute
-    outside the fields: equality, hash and repr do not see it, and a row
-    built by hand from the same values writes the same reports."""
+    of the shared GTables, or None, and equality ignores it.  An error-free
+    row from run_suite also carries its instance's JSON record, a private
+    attribute that equality, hash and repr do not see; a row built by hand
+    from the same values is rendered from its fields to the same reports."""
 
     graph_name: str
     tree_name: str
@@ -156,24 +146,10 @@ _ROW_CACHE_SIZE = 128
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _finished_row(graph: Graph, tree: Tree, work_cap: int | None) -> list:
     """The row cache's slot for one instance, found by value: empty until a
-    row of it completes without error, then [(fields, g-tables, memo)], where
-    the fields are every SuiteRow field but the two names and g_tables, and
-    the memo is the instance's _Rendered."""
+    row of it completes without error, then [(fields, g-tables, record)],
+    where the fields are every SuiteRow field but the two names and
+    g_tables, and the record is _suite_record of that first row."""
     return []
-
-
-class _Rendered:
-    """One cached instance's rendering, filled by the writers the first time
-    they write a row read from the cache: its CSV values and its JSON record,
-    both without the two names, and the JSON of each of the slot's g-tables
-    by key.  The writers copy the record and table JSON on the way out."""
-
-    __slots__ = ("tables", "values", "record", "table_json")
-
-    def __init__(self, tables: dict):
-        self.tables = tables
-        self.values = self.record = None
-        self.table_json: dict[str, dict] = {}
 
 
 def _instance_fields(
@@ -231,37 +207,37 @@ def _build_row(
     shared: tuple | None = None,
 ) -> SuiteRow:
     slot = _finished_row(graph, tree, work_cap)
-    rendered = None
     if slot:
-        fields, tables, rendered = slot[0]
+        fields, tables, record = slot[0]
     else:
         fields, tables = _instance_fields(graph, tree, work_cap, shared)
-        # an error can follow process state (the recursion limit), so it is made again
-        if "error" not in fields:
-            slot.append((fields, tables, _Rendered(tables)))
+        record = None
     row = SuiteRow(
         graph_name=graph_name,
         tree_name=tree_name,
         g_tables=(dict(tables) or None) if include_gtables else None,
         **fields,
     )
-    # only a row read from the cache gets the memo: an instance that never recurs keeps none
-    if rendered is not None:
-        object.__setattr__(row, "_rendered", rendered)
+    # an error can follow process state (the recursion limit), so it is made again
+    if "error" not in fields:
+        if record is None:
+            record = _suite_record(row)
+            slot.append((fields, tables, record))
+        object.__setattr__(row, "_record", record)
     return row
 
 
 def run_suite(config: SuiteConfig) -> list[SuiteRow]:
     """Evaluate every (graph, tree) pair; per-row failures never abort the run.
 
-    An instance that completed without error earlier in the process is not
-    computed again: the row cache, keyed by value on (graph, tree, work_cap),
-    keeps the last _ROW_CACHE_SIZE instances' finished fields, and each row
-    gets its config's names and a fresh g_tables dict of the shared, immutable
-    GTables.  A row read from the cache also carries its slot's render memo,
-    so the writers render each such instance once.  Error rows are never
-    cached.  Rows that are computed share one labeling per tree, and one walk
-    count and bound report per graph and t.
+    An instance that completed without error earlier in the process is
+    neither computed nor rendered again: a row cache keyed by value on
+    (graph, tree, work_cap) keeps the last _ROW_CACHE_SIZE instances'
+    fields, g-tables and JSON record.  Each row gets its config's names, a
+    fresh g_tables dict of the shared, immutable GTables and, when
+    error-free, the record, which the writers read in place of its fields.
+    Error rows are never cached.  Rows that are computed share one labeling
+    per tree, and one walk count and bound report per graph and t.
     """
     shared = tuple(map(cache, (good_labeling, count_walks, evaluate_bounds)))
     return [
@@ -383,46 +359,15 @@ def _suite_record(row: SuiteRow) -> dict:
     }
 
 
-def _suite_csv_values(row: SuiteRow) -> tuple:
-    """One suite row's CSV values after the two names, in column order: the
-    JSON record's values, which csv_table formats.  A log goes in unrounded,
-    since its 15-digit cell is that of its rounded JSON value."""
-    bounds = {b.name: b for b in row.bounds}
-    values = [row.n, row.edge_count, _fraction_text(row.average_degree), row.min_degree,
-              row.t, row.copies, row.homs, row.walks]
-    for name, _ in _BOUND_TARGETS:
-        bound = bounds.get(name)
-        if bound is not None and bound.applicable:
-            values += (bound.log_value, bound.holds, bound.log_margin)
-        else:
-            values += (None, None, None)
-    values += (
-        _or_none(_fraction_text, row.slack_majorant),
-        _or_none(_fraction_text, row.slack_iso),
-        _or_none(_fraction_text, row.slack_hom),
-        row.hom_table_equal,
-        *(row.chain_links or (None,) * len(_CHAIN_COLUMNS)),
-        row.error,
-    )
-    return tuple(values)
-
-
-def _kept(row: SuiteRow, part: str, render):
-    """render(row), or for a row read from the row cache, its memo's part,
-    rendered at the instance's first report."""
-    rendered = getattr(row, "_rendered", None)
-    if rendered is None:
-        return render(row)
-    value = getattr(rendered, part)
-    if value is None:
-        value = render(row)
-        setattr(rendered, part, value)
-    return value
+def _record_of(row: SuiteRow) -> dict:
+    # a hand-built or error row carries no record
+    return getattr(row, "_record", None) or _suite_record(row)
 
 
 def _json_record(row: SuiteRow) -> dict:
-    record = _kept(row, "record", _suite_record)
-    # new containers, so that a caller's edit reaches no other report
+    """The row's JSON record in new containers, so that a caller's edit
+    reaches no other report."""
+    record = _record_of(row)
     return {
         "graph": row.graph_name,
         "tree": row.tree_name,
@@ -433,32 +378,36 @@ def _json_record(row: SuiteRow) -> dict:
     }
 
 
-def _table_json(row: SuiteRow, key: str, table: GTable) -> dict:
-    """table.to_json_dict(), kept in the memo when the table is its slot's."""
-    rendered = getattr(row, "_rendered", None)
-    # a caller may put another table in a row's own g_tables dict
-    if rendered is None or rendered.tables.get(key) is not table:
-        return table.to_json_dict()
-    kept = rendered.table_json.get(key)
-    if kept is None:
-        kept = rendered.table_json[key] = table.to_json_dict()
-    return {**kept, "rows": [cells[:] for cells in kept["rows"]]}
+def _csv_values(row: SuiteRow) -> list:
+    """The row's JSON record flattened in suite_csv_columns order."""
+    record = _record_of(row)
+    values = [row.graph_name, row.tree_name, record["n"], record["m"], record["d"],
+              record["minDegree"], record["t"], *record["counts"].values()]
+    for name, _ in _BOUND_TARGETS:
+        bound = record["bounds"].get(name, {})
+        values += (bound.get("log"), bound.get("holds"), bound.get("logMargin"))
+    values += (record["slackMajorant"], record["slackIso"], record["slackHom"],
+               record["homTableEqual"], *(record["chainLinks"] or (None,) * len(_CHAIN_COLUMNS)),
+               record["error"])
+    return values
 
 
 def suite_to_csv(rows: list[SuiteRow]) -> str:
-    return csv_table(
-        suite_csv_columns(),
-        ((row.graph_name, row.tree_name, *_kept(row, "values", _suite_csv_values)) for row in rows),
-    )
+    """The suite CSV: a header of suite_csv_columns, then each row's JSON
+    record flattened in column order, so each cell is its JSON value as
+    formats.csv_table writes it."""
+    return csv_table(suite_csv_columns(), map(_csv_values, rows))
 
 
 def suite_to_json(rows: list[SuiteRow], include_gtables: bool = False) -> dict:
+    """The suite JSON: schemaVersion and one record per row, with its
+    g-tables' to_json_dict under gTables when asked and the row has them.
+    Every dict and list in it is new, so an edit to it reaches no other
+    report."""
     json_rows = []
     for row in rows:
         entry = _json_record(row)
         if include_gtables and row.g_tables:
-            entry["gTables"] = {
-                key: _table_json(row, key, table) for key, table in row.g_tables.items()
-            }
+            entry["gTables"] = {key: table.to_json_dict() for key, table in row.g_tables.items()}
         json_rows.append(entry)
     return {"schemaVersion": SCHEMA_VERSION, "rows": json_rows}

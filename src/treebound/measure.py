@@ -47,7 +47,8 @@ propagated in O(t*m) exact integer steps.  A GTable is one denominator
 and integer numerators: its min slack, row sums and the HOM identity are
 integer sums, read as (numerator, denominator) pairs; only g, row_sum and
 min_slack make a Fraction, importing fractions when called.  Its JSON
-reduces each cell with a gcd.
+reduces each cell with a gcd, once per table: the table keeps its JSON,
+and each to_json_dict call returns a new dict and new lists of it.
 
 The sampler is prepared once per run: sample_embeddings checks its inputs
 and builds the directed-edge list and each vertex's neighbor-to-position
@@ -69,7 +70,7 @@ import random
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from enum import Enum
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, repeat
 from operator import sub
 
@@ -241,8 +242,11 @@ class GTable:
         """True when g[i][v] = d(v)/nd exactly everywhere (the HOM identity)."""
         return not any(any(row) for row in self._slack_numerators(graph)[1])
 
-    def to_json_dict(self) -> dict:
-        d = self.denominator  # each cell reduced, a zero as 0/1
+    @cached_property
+    def _json(self) -> dict:
+        """to_json_dict's value, each cell reduced, a zero as 0/1; rendered at
+        the first call and kept in the instance dict, outside the fields."""
+        d = self.denominator
         return {
             "kind": self.kind.value,
             "positions": self.positions,
@@ -251,6 +255,12 @@ class GTable:
                 [f"{x // (c := math.gcd(x, d))}/{d // c}" for x in row] for row in self.numerators
             ],
         }
+
+    def to_json_dict(self) -> dict:
+        """kind, positions, n and the rows of reduced a/b cells; every call
+        returns a new dict and new row lists, so an edit reaches no other."""
+        kept = self._json
+        return {**kept, "rows": [cells[:] for cells in kept["rows"]]}
 
 
 def g_table_exact(

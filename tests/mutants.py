@@ -73,7 +73,7 @@ MUTANTS = [
     ("sampler-rejection-bound", "measure.py",
      "while r >= c:", "while r > c:", SAMPLER),
     ("sampler-unsorted-positions", "measure.py", "used.sort()", "used.reverse()", SAMPLER),
-    # the suite's row cache and per-run memo
+    # the suite's row cache, which keeps each instance's record, and per-run memo
     ("row-cache-key-without-work-cap", "harness.py",
      "slot = _finished_row(graph, tree, work_cap)", "slot = _finished_row(graph, tree, None)",
      SUITE),
@@ -81,6 +81,13 @@ MUTANTS = [
      'if "error" not in fields:', "if True:", SUITE),
     ("row-cache-shared-tables-dict", "harness.py",
      "g_tables=(dict(tables) or None)", "g_tables=(tables or None)", SUITE),
+    # the CSV is the JSON record flattened, and a g-table's kept JSON goes out in new lists
+    ("csv-swaps-log-and-margin", "harness.py",
+     'values += (bound.get("log"), bound.get("holds"), bound.get("logMargin"))',
+     'values += (bound.get("logMargin"), bound.get("holds"), bound.get("log"))', SUITE),
+    ("gtable-hands-out-kept-rows", "measure.py",
+     '"rows": [cells[:] for cells in kept["rows"]]', '"rows": [cells for cells in kept["rows"]]',
+     ("tests/test_values.py", "tests/test_harness.py")),
     ("suite-without-per-run-memo", "harness.py",
      "shared = tuple(map(cache, (good_labeling, count_walks, evaluate_bounds)))",
      "shared = None", SUITE),

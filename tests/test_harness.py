@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import io
 import json
 from collections import Counter
@@ -193,6 +194,11 @@ class TestRunSuite:
         assert rows == alone
         assert [r.g_tables for r in rows] == [r.g_tables for r in alone]
 
+    def test_build_row_leads_with_the_instance(self):
+        # bench/tracing.py reads a traced row's graph and tree as args[1] and args[3]
+        names = list(inspect.signature(harness._build_row).parameters)
+        assert names[:4] == ["graph_name", "graph", "tree_name", "tree"]
+
     def test_shared_work_runs_once_per_tree_and_per_graph_and_size(self, monkeypatch):
         calls, seen = Counter(), set()
         for name in ("good_labeling", "count_walks", "evaluate_bounds"):
@@ -300,7 +306,8 @@ class TestRowCache:
 
 
 class TestRenderMemo:
-    """A row read from the row cache is written from its slot's render memo."""
+    """An error-free row from run_suite is written from the JSON record its
+    cache slot keeps, and a g-table from the JSON it rendered once."""
 
     @staticmethod
     def reports(config):
@@ -351,15 +358,18 @@ class TestRenderMemo:
 
     def test_the_memo_is_invisible(self):
         config = standard_suite_config(0, include_gtables=True)
-        run_suite(config)
+        fresh = run_suite(config)
         cached = run_suite(config)
-        assert all(hasattr(row, "_rendered") for row in cached)
+        instances = [(graph, tree) for _, graph in config.graphs for _, tree in config.trees]
+        # fresh and cached rows carry the one record their slot keeps
+        for new, old, (graph, tree) in zip(fresh, cached, instances):
+            assert new._record is old._record is harness._finished_row(graph, tree, None)[0][2]
         suite_to_csv(cached), suite_to_json(cached, include_gtables=True)
         by_hand = [
             SuiteRow(**{name: getattr(row, name) for name in SuiteRow.__match_args__})
             for row in cached
         ]
-        assert not any(hasattr(row, "_rendered") for row in by_hand)
+        assert not any(hasattr(row, "_record") for row in by_hand)
         assert by_hand == cached
         assert [hash(row) for row in by_hand] == [hash(row) for row in cached]
         assert [repr(row) for row in by_hand] == [repr(row) for row in cached]
@@ -367,6 +377,8 @@ class TestRenderMemo:
         assert suite_to_json(by_hand, True) == suite_to_json(cached, True)
 
     def test_a_warm_report_renders_no_cached_row_again(self, monkeypatch):
+        from functools import cached_property
+
         from treebound.measure import GTable
 
         config = standard_suite_config(0, include_gtables=True)
@@ -383,7 +395,9 @@ class TestRenderMemo:
             return call
 
         monkeypatch.setattr(harness, "_suite_record", counted("record", harness._suite_record))
-        monkeypatch.setattr(GTable, "to_json_dict", counted("table", GTable.to_json_dict))
+        rendered = cached_property(counted("table", GTable._json.func))
+        rendered.__set_name__(GTable, "_json")
+        monkeypatch.setattr(GTable, "_json", rendered)
         rows = run_suite(config)
         suite_to_csv(rows), suite_to_json(rows, include_gtables=True)
         assert calls == {}
@@ -396,7 +410,7 @@ class TestRenderMemo:
         config = SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),), work_cap=2)
         for _ in range(2):
             (row,) = run_suite(config)
-            assert row.error is not None and not hasattr(row, "_rendered")
+            assert row.error is not None and not hasattr(row, "_record")
         assert harness._finished_row(k4, p3, 2) == []
 
 

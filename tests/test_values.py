@@ -6,7 +6,8 @@ statistics, left out); compares unequal to any other class; prints as
 ``Name(field=value!r, ...)``; matches positional class patterns through
 ``__match_args__``; and refuses assignment and deletion with an
 AttributeError.  A GTable reduces its numerators and denominator when it is
-built, so tables over different denominators compare equal.
+built, so tables over different denominators compare equal; the JSON
+it keeps once rendered is outside its fields.
 """
 
 from fractions import Fraction
@@ -201,3 +202,18 @@ def test_gtable_keeps_one_reduced_denominator(instances):
     assert type(scaled.numerators[0]) is tuple
     assert table.row_sum(1) == 1
     assert GTable(table.kind, 7, [[0, 0]]).to_json_dict()["rows"] == [["0/1", "0/1"]]
+
+
+def test_a_gtable_that_rendered_its_json_stays_equal(instances):
+    table = instances[GTable]
+    rendered, fresh = (GTable(table.kind, 12, [[1, 2, 3, 6], [0, 4, 4, 4]]) for _ in range(2))
+    first = rendered.to_json_dict()
+    assert first["rows"] == [["1/12", "1/6", "1/4", "1/2"], ["0/1", "1/3", "1/3", "1/3"]]
+    assert rendered == fresh and hash(rendered) == hash(fresh) and repr(rendered) == repr(fresh)
+    second = rendered.to_json_dict()
+    assert second == first == fresh.to_json_dict()
+    assert not {id(first), id(first["rows"]), *map(id, first["rows"])} & {
+        id(second), id(second["rows"]), *map(id, second["rows"])}
+    first["rows"][0][0] = "edited"
+    first["rows"].append(["edited"])
+    assert rendered.to_json_dict() == second
