@@ -12,6 +12,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse's parser, but the help's write to stdout lets an OSError
     out: argparse swallows it, and with an unbuffered stdout
     (PYTHONUNBUFFERED) a reader that is gone would lose the help with exit 0.
+    Its ``BrokenPipeError`` leaves ``cli.main``, and ``cli.entry`` exits 141.
     Subparsers are made of the parser's class, so every level gets this.
     Leftover arguments get the usage of the invoked ``_parser``, not the top's."""
 

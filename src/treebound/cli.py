@@ -20,15 +20,17 @@ is a file or one of the presets path:T / star:T.  Input files are UTF-8
 cannot be read, decoded or parsed names the option and the file.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage, 3 input format,
-4 work cap, 141 output pipe closed by its reader (128 + SIGPIPE, as shell
-tools report it).  The environment variable TREEBOUND_WORK_CAP overrides the
-default search-node cap; a command that reads it exits 2 when it is not an
-integer >= 0.
+4 work cap, 141 stdout or stderr closed by its reader (128 + SIGPIPE, as
+shell tools report it).  The environment variable TREEBOUND_WORK_CAP
+overrides the default search-node cap; a command that reads it exits 2 when
+it is not an integer >= 0.
 
 ``main(argv)`` returns the exit code and never ends the process, so tests
-and other Python callers run it in process.  ``entry`` is the process
-entry: it runs ``main``, flushes stdout and stderr, and ends the process
-with ``os._exit``, without interpreter teardown.  No output is lost, but
+and other Python callers run it in process.  It leaves flushing to its
+caller and lets a ``BrokenPipeError`` out.  ``entry`` is the process entry
+and the one place that ends it: it runs ``main``, flushes stdout and
+stderr, maps a closed stdout or stderr to 141, and ends the process with
+``os._exit``, without interpreter teardown.  No output is lost, but
 ``atexit`` handlers do not run in a CLI process.
 """
 
@@ -461,14 +463,14 @@ def _emit(args, argv, inputs, payload, header, rows, elapsed) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse argv (default sys.argv[1:]), run the command, write its output
+    and return its exit code.  Flushing is the caller's; a write that finds
+    its reader gone lets its ``BrokenPipeError`` out."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _table_args(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except BrokenPipeError:
-        # --help to a reader that is gone, with an unbuffered stdout
-        return _reader_gone()
     start = time.perf_counter()
     inputs: dict = {}
     try:
@@ -488,21 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        _emit(args, argv, inputs, payload, header, rows, time.perf_counter() - start)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        return _reader_gone()
+    _emit(args, argv, inputs, payload, header, rows, time.perf_counter() - start)
     return code
-
-
-def _reader_gone() -> int:
-    """Exit code 141, once a write to stdout found its reader gone: what
-    stdout still buffers goes to devnull, so no later flush raises."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
-    return EXIT_BROKEN_PIPE
 
 
 def entry():
@@ -510,11 +499,12 @@ def entry():
     treebound.cli`` and the ``treebound`` script: run ``main`` on sys.argv,
     flush stdout and then stderr, and end the process with main's exit code,
     skipping interpreter teardown (its final garbage collection and freeing
-    every object), so ``atexit`` handlers do not run.  A flush that finds
-    the reader gone exits 141 and writes nothing; an exception that escapes
-    ``main`` propagates and ends the process in the normal way."""
-    code = main()
+    every object), so ``atexit`` handlers do not run.  A stdout or stderr
+    whose reader is gone, found by a write in ``main`` or by a flush, exits
+    141 and writes nothing more; any other exception that escapes ``main``
+    propagates and ends the process in the normal way."""
     try:
+        code = main()
         sys.stdout.flush()
         sys.stderr.flush()
     except BrokenPipeError:

@@ -34,7 +34,8 @@ def format_rational(numerator: int, denominator: int) -> str:
 
 
 def _fraction_text(value) -> str:
-    return format_rational(value.numerator, value.denominator)
+    """A Fraction as format_rational writes it: already in lowest terms."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 def format_log(value: float) -> float:

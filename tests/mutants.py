@@ -104,6 +104,9 @@ MUTANTS = [
      'if value not in keywords.get("choices", [value]):', "if False:", PARSE),
     ("table-skips-required", "cli.py", 'elif keywords.get("required"):', "elif False:", PARSE),
     ("table-takes-repeated-flags", "cli.py", "len(given) != len(flags)", "False", PARSE),
+    # the process entry maps a reader that is gone, on stdout or stderr, to 141
+    ("entry-forgets-broken-pipe", "cli.py",
+     "code = EXIT_BROKEN_PIPE", "code = EXIT_OK", ("tests/test_cli.py::TestEntryPoint",)),
 ]
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from decimal import Decimal
@@ -990,6 +991,41 @@ class TestEntryPoint:
                 os.close(write)
             assert child.returncode == 141, extra
             assert child.stderr == b"", extra
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_error_to_a_closed_stderr_exits_141(self, inputs, entry):
+        # The format error's message finds the reader gone, inside main's
+        # handler; entry maps it to 141, where an uncaught BrokenPipeError
+        # would end the process with 1 (unbuffered) or 120 (buffered).
+        argv = ["count", "--graph", inputs["missing"], "--tree", "path:3"]
+        for extra in (None, {"PYTHONUNBUFFERED": "1"}):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                child = subprocess.run(
+                    [sys.executable, *ENTRIES[entry], *argv],
+                    stdout=subprocess.PIPE, stderr=write, env=self.child_env(extra), timeout=60,
+                )
+            finally:
+                os.close(write)
+            assert child.returncode == 141, extra
+            assert child.stdout == b"", extra
+
+    def test_in_process_main_leaves_the_pipe_alone(self, monkeypatch, k4_file):
+        # main writes its payload and leaves the flush, with its BrokenPipeError,
+        # to its caller; the caller's descriptor stays the pipe it gave
+        read, write = os.pipe()
+        os.close(read)
+        stdout = open(write, "w", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main(["bounds", "--graph", k4_file, "--t", "2"]) == 0
+            assert stat.S_ISFIFO(os.fstat(write).st_mode)
+            with pytest.raises(BrokenPipeError):
+                stdout.flush()
+        finally:
+            with contextlib.suppress(BrokenPipeError):
+                stdout.close()
 
     def test_usage_and_format_errors_reach_the_os(self, tmp_path):
         assert self.run("count", "--graph").returncode == 2

@@ -463,6 +463,14 @@ class TestSuiteSerialization:
         assert int(den) > 0 and int(num) >= 0
         json.dumps(doc)  # must be serializable as-is
 
+    def test_rationals_are_written_in_lowest_terms(self):
+        # a Fraction is already reduced: zero is 0/1, a sign goes on the numerator
+        row = SuiteRow("hand", "made", 3, 0, Fraction(0), 0, 2,
+                       slack_iso=Fraction(-4, 14), slack_hom=Fraction(6, 3))
+        record = suite_to_json([row])["rows"][0]
+        assert (record["d"], record["slackIso"], record["slackHom"]) == ("0/1", "-2/7", "2/1")
+        assert record["slackMajorant"] is None
+
     def test_counts_past_the_digit_limit_are_written(self, k4):
         # 4 * 3^10000 homomorphisms of the 10000-edge path (and as many walks)
         # in K4: 4,772 digits, past the 4,300 that str() of an int allows from
