@@ -18,11 +18,12 @@ each command loads only the modules it runs:
 - ``bounds``: graphs, errors, formats and bounds;
 - ``conjecture``: those plus counting, _search, conjecture and families,
   but not measure or harness;
-- ``gtable``, ``sample``: graphs, errors, formats and measure, but not
-  counting or bounds (an exact ``gtable`` of ``P`` or ``p`` loads _search
-  too);
-- ``verify``: graphs, errors, formats, _search, bounds, measure and checks,
-  but not counting, harness, conjecture or families.
+- ``sample`` and a Monte Carlo ``gtable``: graphs, errors, formats and
+  measure only; an exact ``gtable`` of ``Pprime`` the same;
+- an exact ``gtable`` of ``P`` or ``p``: those plus ledger and _search, but
+  not counting or bounds;
+- ``verify``: graphs, errors, formats, _search, bounds, measure, ledger and
+  checks, but not counting, harness, conjecture or families.
 
 The rule holds within modules too: code lives in the module of the
 commands that run it, so ``verify`` compiles no counter, suite runner,
@@ -89,12 +90,10 @@ _EXPORTS = {
         "suite_to_csv",
         "suite_to_json",
     ),
+    "ledger": ("ChainReport", "CopyLedger", "copy_ledger"),
     "measure": (
-        "ChainReport",
-        "CopyLedger",
         "GTable",
         "MeasureKind",
-        "copy_ledger",
         "g_table_exact",
         "g_table_monte_carlo",
         "sample_embeddings",

@@ -1,11 +1,11 @@
 """The CLI's argparse parser, built from ``cli``'s command table.  ``cli.main``
 imports it only for the command lines the table does not read: help, usage
-errors, gen, and the spellings only argparse accepts."""
+errors, gen, and the spellings only argparse accepts.  The tables come in
+as arguments: under ``python -m treebound.cli`` the CLI runs as
+``__main__``, and an import of ``cli`` here would load a second copy."""
 
 import argparse
 import sys
-
-from .cli import _COMMANDS, _FORMAT, _GEN_FAMILIES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -26,24 +26,28 @@ class _Parser(argparse.ArgumentParser):
         return parsed
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser: every subcommand of the table with its options, in
-    table order, and every gen family."""
+def build_parser(
+    commands: dict, format_option: tuple, gen_families: dict
+) -> argparse.ArgumentParser:
+    """The CLI's parser from its tables, ``cli._COMMANDS``, ``cli._FORMAT``
+    and ``cli._GEN_FAMILIES``: every subcommand of `commands` with its
+    options, in table order, and every family of `gen_families`, each with
+    the `format_option`."""
     parser = _Parser(
         prog="treebound",
         description="Count tree copies in graphs and check the bounds they satisfy.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help, options) in _COMMANDS.items():
+    for name, (_, help, options) in commands.items():
         p = sub.add_parser(name, help=help)
         p.set_defaults(_parser=p)
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
     families = sub.choices["gen"].add_subparsers(dest="family", required=True)
-    for family, (_, arguments) in _GEN_FAMILIES.items():
+    for family, (_, arguments) in gen_families.items():
         q = families.add_parser(family)
         q.set_defaults(_parser=q)
-        q.add_argument(_FORMAT[0], **_FORMAT[1])
+        q.add_argument(format_option[0], **format_option[1])
         q.add_argument("-o", "--output", default=None)
         for name, type_, _ in arguments:
             q.add_argument(name, type=type_)

@@ -3,7 +3,8 @@
 instance_report runs every asserted measure and bound invariant on one
 (graph, tree) pair and reads the instance's copy ledger and HOM table from
 the step a suite row reads them from, measure._instance_tables.  Only
-``verify`` loads this module; it imports measure and bounds where it runs.
+``verify`` loads this module; it imports measure and bounds where it runs,
+and measure imports the ledger.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ def instance_report(
 ) -> tuple[list[CheckResult], ChainReport | None]:
     """Run every asserted measure/bound invariant on one (graph, tree) pair.
 
-    Returns the checks and measure's ChainReport (None below the min-degree
-    hypothesis), fed by the suite row's step, _instance_tables: one copy
-    pass (copy_ledger) and the propagated HOM g-table.  Checks needing the
-    hypothesis are skipped (passed=None) when the graph misses it;
-    homomorphism-side checks run on every graph with an edge and are skipped
-    on an edgeless one, where no weight is defined.  Only the copy pass is
-    charged against the work cap.
+    Returns the checks and ledger's ChainReport (None below the min-degree
+    hypothesis), fed by the suite row's step, measure._instance_tables: one
+    copy pass (ledger.copy_ledger) and the propagated HOM g-table.  Checks
+    needing the hypothesis are skipped (passed=None) when the graph misses
+    it; homomorphism-side checks run on every graph with an edge and are
+    skipped on an edgeless one, where no weight is defined.  Only the copy
+    pass is charged against the work cap.
     """
     from .bounds import evaluate_bounds
     from .measure import _instance_tables

@@ -443,7 +443,7 @@ def build_parser():
     command line that the table does not read imports."""
     from ._parser import build_parser
 
-    return build_parser()
+    return build_parser(_COMMANDS, _FORMAT, _GEN_FAMILIES)
 
 
 def _emit(args, argv, inputs, payload, header, rows, elapsed) -> None:

@@ -17,7 +17,7 @@ the caps a search visiting every node would.  It reads the block's
 ``free`` count from a tally of placed neighbours per graph vertex, with no
 set work per candidate, and the tally charges no nodes of its own.  The
 block and its closed forms come from one helper, ``_search._leaf_block``,
-which ``measure.copy_ledger`` shares: the ledger folds the same block into
+which ``ledger.copy_ledger`` shares: the ledger folds the same block into
 its tables and charges it the same way, but builds the free set that its
 rows need.  When that block is one leaf under the last
 placed slot, whose own parent is the slot q placed just before it (every

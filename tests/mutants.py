@@ -65,7 +65,7 @@ MUTANTS = [
      "ways = total = 1", "ways, total = 1, 0", SEARCH),
     # the ledger folds a block whose majorant denominator is one too small:
     # the product-form and reversal checks must fail
-    ("ledger-majorant-denominator", "measure.py",
+    ("ledger-majorant-denominator", "ledger.py",
      "d_maj * floor[anchor] ** r,", "d_maj * floor[anchor] ** r - 1,",
      ("tests/test_ledger.py", "tests/test_measure.py")),
     # the sampler reads the bits random.Random.randrange reads

@@ -20,9 +20,9 @@ from treebound.counting import count_copies, count_homomorphisms, count_walks
 from treebound.families import gen_disjoint_cliques, gen_random_min_degree
 from treebound.graphs import good_labeling
 from treebound.harness import run_suite, standard_suite_config
+from treebound.ledger import copy_ledger
 from treebound.measure import (
     MeasureKind,
-    copy_ledger,
     g_table_exact,
     g_table_monte_carlo,
     sample_embeddings,

@@ -33,7 +33,7 @@ from treebound.graphs import (
     path_tree,
     star_tree,
 )
-from treebound.measure import copy_ledger
+from treebound.ledger import copy_ledger
 
 
 class TestCountCopies:

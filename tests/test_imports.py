@@ -30,7 +30,7 @@ from treebound.graphs import serialize_graph
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-# The names `from treebound import *` binds: the exports plus the nine library
+# The names `from treebound import *` binds: the exports plus the ten library
 # submodules.
 STAR_NAMES = {
     "BoundComparison", "BoundReport", "BoundValue", "ChainReport", "CheckResult",
@@ -43,14 +43,14 @@ STAR_NAMES = {
     "count_homomorphisms", "count_walks", "counting", "errors", "evaluate_bounds", "families",
     "g_table_exact", "g_table_monte_carlo", "gen_complete_bipartite",
     "gen_cycle", "gen_disjoint_cliques", "gen_random_min_degree", "good_labeling",
-    "good_labeling_between", "graphs", "harness", "instance_report", "measure",
+    "good_labeling_between", "graphs", "harness", "instance_report", "ledger", "measure",
     "parse_graph", "parse_tree", "path_tree", "run_suite", "sample_embeddings",
     "serialize_graph", "serialize_tree", "standard_suite_config", "star_tree",
     "suite_to_csv", "suite_to_json",
 }
 SUBMODULES = (
-    "graphs", "families", "counting", "bounds", "measure", "checks", "conjecture", "harness",
-    "cli", "errors", "formats",
+    "graphs", "families", "counting", "bounds", "measure", "ledger", "checks", "conjecture",
+    "harness", "cli", "errors", "formats",
 )
 
 
@@ -115,6 +115,7 @@ class TestLazyExports:
         ("harness", "CheckResult", "checks"),
         ("harness", "instance_report", "checks"),
         ("harness", "_instance_tables", "measure"),
+        *(("measure", name, "ledger") for name in ("ChainReport", "CopyLedger", "copy_ledger")),
         ("harness", "_or_none", "formats"),
     ]
 
@@ -194,9 +195,9 @@ print(json.dumps([code, loaded, stdlib]))
              {"measure"}),
             # the copy ledger's search runs without counting
             (["gtable", "--graph", "{g}", "--tree", "path:3", "--measure", "P"],
-             {"measure", "_search"}),
+             {"measure", "ledger", "_search"}),
             (["verify", "--graph", "{g}", "--tree", "path:3"],
-             {"bounds", "checks", "measure", "_search"}),
+             {"bounds", "checks", "measure", "ledger", "_search"}),
             (["verify", "--help"], {"_parser"}),
         ],
         ids=["count", "hom", "walks", "gen", "gen-random", "bounds", "conjecture",
@@ -224,6 +225,19 @@ print(json.dumps([code, loaded, stdlib]))
         else:
             assert not {"argparse", "gettext", "locale"} & set(stdlib)
         assert not {"pathlib", "typing"} & set(stdlib)
+
+    def test_cli_run_as_main_is_loaded_once(self):
+        # under -m treebound.cli the module runs as __main__; the parser it
+        # builds for gen must not import treebound.cli a second time
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        child = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "treebound.cli", "gen", "cycle", "5"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()]
+        assert "treebound._parser" in imported
+        assert "treebound.cli" not in imported
 
     def test_package_import_loads_no_submodule_until_used(self):
         code = """

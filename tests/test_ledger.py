@@ -49,7 +49,8 @@ from tests.oracles import (
     reversed_labeling,
     search_nodes_by_permutations,
 )
-from treebound import _search, counting, measure
+from treebound import _search, counting
+from treebound import ledger as ledger_module
 from treebound.bounds import evaluate_bounds
 from treebound.checks import instance_report
 from treebound.errors import WorkCapExceeded
@@ -63,7 +64,8 @@ from treebound.graphs import (
     star_tree,
 )
 from treebound.harness import SuiteConfig, run_suite
-from treebound.measure import MeasureKind, copy_ledger, g_table_exact
+from treebound.ledger import copy_ledger
+from treebound.measure import MeasureKind, g_table_exact
 
 
 @st.composite
@@ -198,7 +200,7 @@ def test_reversed_labeling_runs_from_far_end(tree):
 def _tamper_first_block(monkeypatch, change):
     """Give every copy of the first folded leaf block the denominators
     change(D_iso, D_maj); return the list that records that block's size."""
-    original = measure._LedgerSums.fold
+    original = ledger_module._LedgerSums.fold
     sizes = []
 
     def tampered(self, free, copies, each, d_iso, d_maj, *checks):
@@ -207,7 +209,7 @@ def _tamper_first_block(monkeypatch, change):
             d_iso, d_maj = change(d_iso, d_maj)
         return original(self, free, copies, each, d_iso, d_maj, *checks)
 
-    monkeypatch.setattr(measure._LedgerSums, "fold", tampered)
+    monkeypatch.setattr(ledger_module._LedgerSums, "fold", tampered)
     return sizes
 
 
@@ -255,7 +257,7 @@ def test_wrong_weight_on_one_copy_fails_matching_check(
 def _count_passes(monkeypatch):
     """Count copy_ledger passes, and count_copies calls in every module that binds it."""
     calls = {"ledger": 0, "count_copies": 0}
-    bound = [(measure, "copy_ledger", "ledger")] + [
+    bound = [(ledger_module, "copy_ledger", "ledger")] + [
         (module, "count_copies", "count_copies")
         for name, module in list(sys.modules.items())
         if name.startswith("treebound") and "count_copies" in vars(module)
@@ -384,7 +386,7 @@ def test_ledger_nodes_are_a_statistic(k4, p3):
     labeling = good_labeling(p3)
     ledger = copy_ledger(k4, p3, labeling)
     assert ledger.nodes == counting.count_copies(k4, p3, labeling).nodes == 65
-    copy = measure.CopyLedger(
+    copy = ledger_module.CopyLedger(
         ledger.count, ledger.iso, ledger.majorant, ledger.iso_below_majorant,
         ledger.product_form_equal, ledger.entropy_log, ledger.product_log, nodes=0,
     )

@@ -27,10 +27,10 @@ from treebound.graphs import (
     path_tree,
     star_tree,
 )
+from treebound.ledger import copy_ledger
 from treebound.measure import (
     GTable,
     MeasureKind,
-    copy_ledger,
     g_table_exact,
     g_table_monte_carlo,
     sample_embeddings,

@@ -27,14 +27,8 @@ from treebound.counting import CountResult, count_copies
 from treebound.families import gen_disjoint_cliques
 from treebound.graphs import GoodLabeling, Graph, Tree, good_labeling, path_tree
 from treebound.harness import RowBound, SuiteConfig, SuiteRow, run_suite, standard_suite_config
-from treebound.measure import (
-    ChainReport,
-    CopyLedger,
-    GTable,
-    MeasureKind,
-    copy_ledger,
-    g_table_exact,
-)
+from treebound.ledger import ChainReport, CopyLedger, copy_ledger
+from treebound.measure import GTable, MeasureKind, g_table_exact
 
 VALUE_TYPES = (
     Graph, Tree, GoodLabeling, CountResult, BoundValue, BoundComparison,
