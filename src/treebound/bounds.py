@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 
+from .formats import format_rational
 from .graphs import Graph, _value_type
 
 __all__ = [
@@ -122,7 +123,9 @@ def evaluate_bounds(graph: Graph, t: int) -> BoundReport:
         copies_p3 = copies_local
 
     if nd - (t - 1) * n <= 0:
-        reason = f"nonpositive factor d - {t - 1} = {graph.average_degree - t + 1}"
+        # d - (t - 1) as str(Fraction) writes it, without loading fractions
+        value = format_rational(nd - (t - 1) * n, n).removesuffix("/1")
+        reason = f"nonpositive factor d - {t - 1} = {value}"
         falling_factorial = BoundValue(False, reason=reason)
     else:
         # A plain loop, not sum(): sum() compensates float rounding from

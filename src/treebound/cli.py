@@ -240,18 +240,19 @@ def _cmd_sample(args, graph, tree):
         graph, tree, good_labeling(tree), random.Random(args.seed), args.samples
     )
     frequencies = Counter(draws)
-    table = {
-        " ".join(map(str, verts)): count
-        for verts, count in sorted(frequencies.items())
-    }
     payload = {
         "samples": args.samples,
         "seed": args.seed,
-        "distinctEmbeddings": len(table),
-        "frequencies": table,
+        "distinctEmbeddings": len(frequencies),
+        # unsorted: the JSON writer sorts the keys, and only a CSV reads rows()
+        "frequencies": {" ".join(map(str, verts)): count for verts, count in frequencies.items()},
     }
-    rows = [[key, count] for key, count in table.items()]
-    return payload, ["embedding", "count"], rows, EXIT_OK
+
+    def rows():
+        for verts, count in sorted(frequencies.items()):
+            yield [" ".join(map(str, verts)), count]
+
+    return payload, ["embedding", "count"], rows(), EXIT_OK
 
 
 def _cmd_verify(args, graph, tree):

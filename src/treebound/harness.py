@@ -14,15 +14,16 @@ and the CSV is that record flattened in column order, each cell formatted
 by formats.csv_table.  A suite row and instance_report read one instance's
 copy ledger and HOM table from the same step, measure._instance_tables.
 
-run_suite computes and renders each instance once per process: a bounded
-LRU cache, keyed by value on (graph, tree, work_cap), keeps the last
-_ROW_CACHE_SIZE (128) instances' finished fields, g-tables and JSON record,
-rendered when the instance first completes.  Each row gets its config's
-names, a fresh g_tables dict of the shared, immutable GTables and the
-record; each GTable renders its JSON cells once.  Error rows are never
-cached, since an error can follow process state (the recursion limit).  The
-writers put the names and new containers around what is kept, so no report
-shares a dict or list with another.
+run_suite computes and renders each instance once per process: the row
+cache, an lru_cache of _finished_row keyed by value on (graph, tree,
+work_cap), keeps the last _ROW_CACHE_SIZE (128) instances' finished fields,
+g-tables and JSON record.  Each row gets its config's names, a fresh
+g_tables dict of the shared, immutable GTables and the record; each GTable
+renders its JSON cells once.  A failing step raises out of _finished_row,
+and lru_cache keeps no exception, so error rows are never cached: an error
+can follow process state (the recursion limit).  The writers put the names
+and new containers around what is kept, so no report shares a dict or list
+with another.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .families import (
     gen_random_min_degree,
 )
 from .formats import SCHEMA_VERSION, _fraction_text, _or_none, csv_table, format_count, format_log
-from .graphs import Graph, Tree, _value_type, good_labeling, path_tree, star_tree
+from .graphs import GoodLabeling, Graph, Tree, _value_type, good_labeling, path_tree, star_tree
 
 __all__ = [
     "SuiteConfig",
@@ -122,16 +123,15 @@ class SuiteConfig:
     include_gtables: bool = False
 
 
-def _row_bounds(report: BoundReport, counts: dict[str, int | None]) -> tuple[RowBound, ...]:
+def _row_bounds(report: BoundReport, counts: dict[str, int]) -> tuple[RowBound, ...]:
     rows = []
     named = report.named_bounds()
     for name, target in _BOUND_TARGETS:
         bound = named[name]
-        count = counts[target]
-        if not bound.applicable or count is None:
-            rows.append(RowBound(name, False, reason=bound.reason or "count unavailable"))
+        if not bound.applicable:
+            rows.append(RowBound(name, False, reason=bound.reason))
             continue
-        cmp = compare_count_to_bound(count, bound.log_value)
+        cmp = compare_count_to_bound(counts[target], bound.log_value)
         rows.append(
             RowBound(name, True, bound.log_value, cmp.holds, cmp.log_margin)
         )
@@ -143,58 +143,60 @@ def _row_bounds(report: BoundReport, counts: dict[str, int | None]) -> tuple[Row
 _ROW_CACHE_SIZE = 128
 
 
-@lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _finished_row(graph: Graph, tree: Tree, work_cap: int | None) -> list:
-    """The row cache's slot for one instance, found by value: empty until a
-    row of it completes without error, then [(fields, g-tables, record)],
-    where the fields are every SuiteRow field but the two names and
-    g_tables, and the record is _suite_record of that first row."""
-    return []
-
-
-def _instance_fields(
-    graph: Graph, tree: Tree, work_cap: int | None, shared: tuple | None
-) -> tuple[dict, dict]:
-    """One instance's row fields and g-tables; the fields hold an error, and
-    what was made before it, when a step fails."""
-    from .measure import _instance_tables
-
-    # run_suite's caches; a cache keeps no exception, and each is called in the try
-    labeling_of, walks_of, bounds_of = shared or (good_labeling, count_walks, evaluate_bounds)
-    t = tree.t
-    fields = dict(
+def _graph_fields(graph: Graph, tree: Tree) -> dict:
+    """The SuiteRow fields read off the graph, and t, which every row has,
+    an error row too."""
+    return dict(
         n=graph.n,
         edge_count=graph.edge_count,
         average_degree=graph.average_degree,
         min_degree=graph.min_degree,
-        t=t,
+        t=tree.t,
     )
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _labeling(tree: Tree) -> GoodLabeling:
+    """The tree's good labeling, which every row of the tree shares."""
+    return good_labeling(tree)
+
+
+# run_suite computes one graph's rows after another, so a few entries serve
+# every tree size of the graph in hand; more would keep old graphs alive.
+@lru_cache(maxsize=8)
+def _graph_work(graph: Graph, t: int) -> tuple[int, BoundReport]:
+    """One graph's walk count and bound report for trees with t edges,
+    which every such tree's row shares."""
+    return count_walks(graph, t).value, evaluate_bounds(graph, t)
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _finished_row(graph: Graph, tree: Tree, work_cap: int | None) -> tuple[dict, dict, dict]:
+    """One instance's row fields, g-tables and JSON record; a failing step
+    raises.  The fields are every SuiteRow field but the two names and
+    g_tables, and the record is _suite_record of a row of them."""
+    from .measure import _instance_tables
+
+    labeling = _labeling(tree)
+    ledger, hom_table = _instance_tables(graph, tree, labeling, work_cap)
+    # with min degree >= t the ledger's copy pass also yields the count
+    copies = ledger.count if ledger else count_copies(graph, tree, labeling, work_cap).value
+    homs = count_homomorphisms(graph, tree).value
+    walks, report = _graph_work(graph, tree.t)
+    counts = dict(copies=copies, homs=homs, walks=walks)
+    fields = _graph_fields(graph, tree) | counts | {"bounds": _row_bounds(report, counts)}
     tables: dict = {}
-    try:
-        labeling = labeling_of(tree)
-        ledger, hom_table = _instance_tables(graph, tree, labeling, work_cap)
-        # with min degree >= t the ledger's copy pass also yields the count
-        copies = ledger.count if ledger else count_copies(graph, tree, labeling, work_cap).value
-        homs = count_homomorphisms(graph, tree).value
-        walks = walks_of(graph, t).value
-        fields.update(copies=copies, homs=homs, walks=walks)
-        report = bounds_of(graph, t)
-        fields["bounds"] = _row_bounds(
-            report, {"copies": copies, "homs": homs, "walks": walks}
-        )
-        if hom_table:
-            tables["Pprime"] = hom_table
-            fields["slack_hom"] = hom_table.min_slack(graph)
-            fields["hom_table_equal"] = hom_table.equals_degree_profile(graph)
-        if ledger:
-            tables["p"] = ledger.majorant
-            tables["P"] = ledger.iso
-            fields["slack_majorant"] = tables["p"].min_slack(graph)
-            fields["slack_iso"] = tables["P"].min_slack(graph)
-            fields["chain_links"] = ledger.chain(report.copies_local.log_value).links()
-    except (WorkCapExceeded, ValueError) as exc:
-        fields["error"] = f"{type(exc).__name__}: {exc}"
-    return fields, tables
+    if hom_table:
+        tables["Pprime"] = hom_table
+        fields["slack_hom"] = hom_table.min_slack(graph)
+        fields["hom_table_equal"] = hom_table.equals_degree_profile(graph)
+    if ledger:
+        tables["p"] = ledger.majorant
+        tables["P"] = ledger.iso
+        fields["slack_majorant"] = tables["p"].min_slack(graph)
+        fields["slack_iso"] = tables["P"].min_slack(graph)
+        fields["chain_links"] = ledger.chain(report.copies_local.log_value).links()
+    return fields, tables, _suite_record(SuiteRow("", "", **fields))
 
 
 def _build_row(
@@ -204,26 +206,19 @@ def _build_row(
     tree: Tree,
     work_cap: int | None,
     include_gtables: bool,
-    shared: tuple | None = None,
 ) -> SuiteRow:
-    slot = _finished_row(graph, tree, work_cap)
-    if slot:
-        fields, tables, record = slot[0]
-    else:
-        fields, tables = _instance_fields(graph, tree, work_cap, shared)
-        record = None
+    try:
+        fields, tables, record = _finished_row(graph, tree, work_cap)
+    except (WorkCapExceeded, ValueError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return SuiteRow(graph_name, tree_name, **_graph_fields(graph, tree), error=error)
     row = SuiteRow(
         graph_name=graph_name,
         tree_name=tree_name,
         g_tables=(dict(tables) or None) if include_gtables else None,
         **fields,
     )
-    # an error can follow process state (the recursion limit), so it is made again
-    if "error" not in fields:
-        if record is None:
-            record = _suite_record(row)
-            slot.append((fields, tables, record))
-        object.__setattr__(row, "_record", record)
+    object.__setattr__(row, "_record", record)
     return row
 
 
@@ -236,12 +231,12 @@ def run_suite(config: SuiteConfig) -> list[SuiteRow]:
     fields, g-tables and JSON record.  Each row gets its config's names, a
     fresh g_tables dict of the shared, immutable GTables and, when
     error-free, the record, which the writers read in place of its fields.
-    Error rows are never cached.  Rows that are computed share one labeling
-    per tree, and one walk count and bound report per graph and t.
+    An error row holds the graph's fields, t and the error, and is never
+    cached.  Computed rows share one labeling per tree, and one walk count
+    and bound report per graph and t, from two more caches.
     """
-    shared = tuple(map(cache, (good_labeling, count_walks, evaluate_bounds)))
     return [
-        _build_row(gname, graph, tname, tree, config.work_cap, config.include_gtables, shared)
+        _build_row(gname, graph, tname, tree, config.work_cap, config.include_gtables)
         for gname, graph in config.graphs
         for tname, tree in config.trees
     ]

@@ -57,6 +57,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain
 
+from .formats import format_rational
 from .graphs import GoodLabeling, Graph, Tree, _check_vertex, _value_type
 
 __all__ = [
@@ -223,16 +224,14 @@ class GTable:
 
     @cached_property
     def _json(self) -> dict:
-        """to_json_dict's value, each cell reduced, a zero as 0/1; rendered at
-        the first call and kept in the instance dict, outside the fields."""
+        """to_json_dict's value, each cell as format_rational writes it; rendered
+        at the first call and kept in the instance dict, outside the fields."""
         d = self.denominator
         return {
             "kind": self.kind.value,
             "positions": self.positions,
             "n": self.n,
-            "rows": [
-                [f"{x // (c := math.gcd(x, d))}/{d // c}" for x in row] for row in self.numerators
-            ],
+            "rows": [[format_rational(x, d) for x in row] for row in self.numerators],
         }
 
     def to_json_dict(self) -> dict:

@@ -27,9 +27,11 @@ PETERSEN_TEXT = """\
 
 @pytest.fixture(autouse=True)
 def cold_row_cache():
-    """Each test starts with run_suite's row cache empty, so no test reads
-    rows that another test computed, or computed under its monkeypatches."""
-    harness._finished_row.cache_clear()
+    """Each test starts with run_suite's caches empty (the rows, the trees'
+    labelings, and the graphs' walks and bounds), so no test reads what
+    another test computed, or computed under its monkeypatches."""
+    for cached in (harness._finished_row, harness._labeling, harness._graph_work):
+        cached.cache_clear()
 
 
 @pytest.fixture(scope="session")

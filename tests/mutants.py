@@ -73,12 +73,12 @@ MUTANTS = [
     ("sampler-rejection-bound", "measure.py",
      "while r >= c:", "while r > c:", SAMPLER),
     ("sampler-unsorted-positions", "measure.py", "used.sort()", "used.reverse()", SAMPLER),
-    # the suite's row cache, which keeps each instance's record, and per-run memo
+    # the suite's row cache, which keeps each instance's record, and the
+    # cache of each graph's walks and bounds per tree size
     ("row-cache-key-without-work-cap", "harness.py",
-     "slot = _finished_row(graph, tree, work_cap)", "slot = _finished_row(graph, tree, None)",
-     SUITE),
-    ("row-cache-keeps-error-rows", "harness.py",
-     'if "error" not in fields:', "if True:", SUITE),
+     "_finished_row(graph, tree, work_cap)", "_finished_row(graph, tree, None)", SUITE),
+    ("graph-work-key-without-size", "harness.py",
+     "_graph_work(graph, tree.t)", "_graph_work(graph, 3)", SUITE),
     ("row-cache-shared-tables-dict", "harness.py",
      "g_tables=(dict(tables) or None)", "g_tables=(tables or None)", SUITE),
     # the CSV is the JSON record flattened, and a g-table's kept JSON goes out in new lists
@@ -88,9 +88,6 @@ MUTANTS = [
     ("gtable-hands-out-kept-rows", "measure.py",
      '"rows": [cells[:] for cells in kept["rows"]]', '"rows": [cells for cells in kept["rows"]]',
      ("tests/test_values.py", "tests/test_harness.py")),
-    ("suite-without-per-run-memo", "harness.py",
-     "shared = tuple(map(cache, (good_labeling, count_walks, evaluate_bounds)))",
-     "shared = None", SUITE),
     # the envelope's input digests, on the built-in and the hashlib path
     ("digest-text", "cli.py",
      'return sha256(text.encode("utf-8")).hexdigest()',

@@ -10,7 +10,7 @@ from treebound.bounds import (
     evaluate_bounds,
 )
 from treebound.counting import count_copies, count_homomorphisms, count_walks
-from treebound.families import gen_disjoint_cliques, gen_random_min_degree
+from treebound.families import gen_cycle, gen_disjoint_cliques, gen_random_min_degree
 from treebound.graphs import Graph, Tree, path_tree, star_tree
 from tests.oracles import bounds_by_fractions, free_trees
 
@@ -75,6 +75,10 @@ class TestEvaluateBounds:
     def test_reason_texts(self, k4, c5):
         path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])  # d = 3/2
         assert evaluate_bounds(path, 3).falling_factorial.reason == "nonpositive factor d - 2 = -1/2"
+        # an integer factor is written as str(Fraction) writes it: no denominator
+        c4 = gen_cycle(4)
+        assert evaluate_bounds(c4, 4).falling_factorial.reason == "nonpositive factor d - 3 = -1"
+        assert evaluate_bounds(c4, 3).falling_factorial.reason == "nonpositive factor d - 2 = 0"
         assert evaluate_bounds(k4, 4).copies_p3.reason == "defined only for t = 3, got t = 4"
         assert evaluate_bounds(c5, 3).copies_p3.reason == "min degree 2 < 3"
         edgeless = evaluate_bounds(Graph.from_edges(3, []), 1)

@@ -341,6 +341,21 @@ class TestSample:
         for key in first["result"]["frequencies"]:
             assert len(key.split()) == 4
 
+    def test_csv_rows_go_in_vertex_order(self, capsys, tmp_path):
+        path = tmp_path / "c12.txt"
+        path.write_text(serialize_graph(gen_cycle(12)))
+        argv = ["sample", "--graph", str(path), "--tree", "path:2", "--samples", "200",
+                "--seed", "1"]
+        _, envelope = run_json(capsys, argv)
+        assert main([*argv, "--format", "csv"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == "embedding,count"
+        rows = [line.split(",") for line in lines]
+        keys = [key for key, _ in rows]
+        assert keys == sorted(keys, key=lambda key: tuple(map(int, key.split())))
+        assert keys != sorted(keys)  # past vertex 9 the JSON's key order differs
+        assert {key: int(count) for key, count in rows} == envelope["result"]["frequencies"]
+
     def test_zero_samples_is_usage_error(self, capsys, k4_file):
         argv = ["sample", "--graph", k4_file, "--tree", "path:3", "--samples", "0", "--seed", "1"]
         assert main(argv) == 2

@@ -18,6 +18,7 @@ from treebound.conjecture import (
     conjecture_to_json,
 )
 from treebound.counting import count_copies
+from treebound.errors import WorkCapExceeded
 from treebound.families import gen_cycle, gen_disjoint_cliques
 from treebound.formats import csv_table
 from treebound.graphs import Graph, Tree, path_tree, star_tree
@@ -215,14 +216,15 @@ class TestRunSuite:
         assert calls["count_walks"] == len(config.graphs) * len(sizes) == 33
         assert calls["evaluate_bounds"] == len(config.graphs) * len(sizes) == 33
         assert [r.error for r in rows if r.error] == []
-        # at another seed the 54 fixed rows come from the row cache, so only
-        # the two random graphs get walks and bounds
+        # at another seed the 54 fixed rows come from the row cache and the
+        # trees' labelings from theirs, so only the two random graphs get
+        # walks and bounds
         calls.clear()
         seen.clear()
         config = standard_suite_config(seed=1)
         rows = run_suite(config)
-        assert calls == {"good_labeling": 6, "count_walks": 6, "evaluate_bounds": 6}
-        assert seen == {tree for _, tree in config.trees} | {graph for _, graph in config.graphs[9:]}
+        assert calls == {"count_walks": 6, "evaluate_bounds": 6}
+        assert seen == {graph for _, graph in config.graphs[9:]}
         assert [r.error for r in rows if r.error] == []
 
     def test_a_failing_shared_step_fails_only_its_rows(self, monkeypatch, p2, p3, k4, c5):
@@ -290,8 +292,8 @@ class TestRowCache:
         monkeypatch.setattr(harness, "evaluate_bounds", refuse)
         config = SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),))
         (failed,) = run_suite(config)
-        # the fields made before the failing step stay in the error row
-        assert (failed.error, failed.copies, failed.bounds) == ("ValueError: refused", 24, ())
+        # an error row carries only the graph's fields, t and the error
+        assert failed == SuiteRow("K4", "P3", 4, 6, Fraction(3), 3, 3, error="ValueError: refused")
         assert run_suite(config) == [failed]
         monkeypatch.setattr(harness, "evaluate_bounds", original)
         (row,) = run_suite(config)
@@ -307,7 +309,7 @@ class TestRowCache:
 
 class TestRenderMemo:
     """An error-free row from run_suite is written from the JSON record its
-    cache slot keeps, and a g-table from the JSON it rendered once."""
+    cache entry keeps, and a g-table from the JSON it rendered once."""
 
     @staticmethod
     def reports(config):
@@ -361,9 +363,9 @@ class TestRenderMemo:
         fresh = run_suite(config)
         cached = run_suite(config)
         instances = [(graph, tree) for _, graph in config.graphs for _, tree in config.trees]
-        # fresh and cached rows carry the one record their slot keeps
+        # fresh and cached rows carry the one record their cache entry keeps
         for new, old, (graph, tree) in zip(fresh, cached, instances):
-            assert new._record is old._record is harness._finished_row(graph, tree, None)[0][2]
+            assert new._record is old._record is harness._finished_row(graph, tree, None)[2]
         suite_to_csv(cached), suite_to_json(cached, include_gtables=True)
         by_hand = [
             SuiteRow(**{name: getattr(row, name) for name in SuiteRow.__match_args__})
@@ -411,7 +413,23 @@ class TestRenderMemo:
         for _ in range(2):
             (row,) = run_suite(config)
             assert row.error is not None and not hasattr(row, "_record")
-        assert harness._finished_row(k4, p3, 2) == []
+        size = harness._finished_row.cache_info().currsize
+        with pytest.raises(WorkCapExceeded):
+            harness._finished_row(k4, p3, 2)
+        assert harness._finished_row.cache_info().currsize == size
+
+    def test_a_work_cap_error_row_is_pinned(self, p3, k4):
+        config = SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),), work_cap=2)
+        (row,) = run_suite(config)
+        error = "WorkCapExceeded: copy enumeration exceeded the work cap of 2 search nodes"
+        assert row == SuiteRow("K4", "P3", 4, 6, Fraction(3), 3, 3, error=error)
+        assert suite_to_json([row])["rows"] == [{
+            "graph": "K4", "tree": "P3", "n": 4, "m": 6, "d": "3/1", "minDegree": 3, "t": 3,
+            "counts": {"copies": None, "homs": None, "walks": None}, "bounds": {},
+            "slackMajorant": None, "slackIso": None, "slackHom": None, "homTableEqual": None,
+            "chainLinks": None, "error": error,
+        }]
+        assert suite_to_csv([row]).splitlines()[1] == "K4,P3,4,6,3/1,3,3," + "," * 29 + error
 
 
 def _csv_from_records(rows: list[SuiteRow]) -> str:

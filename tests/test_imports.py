@@ -25,7 +25,7 @@ import pytest
 
 import treebound
 from treebound.families import gen_disjoint_cliques
-from treebound.graphs import serialize_graph
+from treebound.graphs import Graph, serialize_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -169,6 +169,12 @@ print(json.dumps([code, loaded, stdlib]))
         path.write_text(serialize_graph(gen_disjoint_cliques(1, 4)))
         return str(path)
 
+    @pytest.fixture(scope="class")
+    def path_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("budget") / "path4.txt"
+        path.write_text(serialize_graph(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])))
+        return str(path)
+
     @pytest.mark.parametrize(
         "argv, extra",
         [
@@ -181,6 +187,8 @@ print(json.dumps([code, loaded, stdlib]))
             (["gen", "cycle", "5"], {"families", "_parser"}),
             (["gen", "random", "12", "0.5", "4", "0"], {"families", "_parser"}),
             (["bounds", "--graph", "{g}", "--t", "3"], {"bounds"}),
+            # d - 2 = -1/2 <= 0: the falling factorial's reason writes the factor
+            (["bounds", "--graph", "{p}", "--t", "3"], {"bounds"}),
             (["conjecture", "--family", "cliques", "--n", "4", "--t", "3", "--trials", "2",
               "--seed", "0", "--min-degree", "3"],
              {"bounds", "conjecture", "counting", "families", "_search"}),
@@ -200,13 +208,14 @@ print(json.dumps([code, loaded, stdlib]))
              {"bounds", "checks", "measure", "ledger", "_search"}),
             (["verify", "--help"], {"_parser"}),
         ],
-        ids=["count", "hom", "walks", "gen", "gen-random", "bounds", "conjecture",
+        ids=["count", "hom", "walks", "gen", "gen-random", "bounds", "bounds-inapplicable",
+             "conjecture",
              "conjecture-random", "sample",
              "gtable-monte-carlo", "gtable-exact-hom", "gtable-exact-copies", "verify",
              "verify-help"],
     )
-    def test_command_loads_only_what_it_runs(self, k4_file, argv, extra):
-        argv = [arg.format(g=k4_file) for arg in argv]
+    def test_command_loads_only_what_it_runs(self, k4_file, path_file, argv, extra):
+        argv = [arg.format(g=k4_file, p=path_file) for arg in argv]
         code, loaded, stdlib = run_child(self.CLI_CHILD, *argv, flags=("-S",))
         assert code == 0
         assert set(loaded) == self.BASE | {f"treebound.{name}" for name in extra}
