@@ -13,7 +13,7 @@ Every CLI invocation is a fresh process that compiles each module it
 imports when no bytecode cache is written (``PYTHONDONTWRITEBYTECODE``), so
 each command loads only the modules it runs:
 
-- ``gen``: graphs, errors, formats, families and _parser;
+- ``gen``: graphs, errors, formats and families;
 - ``count``, ``hom``, ``walks``: graphs, errors, formats, counting, _search;
 - ``bounds``: graphs, errors, formats and bounds;
 - ``conjecture``: those plus counting, _search, conjecture and families,
@@ -30,8 +30,8 @@ commands that run it, so ``verify`` compiles no counter, suite runner,
 scanner or generator.  The suite (``harness``) is the library's own and no
 command loads it, and no command loads ``hashlib`` where the interpreter
 has a built-in SHA-256; only ``conjecture`` loads ``fractions``.  On a
-well-formed command line no command but ``gen`` loads ``argparse`` (and
-the private ``_parser``): the CLI reads it from its command table.
+well-formed command line no command but ``gen`` loads ``argparse``: the
+CLI reads it from its command table.
 """
 
 import importlib

@@ -11,7 +11,7 @@ metadata to stderr.
 ``main`` reads a well-formed ``COMMAND --flag VALUE ...`` line for any
 command but gen straight from the command table ``_COMMANDS``; every other
 line (help, usage errors, gen, ``--flag=value``, an abbreviated flag) goes
-to the argparse parser that ``_parser`` builds from the same table.
+to the argparse parser that ``build_parser`` builds from the same table.
 
 ``main`` reads the inputs before it runs a command: ``--graph`` and then
 ``--tree``, each when the command has the option and it is given.  A tree
@@ -300,15 +300,16 @@ def _cmd_conjecture(args, graph, tree):
 
 
 # gen family -> (its generator's name in families, its positional arguments as
-# (name, type, params key))
+# (name, type, params key), its own options as (flag, add_argument keywords))
 _GEN_FAMILIES = {
-    "cliques": ("gen_disjoint_cliques", [("c", int, "c"), ("q", int, "q")]),
-    "cycle": ("gen_cycle", [("n", int, "n")]),
-    "complete-bipartite": ("gen_complete_bipartite", [("a", int, "a"), ("b", int, "b")]),
+    "cliques": ("gen_disjoint_cliques", [("c", int, "c"), ("q", int, "q")], []),
+    "cycle": ("gen_cycle", [("n", int, "n")], []),
+    "complete-bipartite": ("gen_complete_bipartite", [("a", int, "a"), ("b", int, "b")], []),
     "random": (
         "gen_random_min_degree",
         [("n", int, "n"), ("p", float, "p"), ("min_degree", int, "minDegree"),
          ("seed", int, "seed")],
+        [("--max-tries", {"type": int})],
     ),
 }
 
@@ -316,11 +317,13 @@ _GEN_FAMILIES = {
 def _cmd_gen(args, graph, tree):
     from . import families
 
-    generator, arguments = _GEN_FAMILIES[args.family]
+    generator, arguments, options = _GEN_FAMILIES[args.family]
     generate = getattr(families, generator)
     params = {key: getattr(args, name) for name, _, key in arguments}
-    options = {"max_tries": args.max_tries} if args.family == "random" else {}
-    graph = generate(*params.values(), **options)
+    # an option that is not given keeps the generator's own default
+    names = (flag[2:].replace("-", "_") for flag, _ in options)
+    given = {name: value for name in names if (value := getattr(args, name)) is not None}
+    graph = generate(*params.values(), **given)
     text = serialize_graph(graph)
     payload = {
         "family": args.family,
@@ -440,11 +443,52 @@ def _table_args(argv: list[str]) -> SimpleNamespace | None:
 
 
 def build_parser():
-    """The CLI's argparse parser.  It lives in ``_parser``, which only a
-    command line that the table does not read imports."""
-    from ._parser import build_parser
+    """The CLI's argparse parser, built from ``_COMMANDS``: every subcommand
+    with its options, in table order, and under gen every family of
+    ``_GEN_FAMILIES`` with ``_FORMAT``, ``-o``, its arguments and its own
+    options.  Only a command line that the table does not read builds it,
+    so argparse is imported here."""
+    import argparse
 
-    return build_parser(_COMMANDS, _FORMAT, _GEN_FAMILIES)
+    class Parser(argparse.ArgumentParser):
+        """argparse's parser, but the help's write to stdout lets an OSError
+        out: argparse swallows it, and with an unbuffered stdout
+        (PYTHONUNBUFFERED) a reader that is gone would lose the help with
+        exit 0.  Its ``BrokenPipeError`` leaves ``main``, and ``entry`` exits
+        141.  Subparsers are made of the parser's class, so every level gets
+        this.  Leftover arguments get the usage of the invoked ``_parser``,
+        not the top's."""
+
+        def print_help(self, file=None):
+            (sys.stdout if file is None else file).write(self.format_help())
+
+        def parse_args(self, args=None, namespace=None):
+            parsed, extras = self.parse_known_args(args, namespace)
+            if extras:
+                getattr(parsed, "_parser", self).error(f"unrecognized arguments: {' '.join(extras)}")
+            return parsed
+
+    parser = Parser(
+        prog="treebound",
+        description="Count tree copies in graphs and check the bounds they satisfy.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(_parser=p)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+    families = sub.choices["gen"].add_subparsers(dest="family", required=True)
+    for family, (_, arguments, options) in _GEN_FAMILIES.items():
+        q = families.add_parser(family)
+        q.set_defaults(_parser=q)
+        q.add_argument(_FORMAT[0], **_FORMAT[1])
+        q.add_argument("-o", "--output", default=None)
+        for name, type_, _ in arguments:
+            q.add_argument(name, type=type_)
+        for flag, keywords in options:
+            q.add_argument(flag, **keywords)
+    return parser
 
 
 def _emit(args, argv, inputs, payload, header, rows, elapsed) -> None:

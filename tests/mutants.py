@@ -104,6 +104,13 @@ MUTANTS = [
     # the process entry maps a reader that is gone, on stdout or stderr, to 141
     ("entry-forgets-broken-pipe", "cli.py",
      "code = EXIT_BROKEN_PIPE", "code = EXIT_OK", ("tests/test_cli.py::TestEntryPoint",)),
+    # argparse's help lets a write error out, and leftover arguments get the
+    # usage of the subcommand that was invoked
+    ("help-swallows-write-errors", "cli.py",
+     "(sys.stdout if file is None else file).write(self.format_help())",
+     "super().print_help(file)", ("tests/test_cli.py::TestEntryPoint",)),
+    ("leftovers-get-the-top-usage", "cli.py",
+     'getattr(parsed, "_parser", self).error(', "self.error(", ("tests/test_smoke.py",)),
 ]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treebound import families
+from treebound.cli import build_parser, main
 from treebound.errors import FormatError, RetryLimitExceeded
 from treebound.families import (
     gen_complete_bipartite,
@@ -328,6 +330,14 @@ class TestGenerators:
     def test_random_rejects_max_tries_below_one(self, max_tries):
         with pytest.raises(ValueError, match=f"max tries must be >= 1, got {max_tries}"):
             gen_random_min_degree(10, 0.5, 2, seed=1, max_tries=max_tries)
+
+    def test_cli_leaves_the_retry_default_to_the_generator(self, capsys):
+        argv = ["gen", "random", "12", "0.5", "4", "0"]
+        assert build_parser().parse_args(argv).max_tries is None
+        assert main(argv) == 0
+        digest = json.loads(capsys.readouterr().out)["result"]["sha256"]
+        text = serialize_graph(gen_random_min_degree(12, 0.5, 4, 0))
+        assert digest == hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestRandomStream:

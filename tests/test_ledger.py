@@ -13,7 +13,9 @@ product form under several good labelings (the identity behind the reversal
 and product-form checks), that under every good labeling, and under the one
 that reads a copy from its far end, each slot parents treedeg(x) - 1 slots
 from the third on (the exponent identity by which the reversal row reports
-the product form's verdict), that the chain floats
+the product form's verdict), that rows 1-3 of the ISO table are the
+degree profile d(v)/nd and the HOM process's entropy is homs_local's log on
+every tree shape with t = 2..5, that the chain floats
 are bit-identical to summing the oracle's copy_weight copy by copy, that each
 per-copy check fails when fold is handed a wrong weight for one block, that
 the ledger charges the work cap the nodes of a full search on count_copies'
@@ -43,6 +45,7 @@ from tests.oracles import (
     copies_in_slot_order,
     copy_weight,
     fraction_rows,
+    free_trees,
     g_tables_by_enumeration,
     majorant_table_by_product_form,
     random_tree,
@@ -186,6 +189,50 @@ def test_majorant_table_is_labeling_free(instance, rng):
         by_vertex.append(dict(zip(labeling.order, rows)))
     # each copy weighs the same whichever labeling reads it
     assert by_vertex[0] == by_vertex[1]
+
+
+def _every_shape(t, seed):
+    """(graph, tree, labeling) for every tree shape with t edges, under its
+    default labeling and one good_labeling_between labeling, on a seeded
+    G(12, 0.5) of min degree >= t."""
+    graph = gen_random_min_degree(12, 0.5, t, seed)
+    for edges in free_trees(t + 1):
+        tree = Tree.from_edges(edges)
+        for labeling in (good_labeling(tree),
+                         good_labeling_between(tree, tree.leaves[-1], tree.leaves[0])):
+            yield graph, tree, labeling
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_first_three_copy_rows_are_the_degree_profile(t, seed):
+    """Rows 1-3 of the ISO table are d(v)/nd under every good labeling: the
+    start edge is uniform, and slot 3 takes one of the d(w) - 1 unused
+    neighbours of its parent's image w, so P(omega_3 = v) sums
+    (d(w)/nd) * ((d(w)-1)/d(w)) / (d(w)-1) over the d(v) neighbours w of v."""
+    for graph, tree, labeling in _every_shape(t, seed):
+        iso = copy_ledger(graph, tree, labeling).iso
+        profile = [d * iso.denominator for d in graph.degrees()]
+        for row in iso.numerators[:3]:
+            assert [x * graph.degree_sum for x in row] == profile
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_hom_entropy_is_the_hom_bound(t, seed):
+    """The HOM process puts slot i >= 3 on one of the d(u) neighbours of its
+    parent's image u, so its entropy ln nd + sum_i sum_u g'[f(i)][u] ln d(u)
+    is homs_local's log, since every HOM row is d(u)/nd."""
+    bound = evaluate_bounds(gen_random_min_degree(12, 0.5, t, seed), t).homs_local.log_value
+    for graph, tree, labeling in _every_shape(t, seed):
+        table = g_table_exact(graph, tree, labeling, MeasureKind.HOM)
+        logs = [math.log(d) for d in graph.degrees()]
+        entropy = math.log(graph.degree_sum) + sum(
+            x / table.denominator * logs[u]
+            for i in range(3, t + 2)
+            for u, x in enumerate(table.numerators[labeling.f(i) - 1])
+        )
+        assert abs(entropy - bound) <= 1e-12
 
 
 @pytest.mark.parametrize("tree", [path_tree(3), star_tree(3)], ids=["P3", "S3"])
