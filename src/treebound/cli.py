@@ -244,9 +244,12 @@ def _cmd_sample(args, graph, tree):
         "samples": args.samples,
         "seed": args.seed,
         "distinctEmbeddings": len(frequencies),
-        # unsorted: the JSON writer sorts the keys, and only a CSV reads rows()
-        "frequencies": {" ".join(map(str, verts)): count for verts, count in frequencies.items()},
     }
+    # only JSON prints the payload; unsorted: the JSON writer sorts the keys
+    if args.format == "json":
+        payload["frequencies"] = {
+            " ".join(map(str, verts)): count for verts, count in frequencies.items()
+        }
 
     def rows():
         for verts, count in sorted(frequencies.items()):

@@ -219,9 +219,8 @@ def count_homomorphisms(graph: Graph, tree: Tree) -> CountResult:
         vec = [1] * graph.n
         for child in tree.adjacency[x]:
             if child in messages:  # a child: x's parent comes later in this loop
-                child_vec = messages.pop(child)
-                for v in range(graph.n):
-                    vec[v] *= sum(child_vec[u] for u in adjacency[v])
+                message = messages.pop(child).__getitem__
+                vec = [h * sum(map(message, a)) for h, a in zip(vec, adjacency)]
         messages[x] = vec
     return CountResult(sum(messages[1]), "dp")
 

@@ -1,16 +1,26 @@
 """Payload formatting shared by the CLI envelope and the report writers.
 
 A leaf module: the CLI formats every command's payload with these, so it
-stays free of the library's heavier modules.  csv_table is the one place
-that turns a value into a CSV cell; its callers pass raw values, and
-format_count is the one place that turns a count into its decimal text.
+stays free of the library's heavier modules.  _csv_cell is the one place
+that turns a value into a CSV cell, csv_text the one place that writes CSV
+lines, and format_count the one place that turns a count into its decimal
+text.  csv_table does both for its callers' raw values; csv_cells formats
+cells once for a caller that keeps them and writes them with csv_text.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["SCHEMA_VERSION", "format_count", "format_rational", "format_log", "csv_table"]
+__all__ = [
+    "SCHEMA_VERSION",
+    "format_count",
+    "format_rational",
+    "format_log",
+    "csv_cells",
+    "csv_table",
+    "csv_text",
+]
 
 SCHEMA_VERSION = "1"
 
@@ -58,13 +68,24 @@ def _csv_cell(value) -> str:
     return format_count(value)
 
 
+def csv_cells(values) -> tuple[str, ...]:
+    """Each value's CSV cell, as csv_table formats it."""
+    return tuple(map(_csv_cell, values))
+
+
 def csv_table(header, rows) -> str:
-    """The one CSV writer of the package: a header line, then the rows.
+    """The package's CSV table of raw values: a header line, then the rows.
 
     Every cell is formatted here: None is empty, a bool is true/false, a
     float has 15 significant digits, an int is its format_count, and
     anything else is its str.
     """
+    return csv_text(header, (map(_csv_cell, row) for row in rows))
+
+
+def csv_text(header, rows) -> str:
+    """The one CSV writer of the package: a header line, then rows of cells
+    that are already text, from csv_cells."""
     # imported here: JSON output, the default, needs no csv module
     import csv
     import io
@@ -72,5 +93,5 @@ def csv_table(header, rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(map(_csv_cell, row) for row in rows)
+    writer.writerows(rows)
     return buffer.getvalue()

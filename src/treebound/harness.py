@@ -11,19 +11,20 @@ nested JSON carrying a schemaVersion field; exact rationals serialize as
 "numerator/denominator" strings and logs as doubles with 15 significant
 digits.  Each report has one writer: a row's JSON record holds its values,
 and the CSV is that record flattened in column order, each cell formatted
-by formats.csv_table.  A suite row and instance_report read one instance's
+by formats.csv_cells.  A suite row and instance_report read one instance's
 copy ledger and HOM table from the same step, measure._instance_tables.
 
 run_suite computes and renders each instance once per process: the row
 cache, an lru_cache of _finished_row keyed by value on (graph, tree,
 work_cap), keeps the last _ROW_CACHE_SIZE (128) instances' finished fields,
-g-tables and JSON record.  Each row gets its config's names, a fresh
-g_tables dict of the shared, immutable GTables and the record; each GTable
-renders its JSON cells once.  A failing step raises out of _finished_row,
-and lru_cache keeps no exception, so error rows are never cached: an error
-can follow process state (the recursion limit).  The writers put the names
-and new containers around what is kept, so no report shares a dict or list
-with another.
+g-tables, JSON record and the record's CSV cells.  Each row gets its
+config's names, a fresh g_tables dict of the shared, immutable GTables, the
+record and the cells, so the CSV writer formats only a cached row's names;
+each GTable renders its JSON cells once.  A failing step raises out of
+_finished_row, and lru_cache keeps no exception, so error rows are never
+cached: an error can follow process state (the recursion limit).  The
+writers put the names and new containers around what is kept, so no report
+shares a dict or list with another.
 """
 
 from __future__ import annotations
@@ -40,7 +41,15 @@ from .families import (
     gen_disjoint_cliques,
     gen_random_min_degree,
 )
-from .formats import SCHEMA_VERSION, _fraction_text, _or_none, csv_table, format_count, format_log
+from .formats import (
+    SCHEMA_VERSION,
+    _fraction_text,
+    _or_none,
+    csv_cells,
+    csv_text,
+    format_count,
+    format_log,
+)
 from .graphs import GoodLabeling, Graph, Tree, _value_type, good_labeling, path_tree, star_tree
 
 __all__ = [
@@ -171,10 +180,13 @@ def _graph_work(graph: Graph, t: int) -> tuple[int, BoundReport]:
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _finished_row(graph: Graph, tree: Tree, work_cap: int | None) -> tuple[dict, dict, dict]:
-    """One instance's row fields, g-tables and JSON record; a failing step
-    raises.  The fields are every SuiteRow field but the two names and
-    g_tables, and the record is _suite_record of a row of them."""
+def _finished_row(
+    graph: Graph, tree: Tree, work_cap: int | None
+) -> tuple[dict, dict, dict, tuple[str, ...]]:
+    """One instance's row fields, g-tables, JSON record and CSV cells; a
+    failing step raises.  The fields are every SuiteRow field but the two
+    names and g_tables, the record is _suite_record of a row of them, and
+    the cells are the record's, in suite_csv_columns order after the names."""
     from .measure import _instance_tables
 
     labeling = _labeling(tree)
@@ -196,7 +208,8 @@ def _finished_row(graph: Graph, tree: Tree, work_cap: int | None) -> tuple[dict,
         fields["slack_majorant"] = tables["p"].min_slack(graph)
         fields["slack_iso"] = tables["P"].min_slack(graph)
         fields["chain_links"] = ledger.chain(report.copies_local.log_value).links()
-    return fields, tables, _suite_record(SuiteRow("", "", **fields))
+    record = _suite_record(SuiteRow("", "", **fields))
+    return fields, tables, record, csv_cells(_record_values(record))
 
 
 def _build_row(
@@ -208,7 +221,7 @@ def _build_row(
     include_gtables: bool,
 ) -> SuiteRow:
     try:
-        fields, tables, record = _finished_row(graph, tree, work_cap)
+        fields, tables, record, cells = _finished_row(graph, tree, work_cap)
     except (WorkCapExceeded, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
         return SuiteRow(graph_name, tree_name, **_graph_fields(graph, tree), error=error)
@@ -219,6 +232,7 @@ def _build_row(
         **fields,
     )
     object.__setattr__(row, "_record", record)
+    object.__setattr__(row, "_cells", cells)
     return row
 
 
@@ -228,9 +242,10 @@ def run_suite(config: SuiteConfig) -> list[SuiteRow]:
     An instance that completed without error earlier in the process is
     neither computed nor rendered again: a row cache keyed by value on
     (graph, tree, work_cap) keeps the last _ROW_CACHE_SIZE instances'
-    fields, g-tables and JSON record.  Each row gets its config's names, a
-    fresh g_tables dict of the shared, immutable GTables and, when
-    error-free, the record, which the writers read in place of its fields.
+    fields, g-tables, JSON record and the record's CSV cells.  Each row gets
+    its config's names, a fresh g_tables dict of the shared, immutable
+    GTables and, when error-free, the record and the cells, which the
+    writers read in place of its fields.
     An error row holds the graph's fields, t and the error, and is never
     cached.  Computed rows share one labeling per tree, and one walk count
     and bound report per graph and t, from two more caches.
@@ -373,11 +388,10 @@ def _json_record(row: SuiteRow) -> dict:
     }
 
 
-def _csv_values(row: SuiteRow) -> list:
-    """The row's JSON record flattened in suite_csv_columns order."""
-    record = _record_of(row)
-    values = [row.graph_name, row.tree_name, record["n"], record["m"], record["d"],
-              record["minDegree"], record["t"], *record["counts"].values()]
+def _record_values(record: dict) -> list:
+    """A JSON record flattened in suite_csv_columns order after the two names."""
+    values = [record["n"], record["m"], record["d"], record["minDegree"], record["t"],
+              *record["counts"].values()]
     for name, _ in _BOUND_TARGETS:
         bound = record["bounds"].get(name, {})
         values += (bound.get("log"), bound.get("holds"), bound.get("logMargin"))
@@ -387,11 +401,19 @@ def _csv_values(row: SuiteRow) -> list:
     return values
 
 
+def _csv_cells(row: SuiteRow) -> tuple[str, ...]:
+    # a hand-built or error row carries no cells
+    cells = getattr(row, "_cells", None) or csv_cells(_record_values(_record_of(row)))
+    return csv_cells((row.graph_name, row.tree_name)) + cells
+
+
 def suite_to_csv(rows: list[SuiteRow]) -> str:
-    """The suite CSV: a header of suite_csv_columns, then each row's JSON
-    record flattened in column order, so each cell is its JSON value as
-    formats.csv_table writes it."""
-    return csv_table(suite_csv_columns(), map(_csv_values, rows))
+    """The suite CSV: a header of suite_csv_columns, then each row's names
+    and JSON record flattened in column order, so each cell is its JSON
+    value as formats.csv_table writes it.  A row from run_suite carries its
+    record's cells, formatted when its instance was computed, so only its
+    names are formatted here."""
+    return csv_text(suite_csv_columns(), map(_csv_cells, rows))
 
 
 def suite_to_json(rows: list[SuiteRow], include_gtables: bool = False) -> dict:

@@ -42,6 +42,10 @@ PARSE = ("tests/test_cli.py::TestParser",)
 
 # (name, file under src/treebound, exact snippet, replacement, tests that must fail)
 MUTANTS = [
+    # the homomorphism DP multiplies each child's neighbour sums into its
+    # parent's vector
+    ("hom-dp-drops-earlier-children", "counting.py",
+     "vec = [h * sum(map(message, a))", "vec = [sum(map(message, a))", COUNTING),
     # count_copies' two-level tail: a choice u of slot q counts the paths
     # u, v, w that avoid the placed set X, and charges the nodes below u
     ("tail-codegree-term", "counting.py",
@@ -81,7 +85,10 @@ MUTANTS = [
      "_graph_work(graph, tree.t)", "_graph_work(graph, 3)", SUITE),
     ("row-cache-shared-tables-dict", "harness.py",
      "g_tables=(dict(tables) or None)", "g_tables=(tables or None)", SUITE),
-    # the CSV is the JSON record flattened, and a g-table's kept JSON goes out in new lists
+    # the CSV is the JSON record flattened, a computed row's cells are formatted
+    # once, and a g-table's kept JSON goes out in new lists
+    ("row-cache-keeps-json-values", "harness.py",
+     "record, csv_cells(_record_values(record))", "record, tuple(_record_values(record))", SUITE),
     ("csv-swaps-log-and-margin", "harness.py",
      'values += (bound.get("log"), bound.get("holds"), bound.get("logMargin"))',
      'values += (bound.get("logMargin"), bound.get("holds"), bound.get("log"))', SUITE),

@@ -356,6 +356,31 @@ class TestSample:
         assert keys != sorted(keys)  # past vertex 9 the JSON's key order differs
         assert {key: int(count) for key, count in rows} == envelope["result"]["frequencies"]
 
+    # sha256 of the C12 run's stdout in each format, its file path and the
+    # elapsedSeconds value masked; taken when --format csv still built the
+    # JSON frequency table
+    C12_STDOUT_SHA256 = {
+        "json": "922d95d30b8a0f637e68baf1bef3de2f172fa2be079cbdd3f425a3cf9c31a58c",
+        "csv": "07a3b0c731b14ea0dc27574d45743df8f49ef67fc9c3d7f15d711b3d3e080dfd",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(C12_STDOUT_SHA256))
+    def test_each_format_prints_what_it_printed_with_both_payloads(self, capsys, tmp_path, fmt):
+        path = tmp_path / "c12.txt"
+        path.write_text(serialize_graph(gen_cycle(12)))
+        argv = ["sample", "--graph", str(path), "--tree", "path:2", "--samples", "200",
+                "--seed", "1", "--format", fmt]
+        assert main(argv) == 0
+        out = _timeless(capsys.readouterr().out.replace(str(path), "c12.txt"))
+        assert hashlib.sha256(out.encode()).hexdigest() == self.C12_STDOUT_SHA256[fmt]
+
+    def test_csv_builds_no_json_frequency_table(self, k4_file, k4, p3):
+        argv = ["sample", "--graph", k4_file, "--tree", "path:3", "--samples", "20", "--seed", "0"]
+        handler = _COMMANDS["sample"][0]
+        for fmt, table in (("json", True), ("csv", False)):
+            payload, *_ = handler(_table_args([*argv, "--format", fmt]), k4, p3)
+            assert ("frequencies" in payload) is table
+
     def test_zero_samples_is_usage_error(self, capsys, k4_file):
         argv = ["sample", "--graph", k4_file, "--tree", "path:3", "--samples", "0", "--seed", "1"]
         assert main(argv) == 2

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from treebound import harness
+from treebound import formats, harness
 from treebound.checks import instance_report
 from treebound.conjecture import (
     ConjectureScanConfig,
@@ -363,15 +363,17 @@ class TestRenderMemo:
         fresh = run_suite(config)
         cached = run_suite(config)
         instances = [(graph, tree) for _, graph in config.graphs for _, tree in config.trees]
-        # fresh and cached rows carry the one record their cache entry keeps
+        # fresh and cached rows carry the one record and CSV cells their cache entry keeps
         for new, old, (graph, tree) in zip(fresh, cached, instances):
-            assert new._record is old._record is harness._finished_row(graph, tree, None)[2]
+            entry = harness._finished_row(graph, tree, None)
+            assert new._record is old._record is entry[2]
+            assert new._cells is old._cells is entry[3]
         suite_to_csv(cached), suite_to_json(cached, include_gtables=True)
         by_hand = [
             SuiteRow(**{name: getattr(row, name) for name in SuiteRow.__match_args__})
             for row in cached
         ]
-        assert not any(hasattr(row, "_record") for row in by_hand)
+        assert not any(hasattr(row, "_record") or hasattr(row, "_cells") for row in by_hand)
         assert by_hand == cached
         assert [hash(row) for row in by_hand] == [hash(row) for row in cached]
         assert [repr(row) for row in by_hand] == [repr(row) for row in cached]
@@ -397,22 +399,28 @@ class TestRenderMemo:
             return call
 
         monkeypatch.setattr(harness, "_suite_record", counted("record", harness._suite_record))
+        monkeypatch.setattr(formats, "_csv_cell", counted("cell", formats._csv_cell))
         rendered = cached_property(counted("table", GTable._json.func))
         rendered.__set_name__(GTable, "_json")
         monkeypatch.setattr(GTable, "_json", rendered)
         rows = run_suite(config)
         suite_to_csv(rows), suite_to_json(rows, include_gtables=True)
-        assert calls == {}
-        # a fresh seed renders only its 12 computed rows and their tables
+        # a cached row's CSV formats only its two names
+        assert calls == {"cell": 2 * 66}
+        calls.clear()
+        # a fresh seed renders only its 12 computed rows and their tables, and
+        # formats the 35 record cells of each of them
         rows = run_suite(standard_suite_config(1, include_gtables=True))
         suite_to_csv(rows), suite_to_json(rows, include_gtables=True)
-        assert calls == {"record": 12, "table": sum(len(row.g_tables) for row in rows[54:])}
+        assert calls == {"record": 12, "table": sum(len(row.g_tables) for row in rows[54:]),
+                         "cell": 12 * 35 + 66 * 2}
 
     def test_error_rows_get_no_memo(self, p3, k4):
         config = SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),), work_cap=2)
         for _ in range(2):
             (row,) = run_suite(config)
-            assert row.error is not None and not hasattr(row, "_record")
+            assert row.error is not None
+            assert not hasattr(row, "_record") and not hasattr(row, "_cells")
         size = harness._finished_row.cache_info().currsize
         with pytest.raises(WorkCapExceeded):
             harness._finished_row(k4, p3, 2)
@@ -454,14 +462,20 @@ def _csv_from_records(rows: list[SuiteRow]) -> str:
 
 
 class TestSuiteSerialization:
-    def test_csv_cells_are_the_json_values(self, p3, k4):
-        # computed rows, then the same instances read from the row cache
+    def test_csv_cells_are_the_json_values(self, p3, k4, c5):
+        # computed rows, then the same instances read from the row cache, the
+        # last of them under names that the CSV writer must quote
         rows = run_suite(standard_suite_config(0)) + run_suite(standard_suite_config(0))
+        quoted = SuiteConfig(graphs=(("K,4", k4), ('C"5"', c5)), trees=(("P\n3", p3),))
+        rows += run_suite(quoted) + run_suite(quoted)
         rows += run_suite(SuiteConfig(graphs=(("K4", k4),), trees=(("P3", p3),), work_cap=2))
+        rows += run_suite(SuiteConfig(graphs=(('K"4",\n', k4),), trees=(("P3", p3),), work_cap=2))
         rows.append(SuiteRow("hand", "made", 3, 2, Fraction(4, 3), 1, 2, copies=2,
                              bounds=(RowBound("copies_local", True, 1 / 3, False, -2 / 7),
                                      RowBound("walks_blakley_roy", False, reason="why"))))
-        assert rows[132].error is not None
+        rows.append(SuiteRow('"hand",', "ma\nde", 3, 2, Fraction(4, 3), 1, 2))
+        assert [row.error is not None for row in rows[132:]] == [False] * 4 + [True] * 2 + [False] * 2
+        assert all(hasattr(row, "_cells") for row in rows[:136])
         assert suite_to_csv(rows) == _csv_from_records(rows)
 
     def test_csv_shape(self, suite_rows):
