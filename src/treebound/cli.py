@@ -212,18 +212,19 @@ def _cmd_gtable(args, graph, tree):
     else:
         table = g_table_exact(graph, tree, labeling, kind, work_cap=_work_cap())
         mode = "exact"
+    slack, profile = table.slack_and_profile(graph)
     payload = {
         "measure": args.measure,
         "mode": mode,
         "table": table.to_json_dict(),
         "rowSums": [format_rational(*table.row_sum_ratio(i)) for i in range(1, table.positions + 1)],
-        "minSlack": format_rational(*table.min_slack_ratio(graph)),
+        "minSlack": format_rational(*slack),
     }
     if args.samples is not None:
         payload["samples"] = args.samples
         payload["seed"] = args.seed
     if kind is MeasureKind.HOM:
-        payload["equalsDegreeProfile"] = table.equals_degree_profile(graph)
+        payload["equalsDegreeProfile"] = profile
     # read only by the CSV writer: the cells of the JSON table, one per row
     cells = payload["table"]["rows"]
     rows = ([i, v, cell] for i, row in enumerate(cells, 1) for v, cell in enumerate(row))

@@ -9,7 +9,9 @@ good labeling's parents come from ``_labeling_from_order``, and
 ``GoodLabeling.validate`` checks a labeling against it.
 
 All types are immutable value types (see ``_value_type``), safe to share
-across threads.  Edge tuples are normalized (u < v) and sorted, and
+across threads: a labeling's check memo (see ``GoodLabeling.validate``) is
+an idempotent write outside its fields, so a race costs at most one more
+check.  Edge tuples are normalized (u < v) and sorted, and
 adjacency lists ascending; builders get that from sorted edges, not from a
 sort per list.  The graph generators live in ``families``, which only the
 commands that generate graphs and the suite load.
@@ -277,7 +279,17 @@ class GoodLabeling:
     def validate(self, tree: Tree) -> None:
         """Check this is a good labeling of ``tree``, raising ValueError if not:
         its order is a permutation starting at a leaf, and its parents are
-        the ones ``_labeling_from_order`` derives from that order."""
+        the ones ``_labeling_from_order`` derives from that order.
+
+        The labeling remembers, by identity, the last tree it passed, outside
+        its fields, so the kernels that each validate their labeling check it
+        fully once per tree object; any other tree, an equal one too, is
+        checked again."""
+        if self.__dict__.get("_passed") is not tree:
+            self._check(tree)
+            object.__setattr__(self, "_passed", tree)
+
+    def _check(self, tree: Tree) -> None:
         if sorted(self.order) != list(tree.vertices):
             raise ValueError("order is not a permutation of the tree's vertices")
         if tree.tree_degree(self.order[0]) != 1:

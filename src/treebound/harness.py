@@ -16,11 +16,15 @@ copy ledger and HOM table from the same step, measure._instance_tables.
 
 run_suite computes and renders each instance once per process: the row
 cache, an lru_cache of _finished_row keyed by value on (graph, tree,
-work_cap), keeps the last _ROW_CACHE_SIZE (128) instances' finished fields,
-g-tables, JSON record and the record's CSV cells.  Each row gets its
-config's names, a fresh g_tables dict of the shared, immutable GTables, the
-record and the cells, so the CSV writer formats only a cached row's names;
-each GTable renders its JSON cells once.  A failing step raises out of
+work_cap), keeps the last _ROW_CACHE_SIZE (128) instances' row state (every
+field, with the JSON record and the record's CSV cells as _record and
+_cells) and g-tables.  Each row is made from that state with one update of
+its instance dict, adding its config's names and a fresh g_tables dict of
+the shared, immutable GTables, so the CSV writer formats only a cached
+row's names; each GTable renders its JSON cells once per distinct row.  A
+computed row reads each table's floor slack, and the HOM table's identity
+verdict, off one pass over the table, and its labeling is checked in full
+once per tree (GoodLabeling.validate).  A failing step raises out of
 _finished_row, and lru_cache keeps no exception, so error rows are never
 cached: an error can follow process state (the recursion limit).  The
 writers put the names and new containers around what is kept, so no report
@@ -98,9 +102,10 @@ class SuiteRow:
     """One (graph, tree) row of run_suite.  Rows of equal instances share
     their field values, which are immutable; g_tables is each row's own dict
     of the shared GTables, or None, and equality ignores it.  An error-free
-    row from run_suite also carries its instance's JSON record, a private
-    attribute that equality, hash and repr do not see; a row built by hand
-    from the same values is rendered from its fields to the same reports."""
+    row from run_suite also carries its instance's JSON record and CSV
+    cells, private attributes that equality, hash and repr do not see; a row
+    built by hand from the same values is rendered from its fields to the
+    same reports."""
 
     graph_name: str
     tree_name: str
@@ -183,10 +188,11 @@ def _graph_work(graph: Graph, t: int) -> tuple[int, BoundReport]:
 def _finished_row(
     graph: Graph, tree: Tree, work_cap: int | None
 ) -> tuple[dict, dict, dict, tuple[str, ...]]:
-    """One instance's row fields, g-tables, JSON record and CSV cells; a
-    failing step raises.  The fields are every SuiteRow field but the two
-    names and g_tables, the record is _suite_record of a row of them, and
-    the cells are the record's, in suite_csv_columns order after the names."""
+    """One instance's row state, g-tables, JSON record and CSV cells; a
+    failing step raises.  The state is the instance dict of a SuiteRow with
+    empty names and no g_tables, plus its record and cells as _record and
+    _cells; the record is _suite_record of that row, and the cells are the
+    record's, in suite_csv_columns order after the names."""
     from .measure import _instance_tables
 
     labeling = _labeling(tree)
@@ -200,16 +206,18 @@ def _finished_row(
     tables: dict = {}
     if hom_table:
         tables["Pprime"] = hom_table
-        fields["slack_hom"] = hom_table.min_slack(graph)
-        fields["hom_table_equal"] = hom_table.equals_degree_profile(graph)
+        slack, fields["hom_table_equal"] = hom_table.slack_and_profile(graph)
+        fields["slack_hom"] = Fraction(*slack)
     if ledger:
         tables["p"] = ledger.majorant
         tables["P"] = ledger.iso
         fields["slack_majorant"] = tables["p"].min_slack(graph)
         fields["slack_iso"] = tables["P"].min_slack(graph)
         fields["chain_links"] = ledger.chain(report.copies_local.log_value).links()
-    record = _suite_record(SuiteRow("", "", **fields))
-    return fields, tables, record, csv_cells(_record_values(record))
+    row = SuiteRow("", "", **fields)
+    record = _suite_record(row)
+    cells = csv_cells(_record_values(record))
+    return vars(row) | {"_record": record, "_cells": cells}, tables, record, cells
 
 
 def _build_row(
@@ -221,18 +229,18 @@ def _build_row(
     include_gtables: bool,
 ) -> SuiteRow:
     try:
-        fields, tables, record, cells = _finished_row(graph, tree, work_cap)
+        state, tables, _, _ = _finished_row(graph, tree, work_cap)
     except (WorkCapExceeded, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
         return SuiteRow(graph_name, tree_name, **_graph_fields(graph, tree), error=error)
-    row = SuiteRow(
+    # a SuiteRow set up as its __init__ would, from the kept state in one update
+    row = object.__new__(SuiteRow)
+    vars(row).update(
+        state,
         graph_name=graph_name,
         tree_name=tree_name,
         g_tables=(dict(tables) or None) if include_gtables else None,
-        **fields,
     )
-    object.__setattr__(row, "_record", record)
-    object.__setattr__(row, "_cells", cells)
     return row
 
 
@@ -241,11 +249,11 @@ def run_suite(config: SuiteConfig) -> list[SuiteRow]:
 
     An instance that completed without error earlier in the process is
     neither computed nor rendered again: a row cache keyed by value on
-    (graph, tree, work_cap) keeps the last _ROW_CACHE_SIZE instances'
-    fields, g-tables, JSON record and the record's CSV cells.  Each row gets
-    its config's names, a fresh g_tables dict of the shared, immutable
-    GTables and, when error-free, the record and the cells, which the
-    writers read in place of its fields.
+    (graph, tree, work_cap) keeps the last _ROW_CACHE_SIZE instances' row
+    state and g-tables.  The state holds every field and the JSON record and
+    CSV cells, which the writers read in place of the fields; a cached row
+    is that state, its config's names and a fresh g_tables dict of the
+    shared, immutable GTables, set in one update of its instance dict.
     An error row holds the graph's fields, t and the error, and is never
     cached.  Computed rows share one labeling per tree, and one walk count
     and bound report per graph and t, from two more caches.

@@ -27,12 +27,15 @@ ledger.copy_ledger, which g_table_exact and _instance_tables import when
 they run, so the sampler and the Monte Carlo table never load the ledger.
 The HOM table enumerates nothing: its slot 1 is the start law d(v)/nd, and
 each later slot is one random-walk step from its parent slot, so the table
-is propagated in O(t*m) exact integer steps.  A GTable is one denominator
-and integer numerators: its min slack, row sums and the HOM identity are
-integer sums, read as (numerator, denominator) pairs; only g, row_sum and
-min_slack make a Fraction, importing fractions when called.  Its JSON
-reduces each cell with a gcd, once per table: the table keeps its JSON,
-and each to_json_dict call returns a new dict and new lists of it.
+is propagated in O(t*m) exact integer steps, one per distinct parent row.
+A GTable is one denominator and integer numerators: its min slack, row sums
+and the HOM identity are integer sums, read as (numerator, denominator)
+pairs, and slack_and_profile reads the min slack and the HOM identity's
+verdict off one pass over the distinct rows; only g, row_sum and min_slack
+make a Fraction, importing fractions when called.  Its JSON reduces each
+cell with a gcd, once per table and distinct row: the table keeps its JSON,
+one list per row, and each to_json_dict call returns a new dict and new
+lists of it.
 
 The sampler is prepared once per run: sample_embeddings checks its inputs
 and builds the directed-edge list and each vertex's neighbor-to-position
@@ -190,13 +193,18 @@ class GTable:
     def n(self) -> int:
         return len(self.numerators[0])
 
-    def _slack_numerators(self, graph: Graph) -> tuple[int, Iterator[list[int]]]:
-        """(nd * denominator, rows of (g[i][v] - d(v)/nd) * nd * denominator)."""
+    def slack_and_profile(self, graph: Graph) -> tuple[tuple[int, int], bool]:
+        """min_slack_ratio(graph) and equals_degree_profile(graph) from one
+        pass over the table's distinct rows: each cell's slack
+        g[i][v] - d(v)/nd is the integer x * nd - d(v) * denominator over
+        nd * denominator, and the profile holds when every slack is 0."""
         if graph.n != self.n:
             raise ValueError(f"table has {self.n} vertices, graph has {graph.n}")
         nd, common = graph.degree_sum, self.denominator
         floor = [d * common for d in graph.degrees()]
-        return nd * common, ([x * nd - f for x, f in zip(row, floor)] for row in self.numerators)
+        slacks = [[x * nd - f for x, f in zip(row, floor)] for row in set(self.numerators)]
+        low = min(map(min, slacks))
+        return (low, nd * common), low == max(map(max, slacks)) == 0
 
     def row_sum_ratio(self, i: int) -> tuple[int, int]:
         """Sum of row i over the vertices, 1 <= i <= positions, as (numerator, denominator)."""
@@ -210,8 +218,7 @@ class GTable:
 
     def min_slack_ratio(self, graph: Graph) -> tuple[int, int]:
         """Smallest g[i][v] - d(v)/nd as (numerator, denominator > 0); >= 0 certifies the floor."""
-        denominator, rows = self._slack_numerators(graph)
-        return min(min(row) for row in rows), denominator
+        return self.slack_and_profile(graph)[0]
 
     def min_slack(self, graph: Graph) -> Fraction:
         """min_slack_ratio(graph) as a Fraction."""
@@ -220,19 +227,22 @@ class GTable:
 
     def equals_degree_profile(self, graph: Graph) -> bool:
         """True when g[i][v] = d(v)/nd exactly everywhere (the HOM identity)."""
-        return not any(any(row) for row in self._slack_numerators(graph)[1])
+        return self.slack_and_profile(graph)[1]
 
     @cached_property
     def _json(self) -> dict:
         """to_json_dict's value, each cell as format_rational writes it; rendered
-        at the first call and kept in the instance dict, outside the fields."""
+        at the first call and kept in the instance dict, outside the fields.
+        Each distinct row is formatted once, and every row gets its own list."""
         d = self.denominator
-        return {
-            "kind": self.kind.value,
-            "positions": self.positions,
-            "n": self.n,
-            "rows": [[format_rational(x, d) for x in row] for row in self.numerators],
-        }
+        rendered: dict[tuple[int, ...], list[str]] = {}
+        rows = []
+        for row in self.numerators:
+            if row in rendered:
+                rows.append(rendered[row][:])
+            else:
+                rows.append(rendered.setdefault(row, [format_rational(x, d) for x in row]))
+        return {"kind": self.kind.value, "positions": self.positions, "n": self.n, "rows": rows}
 
     def to_json_dict(self) -> dict:
         """kind, positions, n and the rows of reduced a/b cells; every call
@@ -258,7 +268,9 @@ def g_table_exact(
     g[f(i)][u]/d(u), the chance of stepping from the parent's image u to w.
     The propagation runs on integers, every slot over nd * L^t, with L the
     lcm of the positive degrees: a slot at depth h <= t needs only nd * L^h,
-    so each step's division by L is exact.
+    so each step's division by L is exact.  Each distinct parent row is
+    stepped once per call; as slot 1 is the walk's stationary law, that is
+    one step.
     """
     if kind is not MeasureKind.HOM:
         from .ledger import copy_ledger
@@ -271,13 +283,18 @@ def g_table_exact(
         raise ValueError("graph has no edges; weights undefined")
     degree = graph.degrees()
     lcm = math.lcm(*filter(None, degree))
+    top = lcm**tree.t
     # an isolated vertex has weight 0 and is nobody's neighbor
     scale = [lcm // d if d else 0 for d in degree]
-    rows = [[d * lcm**tree.t for d in degree]]
+    rows = [tuple([d * top for d in degree])]
+    stepped: dict[tuple[int, ...], tuple[int, ...]] = {}
     for parent in labeling.parent_positions()[1:]:
-        step = [x * c for x, c in zip(rows[parent], scale)]
-        rows.append([sum(map(step.__getitem__, a)) // lcm for a in graph.adjacency])
-    return GTable(kind, nd * lcm**tree.t, rows)
+        row = rows[parent]
+        if row not in stepped:
+            step = [x * c for x, c in zip(row, scale)]
+            stepped[row] = tuple([sum(map(step.__getitem__, a)) // lcm for a in graph.adjacency])
+        rows.append(stepped[row])
+    return GTable(kind, nd * top, rows)
 
 
 def g_table_monte_carlo(

@@ -88,13 +88,22 @@ MUTANTS = [
     # the CSV is the JSON record flattened, a computed row's cells are formatted
     # once, and a g-table's kept JSON goes out in new lists
     ("row-cache-keeps-json-values", "harness.py",
-     "record, csv_cells(_record_values(record))", "record, tuple(_record_values(record))", SUITE),
+     "cells = csv_cells(_record_values(record))", "cells = tuple(_record_values(record))", SUITE),
     ("csv-swaps-log-and-margin", "harness.py",
      'values += (bound.get("log"), bound.get("holds"), bound.get("logMargin"))',
      'values += (bound.get("logMargin"), bound.get("holds"), bound.get("log"))', SUITE),
     ("gtable-hands-out-kept-rows", "measure.py",
      '"rows": [cells[:] for cells in kept["rows"]]', '"rows": [cells for cells in kept["rows"]]',
      ("tests/test_values.py", "tests/test_harness.py")),
+    # a g-table renders each distinct row once, still one list per row, and
+    # reads its min slack and degree-profile verdict off one pass
+    ("gtable-json-shares-equal-rows", "measure.py",
+     "rows.append(rendered[row][:])", "rows.append(rendered[row])", ("tests/test_values.py",)),
+    ("slack-pass-takes-the-max", "measure.py",
+     "low = min(map(min, slacks))", "low = max(map(min, slacks))", ("tests/test_measure.py",)),
+    # a labeling skips only the full check of the tree it last passed
+    ("labeling-check-skips-every-tree", "graphs.py",
+     'if self.__dict__.get("_passed") is not tree:', "if False:", ("tests/test_graphs.py",)),
     # the envelope's input digests, on the built-in and the hashlib path
     ("digest-text", "cli.py",
      'return sha256(text.encode("utf-8")).hexdigest()',

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from treebound import families
 from treebound.cli import build_parser, main
-from treebound.errors import FormatError, RetryLimitExceeded
+from treebound.errors import FormatError, FrozenInstanceError, RetryLimitExceeded
 from treebound.families import (
     gen_complete_bipartite,
     gen_cycle,
@@ -274,6 +274,38 @@ class TestValidate:
             pattern = None
         with pytest.raises(ValueError, match=pattern):
             GoodLabeling(order, parents).validate(p3)
+
+    def test_a_passed_labeling_still_raises_for_a_tree_it_does_not_fit(self):
+        labeling = good_labeling(path_tree(3))
+        labeling.validate(path_tree(3))
+        # the star's vertex 1 is no leaf; in the fork, vertex 4's parent is 2, not 3
+        for tree in (star_tree(3), Tree.from_edges([(1, 2), (2, 3), (2, 4)])):
+            with pytest.raises(ValueError):
+                labeling.validate(tree)
+
+    def test_a_labeling_checks_each_tree_object_once(self, monkeypatch):
+        checked = []
+        original = GoodLabeling._check
+
+        def counted(self, tree):
+            checked.append(tree)
+            original(self, tree)
+
+        monkeypatch.setattr(GoodLabeling, "_check", counted)
+        p3, equal = path_tree(3), path_tree(3)
+        labeling = good_labeling(p3)
+        for _ in range(3):
+            labeling.validate(p3)
+        assert len(checked) == 1 and checked[0] is p3
+        # an equal tree is another object, so it is checked again
+        labeling.validate(equal)
+        assert len(checked) == 2 and checked[1] is equal
+        # the memo is outside the fields
+        fresh = good_labeling(p3)
+        assert labeling == fresh and hash(labeling) == hash(fresh)
+        assert repr(labeling) == repr(fresh)
+        with pytest.raises(FrozenInstanceError):
+            labeling.order = (4, 3, 2, 1)
 
 
 class TestGenerators:

@@ -18,10 +18,10 @@ from treebound.conjecture import (
     conjecture_to_json,
 )
 from treebound.counting import count_copies
-from treebound.errors import WorkCapExceeded
+from treebound.errors import FrozenInstanceError, WorkCapExceeded
 from treebound.families import gen_cycle, gen_disjoint_cliques
 from treebound.formats import csv_table
-from treebound.graphs import Graph, Tree, path_tree, star_tree
+from treebound.graphs import GoodLabeling, Graph, Tree, path_tree, star_tree
 from treebound.harness import (
     RowBound,
     SuiteConfig,
@@ -227,6 +227,26 @@ class TestRunSuite:
         assert seen == {graph for _, graph in config.graphs[9:]}
         assert [r.error for r in rows if r.error] == []
 
+    def test_each_trees_labeling_is_checked_once(self, monkeypatch):
+        checked = []
+        original = GoodLabeling._check
+
+        def counted(self, tree):
+            checked.append(tree)
+            original(self, tree)
+
+        monkeypatch.setattr(GoodLabeling, "_check", counted)
+        config = standard_suite_config(seed=0)
+        run_suite(config)
+        # the kernels of 66 rows validate 132 times, and each of the six
+        # labelings is checked in full for its tree only the first time
+        assert len(checked) == 6
+        assert {id(tree) for tree in checked} == {id(tree) for _, tree in config.trees}
+        checked.clear()
+        # a fresh seed computes 12 rows, with the trees' labelings already checked
+        run_suite(standard_suite_config(seed=1))
+        assert checked == []
+
     def test_a_failing_shared_step_fails_only_its_rows(self, monkeypatch, p2, p3, k4, c5):
         original = harness.evaluate_bounds
 
@@ -327,9 +347,14 @@ class TestRenderMemo:
             entry["bounds"].clear()
             if entry["chainLinks"]:
                 entry["chainLinks"][0] = "poison"
-            entry["gTables"]["Pprime"]["rows"][0][0] = "poison"
+            # a HOM table's rows are all equal, and are rendered once
+            hom_rows = entry["gTables"]["Pprime"]["rows"]
+            siblings = [list(row) for row in hom_rows[1:]]
+            assert siblings == [hom_rows[0]] * len(siblings)
+            hom_rows[0][0] = "poison"
+            assert hom_rows[1:] == siblings
             entry["gTables"]["Pprime"]["kind"] = "poison"
-            entry["gTables"]["Pprime"]["rows"].append(["poison"])
+            hom_rows.append(["poison"])
         assert self.reports(config) == first
 
     def test_a_rows_own_g_tables_are_written(self, p3, k4, c5):
@@ -379,6 +404,9 @@ class TestRenderMemo:
         assert [repr(row) for row in by_hand] == [repr(row) for row in cached]
         assert suite_to_csv(by_hand) == suite_to_csv(cached)
         assert suite_to_json(by_hand, True) == suite_to_json(cached, True)
+        for row in fresh + cached:
+            with pytest.raises(FrozenInstanceError):
+                row.copies = 0
 
     def test_a_warm_report_renders_no_cached_row_again(self, monkeypatch):
         from functools import cached_property

@@ -434,12 +434,17 @@ def test_stream_equals_the_randrange_oracle(case):
 
 
 def _assert_slacks_match_oracle(graph, table):
-    """min_slack, equals_degree_profile and row_sum, all computed in integers
-    over the table's common denominator, against the table's Fraction cells."""
+    """min_slack, equals_degree_profile, their one pass slack_and_profile and
+    row_sum, all computed in integers over the table's common denominator,
+    against the table's Fraction cells."""
     rows = fraction_rows(table)
     cells = slacks_by_cells(graph, rows)
-    assert table.min_slack(graph) == min(min(row) for row in cells)
-    assert table.equals_degree_profile(graph) == all(x == 0 for row in cells for x in row)
+    low, flat = min(min(row) for row in cells), all(x == 0 for row in cells for x in row)
+    assert table.min_slack(graph) == low
+    assert table.equals_degree_profile(graph) == flat
+    ratio, profile = table.slack_and_profile(graph)
+    assert ratio == table.min_slack_ratio(graph)
+    assert (Fraction(*ratio), profile) == (low, flat)
     for i, row in enumerate(rows, 1):
         assert table.row_sum(i) == sum(row)
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from treebound import measure
 from treebound.bounds import (
     BoundComparison,
     BoundReport,
@@ -25,6 +26,7 @@ from treebound.checks import CheckResult, instance_report
 from treebound.conjecture import ConjectureRow, ConjectureScanConfig, conjecture_scan
 from treebound.counting import CountResult, count_copies
 from treebound.families import gen_disjoint_cliques
+from treebound.formats import format_rational
 from treebound.graphs import GoodLabeling, Graph, Tree, good_labeling, path_tree
 from treebound.harness import RowBound, SuiteConfig, SuiteRow, run_suite, standard_suite_config
 from treebound.ledger import ChainReport, CopyLedger, copy_ledger
@@ -211,3 +213,24 @@ def test_a_gtable_that_rendered_its_json_stays_equal(instances):
     first["rows"][0][0] = "edited"
     first["rows"].append(["edited"])
     assert rendered.to_json_dict() == second
+
+
+def test_a_gtable_renders_each_distinct_row_once(instances, monkeypatch):
+    table = instances[GTable]
+    calls = []
+
+    def counted(x, d):
+        calls.append(x)
+        return format_rational(x, d)
+
+    monkeypatch.setattr(measure, "format_rational", counted)
+    rows = [[1, 2, 3, 6], [0, 4, 4, 4], [1, 2, 3, 6], [0, 4, 4, 4], [1, 2, 3, 6]]
+    rendered = GTable(table.kind, 12, rows)
+    kept = rendered._json["rows"]
+    assert len(calls) == 2 * 4
+    assert kept == [[format_rational(x, 12) for x in row] for row in rows]
+    # equal rows are still one list each, kept and handed out
+    assert len(set(map(id, kept))) == len(kept)
+    handed = rendered.to_json_dict()["rows"]
+    handed[0][0] = "edited"
+    assert handed[2] == kept[2] == kept[0] and handed[4] == kept[4]
